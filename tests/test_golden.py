@@ -1,0 +1,87 @@
+"""Golden pins: sha256 digests of a small training run's output files.
+
+Criterion 10 compares two runs of the same code with each other; these pins
+compare the outputs across versions of the code, so a refactor that claims
+to be behaviour-preserving must leave every digest unchanged.  A change
+that alters behaviour on purpose re-pins the digests and says why.
+
+The digests are of float64 results formatted with ``repr``; they were
+recorded with Python 3.11 and NumPy 2.4 on x86-64.
+"""
+
+import hashlib
+
+import pytest
+
+from slicesched.engine import (export_diagnostics_csv, export_trace_csv,
+                               run_training)
+
+# dqn: a small batch, target sync and replay capacity so that updates,
+# target syncs and replay wrap-around all happen within 75 slots, and a
+# short epsilon decay so that greedy decisions happen too
+CASES = {
+    "a2c-shared": ("a2c", {"shared_trunk": True}),
+    "a2c-split": ("a2c", {"shared_trunk": False}),
+    "a2c-episode-dual": ("a2c", {"dual_cadence": "episode"}),
+    "dqn": ("dqn", {"dqn_batch_size": 8, "dqn_target_sync": 10,
+                    "dqn_replay_capacity": 40, "dqn_eps_decay_slots": 30,
+                    "dqn_eps_end": 0.2}),
+    "rr": ("rr", {}),
+    "pf": ("pf", {}),
+    "pf-carry": ("pf", {"carry_fractional_service": True}),
+}
+
+GOLDEN = {
+    "a2c-episode-dual": {
+        "trace.csv": "2b0c3bef71cc9a3a1479782034aacbba1a360ff1eb73f6d44b2729facfb76422",
+        "training.csv": "081b6b4340cf4de6a09f0594bdb0dd4f2d7a236171c1d1d06f9d296c28d4d72e",
+        "checkpoint.bin": "6e276399463700ffb2640676ef78709f190e8ee1e451026c364e24265c5594ca",
+    },
+    "a2c-shared": {
+        "trace.csv": "595c7eed311008c04625dc3b481625b8902f4343be6ea7ca9623532a5dab8447",
+        "training.csv": "bb92aff4a72cacb58b1071c6a605a848d11edac30183afaed4fbddfd5d6e87a9",
+        "checkpoint.bin": "d9dcc0108cd26f779cd09c09bf29ea1ae0174403cbde76dfb0fe5acd06e282c0",
+    },
+    "a2c-split": {
+        "trace.csv": "cb2ec8df05db295cdfeaf8cf7098f5e513507c544dfa67d77462a2a8688d8a44",
+        "training.csv": "c213e6f798daa30b8a6a59a62ff2575861c9f5e5e054eb3a043e724b7f3beadf",
+        "checkpoint.bin": "da5e665ffd5b5c12b3994baea67e9b97055ec3aecca0f2883398ab75ce5a9e50",
+    },
+    "dqn": {
+        "trace.csv": "7920ad64295563f39ad8babda841dcd594e808ed6f6a7e4894dee51bdf9d3131",
+        "training.csv": "b5c5a718e0f99428b3be0d6951502d275bfb8ad07f9b3d572721b3231f0d41bc",
+        "checkpoint.bin": "b47393399b98d7b9772e346f94ad338257d3aed98148cb20f202dfeb5b899ba9",
+    },
+    "pf": {
+        "trace.csv": "a2c844622203e43733a249de5bd3be1c434d0e533c87a19d2dd87f57a2f382ae",
+        "training.csv": "f5baac22963a359e4c6063a9a2cfbc97985e680b2cfa261d897bd5dd3a1db299",
+    },
+    "pf-carry": {
+        "trace.csv": "d61efeb959a1a05bce43839a2f6941ccfad5d3dca13d7fb7c90f1235bfd6afb0",
+        "training.csv": "e16eb488a2b4088f8558184c69ab7ac94ae4e534bbaff95dc15113edc3584589",
+    },
+    "rr": {
+        "trace.csv": "a4f65c0dbca2f97960f4ba81cc33eade5e33567937b23dda951905a537917d43",
+        "training.csv": "4274870427f8e7c7f6bd156d37c561a914503d4f25a9e38bb383c65cf9d5b86d",
+    },
+}
+
+
+def _digests(cfg, agent, out_dir) -> dict:
+    records, policy = run_training(cfg, agent)
+    files = {"trace.csv": out_dir / "trace.csv",
+             "training.csv": out_dir / "training.csv"}
+    export_trace_csv(records, cfg, files["trace.csv"])
+    export_diagnostics_csv(records, agent, files["training.csv"])
+    if hasattr(policy, "save"):
+        files["checkpoint.bin"] = out_dir / "checkpoint.bin"
+        policy.save(files["checkpoint.bin"])
+    return {name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in files.items()}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_digests(case, tiny_cfg, tmp_path):
+    agent, overrides = CASES[case]
+    got = _digests(tiny_cfg.replace(**overrides), agent, tmp_path)
+    assert got == GOLDEN[case]
