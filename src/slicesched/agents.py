@@ -11,7 +11,6 @@ track task-driven demand.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -183,13 +182,17 @@ def _entropy_grad(probs: np.ndarray) -> np.ndarray:
 
 def a2c_grads(pack: _NetPack, obs: np.ndarray, actions: tuple[int, int],
               rew: float, next_obs: Optional[np.ndarray], gamma: float,
-              entropy_coef: float) -> tuple[list, list, dict]:
+              entropy_coef: float, heads: Optional[tuple] = None
+              ) -> tuple[list, list, dict]:
     """One-transition actor and critic gradients plus diagnostics.
 
     The bootstrapped target and the advantage are treated as constants
-    (semi-gradient TD); terminal transitions bootstrap with zero.
+    (semi-gradient TD); terminal transitions bootstrap with zero.  ``heads``
+    is ``pack.heads(obs)`` when the caller already has it under the current
+    parameters.
     """
-    logits_h, logits_e, value, traces = pack.heads(obs)
+    logits_h, logits_e, value, traces = (heads if heads is not None
+                                          else pack.heads(obs))
     v_next = pack.value(next_obs) if next_obs is not None else 0.0
     target = rew + gamma * v_next
     delta = target - value
@@ -244,7 +247,9 @@ class A2CAgent(Policy):
         self.opt_actor = Adam()
         self.opt_critic = Adam()
         self.training = True
-        self._pending: Optional[tuple] = None  # (obs, (a_h, a_e), scaled reward)
+        # [obs, (a_h, a_e), scaled reward, pack.heads(obs)]; no update runs
+        # between allocate and _learn, so the heads are still current there
+        self._pending: Optional[list] = None
         self.diag = {"actor_loss": 0.0, "critic_loss": 0.0, "entropy": 0.0,
                      "updates": 0}
 
@@ -260,14 +265,15 @@ class A2CAgent(Policy):
         obs = encode_observation(ctx, self.cfg)
         if self.training and self._pending is not None:
             self._learn(next_obs=obs, terminal=False)
-        logits_h, logits_e, _, _ = self.pack.heads(obs)
+        heads = self.pack.heads(obs)
+        logits_h, logits_e = heads[:2]
         if self.training:
             a_h, _, _ = softmax_categorical(logits_h, self.rng)
             a_e, _, _ = softmax_categorical(logits_e, self.rng)
         else:
             a_h = int(np.argmax(logits_h))
             a_e = int(np.argmax(logits_e))
-        self._pending = [obs, (a_h, a_e), 0.0]
+        self._pending = [obs, (a_h, a_e), 0.0, heads]
         return decode_action(self.space, a_h, a_e, ctx)
 
     def observe_reward(self, rew: float) -> None:
@@ -280,24 +286,18 @@ class A2CAgent(Policy):
         self._pending = None
 
     def _learn(self, next_obs: Optional[np.ndarray], terminal: bool) -> None:
-        obs, actions, rew = self._pending
+        obs, actions, rew, heads = self._pending
         grads_a, grads_c, diag = a2c_grads(
             self.pack, obs, actions, rew, None if terminal else next_obs,
-            self.cfg.gamma, self.cfg.entropy_coef)
+            self.cfg.gamma, self.cfg.entropy_coef, heads)
         grads_a = clip_grads(grads_a, self.cfg.grad_clip)
         grads_c = clip_grads(grads_c, self.cfg.grad_clip)
-        if self.pack.shared:
-            params = self.pack.net.params
-            params = self.opt_actor.step(params, grads_a, self.cfg.lr_actor)
-            params = self.opt_critic.step(params, grads_c, self.cfg.lr_critic)
-            self.pack.net.set_params(params)
-        else:
-            self.pack.actor.set_params(
-                self.opt_actor.step(self.pack.actor.params, grads_a,
-                                    self.cfg.lr_actor))
-            self.pack.critic.set_params(
-                self.opt_critic.step(self.pack.critic.params, grads_c,
-                                     self.cfg.lr_critic))
+        # with a shared trunk both optimizers step the whole net, one after
+        # the other
+        actor, critic = ((self.pack.net, self.pack.net) if self.pack.shared
+                         else (self.pack.actor, self.pack.critic))
+        self.opt_actor.step([actor.flat], grads_a, self.cfg.lr_actor)
+        self.opt_critic.step([critic.flat], grads_c, self.cfg.lr_critic)
         self.diag["actor_loss"] += diag["actor_loss"]
         self.diag["critic_loss"] += diag["critic_loss"]
         self.diag["entropy"] += diag["entropy"]
@@ -335,7 +335,16 @@ class DqnAgent(Policy):
         self.target = Mlp(sizes, acts, rng)
         self._sync_target()
         self.opt = Adam()
-        self.replay: deque = deque(maxlen=cfg.dqn_replay_capacity)
+        # replay ring: row (head + i) % capacity holds the i-th oldest of the
+        # `stored` transitions
+        cap = cfg.dqn_replay_capacity
+        self.replay_obs = np.empty((cap, self.obs_dim))
+        self.replay_next = np.empty((cap, self.obs_dim))
+        self.replay_act = np.empty(cap, dtype=int)
+        self.replay_rew = np.empty(cap)
+        self.replay_done = np.empty(cap)
+        self.stored = 0
+        self.head = 0
         self.training = True
         self.steps = 0
         self.updates = 0
@@ -343,7 +352,7 @@ class DqnAgent(Policy):
         self.diag = {"loss": 0.0, "updates": 0}
 
     def _sync_target(self) -> None:
-        self.target.set_params([p.copy() for p in self.qnet.params])
+        self.target.flat[...] = self.qnet.flat
 
     @property
     def epsilon(self) -> float:
@@ -384,30 +393,36 @@ class DqnAgent(Policy):
 
     def _store(self, next_obs: Optional[np.ndarray], terminal: bool) -> None:
         obs, joint, rew = self._pending
-        self.replay.append((obs, joint, rew,
-                            next_obs if next_obs is not None else obs, terminal))
-        if len(self.replay) >= self.cfg.dqn_batch_size:
+        cap = len(self.replay_act)
+        row = (self.head + self.stored) % cap
+        if self.stored == cap:
+            self.head = (self.head + 1) % cap   # overwrite the oldest
+        else:
+            self.stored += 1
+        self.replay_obs[row] = obs
+        self.replay_next[row] = next_obs if next_obs is not None else obs
+        self.replay_act[row] = joint
+        self.replay_rew[row] = rew
+        self.replay_done[row] = terminal
+        if self.stored >= self.cfg.dqn_batch_size:
             self._update()
 
     def _update(self) -> None:
         cfg = self.cfg
-        idx = self.rng.choice(len(self.replay), size=cfg.dqn_batch_size,
-                              replace=False)
-        batch = [self.replay[i] for i in idx]
-        obs = np.stack([b[0] for b in batch])
-        acts = np.array([b[1] for b in batch])
-        rews = np.array([b[2] for b in batch])
-        nxt = np.stack([b[3] for b in batch])
-        done = np.array([b[4] for b in batch], dtype=float)
-        q, trace = self.qnet.forward(obs)
-        q_next, _ = self.target.forward(nxt)
-        targets = rews + cfg.gamma * (1.0 - done) * q_next.max(axis=1)
-        chosen = q[np.arange(len(batch)), acts]
+        batch = cfg.dqn_batch_size
+        idx = self.rng.choice(self.stored, size=batch, replace=False)
+        rows = (self.head + idx) % len(self.replay_act)
+        acts = self.replay_act[rows]
+        q, trace = self.qnet.forward(self.replay_obs[rows])
+        q_next, _ = self.target.forward(self.replay_next[rows])
+        targets = (self.replay_rew[rows] + cfg.gamma
+                   * (1.0 - self.replay_done[rows]) * q_next.max(axis=1))
+        chosen = q[np.arange(batch), acts]
         err = chosen - targets
         dout = np.zeros_like(q)
-        dout[np.arange(len(batch)), acts] = 2.0 * err / len(batch)
+        dout[np.arange(batch), acts] = 2.0 * err / batch
         grads = clip_grads(self.qnet.backward(trace, dout), cfg.grad_clip)
-        self.qnet.set_params(self.opt.step(self.qnet.params, grads, cfg.lr_critic))
+        self.opt.step([self.qnet.flat], grads, cfg.lr_critic)
         self.updates += 1
         self.diag["loss"] += float(np.mean(err * err))
         self.diag["updates"] += 1

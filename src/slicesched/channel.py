@@ -8,11 +8,14 @@ Fading is i.i.d. across users, PRBs and slots.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import ScenarioConfig, derive_prb_bandwidth
-from .schedulers import Allocation
+
+if TYPE_CHECKING:  # schedulers imports this module
+    from .schedulers import Allocation
 
 
 @dataclass(frozen=True)
@@ -57,10 +60,9 @@ def user_rate(slot: ChannelSlot, alloc: Allocation, user: int) -> float:
                               slot.prb_bandwidth_hz) for j in prbs))
 
 
-def all_user_rates(slot: ChannelSlot, alloc: Allocation) -> np.ndarray:
-    """Vector of achieved bits/s per user under the given assignment."""
-    rates = rate_matrix(slot)
-    out = np.zeros(slot.gain_sq.shape[0])
-    for j, u in enumerate(alloc.assignment):
-        out[u] += rates[u, j]
-    return out
+def all_user_rates(rates: np.ndarray, assignment: np.ndarray) -> np.ndarray:
+    """Achieved bits/s per user: each user's sum of its assigned PRBs' rates
+    in the (U, K) ``rates`` matrix, accumulated in PRB order."""
+    num_users, num_prbs = rates.shape
+    return np.bincount(assignment, weights=rates[assignment, np.arange(num_prbs)],
+                       minlength=num_users)

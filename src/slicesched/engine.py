@@ -165,7 +165,7 @@ class Simulation:
             alloc = self.policy.allocate(ctx)
             alloc.validate(cfg.num_prbs, cfg.num_users)
             # (7) achieved rates and whole-packet service
-            rates = all_user_rates(ch, alloc)
+            rates = all_user_rates(ctx.rate_matrix, alloc.assignment)
             served = np.empty(cfg.num_users, dtype=int)
             for u in range(cfg.num_users):
                 q = queues_e[u] if u < n_e else queues_h[u - n_e]

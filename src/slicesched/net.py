@@ -52,7 +52,13 @@ class ForwardTrace:
 
 
 class Mlp:
-    """Fully-connected net; weights W[l] has shape (d_l, d_{l+1})."""
+    """Fully-connected net; weights W[l] has shape (d_l, d_{l+1}).
+
+    All parameters live in one contiguous float64 buffer ``flat`` laid out
+    in ``params`` order (W0, b0, W1, b1, ...); ``weights[l]`` and
+    ``biases[l]`` are views into it, so an optimizer can update the whole
+    net in place through ``flat``.
+    """
 
     def __init__(self, sizes: list[int], activations: list[str],
                  rng: np.random.Generator | None = None):
@@ -60,13 +66,19 @@ class Mlp:
             raise ValueError("need one activation per layer")
         self.sizes = list(sizes)
         self.activations = list(activations)
+        pairs = list(zip(sizes[:-1], sizes[1:]))
+        self.flat = np.zeros(sum(d_in * d_out + d_out for d_in, d_out in pairs))
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
         rng = rng or np.random.default_rng(0)
-        for d_in, d_out in zip(sizes[:-1], sizes[1:]):
-            scale = 1.0 / np.sqrt(d_in)
-            self.weights.append(rng.normal(0.0, scale, size=(d_in, d_out)))
-            self.biases.append(np.zeros(d_out))
+        off = 0
+        for d_in, d_out in pairs:
+            w = self.flat[off:off + d_in * d_out].reshape(d_in, d_out)
+            off += d_in * d_out
+            self.biases.append(self.flat[off:off + d_out])
+            off += d_out
+            w[...] = rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_in, d_out))
+            self.weights.append(w)
 
     @property
     def params(self) -> list[np.ndarray]:
@@ -76,12 +88,14 @@ class Mlp:
         return out
 
     def set_params(self, arrays: list[np.ndarray]) -> None:
-        expected = [p.shape for p in self.params]
-        got = [a.shape for a in arrays]
+        """Copy ``arrays`` (in ``params`` order) into the net's buffer."""
+        params = self.params
+        expected = [p.shape for p in params]
+        got = [np.shape(a) for a in arrays]
         if expected != got:
             raise ValueError(f"parameter shapes {got} do not match net {expected}")
-        self.weights = [np.array(a, dtype=float) for a in arrays[0::2]]
-        self.biases = [np.array(a, dtype=float) for a in arrays[1::2]]
+        for p, a in zip(params, arrays):
+            p[...] = a
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -146,33 +160,60 @@ def clip_grads(grads: list[np.ndarray], max_norm: float) -> list[np.ndarray]:
 
 
 class Adam:
-    """Adaptive-moment optimizer with bias correction."""
+    """Adaptive-moment optimizer with bias correction.
+
+    The moments are flat buffers over the concatenation of all parameter
+    arrays; ``step`` updates the parameters in place.
+    """
 
     def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m: list[np.ndarray] | None = None
-        self.v: list[np.ndarray] | None = None
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
+        self._scratch: np.ndarray | None = None
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray],
              lr: float) -> list[np.ndarray]:
-        for g in grads:
-            if not np.all(np.isfinite(g)):
-                raise FloatingPointError("non-finite gradient; step rejected")
+        """Update the C-contiguous arrays ``params`` in place (pass an
+        ``Mlp.flat`` as a one-element list to step a whole net at once) and
+        return them.  ``grads`` may be split differently from ``params`` as
+        long as both cover the same floats in the same order."""
+        g = np.concatenate([a.ravel() for a in grads])
+        if not np.isfinite(g).all():
+            raise FloatingPointError("non-finite gradient; step rejected")
         if self.m is None:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
+            self.m = np.zeros_like(g)
+            self.v = np.zeros_like(g)
+            self._scratch = np.empty_like(g)
+        m, v, s = self.m, self.v, self._scratch
         self.t += 1
-        out = []
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            out.append(p - lr * m_hat / (np.sqrt(v_hat) + self.eps))
-        return out
+        # each operation below is the in-place form of, with the same
+        # rounding as, m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g, then
+        # p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=s)
+        m += s
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=s)
+        s *= g
+        v += s
+        np.divide(v, bc2, out=s)
+        np.sqrt(s, out=s)
+        s += self.eps
+        np.divide(m, bc1, out=g)
+        g *= lr
+        g /= s
+        off = 0
+        for p in params:
+            if not p.flags.c_contiguous:
+                raise ValueError("Adam updates C-contiguous arrays in place")
+            flat = p.reshape(-1)
+            flat -= g[off:off + flat.size]
+            off += flat.size
+        return params
 
 
 def save_arrays(path: str | Path, arrays: list[np.ndarray], meta: dict) -> None:

@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from .channel import all_user_rates
 
 @dataclass(frozen=True)
 class Allocation:
@@ -139,28 +140,36 @@ def intra_slice_divide(num_users: int, slice_prbs: int, weights: np.ndarray) -> 
 def materialize_assignment(counts: np.ndarray, gain_sq: np.ndarray) -> np.ndarray:
     """Turn per-user counts into a PRB -> user map.
 
-    Users draft PRBs one at a time in descending remaining-count order
-    (ties: lowest index), each picking its personally best unassigned PRB
-    (gain ties: lowest PRB index).
+    Users draft PRBs one at a time in rounds.  Every round, each user with
+    PRBs still to take drafts one, in descending remaining-count order (ties:
+    lowest index), picking its personally best unassigned PRB (gain ties:
+    lowest PRB index).  Every active user's remaining count drops by one per
+    round, so the draft order is fixed by the initial counts.
     """
     num_users, num_prbs = gain_sq.shape
     if int(np.sum(counts)) != num_prbs:
         raise ValueError("counts must sum to the PRB grid size")
-    remaining = np.asarray(counts, dtype=int).copy()
-    taken = np.zeros(num_prbs, dtype=bool)
-    assignment = np.full(num_prbs, -1, dtype=int)
-    # draft order: repeat rounds over users sorted by remaining count
-    while remaining.sum() > 0:
-        order = np.argsort(-remaining, kind="stable")
+    counts = np.asarray(counts, dtype=int).tolist()
+    if min(counts) < 0:
+        raise ValueError("counts must be non-negative")
+    # each user's PRBs best first, ties to the lowest PRB index
+    prefs = np.argsort(-gain_sq, axis=1, kind="stable").tolist()
+    order = sorted(range(num_users), key=lambda u: -counts[u])  # stable
+    nxt = [0] * num_users        # first preference not yet known to be taken
+    taken = [False] * num_prbs
+    assignment = [0] * num_prbs
+    for rnd in range(max(counts)):
         for user in order:
-            if remaining[user] == 0:
-                continue
-            gains = np.where(taken, -np.inf, gain_sq[user])
-            best = int(np.argmax(gains))
-            assignment[best] = user
-            taken[best] = True
-            remaining[user] -= 1
-    return assignment
+            if counts[user] <= rnd:
+                break            # so are all users after it in the order
+            pref, k = prefs[user], nxt[user]
+            while taken[pref[k]]:
+                k += 1
+            prb = pref[k]
+            taken[prb] = True
+            assignment[prb] = user
+            nxt[user] = k + 1
+    return np.array(assignment)
 
 
 class Policy:
@@ -209,9 +218,7 @@ class ProportionalFairPolicy(Policy):
     def allocate(self, ctx: SchedulerContext) -> Allocation:
         ctx.ewma = self.ewma
         alloc = proportional_fair(ctx)
-        achieved = np.zeros(ctx.num_users)
-        for j, u in enumerate(alloc.assignment):
-            achieved[u] += ctx.rate_matrix[u, j]
+        achieved = all_user_rates(ctx.rate_matrix, alloc.assignment)
         self.ewma = (1.0 - self.ewma_factor) * self.ewma + self.ewma_factor * achieved
         np.maximum(self.ewma, 1.0, out=self.ewma)
         return alloc

@@ -92,5 +92,10 @@ def test_total_rate_partition_identity():
         mat = rate_matrix(ch)
         total_by_prb = sum(mat[assignment[j], j] for j in range(8))
         assert total_by_user == pytest.approx(total_by_prb)
-        assert np.allclose(all_user_rates(ch, alloc),
-                           [user_rate(ch, alloc, u) for u in range(5)])
+        achieved = all_user_rates(mat, assignment)
+        assert np.allclose(achieved, [user_rate(ch, alloc, u) for u in range(5)])
+        # bit-exact against accumulation in PRB order
+        oracle = np.zeros(5)
+        for j, u in enumerate(assignment):
+            oracle[u] += mat[u, j]
+        assert np.array_equal(achieved, oracle)

@@ -145,8 +145,10 @@ def test_categorical_log_probability():
 def test_clip_grads():
     grads = [np.array([3.0]), np.array([4.0])]      # global norm 5
     same = clip_grads(grads, 10.0)
+    assert same is grads                         # unclipped: the input itself
     assert same[0][0] == 3.0
     clipped = clip_grads(grads, 1.0)
+    assert clipped is not grads
     norm = np.sqrt(sum(float(np.sum(g * g)) for g in clipped))
     assert norm == pytest.approx(1.0)
 
@@ -154,8 +156,10 @@ def test_clip_grads():
 def test_adam_zero_gradient_is_noop():
     opt = Adam()
     params = [np.array([1.0, 2.0])]
+    before = params[0].copy()
     out = opt.step(params, [np.zeros(2)], lr=0.1)
-    assert np.allclose(out[0], params[0])
+    assert out[0] is params[0]                   # updated in place
+    assert np.array_equal(params[0], before)
 
 
 def test_adam_first_step_magnitude():
@@ -179,6 +183,66 @@ def test_adam_deterministic():
             params = opt.step(params, [rng.normal(size=(2, 2))], lr=1e-3)
         return params[0]
     assert np.array_equal(run(), run())
+
+
+class _AllocatingAdam:
+    """The optimizer before parameters moved into one flat buffer: fresh
+    moment and parameter arrays per array and step.  Oracle for ``Adam``."""
+
+    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m = self.v = None
+
+    def step(self, params, grads, lr):
+        if self.m is None:
+            self.m = [np.zeros_like(p) for p in params]
+            self.v = [np.zeros_like(p) for p in params]
+        self.t += 1
+        out = []
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for i, (p, g) in enumerate(zip(params, grads)):
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
+            m_hat = self.m[i] / bc1
+            v_hat = self.v[i] / bc2
+            out.append(p - lr * m_hat / (np.sqrt(v_hat) + self.eps))
+        return out
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_adam_bit_exact_against_allocating_oracle(flat):
+    """50 steps on a net's parameter list, stepped array by array or as the
+    net's flat buffer, match the allocating optimizer bit for bit."""
+    rng = np.random.default_rng(5)
+    net = Mlp([4, 6, 5, 3], ["tanh", "relu", "identity"], rng)
+    expected = [p.copy() for p in net.params]
+    oracle, opt = _AllocatingAdam(), Adam()
+    for t in range(50):
+        grads = [rng.normal(scale=10.0 ** rng.integers(-3, 3), size=p.shape)
+                 for p in expected]
+        if t % 7 == 0:
+            grads[1][:] = 0.0
+        expected = oracle.step(expected, grads, lr=1e-3)
+        opt.step([net.flat] if flat else net.params, grads, lr=1e-3)
+        for got, want in zip(net.params, expected):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_adam_rejects_noncontiguous_parameters():
+    with pytest.raises(ValueError):
+        Adam().step([np.zeros((3, 2)).T], [np.zeros((2, 3))], lr=0.1)
+
+
+def test_mlp_params_are_views_of_flat_buffer():
+    net = Mlp([3, 4, 2], ["tanh", "identity"], np.random.default_rng(0))
+    assert net.flat.size == sum(p.size for p in net.params)
+    assert all(np.shares_memory(p, net.flat) for p in net.params)
+    assert np.array_equal(net.flat, np.concatenate([p.ravel() for p in net.params]))
+    net.set_params([np.full(p.shape, float(i)) for i, p in enumerate(net.params)])
+    assert np.all(net.biases[0] == 1.0) and np.all(net.weights[1] == 2.0)
+    assert np.shares_memory(net.weights[1], net.flat)
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -152,6 +152,65 @@ def test_materialize_property_every_prb_once():
         assert np.array_equal(np.bincount(assignment, minlength=users), counts)
 
 
+def _materialize_oracle(counts, gain_sq):
+    """The per-PRB numpy draft that ``materialize_assignment`` replaced."""
+    num_users, num_prbs = gain_sq.shape
+    remaining = np.asarray(counts, dtype=int).copy()
+    taken = np.zeros(num_prbs, dtype=bool)
+    assignment = np.full(num_prbs, -1, dtype=int)
+    while remaining.sum() > 0:
+        order = np.argsort(-remaining, kind="stable")
+        for user in order:
+            if remaining[user] == 0:
+                continue
+            gains = np.where(taken, -np.inf, gain_sq[user])
+            best = int(np.argmax(gains))
+            assignment[best] = user
+            taken[best] = True
+            remaining[user] -= 1
+    return assignment
+
+
+@pytest.mark.parametrize("gain_kind", ["exponential", "small_int", "constant"])
+def test_materialize_matches_oracle(gain_kind):
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        users = int(rng.integers(1, 9))
+        prbs = users + int(rng.integers(0, 25))
+        counts = np.bincount(rng.integers(0, users, prbs), minlength=users)
+        if rng.random() < 0.7:   # the schedulers' case: everyone holds one
+            counts = np.ones(users, dtype=int) + np.bincount(
+                rng.integers(0, users, prbs - users), minlength=users)
+        if gain_kind == "exponential":
+            gains = rng.exponential(1.0, size=(users, prbs))
+        elif gain_kind == "small_int":   # many gain ties, zeros included
+            gains = rng.integers(0, 3, size=(users, prbs)).astype(float)
+        else:
+            gains = np.zeros((users, prbs))
+        got = materialize_assignment(counts, gains)
+        want = _materialize_oracle(counts, gains)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_materialize_rejects_negative_counts():
+    with pytest.raises(ValueError):
+        materialize_assignment(np.array([3, -1]), np.ones((2, 2)))
+
+
+def test_pf_policy_achieved_rates_accumulate_in_prb_order():
+    rng = np.random.default_rng(12)
+    policy = ProportionalFairPolicy(num_users=7, ewma_factor=0.1)
+    for _ in range(20):
+        ctx = make_context(rng)
+        before = policy.ewma.copy()
+        alloc = policy.allocate(ctx)
+        achieved = np.zeros(ctx.num_users)
+        for j, u in enumerate(alloc.assignment):
+            achieved[u] += ctx.rate_matrix[u, j]
+        expected = np.maximum((1.0 - 0.1) * before + 0.1 * achieved, 1.0)
+        assert np.array_equal(policy.ewma, expected)
+
+
 def test_round_robin_policy_cursor_persists():
     policy = RoundRobinPolicy()
     ctx = make_context(np.random.default_rng(9), num_embb=1, num_hrllc=1,
