@@ -91,7 +91,7 @@ class Mlp:
         """Copy ``arrays`` (in ``params`` order) into the net's buffer."""
         params = self.params
         expected = [p.shape for p in params]
-        got = [np.shape(a) for a in arrays]
+        got = [a.shape for a in arrays]
         if expected != got:
             raise ValueError(f"parameter shapes {got} do not match net {expected}")
         for p, a in zip(params, arrays):

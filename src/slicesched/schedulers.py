@@ -15,6 +15,7 @@ import numpy as np
 
 from .channel import all_user_rates
 
+
 @dataclass(frozen=True)
 class Allocation:
     counts: np.ndarray       # (U,) integer PRBs per user, each >= 1, sums to K
