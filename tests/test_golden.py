@@ -1,4 +1,4 @@
-"""Golden pins: sha256 digests of a small training run's output files.
+"""Golden pins: sha256 digests of the output files of small runs.
 
 Criterion 10 compares two runs of the same code with each other; these pins
 compare the outputs across versions of the code, so a refactor that claims
@@ -13,6 +13,7 @@ import hashlib
 
 import pytest
 
+from slicesched.cli import main
 from slicesched.engine import (export_diagnostics_csv, export_trace_csv,
                                run_training)
 
@@ -85,3 +86,60 @@ def test_golden_digests(case, tiny_cfg, tmp_path):
     agent, overrides = CASES[case]
     got = _digests(tiny_cfg.replace(**overrides), agent, tmp_path)
     assert got == GOLDEN[case]
+
+
+# The CLI's summary-derived outputs: figures and tables computed from the
+# episode records by metrics.summarize, compare_policies,
+# dexterity_sensitivity and step_response_summary.  Forty slots per episode
+# make every per-episode and per-window mean long enough (>= 8 terms) for
+# NumPy's unrolled pairwise summation to differ from a plain running sum.
+CLI_TINY = ["--set", "episodes=4", "--set", "slots_per_episode=40",
+            "--set", "eval_episodes=2"]
+
+CLI_CASES = {
+    "train": ["train", "--agent", "a2c"],
+    "compare": ["compare", "--policies", "a2c,rr,pf"],
+    "two-step-dex": ["experiment", "--name", "two-step-dex"],
+    "dex-sensitivity": ["experiment", "--name", "dex-sensitivity"],
+}
+
+CLI_GOLDEN = {
+    "compare": {
+        "reliability.csv": "03627f2eb5a48950af9a8c15bb898ca3c5d371e6e4abd189ddafc8fcd69d53b1",
+        "returns.csv": "bfeeaf35c3f6cbb64327154ca2d3bd4527f1e428044847fab94ca702690d9c31",
+        "delay_cdf.svg": "8da76dad2f77e68708b51473bf89b7b242d4e438d7dfb9bc112f260886da879e",
+    },
+    "dex-sensitivity": {
+        "sensitivity.csv": "ab1c8eba0e0a38af3de1469213dbdb58c60f8a0f723644986d1b45bc009b0871",
+    },
+    "train": {
+        "return_curve.svg": "6f49e378021ea0677c0800bf62eb23558a495765187b09b75b1294f6cbdeb5f1",
+        "queues.svg": "93ecb08c3a0faee2cdbf609c8ea0baf1c18024e94e9781be3775fb3ae83750c9",
+        "drift.svg": "c3a59f7682c8f68d68ce14a8b1f7f540347f8d4e208d57e5b377b94bc6e4e90a",
+    },
+    "two-step-dex": {
+        "step_response.json": "f210419b8be0cc27ac7c162bb5bf4f87db912ebeb8df929a1800ff6d1ff03267",
+        "step_rate.svg": "338b7e3d223c48fc7bdc6f7c453c1488595df38c8363af4004cb330d390bba2c",
+    },
+}
+
+
+def _cli_argv(case, work):
+    """The case's argv without ``--out``; compare first trains the a2c
+    checkpoint it evaluates."""
+    argv = CLI_CASES[case] + CLI_TINY
+    if case == "compare":
+        train = work / "train"
+        assert main(["train", "--agent", "a2c", *CLI_TINY,
+                     "--out", str(train)]) == 0
+        argv += ["--checkpoint", str(train / "checkpoint.bin")]
+    return argv
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_golden_cli_outputs(case, tmp_path):
+    out = tmp_path / "run"
+    assert main(_cli_argv(case, tmp_path) + ["--out", str(out)]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in CLI_GOLDEN[case]}
+    assert got == CLI_GOLDEN[case]
