@@ -8,14 +8,10 @@ Fading is i.i.d. across users, PRBs and slots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import ScenarioConfig, derive_prb_bandwidth
-
-if TYPE_CHECKING:  # schedulers imports this module
-    from .schedulers import Allocation
 
 
 @dataclass(frozen=True)
@@ -41,23 +37,9 @@ def draw_channel(cfg: ScenarioConfig, rng: np.random.Generator) -> ChannelSlot:
                        prb_bandwidth_hz=derive_prb_bandwidth(cfg))
 
 
-def prb_rate(gain_sq: float, mean_snr: float, b_k_hz: float) -> float:
-    """Achievable rate on one PRB in bits/s: B_k * log2(1 + snr*|h|^2)."""
-    return b_k_hz * np.log2(1.0 + mean_snr * gain_sq)
-
-
 def rate_matrix(slot: ChannelSlot) -> np.ndarray:
     """(U, K) matrix of per-PRB achievable rates in bits/s."""
     return slot.prb_bandwidth_hz * np.log2(1.0 + slot.mean_snr_linear * slot.gain_sq)
-
-
-def user_rate(slot: ChannelSlot, alloc: Allocation, user: int) -> float:
-    """Total bits/s for a user: sum of its assigned PRBs' rates."""
-    prbs = [j for j, u in enumerate(alloc.assignment) if u == user]
-    if not prbs:
-        return 0.0
-    return float(sum(prb_rate(slot.gain_sq[user, j], slot.mean_snr_linear,
-                              slot.prb_bandwidth_hz) for j in prbs))
 
 
 def all_user_rates(rates: np.ndarray, assignment: np.ndarray) -> np.ndarray:

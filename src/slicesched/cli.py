@@ -18,9 +18,9 @@ import numpy as np
 from . import __version__
 from .config import (ConfigError, ScenarioConfig, ValidationError,
                      apply_overrides, config_to_text, load_config, save_config)
-from .engine import (EpisodeRecord, build_policy, export_diagnostics_csv,
-                     export_trace_csv, run_evaluation, run_training,
-                     step_response_summary, POLICY_NAMES)
+from .engine import (EpisodeRecord, build_policy, concat_slots,
+                     export_diagnostics_csv, export_trace_csv, run_evaluation,
+                     run_training, step_response_summary, POLICY_NAMES)
 from .metrics import (compare_policies, dexterity_sensitivity, moving_average,
                       summarize)
 from .svgplot import ChartSpec, Series, render_svg
@@ -175,16 +175,15 @@ def _experiment_two_step(args, argv, cfg: ScenarioConfig) -> int:
     export_trace_csv(records, cfg, run.file("trace.csv"))
     _write_training_figures(run, records, cfg)
     user = cfg.num_embb + cfg.dxi_step_user
-    slots = [s for r in records for s in r.slots]
-    stride = max(len(slots) // 2000, 1)  # decimate for plotting
+    slots = concat_slots(records)
+    slots = slots[::max(len(slots) // 2000, 1)]  # decimate for plotting
+    times = slots.slot.astype(float).tolist()
+    mbps = (slots.rates[:, user] / 1e6).tolist()
+    dxi = slots.dxi[:, cfg.dxi_step_user].tolist()
     run.write_text("step_rate.svg", render_svg(ChartSpec(
         kind="line", title="Stepped user: achieved rate and DXI",
-        series=(Series("rate (Mbit/s)",
-                       tuple((float(s.slot), s.rates[user] / 1e6)
-                             for s in slots[::stride])),
-                Series("DXI", tuple((float(s.slot),
-                                     float(s.dxi[cfg.dxi_step_user]))
-                                    for s in slots[::stride]))),
+        series=(Series("rate (Mbit/s)", tuple(zip(times, mbps))),
+                Series("DXI", tuple(zip(times, dxi)))),
         x_label="slot", y_label="value")))
     run.finalize()
     return 0

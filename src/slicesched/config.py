@@ -103,7 +103,6 @@ class ScenarioConfig:
 
     # --- misc ---
     carry_fractional_service: bool = False
-    alpha1: float = 0.1              # reserved constant, not used anywhere
     master_seed: int = 12345
 
     def __post_init__(self) -> None:
@@ -148,6 +147,10 @@ def validate(cfg: ScenarioConfig) -> None:
     _nonneg(cfg, "mmpp_alpha", "mmpp_beta", "lambda_slow", "lambda_burst",
             "beta_dex", "lambda_embb", "entropy_coef", "master_seed",
             "dxi_level", "dxi_low", "dxi_high", "y_clip")
+    if cfg.dqn_replay_capacity < cfg.dqn_batch_size:
+        raise ValidationError(
+            f"dqn_replay_capacity ({cfg.dqn_replay_capacity}) must be >= "
+            f"dqn_batch_size ({cfg.dqn_batch_size}), or DQN never updates")
     if cfg.num_prbs < cfg.num_users:
         raise ValidationError(
             f"num_prbs ({cfg.num_prbs}) must be >= num_embb + num_hrllc "

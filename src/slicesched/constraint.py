@@ -70,29 +70,3 @@ def delay_cdf(delays_s: np.ndarray | list[float]) -> list[tuple[float, float]]:
     cum = np.cumsum(counts) / delays.size
     return list(zip(values.tolist(), cum.tolist()))
 
-
-@dataclass
-class ReliabilityStats:
-    """Mergeable pool of per-packet delay samples against a fixed target."""
-
-    d_max_s: float
-    chi_h: float
-
-    def __post_init__(self) -> None:
-        self._samples: list[float] = []
-
-    def add(self, delays_s: list[float]) -> None:
-        self._samples.extend(delays_s)
-
-    def merge(self, other: "ReliabilityStats") -> None:
-        self._samples.extend(other._samples)
-
-    @property
-    def samples(self) -> np.ndarray:
-        return np.asarray(self._samples, dtype=float)
-
-    def reliability(self) -> float:
-        return reliability(self.samples, self.d_max_s)
-
-    def meets_target(self) -> bool:
-        return self.reliability() >= self.chi_h

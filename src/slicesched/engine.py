@@ -37,39 +37,44 @@ from .traffic import (DexterityProfile, MmppChain, init_state_stationary,
 POLICY_NAMES = ("a2c", "dqn", "rr", "pf")
 
 
-@dataclass
-class SlotState:
-    episode: int
-    slot: int                     # global slot index
-    mmpp_states: np.ndarray       # (n_h,)
-    dxi: np.ndarray               # (n_h,)
-    arrivals_embb: np.ndarray
-    arrivals_hrllc: np.ndarray
-    counts: np.ndarray            # (U,) allocated PRBs
-    rates: np.ndarray             # (U,) achieved bits/s
-    served: np.ndarray            # (U,) packet service capacity
-    departures: np.ndarray        # (U,) actual departures
-    backlogs_embb: np.ndarray     # after the slot
-    backlogs_hrllc: np.ndarray
-    drift_embb: float
-    drift_hrllc: float
-    cost: float
-    y_mean: float
-    dual: float
-    reward: float
-
-    @property
-    def drift(self) -> float:
-        return self.drift_embb + self.drift_hrllc
+def slot_dtype(cfg: ScenarioConfig) -> np.dtype:
+    """One row of an episode's slot table: what one slot did, with the
+    queues as they stand after it."""
+    n_e, n_h, n_u = (cfg.num_embb,), (cfg.num_hrllc,), (cfg.num_users,)
+    return np.dtype([
+        ("episode", np.int64),
+        ("slot", np.int64),                    # global slot index
+        ("mmpp_states", np.int64, n_h),
+        ("dxi", np.float64, n_h),
+        ("arrivals_embb", np.int64, n_e),
+        ("arrivals_hrllc", np.int64, n_h),
+        ("counts", np.int64, n_u),             # allocated PRBs
+        ("rates", np.float64, n_u),            # achieved bits/s
+        ("served", np.int64, n_u),             # packet service capacity
+        ("departures", np.int64, n_u),         # actual departures
+        ("backlogs_embb", np.int64, n_e),      # after the slot
+        ("backlogs_hrllc", np.int64, n_h),
+        ("drift_embb", np.float64),
+        ("drift_hrllc", np.float64),
+        ("cost", np.float64),
+        ("y_mean", np.float64),
+        ("dual", np.float64),
+        ("reward", np.float64),
+    ])
 
 
 @dataclass
 class EpisodeRecord:
     episode: int
-    slots: list
+    slots: np.recarray            # one row per slot, dtype slot_dtype(cfg)
     episodic_return: float
-    hrllc_delays_s: list
+    hrllc_delays_s: np.ndarray    # per departed HRLLC packet, departure order
     diagnostics: dict = field(default_factory=dict)
+
+
+def concat_slots(records: list[EpisodeRecord]) -> np.recarray:
+    """The slot tables of consecutive records as one table, in slot order."""
+    return np.concatenate([r.slots for r in records]).view(np.recarray)
 
 
 def build_policy(name: str, cfg: ScenarioConfig, master_seed: int) -> Policy:
@@ -122,7 +127,7 @@ class Simulation:
                                     state=state))
         return chains
 
-    def run_episode(self, record: bool = True) -> EpisodeRecord:
+    def run_episode(self) -> EpisodeRecord:
         cfg = self.cfg
         n_e, n_h = cfg.num_embb, cfg.num_hrllc
         chains = self._fresh_chains()
@@ -133,12 +138,12 @@ class Simulation:
         prev_drift_e = prev_drift_h = prev_y = 0.0
         episode = self._episode
         self.policy.begin_episode()
-        slots: list[SlotState] = []
+        slots = np.recarray(cfg.slots_per_episode, dtype=slot_dtype(cfg))
         delays: list[float] = []
         ep_return = 0.0
         y_sum = 0.0
 
-        for _ in range(cfg.slots_per_episode):
+        for i in range(cfg.slots_per_episode):
             t = self.global_slot
             # (1) task state and modulating chains
             for u, chain in enumerate(chains):
@@ -213,16 +218,10 @@ class Simulation:
             self.policy.observe_reward(rew)
 
             ep_return += rew
-            if record:
-                slots.append(SlotState(
-                    episode=episode, slot=t, mmpp_states=np.array(
-                        [c.state for c in chains]),
-                    dxi=dxi.copy(), arrivals_embb=arr_e, arrivals_hrllc=arr_h,
-                    counts=alloc.counts.copy(), rates=rates, served=served,
-                    departures=departures, backlogs_embb=backlog_e,
-                    backlogs_hrllc=backlog_h, drift_embb=lyap.drift_embb,
-                    drift_hrllc=lyap.drift_hrllc, cost=cost, y_mean=y_mean,
-                    dual=self.dual.value, reward=rew))
+            slots[i] = (episode, t, [c.state for c in chains], dxi, arr_e,
+                        arr_h, alloc.counts, rates, served, departures,
+                        backlog_e, backlog_h, lyap.drift_embb,
+                        lyap.drift_hrllc, cost, y_mean, self.dual.value, rew)
             prev_rates = rates
             prev_drift_e, prev_drift_h = lyap.drift_embb, lyap.drift_hrllc
             prev_y = y_mean
@@ -238,7 +237,8 @@ class Simulation:
         diag["dual"] = self.dual.value
         return EpisodeRecord(episode=episode, slots=slots,
                              episodic_return=ep_return,
-                             hrllc_delays_s=delays, diagnostics=diag)
+                             hrllc_delays_s=np.array(delays, dtype=float),
+                             diagnostics=diag)
 
 
 def run_training(cfg: ScenarioConfig, agent_kind: str,
@@ -272,7 +272,7 @@ def step_response_summary(records: list[EpisodeRecord], cfg: ScenarioConfig,
                           window_slots: Optional[int] = None) -> dict:
     """Pre/post statistics around the two dexterity change points for the
     stepped user: mean arrivals, PRBs and achieved rate per window."""
-    slots = [s for r in records for s in r.slots]
+    slots = concat_slots(records)
     total = len(slots)
     profile = DexterityProfile(cfg, cfg.episodes * cfg.slots_per_episode)
     user = cfg.dxi_step_user
@@ -282,10 +282,10 @@ def step_response_summary(records: list[EpisodeRecord], cfg: ScenarioConfig,
     def window_stats(lo: int, hi: int) -> dict:
         part = slots[max(lo, 0):min(hi, total)]
         return {
-            "mean_arrivals": float(np.mean([s.arrivals_hrllc[user] for s in part])),
-            "mean_prbs": float(np.mean([s.counts[col] for s in part])),
-            "mean_rate_bps": float(np.mean([s.rates[col] for s in part])),
-            "mean_dxi": float(np.mean([s.dxi[user] for s in part])),
+            "mean_arrivals": float(np.mean(part.arrivals_hrllc[:, user])),
+            "mean_prbs": float(np.mean(part.counts[:, col])),
+            "mean_rate_bps": float(np.mean(part.rates[:, col])),
+            "mean_dxi": float(np.mean(part.dxi[:, user])),
         }
 
     return {
@@ -324,17 +324,14 @@ def export_trace_csv(records: list[EpisodeRecord], cfg: ScenarioConfig,
     """One CSV per run with a stable column order for downstream plotting."""
     lines = [",".join(trace_columns(cfg))]
     for rec in records:
-        for s in rec.slots:
-            row = [str(s.episode), str(s.slot)]
-            row += [_fmt(v) for v in s.backlogs_embb]
-            row += [_fmt(v) for v in s.backlogs_hrllc]
-            row += [_fmt(v) for v in s.counts]
-            row += [_fmt(v) for v in s.rates]
-            row += [_fmt(s.drift_embb), _fmt(s.drift_hrllc), _fmt(s.cost),
-                    _fmt(s.y_mean), _fmt(s.dual), _fmt(s.reward)]
-            row += [_fmt(v) for v in s.dxi]
-            row += [_fmt(v) for v in s.mmpp_states]
-            lines.append(",".join(row))
+        s = rec.slots
+        columns = [s.episode, s.slot, *s.backlogs_embb.T, *s.backlogs_hrllc.T,
+                   *s.counts.T, *s.rates.T, s.drift_embb, s.drift_hrllc,
+                   s.cost, s.y_mean, s.dual, s.reward, *s.dxi.T,
+                   *s.mmpp_states.T]
+        # one .tolist() per column; str of a Python float is its repr
+        text = [list(map(str, c.tolist())) for c in columns]
+        lines.extend(",".join(row) for row in zip(*text))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .constraint import delay_cdf, reliability
-from .engine import EpisodeRecord
+from .engine import EpisodeRecord, concat_slots
 
 
 def moving_average(series, window: int) -> np.ndarray:
@@ -57,31 +57,23 @@ class RunSummary:
 
 def summarize(records: list[EpisodeRecord], cfg: ScenarioConfig) -> RunSummary:
     returns = np.array([r.episodic_return for r in records])
-    mq_e, mq_h, md_e, md_h = [], [], [], []
-    for r in records:
-        mq_e.append(np.mean([s.backlogs_embb.sum() for s in r.slots]) if r.slots else 0.0)
-        mq_h.append(np.mean([s.backlogs_hrllc.sum() for s in r.slots]) if r.slots else 0.0)
-        md_e.append(np.mean([s.drift_embb for s in r.slots]) if r.slots else 0.0)
-        md_h.append(np.mean([s.drift_hrllc for s in r.slots]) if r.slots else 0.0)
-    delays = np.array([d for r in records for d in r.hrllc_delays_s])
-    slots = [s for r in records for s in r.slots]
-    n_e = cfg.num_embb
-    if slots:
-        prbs = np.mean([s.counts for s in slots], axis=0)
-        arr_h = np.mean([s.arrivals_hrllc for s in slots], axis=0)
-        dep_h = np.mean([s.departures[n_e:] for s in slots], axis=0)
-    else:
-        prbs = np.zeros(cfg.num_users)
-        arr_h = dep_h = np.zeros(cfg.num_hrllc)
+    delays = np.concatenate([r.hrllc_delays_s for r in records])
+    slots = concat_slots(records)
     rel = reliability(delays, cfg.d_max_s) if delays.size else float("nan")
     return RunSummary(
         returns=returns,
         returns_smoothed=moving_average(returns, cfg.smooth_window),
-        mean_queue_embb=np.array(mq_e), mean_queue_hrllc=np.array(mq_h),
-        mean_drift_embb=np.array(md_e), mean_drift_hrllc=np.array(md_h),
+        mean_queue_embb=np.array(
+            [r.slots.backlogs_embb.sum(axis=1).mean() for r in records]),
+        mean_queue_hrllc=np.array(
+            [r.slots.backlogs_hrllc.sum(axis=1).mean() for r in records]),
+        mean_drift_embb=np.array([r.slots.drift_embb.mean() for r in records]),
+        mean_drift_hrllc=np.array(
+            [r.slots.drift_hrllc.mean() for r in records]),
         delays_s=delays, reliability_at_dmax=rel,
-        mean_prbs_per_user=prbs, mean_arrivals_hrllc=arr_h,
-        mean_departures_hrllc=dep_h)
+        mean_prbs_per_user=slots.counts.mean(axis=0),
+        mean_arrivals_hrllc=slots.arrivals_hrllc.mean(axis=0),
+        mean_departures_hrllc=slots.departures[:, cfg.num_embb:].mean(axis=0))
 
 
 def compare_policies(records_by_policy: dict[str, list[EpisodeRecord]],
@@ -91,17 +83,13 @@ def compare_policies(records_by_policy: dict[str, list[EpisodeRecord]],
     lengths = {name: len(recs) for name, recs in records_by_policy.items()}
     if len(set(lengths.values())) > 1:
         raise ValueError(f"mismatched run lengths: {lengths}")
-    out = {"returns": {}, "cdf": {}, "reliability": {},
-           "mean_delay_per_episode": {}}
+    out = {"returns": {}, "cdf": {}, "reliability": {}}
     for name, recs in records_by_policy.items():
         summ = summarize(recs, cfg)
         out["returns"][name] = summ.returns
         out["cdf"][name] = (delay_cdf(summ.delays_s) if summ.delays_s.size
                             else [])
         out["reliability"][name] = summ.reliability_at_dmax
-        out["mean_delay_per_episode"][name] = np.array(
-            [np.mean(r.hrllc_delays_s) if r.hrllc_delays_s else float("nan")
-             for r in recs])
     return out
 
 
@@ -131,9 +119,7 @@ def dexterity_sensitivity(records: list[EpisodeRecord], cfg: ScenarioConfig
     """Per-HRLLC-user steady-state table sorted by DXI, with the rank
     correlation between DXI and mean allocated PRBs."""
     summ = summarize(records, cfg)
-    slots = [s for r in records for s in r.slots]
-    dxi = (np.mean([s.dxi for s in slots], axis=0) if slots
-           else np.zeros(cfg.num_hrllc))
+    dxi = concat_slots(records).dxi.mean(axis=0)
     n_e = cfg.num_embb
     rows = []
     for u in range(cfg.num_hrllc):

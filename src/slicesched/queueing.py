@@ -95,7 +95,3 @@ class LyapunovState:
         self.value_hrllc = new_h
         self.value_embb = new_e
         return self.drift
-
-    def reset(self) -> None:
-        self.value_embb = self.value_hrllc = 0.0
-        self.drift_embb = self.drift_hrllc = 0.0

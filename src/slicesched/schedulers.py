@@ -8,8 +8,7 @@ anywhere are broken by the lowest index so seed replays are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +50,6 @@ class SchedulerContext:
     prev_drift_embb: float
     prev_drift_hrllc: float
     prev_y: float
-    ewma: Optional[np.ndarray] = None  # filled by the PF policy before dispatch
 
     @property
     def num_embb(self) -> int:
@@ -83,16 +81,17 @@ def round_robin(ctx: SchedulerContext, cursor: int) -> tuple[Allocation, int]:
             (cursor + num_prbs) % num_users)
 
 
-def proportional_fair(ctx: SchedulerContext) -> Allocation:
+def proportional_fair(ctx: SchedulerContext, ewma: np.ndarray) -> Allocation:
     """Greedy per-PRB argmax of rate/ewma with a >=1-PRB feasibility repair.
 
-    Repair moves the donor's worst-gain PRB from the currently most-loaded
-    user to each empty user.
+    ``ewma`` holds each user's smoothed throughput in bits/s.  Repair moves
+    the donor's worst-gain PRB from the currently most-loaded user to each
+    empty user.
     """
-    if ctx.ewma is None or np.any(ctx.ewma <= 0):
+    if ewma is None or np.any(ewma <= 0):
         raise ValueError("EWMA throughputs must be initialized > 0")
     num_users, num_prbs = ctx.num_users, ctx.num_prbs
-    metric = ctx.rate_matrix / ctx.ewma[:, None]
+    metric = ctx.rate_matrix / ewma[:, None]
     assignment = np.empty(num_prbs, dtype=int)
     for j in range(num_prbs):
         assignment[j] = int(np.argmax(metric[:, j]))  # argmax takes lowest index on ties
@@ -217,8 +216,7 @@ class ProportionalFairPolicy(Policy):
         self.ewma = np.full(num_users, 1.0)  # 1 bit/s floor avoids div by zero
 
     def allocate(self, ctx: SchedulerContext) -> Allocation:
-        ctx.ewma = self.ewma
-        alloc = proportional_fair(ctx)
+        alloc = proportional_fair(ctx, self.ewma)
         achieved = all_user_rates(ctx.rate_matrix, alloc.assignment)
         self.ewma = (1.0 - self.ewma_factor) * self.ewma + self.ewma_factor * achieved
         np.maximum(self.ewma, 1.0, out=self.ewma)

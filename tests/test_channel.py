@@ -3,9 +3,25 @@ import pytest
 
 from slicesched import rngstreams as rs
 from slicesched.channel import (ChannelSlot, all_user_rates, draw_channel,
-                                prb_rate, rate_matrix, user_rate)
+                                rate_matrix)
 from slicesched.config import ScenarioConfig
 from slicesched.schedulers import Allocation
+
+
+# scalar oracles for rate_matrix and all_user_rates
+
+def prb_rate(gain_sq: float, mean_snr: float, b_k_hz: float) -> float:
+    """Achievable rate on one PRB in bits/s: B_k * log2(1 + snr*|h|^2)."""
+    return b_k_hz * np.log2(1.0 + mean_snr * gain_sq)
+
+
+def user_rate(slot: ChannelSlot, alloc: Allocation, user: int) -> float:
+    """Total bits/s for a user: sum of its assigned PRBs' rates."""
+    prbs = [j for j, u in enumerate(alloc.assignment) if u == user]
+    if not prbs:
+        return 0.0
+    return float(sum(prb_rate(slot.gain_sq[user, j], slot.mean_snr_linear,
+                              slot.prb_bandwidth_hz) for j in prbs))
 
 
 def test_draw_shapes_and_nonnegativity(default_cfg):

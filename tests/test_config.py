@@ -100,6 +100,14 @@ def test_invariant_violations_rejected(overrides):
         ScenarioConfig().replace(**overrides)
 
 
+def test_replay_smaller_than_batch_rejected():
+    # a replay that never holds a batch would leave DQN without updates
+    with pytest.raises(ValidationError,
+                       match="dqn_replay_capacity.*dqn_batch_size"):
+        ScenarioConfig().replace(dqn_replay_capacity=4, dqn_batch_size=8)
+    ScenarioConfig().replace(dqn_replay_capacity=8, dqn_batch_size=8)
+
+
 def test_apply_overrides():
     cfg = apply_overrides(ScenarioConfig(),
                           {"mean_snr_linear": "5", "traffic.lambda_slow": "1"})

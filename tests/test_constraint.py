@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from slicesched.constraint import (DualVariable, EmptySampleError,
-                                   ReliabilityStats, delay_cdf, reliability,
-                                   surrogate_y)
+                                   delay_cdf, reliability, surrogate_y)
 
 
 def test_surrogate_balance_point():
@@ -114,12 +113,3 @@ def test_delay_cdf_consistent_with_reliability():
     at_threshold = max((f for d, f in cdf if d <= d_max), default=0.0)
     assert at_threshold == pytest.approx(reliability(delays, d_max))
 
-
-def test_reliability_stats_merge_and_target():
-    a = ReliabilityStats(d_max_s=20e-3, chi_h=0.5)
-    b = ReliabilityStats(d_max_s=20e-3, chi_h=0.5)
-    a.add([5e-3, 25e-3])
-    b.add([10e-3, 15e-3])
-    a.merge(b)
-    assert a.reliability() == pytest.approx(0.75)
-    assert a.meets_target()

@@ -5,8 +5,8 @@ from slicesched.config import ScenarioConfig, ValidationError
 from slicesched.engine import (Simulation, build_policy,
                                diagnostics_columns, export_diagnostics_csv,
                                export_trace_csv, run_evaluation, run_training,
-                               step_response_summary, trace_columns,
-                               POLICY_NAMES)
+                               slot_dtype, step_response_summary,
+                               trace_columns, POLICY_NAMES)
 
 
 def _sim(cfg, policy_name="rr", seed=None, **kwargs):
@@ -31,9 +31,9 @@ def test_zero_arrival_fixed_point():
     for s in rec.slots:
         assert s.backlogs_embb.sum() == 0
         assert s.backlogs_hrllc.sum() == 0
-        assert s.drift == 0.0
+        assert s.drift_embb + s.drift_hrllc == 0.0
         assert s.arrivals_embb.sum() == 0 and s.arrivals_hrllc.sum() == 0
-    assert rec.hrllc_delays_s == []
+    assert rec.hrllc_delays_s.size == 0
 
 
 def test_zero_service_accumulates_arrivals_exactly():
@@ -145,6 +145,28 @@ def test_trace_csv_round(tmp_path, tiny_cfg):
     assert len(lines) == 1 + expected_rows
     export_trace_csv(records, tiny_cfg, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+def test_episode_slot_table(tiny_cfg):
+    records, _ = run_training(tiny_cfg, "pf")
+    for r in records:
+        assert r.slots.dtype == slot_dtype(tiny_cfg)
+        assert len(r.slots) == tiny_cfg.slots_per_episode
+        assert r.hrllc_delays_s.dtype == np.float64
+
+
+def test_slot_rows_match_trace_csv_rates(tmp_path, tiny_cfg):
+    # rows are read one by one, as the benchmark's simulated outcomes read them
+    records, _ = run_training(tiny_cfg, "pf")
+    export_trace_csv(records, tiny_cfg, tmp_path / "trace.csv")
+    lines = (tmp_path / "trace.csv").read_text().splitlines()
+    head = lines[0].split(",")
+    cols = [head.index(f"r_{u}") for u in range(tiny_cfg.num_users)]
+    rows = [s for r in records for s in r.slots]
+    assert len(rows) == len(lines) - 1
+    for s, line in zip(rows, lines[1:]):
+        fields = line.split(",")
+        assert s.rates.tolist() == [float(fields[c]) for c in cols]
 
 
 def test_diagnostics_csv_schemas(tmp_path, tiny_cfg):

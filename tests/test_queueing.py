@@ -105,10 +105,3 @@ def test_lyapunov_incremental_matches_recompute():
         g = rng.integers(0, 30, 4)
         st.advance(f, g)
         assert st.value == pytest.approx(lyapunov_value(f, g))
-
-
-def test_lyapunov_reset():
-    st = LyapunovState()
-    st.advance(np.array([5]), np.array([5]))
-    st.reset()
-    assert st.value == 0.0 and st.drift == 0.0

@@ -63,16 +63,14 @@ def test_proportional_fair_dominant_user():
     ctx = make_context(np.random.default_rng(2), num_embb=1, num_hrllc=1,
                        num_prbs=3,
                        gain_sq=np.array([[5.0, 6.0, 7.0], [1.0, 1.0, 1.0]]))
-    ctx.ewma = np.array([1.0, 1.0])
-    alloc = proportional_fair(ctx)
+    alloc = proportional_fair(ctx, np.array([1.0, 1.0]))
     assert alloc.counts.tolist() == [2, 1]     # K-(U-1) vs forced minimum
 
 
 def test_proportional_fair_tie_breaks_lowest_index():
     ctx = make_context(np.random.default_rng(3), num_embb=1, num_hrllc=1,
                        num_prbs=2, gain_sq=np.ones((2, 2)))
-    ctx.ewma = np.array([1.0, 1.0])
-    alloc = proportional_fair(ctx)
+    alloc = proportional_fair(ctx, np.array([1.0, 1.0]))
     # per-PRB argmax picks user 0 on every tie; the repair then hands the
     # donor's lowest-index PRB to the empty user 1
     assert alloc.counts.tolist() == [1, 1]
@@ -81,20 +79,18 @@ def test_proportional_fair_tie_breaks_lowest_index():
 
 def test_proportional_fair_requires_positive_ewma():
     ctx = make_context(np.random.default_rng(4))
-    ctx.ewma = None
     with pytest.raises(ValueError):
-        proportional_fair(ctx)
-    ctx.ewma = np.zeros(ctx.num_users)
+        proportional_fair(ctx, None)
     with pytest.raises(ValueError):
-        proportional_fair(ctx)
+        proportional_fair(ctx, np.zeros(ctx.num_users))
 
 
 def test_proportional_fair_feasibility_property():
     rng = np.random.default_rng(5)
     for _ in range(10_000):
         ctx = make_context(rng, num_embb=2, num_hrllc=2, num_prbs=6)
-        ctx.ewma = rng.uniform(0.5, 2.0, ctx.num_users)
-        proportional_fair(ctx).validate(6, 4)
+        ewma = rng.uniform(0.5, 2.0, ctx.num_users)
+        proportional_fair(ctx, ewma).validate(6, 4)
 
 
 def test_intra_slice_divide_largest_remainder():
