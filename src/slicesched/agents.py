@@ -11,13 +11,14 @@ track task-driven demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .config import ScenarioConfig
-from .net import Adam, Mlp, clip_grads, load_arrays, save_arrays, softmax, softmax_categorical
+from .net import (Adam, ForwardTrace, Mlp, clip_grads, load_arrays, save_arrays,
+                  softmax, softmax_categorical)
 from .schedulers import (Allocation, Policy, SchedulerContext,
                          intra_slice_divide, materialize_assignment)
 
@@ -121,56 +122,22 @@ def reward(drift: float, cost: float, v: float, dual: float, y: float) -> float:
     return -(drift + v * cost + dual * max(y, 0.0))
 
 
-class _NetPack:
-    """Actor-critic parameter container: shared trunk or separate nets."""
+def a2c_net(cfg: ScenarioConfig, obs_dim: int, space: ActionSpace,
+            rng: np.random.Generator) -> Mlp:
+    """Actor-critic net on one trunk.  Output columns: the ``n_kh`` slice-size
+    logits, then the template logits, then the state value."""
+    hidden = list(cfg.trunk_hidden)
+    acts = [cfg.trunk_activation] * len(hidden) + ["identity"]
+    out = space.n_kh + space.n_templates + 1
+    return Mlp([obs_dim] + hidden + [out], acts, rng)
 
-    def __init__(self, cfg: ScenarioConfig, obs_dim: int, space: ActionSpace,
-                 rng: np.random.Generator):
-        hidden = list(cfg.trunk_hidden)
-        acts = [cfg.trunk_activation] * len(hidden) + ["identity"]
-        self.shared = cfg.shared_trunk
-        self.n_kh = space.n_kh
-        self.n_templates = space.n_templates
-        if self.shared:
-            out = space.n_kh + space.n_templates + 1
-            self.net = Mlp([obs_dim] + hidden + [out], acts, rng)
-        else:
-            self.actor = Mlp([obs_dim] + hidden + [space.n_kh + space.n_templates],
-                             acts, rng)
-            self.critic = Mlp([obs_dim] + hidden + [1], acts, rng)
 
-    def heads(self, obs: np.ndarray):
-        """(logits_h, logits_e, value, traces) for a single observation."""
-        if self.shared:
-            out, trace = self.net.forward(obs)
-            row = out[0]
-            return (row[:self.n_kh], row[self.n_kh:self.n_kh + self.n_templates],
-                    float(row[-1]), (trace,))
-        a_out, a_trace = self.actor.forward(obs)
-        c_out, c_trace = self.critic.forward(obs)
-        row = a_out[0]
-        return (row[:self.n_kh], row[self.n_kh:], float(c_out[0, 0]),
-                (a_trace, c_trace))
-
-    def value(self, obs: np.ndarray) -> float:
-        if self.shared:
-            out, _ = self.net.forward(obs)
-            return float(out[0, -1])
-        out, _ = self.critic.forward(obs)
-        return float(out[0, 0])
-
-    def arrays(self) -> list[np.ndarray]:
-        if self.shared:
-            return self.net.params
-        return self.actor.params + self.critic.params
-
-    def load(self, arrays: list[np.ndarray]) -> None:
-        if self.shared:
-            self.net.set_params(arrays)
-        else:
-            n = len(self.actor.params)
-            self.actor.set_params(arrays[:n])
-            self.critic.set_params(arrays[n:])
+def a2c_heads(net: Mlp, n_kh: int, obs: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, float, ForwardTrace]:
+    """(logits_h, logits_e, value, trace) for a single observation."""
+    out, trace = net.forward(obs)
+    row = out[0]
+    return row[:n_kh], row[n_kh:-1], float(row[-1]), trace
 
 
 def _entropy_grad(probs: np.ndarray) -> np.ndarray:
@@ -180,20 +147,23 @@ def _entropy_grad(probs: np.ndarray) -> np.ndarray:
     return -probs * (logp + entropy)
 
 
-def a2c_grads(pack: _NetPack, obs: np.ndarray, actions: tuple[int, int],
+def a2c_grads(net: Mlp, n_kh: int, obs: np.ndarray, actions: tuple[int, int],
               rew: float, next_obs: Optional[np.ndarray], gamma: float,
               entropy_coef: float, heads: Optional[tuple] = None
               ) -> tuple[list, list, dict]:
-    """One-transition actor and critic gradients plus diagnostics.
+    """One-transition actor and critic gradients plus diagnostics, both
+    backpropagated through the one trace of ``net``.
 
     The bootstrapped target and the advantage are treated as constants
     (semi-gradient TD); terminal transitions bootstrap with zero.  ``heads``
-    is ``pack.heads(obs)`` when the caller already has it under the current
-    parameters.
+    is ``a2c_heads(net, n_kh, obs)`` when the caller already has it under
+    the current parameters.
     """
-    logits_h, logits_e, value, traces = (heads if heads is not None
-                                          else pack.heads(obs))
-    v_next = pack.value(next_obs) if next_obs is not None else 0.0
+    logits_h, logits_e, value, trace = (heads if heads is not None
+                                         else a2c_heads(net, n_kh, obs))
+    v_next = 0.0
+    if next_obs is not None:
+        v_next = float(net.forward(next_obs)[0][0, -1])
     target = rew + gamma * v_next
     delta = target - value
 
@@ -220,17 +190,11 @@ def a2c_grads(pack: _NetPack, obs: np.ndarray, actions: tuple[int, int],
         "entropy": ent_h + ent_e,
     }
 
-    if pack.shared:
-        trace = traces[0]
-        dout_actor = np.concatenate([dl_h, dl_e, [0.0]])[None, :]
-        dout_critic = np.zeros_like(dout_actor)
-        dout_critic[0, -1] = dvalue
-        return (pack.net.backward(trace, dout_actor),
-                pack.net.backward(trace, dout_critic), diag)
-    a_trace, c_trace = traces
-    dout_actor = np.concatenate([dl_h, dl_e])[None, :]
-    return (pack.actor.backward(a_trace, dout_actor),
-            pack.critic.backward(c_trace, np.array([[dvalue]])), diag)
+    dout_actor = np.concatenate([dl_h, dl_e, [0.0]])[None, :]
+    dout_critic = np.zeros_like(dout_actor)
+    dout_critic[0, -1] = dvalue
+    return (net.backward(trace, dout_actor),
+            net.backward(trace, dout_critic), diag)
 
 
 class A2CAgent(Policy):
@@ -243,11 +207,11 @@ class A2CAgent(Policy):
         self.rng = rng
         self.space = ActionSpace.from_config(cfg)
         self.obs_dim = obs_length(cfg)
-        self.pack = _NetPack(cfg, self.obs_dim, self.space, rng)
+        self.net = a2c_net(cfg, self.obs_dim, self.space, rng)
         self.opt_actor = Adam()
         self.opt_critic = Adam()
         self.training = True
-        # [obs, (a_h, a_e), scaled reward, pack.heads(obs)]; no update runs
+        # [obs, (a_h, a_e), scaled reward, a2c_heads(obs)]; no update runs
         # between allocate and _learn, so the heads are still current there
         self._pending: Optional[list] = None
         self.diag = {"actor_loss": 0.0, "critic_loss": 0.0, "entropy": 0.0,
@@ -265,7 +229,7 @@ class A2CAgent(Policy):
         obs = encode_observation(ctx, self.cfg)
         if self.training and self._pending is not None:
             self._learn(next_obs=obs, terminal=False)
-        heads = self.pack.heads(obs)
+        heads = a2c_heads(self.net, self.space.n_kh, obs)
         logits_h, logits_e = heads[:2]
         if self.training:
             a_h, _, _ = softmax_categorical(logits_h, self.rng)
@@ -288,16 +252,14 @@ class A2CAgent(Policy):
     def _learn(self, next_obs: Optional[np.ndarray], terminal: bool) -> None:
         obs, actions, rew, heads = self._pending
         grads_a, grads_c, diag = a2c_grads(
-            self.pack, obs, actions, rew, None if terminal else next_obs,
-            self.cfg.gamma, self.cfg.entropy_coef, heads)
+            self.net, self.space.n_kh, obs, actions, rew,
+            None if terminal else next_obs, self.cfg.gamma,
+            self.cfg.entropy_coef, heads)
         grads_a = clip_grads(grads_a, self.cfg.grad_clip)
         grads_c = clip_grads(grads_c, self.cfg.grad_clip)
-        # with a shared trunk both optimizers step the whole net, one after
-        # the other
-        actor, critic = ((self.pack.net, self.pack.net) if self.pack.shared
-                         else (self.pack.actor, self.pack.critic))
-        self.opt_actor.step([actor.flat], grads_a, self.cfg.lr_actor)
-        self.opt_critic.step([critic.flat], grads_c, self.cfg.lr_critic)
+        # both optimizers step the whole net, one after the other
+        self.opt_actor.step([self.net.flat], grads_a, self.cfg.lr_actor)
+        self.opt_critic.step([self.net.flat], grads_c, self.cfg.lr_critic)
         self.diag["actor_loss"] += diag["actor_loss"]
         self.diag["critic_loss"] += diag["critic_loss"]
         self.diag["entropy"] += diag["entropy"]
@@ -305,17 +267,22 @@ class A2CAgent(Policy):
 
     # --- checkpointing ---
     def save(self, path) -> None:
-        meta = {"kind": "a2c", "shared": self.pack.shared,
+        # "shared" marks the one-trunk layout; checkpoints of the former
+        # separate actor and critic nets carry false
+        meta = {"kind": "a2c", "shared": True,
                 "obs_dim": self.obs_dim, "n_kh": self.space.n_kh}
-        save_arrays(path, self.pack.arrays(), meta)
+        save_arrays(path, self.net.params, meta)
 
     def load(self, path) -> None:
         arrays, meta = load_arrays(path)
         if meta.get("kind") != "a2c":
             raise ValueError(f"checkpoint kind {meta.get('kind')!r} is not 'a2c'")
+        if meta.get("shared") is not True:
+            raise ValueError("checkpoint holds separate actor and critic nets; "
+                             "only the one-trunk a2c net can be loaded")
         if meta.get("obs_dim") != self.obs_dim or meta.get("n_kh") != self.space.n_kh:
             raise ValueError("checkpoint does not match this scenario's shapes")
-        self.pack.load(arrays)
+        self.net.set_params(arrays)
 
 
 class DqnAgent(Policy):

@@ -13,11 +13,9 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import (ConfigError, ScenarioConfig, ValidationError,
-                     apply_overrides, config_to_text, load_config, save_config)
+                     apply_overrides, config_to_text, load_config)
 from .engine import (EpisodeRecord, build_policy, concat_slots,
                      export_diagnostics_csv, export_trace_csv, run_evaluation,
                      run_training, step_response_summary, POLICY_NAMES)

@@ -12,7 +12,7 @@ parsed by the declared field type; tuples are comma-separated.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -79,7 +79,6 @@ class ScenarioConfig:
     reward_scale: float = 0.01
     trunk_hidden: tuple[int, ...] = (64, 64)
     trunk_activation: str = "tanh"
-    shared_trunk: bool = True
 
     # --- observation normalization ---
     q_ref: float = 100.0
@@ -256,10 +255,6 @@ def config_to_text(cfg: ScenarioConfig) -> str:
     lines = [f"{f.name} = {_format_value(getattr(cfg, f.name))}"
              for f in fields(ScenarioConfig)]
     return "\n".join(lines) + "\n"
-
-
-def save_config(cfg: ScenarioConfig, path: str | Path) -> None:
-    Path(path).write_text(config_to_text(cfg))
 
 
 def apply_overrides(cfg: ScenarioConfig, overrides: dict[str, str]) -> ScenarioConfig:

@@ -27,8 +27,7 @@ from .agents import A2CAgent, DqnAgent, reward as compute_reward, step_cost
 from .channel import all_user_rates, draw_channel, rate_matrix
 from .config import ScenarioConfig
 from .constraint import DualVariable, surrogate_y
-from .queueing import (EMBB, HRLLC, LyapunovState, UserQueue, packet_delays,
-                       service_capacity)
+from .queueing import LyapunovState, UserQueue, packet_delays, service_capacity
 from .schedulers import (Policy, ProportionalFairPolicy, RoundRobinPolicy,
                          SchedulerContext)
 from .traffic import (DexterityProfile, MmppChain, init_state_stationary,
@@ -131,8 +130,8 @@ class Simulation:
         cfg = self.cfg
         n_e, n_h = cfg.num_embb, cfg.num_hrllc
         chains = self._fresh_chains()
-        queues_e = [UserQueue(EMBB) for _ in range(n_e)]
-        queues_h = [UserQueue(HRLLC) for _ in range(n_h)]
+        queues_e = [UserQueue() for _ in range(n_e)]
+        queues_h = [UserQueue() for _ in range(n_h)]
         lyap = LyapunovState()
         prev_rates = np.zeros(cfg.num_users)
         prev_drift_e = prev_drift_h = prev_y = 0.0
@@ -157,13 +156,13 @@ class Simulation:
                                                    self.rng_embb[u])
                               for u in range(n_e)])
             # (3) channel
-            ch = draw_channel(cfg, self.rng_channel)
+            gain_sq = draw_channel(cfg, self.rng_channel)
             # (4-6) context, decision
             ctx = SchedulerContext(
                 backlogs_embb=np.array([q.backlog for q in queues_e]),
                 backlogs_hrllc=np.array([q.backlog for q in queues_h]),
                 arrivals_embb=arr_e, arrivals_hrllc=arr_h,
-                gain_sq=ch.gain_sq, rate_matrix=rate_matrix(ch),
+                gain_sq=gain_sq, rate_matrix=rate_matrix(cfg, gain_sq),
                 dxi=dxi, slot=t, prev_rates=prev_rates,
                 prev_drift_embb=prev_drift_e, prev_drift_hrllc=prev_drift_h,
                 prev_y=prev_y)

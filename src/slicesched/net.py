@@ -6,7 +6,8 @@ from logits, and a versioned binary checkpoint format.
 
 Checkpoint layout (little-endian):
     magic   4 bytes  b"MLP1"
-    meta    u32 length + UTF-8 JSON (layer sizes, activations, extra dict)
+    meta    u32 length + UTF-8 JSON (the caller's dict: the agent kind and
+            its shape keys)
     arrays  for each parameter array: u32 ndim, u32 dims..., float64 data
     crc32   u32 over everything after the magic
 """

@@ -14,9 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-EMBB = "embb"
-HRLLC = "hrllc"
-
 
 def service_capacity(rate_bits_per_s: float, slot_s: float, packet_bits: int) -> int:
     """Whole packets deliverable in one slot at the given rate (floored)."""
@@ -27,7 +24,6 @@ def service_capacity(rate_bits_per_s: float, slot_s: float, packet_bits: int) ->
 
 @dataclass
 class UserQueue:
-    slice_kind: str
     fifo: deque = field(default_factory=deque)   # enqueue slot index per packet
     total_arrivals: int = 0
     total_departures: int = 0

@@ -6,8 +6,7 @@ documents, so figures are diff-able in CI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 WIDTH, HEIGHT = 720, 440
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 160, 30, 50

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from slicesched.agents import ActionSpace, _NetPack, a2c_grads
+from slicesched.agents import ActionSpace, a2c_grads, a2c_heads, a2c_net
 from slicesched.cli import main as cli_main
 from slicesched.config import ScenarioConfig
 from slicesched.constraint import DualVariable, surrogate_y
@@ -108,20 +108,23 @@ def test_criterion_1_gradient_oracle():
         rel = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-4)
         worst = max(worst, float(rel.max()))
 
-    # composite actor-critic loss, shared and separate trunks
+    # composite actor-critic loss on the one actor-critic net
+    cfg = ScenarioConfig().replace(num_embb=1, num_hrllc=1, num_prbs=4,
+                                   trunk_hidden=(6,))
+    space = ActionSpace.from_config(cfg)
     for trial in range(4):
-        cfg = ScenarioConfig().replace(num_embb=1, num_hrllc=1, num_prbs=4,
-                                       trunk_hidden=(6,),
-                                       shared_trunk=bool(trial % 2))
-        space = ActionSpace.from_config(cfg)
-        pack = _NetPack(cfg, 5, space, rng)
+        net = a2c_net(cfg, 5, space, rng)
         obs, nxt = rng.normal(size=5), rng.normal(size=5)
         actions, rew, gamma, beta = (1, 2), 0.7, 0.99, 0.01
-        delta = rew + gamma * pack.value(nxt) - pack.value(obs)
-        target = rew + gamma * pack.value(nxt)
+
+        def value(x):
+            return a2c_heads(net, space.n_kh, x)[2]
+
+        delta = rew + gamma * value(nxt) - value(obs)
+        target = rew + gamma * value(nxt)
 
         def actor_loss():
-            lh, le, _, _ = pack.heads(obs)
+            lh, le, _, _ = a2c_heads(net, space.n_kh, obs)
             ph, pe = softmax(lh), softmax(le)
             ent = (-np.sum(ph * np.log(ph + 1e-300))
                    - np.sum(pe * np.log(pe + 1e-300)))
@@ -130,16 +133,14 @@ def test_criterion_1_gradient_oracle():
                          - beta * ent)
 
         def critic_loss():
-            d = target - pack.value(obs)
+            d = target - value(obs)
             return float(d * d)
 
-        ga, gc, _ = a2c_grads(pack, obs, actions, rew, nxt, gamma, beta)
-        nets = {"actor": [pack.net] if pack.shared else [pack.actor],
-                "critic": [pack.net] if pack.shared else [pack.critic]}
-        for which, loss, analytic in (("actor", actor_loss, ga),
-                                      ("critic", critic_loss, gc)):
+        ga, gc, _ = a2c_grads(net, space.n_kh, obs, actions, rew, nxt,
+                              gamma, beta)
+        for loss, analytic in ((actor_loss, ga), (critic_loss, gc)):
             fa = np.concatenate([g.ravel() for g in analytic])
-            fd = np.concatenate([numeric(net, loss) for net in nets[which]])
+            fd = numeric(net, loss)
             rel = np.abs(fa - fd) / np.maximum(np.abs(fd), 1e-4)
             worst = max(worst, float(rel.max()))
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from slicesched.agents import (A2CAgent, ActionSpace, DqnAgent, _NetPack,
-                               a2c_grads, decode_action, encode_observation,
-                               obs_length, reward, step_cost)
+from slicesched.agents import (A2CAgent, ActionSpace, DqnAgent, a2c_grads,
+                               a2c_heads, a2c_net, decode_action,
+                               encode_observation, obs_length, reward,
+                               step_cost)
 from slicesched.config import ScenarioConfig
-from slicesched.net import softmax
+from slicesched.net import save_arrays, softmax
 from conftest import make_context
 
 
@@ -126,40 +127,28 @@ def test_reward_translation_consistent():
     assert reward(1.0 + 7.0, 2.0, 3.0, 0.5, 0.1) == pytest.approx(base - 7.0)
 
 
-def _pack(cfg, obs_dim=6):
-    small = cfg.replace(num_embb=1, num_hrllc=1, num_prbs=4,
-                        trunk_hidden=(8,))
-    space = ActionSpace.from_config(small)
-    rng = np.random.default_rng(4)
-    return small, space, _NetPack(small, obs_dim, space, rng)
-
-
-@pytest.mark.parametrize("shared", [True, False])
-def test_a2c_gradients_match_finite_differences(shared):
+def test_a2c_gradients_match_finite_differences():
     """Composite actor+critic gradients against central differences with the
     bootstrapped target and advantage held constant (semi-gradient)."""
     cfg = ScenarioConfig().replace(num_embb=1, num_hrllc=1, num_prbs=4,
-                                   trunk_hidden=(6,), shared_trunk=shared)
+                                   trunk_hidden=(6,))
     space = ActionSpace.from_config(cfg)
     obs_dim = 5
     rng = np.random.default_rng(5)
-    pack = _NetPack(cfg, obs_dim, space, rng)
+    net = a2c_net(cfg, obs_dim, space, rng)
     obs = rng.normal(size=obs_dim)
     next_obs = rng.normal(size=obs_dim)
     actions = (1, 2)
     rew, gamma, beta = 0.7, 0.99, 0.01
 
-    logits_h, logits_e, value, _ = pack.heads(obs)
-    delta = rew + gamma * pack.value(next_obs) - value
-    target = rew + gamma * pack.value(next_obs)
+    def value(x):
+        return a2c_heads(net, space.n_kh, x)[2]
 
-    def nets(which):
-        if pack.shared:
-            return [pack.net]
-        return [pack.actor] if which == "actor" else [pack.critic]
+    delta = rew + gamma * value(next_obs) - value(obs)
+    target = rew + gamma * value(next_obs)
 
     def actor_loss():
-        lh, le, _, _ = pack.heads(obs)
+        lh, le, _, _ = a2c_heads(net, space.n_kh, obs)
         ph, pe = softmax(lh), softmax(le)
         ent = (-np.sum(ph * np.log(ph + 1e-300))
                - np.sum(pe * np.log(pe + 1e-300)))
@@ -168,11 +157,11 @@ def test_a2c_gradients_match_finite_differences(shared):
                      - beta * ent)
 
     def critic_loss():
-        d = target - pack.value(obs)
+        d = target - value(obs)
         return float(d * d)
 
-    grads_a, grads_c, diag = a2c_grads(pack, obs, actions, rew, next_obs,
-                                       gamma, beta)
+    grads_a, grads_c, diag = a2c_grads(net, space.n_kh, obs, actions, rew,
+                                       next_obs, gamma, beta)
     assert diag["delta"] == pytest.approx(delta)
 
     step = 1e-6
@@ -180,21 +169,20 @@ def test_a2c_gradients_match_finite_differences(shared):
                                          ("critic", critic_loss, grads_c)):
         flat_analytic = np.concatenate([g.ravel() for g in analytic])
         numeric = []
-        for net in nets(which):
-            for arr in net.params:
-                g = np.zeros_like(arr)
-                it = np.nditer(arr, flags=["multi_index"])
-                while not it.finished:
-                    idx = it.multi_index
-                    orig = arr[idx]
-                    arr[idx] = orig + step
-                    hi = scalar_loss()
-                    arr[idx] = orig - step
-                    lo = scalar_loss()
-                    arr[idx] = orig
-                    g[idx] = (hi - lo) / (2 * step)
-                    it.iternext()
-                numeric.append(g)
+        for arr in net.params:
+            g = np.zeros_like(arr)
+            it = np.nditer(arr, flags=["multi_index"])
+            while not it.finished:
+                idx = it.multi_index
+                orig = arr[idx]
+                arr[idx] = orig + step
+                hi = scalar_loss()
+                arr[idx] = orig - step
+                lo = scalar_loss()
+                arr[idx] = orig
+                g[idx] = (hi - lo) / (2 * step)
+                it.iternext()
+            numeric.append(g)
         flat_numeric = np.concatenate([g.ravel() for g in numeric])
         denom = np.maximum(np.abs(flat_numeric), 1e-5)
         assert np.max(np.abs(flat_analytic - flat_numeric) / denom) < 1e-3
@@ -204,10 +192,10 @@ def test_a2c_grads_terminal_delta():
     cfg = ScenarioConfig().replace(num_embb=1, num_hrllc=1, num_prbs=4,
                                    trunk_hidden=(6,))
     space = ActionSpace.from_config(cfg)
-    pack = _NetPack(cfg, 5, space, np.random.default_rng(6))
-    if pack.shared:
-        pack.net.set_params([np.zeros_like(p) for p in pack.net.params])
-    _, _, diag = a2c_grads(pack, np.zeros(5), (0, 0), 1.0, None, 0.99, 0.0)
+    net = a2c_net(cfg, 5, space, np.random.default_rng(6))
+    net.set_params([np.zeros_like(p) for p in net.params])
+    _, _, diag = a2c_grads(net, space.n_kh, np.zeros(5), (0, 0), 1.0, None,
+                           0.99, 0.0)
     assert diag["delta"] == pytest.approx(1.0)   # V(s)=0, terminal bootstrap 0
 
 
@@ -228,8 +216,18 @@ def test_a2c_checkpoint_round_trip(tmp_path):
     agent.save(path)
     other = A2CAgent(cfg, np.random.default_rng(10))
     other.load(path)
-    for a, b in zip(agent.pack.arrays(), other.pack.arrays()):
+    for a, b in zip(agent.net.params, other.net.params):
         assert np.array_equal(a, b)
+
+
+def test_a2c_checkpoint_split_nets_rejected(tmp_path):
+    agent = A2CAgent(ScenarioConfig(), np.random.default_rng(18))
+    path = tmp_path / "a2c.bin"
+    save_arrays(path, agent.net.params,
+                {"kind": "a2c", "shared": False, "obs_dim": agent.obs_dim,
+                 "n_kh": agent.space.n_kh})
+    with pytest.raises(ValueError, match="separate actor and critic"):
+        agent.load(path)
 
 
 def test_a2c_checkpoint_scenario_mismatch(tmp_path):

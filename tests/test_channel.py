@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from slicesched import rngstreams as rs
-from slicesched.channel import (ChannelSlot, all_user_rates, draw_channel,
-                                rate_matrix)
-from slicesched.config import ScenarioConfig
+from slicesched.channel import all_user_rates, draw_channel, rate_matrix
+from slicesched.config import ScenarioConfig, derive_prb_bandwidth
 from slicesched.schedulers import Allocation
+
+CFG = ScenarioConfig()      # mean SNR 10, 25 PRBs of 400 kHz
+SNR, B_K = CFG.mean_snr_linear, derive_prb_bandwidth(CFG)
 
 
 # scalar oracles for rate_matrix and all_user_rates
@@ -15,28 +17,27 @@ def prb_rate(gain_sq: float, mean_snr: float, b_k_hz: float) -> float:
     return b_k_hz * np.log2(1.0 + mean_snr * gain_sq)
 
 
-def user_rate(slot: ChannelSlot, alloc: Allocation, user: int) -> float:
+def user_rate(gain_sq: np.ndarray, alloc: Allocation, user: int) -> float:
     """Total bits/s for a user: sum of its assigned PRBs' rates."""
     prbs = [j for j, u in enumerate(alloc.assignment) if u == user]
     if not prbs:
         return 0.0
-    return float(sum(prb_rate(slot.gain_sq[user, j], slot.mean_snr_linear,
-                              slot.prb_bandwidth_hz) for j in prbs))
+    return float(sum(prb_rate(gain_sq[user, j], SNR, B_K) for j in prbs))
 
 
 def test_draw_shapes_and_nonnegativity(default_cfg):
-    ch = draw_channel(default_cfg, np.random.default_rng(0))
-    assert ch.gain_sq.shape == (default_cfg.num_users, default_cfg.num_prbs)
-    assert np.all(ch.gain_sq >= 0)
+    gain_sq = draw_channel(default_cfg, np.random.default_rng(0))
+    assert gain_sq.shape == (default_cfg.num_users, default_cfg.num_prbs)
+    assert np.all(gain_sq >= 0)
 
 
 def test_draw_unit_mean_exponential(default_cfg):
     rng = np.random.default_rng(1)
     total, n = 0.0, 0
     for _ in range(6):
-        ch = draw_channel(default_cfg, rng)
-        total += ch.gain_sq.sum()
-        n += ch.gain_sq.size
+        gain_sq = draw_channel(default_cfg, rng)
+        total += gain_sq.sum()
+        n += gain_sq.size
     big = np.random.default_rng(2).exponential(1.0, size=1_000_000)
     assert big.mean() == pytest.approx(1.0, abs=0.01)
     assert total / n == pytest.approx(1.0, abs=0.1)
@@ -45,19 +46,7 @@ def test_draw_unit_mean_exponential(default_cfg):
 def test_draw_deterministic_per_seed(default_cfg):
     a = draw_channel(default_cfg, rs.stream(9, rs.CHANNEL))
     b = draw_channel(default_cfg, rs.stream(9, rs.CHANNEL))
-    assert np.array_equal(a.gain_sq, b.gain_sq)
-
-
-def test_channel_slot_validation():
-    with pytest.raises(ValueError):
-        ChannelSlot(gain_sq=np.ones(5), mean_snr_linear=10.0,
-                    prb_bandwidth_hz=4e5)
-    with pytest.raises(ValueError):
-        ChannelSlot(gain_sq=np.array([[1.0, -0.1]]), mean_snr_linear=10.0,
-                    prb_bandwidth_hz=4e5)
-    with pytest.raises(ValueError):
-        ChannelSlot(gain_sq=np.array([[np.nan, 1.0]]), mean_snr_linear=10.0,
-                    prb_bandwidth_hz=4e5)
+    assert np.array_equal(a, b)
 
 
 def test_prb_rate_reference_points():
@@ -73,43 +62,36 @@ def test_prb_rate_monotone():
     assert prb_rate(1.0, 10.0, 8e5) > r0
 
 
-def _slot(gain_sq):
-    return ChannelSlot(gain_sq=np.asarray(gain_sq, dtype=float),
-                       mean_snr_linear=10.0, prb_bandwidth_hz=4e5)
-
-
 def test_rate_matrix_matches_scalar_rate():
-    ch = _slot(np.random.default_rng(3).exponential(1.0, size=(3, 4)))
-    mat = rate_matrix(ch)
+    gain_sq = np.random.default_rng(3).exponential(1.0, size=(3, 4))
+    mat = rate_matrix(CFG, gain_sq)
     for u in range(3):
         for j in range(4):
-            assert mat[u, j] == pytest.approx(
-                prb_rate(ch.gain_sq[u, j], 10.0, 4e5))
+            assert mat[u, j] == pytest.approx(prb_rate(gain_sq[u, j], 10.0, 4e5))
 
 
 def test_user_rate_empty_and_additive():
-    ch = _slot([[1.0, 1.0, 3.0], [0.5, 0.2, 0.1]])
+    gain_sq = np.array([[1.0, 1.0, 3.0], [0.5, 0.2, 0.1]])
     alloc = Allocation(counts=np.array([3, 0]),
                        assignment=np.array([0, 0, 0]))
-    assert user_rate(ch, alloc, 1) == 0.0
+    assert user_rate(gain_sq, alloc, 1) == 0.0
     expected = 4e5 * (2 * np.log2(1 + 10.0) + np.log2(1 + 30.0))
-    assert user_rate(ch, alloc, 0) == pytest.approx(expected)
+    assert user_rate(gain_sq, alloc, 0) == pytest.approx(expected)
 
 
 def test_total_rate_partition_identity():
     rng = np.random.default_rng(4)
     for _ in range(50):
         gains = rng.exponential(1.0, size=(5, 8))
-        ch = _slot(gains)
         assignment = rng.integers(0, 5, size=8)
         counts = np.bincount(assignment, minlength=5)
         alloc = Allocation(counts=counts, assignment=assignment)
-        total_by_user = sum(user_rate(ch, alloc, u) for u in range(5))
-        mat = rate_matrix(ch)
+        total_by_user = sum(user_rate(gains, alloc, u) for u in range(5))
+        mat = rate_matrix(CFG, gains)
         total_by_prb = sum(mat[assignment[j], j] for j in range(8))
         assert total_by_user == pytest.approx(total_by_prb)
         achieved = all_user_rates(mat, assignment)
-        assert np.allclose(achieved, [user_rate(ch, alloc, u) for u in range(5)])
+        assert np.allclose(achieved, [user_rate(gains, alloc, u) for u in range(5)])
         # bit-exact against accumulation in PRB order
         oracle = np.zeros(5)
         for j, u in enumerate(assignment):

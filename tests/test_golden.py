@@ -21,8 +21,7 @@ from slicesched.engine import (export_diagnostics_csv, export_trace_csv,
 # target syncs and replay wrap-around all happen within 75 slots, and a
 # short epsilon decay so that greedy decisions happen too
 CASES = {
-    "a2c-shared": ("a2c", {"shared_trunk": True}),
-    "a2c-split": ("a2c", {"shared_trunk": False}),
+    "a2c-shared": ("a2c", {}),
     "a2c-episode-dual": ("a2c", {"dual_cadence": "episode"}),
     "dqn": ("dqn", {"dqn_batch_size": 8, "dqn_target_sync": 10,
                     "dqn_replay_capacity": 40, "dqn_eps_decay_slots": 30,
@@ -42,11 +41,6 @@ GOLDEN = {
         "trace.csv": "595c7eed311008c04625dc3b481625b8902f4343be6ea7ca9623532a5dab8447",
         "training.csv": "bb92aff4a72cacb58b1071c6a605a848d11edac30183afaed4fbddfd5d6e87a9",
         "checkpoint.bin": "d9dcc0108cd26f779cd09c09bf29ea1ae0174403cbde76dfb0fe5acd06e282c0",
-    },
-    "a2c-split": {
-        "trace.csv": "cb2ec8df05db295cdfeaf8cf7098f5e513507c544dfa67d77462a2a8688d8a44",
-        "training.csv": "c213e6f798daa30b8a6a59a62ff2575861c9f5e5e054eb3a043e724b7f3beadf",
-        "checkpoint.bin": "da5e665ffd5b5c12b3994baea67e9b97055ec3aecca0f2883398ab75ce5a9e50",
     },
     "dqn": {
         "trace.csv": "7920ad64295563f39ad8babda841dcd594e808ed6f6a7e4894dee51bdf9d3131",

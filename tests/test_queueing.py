@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from slicesched.queueing import (EMBB, HRLLC, LyapunovState, UserQueue,
-                                 lyapunov_value, packet_delays,
-                                 service_capacity)
+from slicesched.queueing import (LyapunovState, UserQueue, lyapunov_value,
+                                 packet_delays, service_capacity)
 
 
 def test_service_capacity_reference_points():
@@ -21,7 +20,7 @@ def test_service_capacity_rejects_bad_inputs():
 
 
 def test_queue_truncation_case():
-    q = UserQueue(HRLLC)
+    q = UserQueue()
     q.update(5, 0, 0)                      # preload backlog 5
     stamps = q.update(3, 10, 1)
     assert q.backlog == 0
@@ -29,7 +28,7 @@ def test_queue_truncation_case():
 
 
 def test_queue_partial_service():
-    q = UserQueue(HRLLC)
+    q = UserQueue()
     q.update(5, 0, 0)
     stamps = q.update(3, 2, 1)
     assert q.backlog == 6
@@ -38,13 +37,13 @@ def test_queue_partial_service():
 
 
 def test_queue_empty_noop():
-    q = UserQueue(EMBB)
+    q = UserQueue()
     assert q.update(0, 7, 0) == []
     assert q.backlog == 0
 
 
 def test_queue_rejects_negative():
-    q = UserQueue(EMBB)
+    q = UserQueue()
     with pytest.raises(ValueError):
         q.update(-1, 0, 0)
     with pytest.raises(ValueError):
@@ -52,7 +51,7 @@ def test_queue_rejects_negative():
 
 
 def test_queue_fifo_stamps_nondecreasing():
-    q = UserQueue(HRLLC)
+    q = UserQueue()
     rng = np.random.default_rng(0)
     for t in range(200):
         q.update(int(rng.integers(0, 5)), int(rng.integers(0, 4)), t)
@@ -62,7 +61,7 @@ def test_queue_fifo_stamps_nondecreasing():
 
 
 def test_queue_conservation_audit_detects_tampering():
-    q = UserQueue(HRLLC)
+    q = UserQueue()
     q.update(3, 1, 0)
     q.total_departures += 1
     with pytest.raises(AssertionError):
