@@ -69,14 +69,15 @@ def encode_observation(ctx: SchedulerContext, cfg: ScenarioConfig) -> np.ndarray
     slot: this slot's do not exist until after the action.
     """
     n_e = cfg.num_embb
+    queue = (ctx.backlogs + ctx.arrivals) / cfg.q_ref
     mean_gain = ctx.gain_sq.mean(axis=1)
     r_ref = cfg.r_ref_mbps * 1e6
     feats = np.concatenate([
-        (ctx.backlogs_embb + ctx.arrivals_embb) / cfg.q_ref,
+        queue[:n_e],
         mean_gain[:n_e],
         ctx.prev_rates[:n_e] / r_ref,
         [ctx.prev_drift_embb / cfg.l_ref],
-        (ctx.backlogs_hrllc + ctx.arrivals_hrllc) / cfg.q_ref,
+        queue[n_e:],
         mean_gain[n_e:],
         ctx.prev_rates[n_e:] / r_ref,
         [ctx.prev_drift_hrllc / cfg.l_ref],
@@ -92,12 +93,12 @@ def decode_action(space: ActionSpace, kh_idx: int, template_idx: int,
     k_h = space.kh_options[kh_idx]
     template = space.templates[template_idx]
     n_e, n_h = ctx.num_embb, ctx.num_hrllc
-    counts_h = intra_slice_divide(
-        n_h, k_h, ctx.backlogs_hrllc + ctx.arrivals_hrllc)
+    work = ctx.backlogs + ctx.arrivals
+    counts_h = intra_slice_divide(n_h, k_h, work[n_e:])
     if template == "uniform":
         weights_e = np.zeros(n_e)
     elif template == "backlog":
-        weights_e = (ctx.backlogs_embb + ctx.arrivals_embb).astype(float)
+        weights_e = work[:n_e].astype(float)
     elif template == "channel":
         weights_e = ctx.gain_sq[:n_e].mean(axis=1)
     else:
@@ -140,11 +141,12 @@ def a2c_heads(net: Mlp, n_kh: int, obs: np.ndarray
     return row[:n_kh], row[n_kh:-1], float(row[-1]), trace
 
 
-def _entropy_grad(probs: np.ndarray) -> np.ndarray:
-    """d(entropy)/d(logits) for a softmax categorical."""
+def _entropy_grad(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """d(entropy)/d(logits) for a softmax categorical, with the
+    log-probabilities and the entropy it is computed from."""
     logp = np.log(probs + 1e-300)
     entropy = -float(np.sum(probs * logp))
-    return -probs * (logp + entropy)
+    return -probs * (logp + entropy), logp, entropy
 
 
 def a2c_grads(net: Mlp, n_kh: int, obs: np.ndarray, actions: tuple[int, int],
@@ -175,17 +177,16 @@ def a2c_grads(net: Mlp, n_kh: int, obs: np.ndarray, actions: tuple[int, int],
     one_e = np.zeros_like(probs_e)
     one_e[a_e] = 1.0
     # actor loss: -delta*(log pi_h + log pi_e) - beta*(H_h + H_e)
-    dl_h = -delta * (one_h - probs_h) - entropy_coef * _entropy_grad(probs_h)
-    dl_e = -delta * (one_e - probs_e) - entropy_coef * _entropy_grad(probs_e)
+    dent_h, logp_h, ent_h = _entropy_grad(probs_h)
+    dent_e, logp_e, ent_e = _entropy_grad(probs_e)
+    dl_h = -delta * (one_h - probs_h) - entropy_coef * dent_h
+    dl_e = -delta * (one_e - probs_e) - entropy_coef * dent_e
     dvalue = -2.0 * delta  # critic loss: delta^2
 
-    ent_h = -float(np.sum(probs_h * np.log(probs_h + 1e-300)))
-    ent_e = -float(np.sum(probs_e * np.log(probs_e + 1e-300)))
     diag = {
         "delta": delta,
         "critic_loss": delta * delta,
-        "actor_loss": (-delta * (np.log(probs_h[a_h] + 1e-300)
-                                 + np.log(probs_e[a_e] + 1e-300))
+        "actor_loss": (-delta * (logp_h[a_h] + logp_e[a_e])
                        - entropy_coef * (ent_h + ent_e)),
         "entropy": ent_h + ent_e,
     }

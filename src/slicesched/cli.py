@@ -120,9 +120,13 @@ def cmd_train(args: argparse.Namespace, argv: list[str]) -> int:
 def cmd_compare(args: argparse.Namespace, argv: list[str]) -> int:
     cfg = _load_cfg(args)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
+    if not policies:
+        raise UsageError(f"--policies names no policy; choose from {POLICY_NAMES}")
     for p in policies:
         if p not in POLICY_NAMES:
             raise UsageError(f"unknown policy {p!r}; choose from {POLICY_NAMES}")
+        if policies.count(p) > 1:
+            raise UsageError(f"policy {p!r} is listed more than once")
     needs_ckpt = [p for p in policies if p in ("a2c", "dqn")]
     if needs_ckpt and not args.checkpoint:
         raise ValidationError(

@@ -101,7 +101,6 @@ class ScenarioConfig:
     eval_episodes: int = 20
 
     # --- misc ---
-    carry_fractional_service: bool = False
     master_seed: int = 12345
 
     def __post_init__(self) -> None:
@@ -196,13 +195,6 @@ def _parse_value(name: str, raw: str) -> Any:
     ftype = _FIELD_TYPES[name]
     raw = raw.strip()
     try:
-        if ftype == "bool":
-            low = raw.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
         if ftype == "int":
             return int(raw)
         if ftype == "float":
@@ -241,8 +233,6 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 
 def _format_value(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(repr(v) for v in value)
     if isinstance(value, float):

@@ -39,20 +39,18 @@ POLICY_NAMES = ("a2c", "dqn", "rr", "pf")
 def slot_dtype(cfg: ScenarioConfig) -> np.dtype:
     """One row of an episode's slot table: what one slot did, with the
     queues as they stand after it."""
-    n_e, n_h, n_u = (cfg.num_embb,), (cfg.num_hrllc,), (cfg.num_users,)
+    n_h, n_u = (cfg.num_hrllc,), (cfg.num_users,)
     return np.dtype([
         ("episode", np.int64),
         ("slot", np.int64),                    # global slot index
         ("mmpp_states", np.int64, n_h),
         ("dxi", np.float64, n_h),
-        ("arrivals_embb", np.int64, n_e),
-        ("arrivals_hrllc", np.int64, n_h),
+        ("arrivals", np.int64, n_u),           # eMBB users first
         ("counts", np.int64, n_u),             # allocated PRBs
         ("rates", np.float64, n_u),            # achieved bits/s
         ("served", np.int64, n_u),             # packet service capacity
         ("departures", np.int64, n_u),         # actual departures
-        ("backlogs_embb", np.int64, n_e),      # after the slot
-        ("backlogs_hrllc", np.int64, n_h),
+        ("backlogs", np.int64, n_u),           # after the slot
         ("drift_embb", np.float64),
         ("drift_hrllc", np.float64),
         ("cost", np.float64),
@@ -130,9 +128,9 @@ class Simulation:
         cfg = self.cfg
         n_e, n_h = cfg.num_embb, cfg.num_hrllc
         chains = self._fresh_chains()
-        queues_e = [UserQueue() for _ in range(n_e)]
-        queues_h = [UserQueue() for _ in range(n_h)]
+        queues = [UserQueue() for _ in range(cfg.num_users)]  # eMBB first
         lyap = LyapunovState()
+        backlogs = np.zeros(cfg.num_users, dtype=int)
         prev_rates = np.zeros(cfg.num_users)
         prev_drift_e = prev_drift_h = prev_y = 0.0
         episode = self._episode
@@ -148,60 +146,46 @@ class Simulation:
             for u, chain in enumerate(chains):
                 chain.step(self.rng_hrllc[u])
             dxi = self.dex_profile.vector(t)
-            # (2) arrivals
-            arr_h = np.array([sample_hrllc_arrivals(chains[u], cfg.beta_dex,
-                                                    dxi[u], self.rng_hrllc[u])
-                              for u in range(n_h)])
-            arr_e = np.array([sample_embb_arrivals(cfg.lambda_embb,
-                                                   self.rng_embb[u])
-                              for u in range(n_e)])
+            # (2) arrivals; each user draws from its own stream
+            arr_h = [sample_hrllc_arrivals(chains[u], cfg.beta_dex, dxi[u],
+                                           self.rng_hrllc[u])
+                     for u in range(n_h)]
+            arr_e = [sample_embb_arrivals(cfg.lambda_embb, self.rng_embb[u])
+                     for u in range(n_e)]
+            arr = arr_e + arr_h                  # eMBB users first
+            arrivals = np.array(arr)
             # (3) channel
             gain_sq = draw_channel(cfg, self.rng_channel)
             # (4-6) context, decision
             ctx = SchedulerContext(
-                backlogs_embb=np.array([q.backlog for q in queues_e]),
-                backlogs_hrllc=np.array([q.backlog for q in queues_h]),
-                arrivals_embb=arr_e, arrivals_hrllc=arr_h,
+                num_embb=n_e, backlogs=backlogs, arrivals=arrivals,
                 gain_sq=gain_sq, rate_matrix=rate_matrix(cfg, gain_sq),
-                dxi=dxi, slot=t, prev_rates=prev_rates,
+                dxi=dxi, prev_rates=prev_rates,
                 prev_drift_embb=prev_drift_e, prev_drift_hrllc=prev_drift_h,
                 prev_y=prev_y)
             alloc = self.policy.allocate(ctx)
             alloc.validate(cfg.num_prbs, cfg.num_users)
             # (7) achieved rates and whole-packet service
             rates = all_user_rates(ctx.rate_matrix, alloc.assignment)
-            served = np.empty(cfg.num_users, dtype=int)
-            for u in range(cfg.num_users):
-                q = queues_e[u] if u < n_e else queues_h[u - n_e]
-                raw = rates[u] * cfg.slot_duration_s / cfg.packet_size_bits
-                if cfg.carry_fractional_service:
-                    raw += q.credit
-                    served[u] = int(raw)
-                    q.credit = raw - served[u]
-                else:
-                    served[u] = service_capacity(rates[u], cfg.slot_duration_s,
-                                                 cfg.packet_size_bits)
-            # (8) queue updates and per-packet delays
-            departures = np.zeros(cfg.num_users, dtype=int)
-            for u in range(n_e):
-                stamps = queues_e[u].update(int(arr_e[u]), int(served[u]), t)
+            served = service_capacity(rates, cfg.slot_duration_s,
+                                      cfg.packet_size_bits)
+            # (8) queue updates and per-packet HRLLC delays
+            served_l = served.tolist()
+            departures = np.empty(cfg.num_users, dtype=int)
+            for u, q in enumerate(queues):
+                stamps = q.update(arr[u], served_l[u], t)
                 departures[u] = len(stamps)
-            for u in range(n_h):
-                stamps = queues_h[u].update(int(arr_h[u]),
-                                            int(served[n_e + u]), t)
-                departures[n_e + u] = len(stamps)
-                delays.extend(packet_delays(stamps, t, cfg.slot_duration_s,
-                                            cfg.d_proc_s))
-            backlog_e = np.array([q.backlog for q in queues_e])
-            backlog_h = np.array([q.backlog for q in queues_h])
+                if u >= n_e:
+                    delays.extend(packet_delays(stamps, t, cfg.slot_duration_s,
+                                                cfg.d_proc_s))
+            backlogs = np.array([q.backlog for q in queues])
             # (9) drift, cost, violation signal, reward
-            lyap.advance(backlog_h, backlog_e)
+            lyap.advance(backlogs, n_e)
             cost = step_cost(rates[n_e:], rates[:n_e], cfg.eps_cost)
-            y_users = [surrogate_y(int(arr_h[u]), int(served[n_e + u]),
-                                   cfg.packet_size_bits, cfg.d_max_s,
-                                   cfg.d_proc_s, cfg.chi_h,
+            y_users = [surrogate_y(arr[u], served_l[u], cfg.packet_size_bits,
+                                   cfg.d_max_s, cfg.d_proc_s, cfg.chi_h,
                                    cfg.surrogate_exp_cap)
-                       for u in range(n_h)]
+                       for u in range(n_e, cfg.num_users)]
             y_mean = float(np.mean(y_users))
             # The surrogate equals chi_h at arrival/service balance, so the
             # penalty and the dual ascend on the excess over that neutral
@@ -217,10 +201,10 @@ class Simulation:
             self.policy.observe_reward(rew)
 
             ep_return += rew
-            slots[i] = (episode, t, [c.state for c in chains], dxi, arr_e,
-                        arr_h, alloc.counts, rates, served, departures,
-                        backlog_e, backlog_h, lyap.drift_embb,
-                        lyap.drift_hrllc, cost, y_mean, self.dual.value, rew)
+            slots[i] = (episode, t, [c.state for c in chains], dxi, arrivals,
+                        alloc.counts, rates, served, departures, backlogs,
+                        lyap.drift_embb, lyap.drift_hrllc, cost, y_mean,
+                        self.dual.value, rew)
             prev_rates = rates
             prev_drift_e, prev_drift_h = lyap.drift_embb, lyap.drift_hrllc
             prev_y = y_mean
@@ -229,7 +213,7 @@ class Simulation:
         if self.update_dual and cfg.dual_cadence == "episode":
             self.dual.update(y_sum / cfg.slots_per_episode)
         self.policy.end_episode()
-        for q in queues_e + queues_h:
+        for q in queues:
             q.audit_conservation()
         self._episode += 1
         diag = dict(getattr(self.policy, "diag", {}))
@@ -281,7 +265,7 @@ def step_response_summary(records: list[EpisodeRecord], cfg: ScenarioConfig,
     def window_stats(lo: int, hi: int) -> dict:
         part = slots[max(lo, 0):min(hi, total)]
         return {
-            "mean_arrivals": float(np.mean(part.arrivals_hrllc[:, user])),
+            "mean_arrivals": float(np.mean(part.arrivals[:, col])),
             "mean_prbs": float(np.mean(part.counts[:, col])),
             "mean_rate_bps": float(np.mean(part.rates[:, col])),
             "mean_dxi": float(np.mean(part.dxi[:, user])),
@@ -324,8 +308,7 @@ def export_trace_csv(records: list[EpisodeRecord], cfg: ScenarioConfig,
     lines = [",".join(trace_columns(cfg))]
     for rec in records:
         s = rec.slots
-        columns = [s.episode, s.slot, *s.backlogs_embb.T, *s.backlogs_hrllc.T,
-                   *s.counts.T, *s.rates.T, s.drift_embb, s.drift_hrllc,
+        columns = [s.episode, s.slot, *s.backlogs.T, *s.counts.T, *s.rates.T, s.drift_embb, s.drift_hrllc,
                    s.cost, s.y_mean, s.dual, s.reward, *s.dxi.T,
                    *s.mmpp_states.T]
         # one .tolist() per column; str of a Python float is its repr

@@ -50,9 +50,9 @@ class RunSummary:
     mean_drift_hrllc: np.ndarray
     delays_s: np.ndarray           # pooled per-packet HRLLC delays
     reliability_at_dmax: float
-    mean_prbs_per_user: np.ndarray     # (U,) over all slots
-    mean_arrivals_hrllc: np.ndarray    # (n_h,) packets/slot
-    mean_departures_hrllc: np.ndarray  # (n_h,)
+    mean_prbs_per_user: np.ndarray     # (U,) over all slots, eMBB first
+    mean_arrivals: np.ndarray          # (U,) packets/slot
+    mean_departures: np.ndarray        # (U,) packets/slot
 
 
 def summarize(records: list[EpisodeRecord], cfg: ScenarioConfig) -> RunSummary:
@@ -60,20 +60,21 @@ def summarize(records: list[EpisodeRecord], cfg: ScenarioConfig) -> RunSummary:
     delays = np.concatenate([r.hrllc_delays_s for r in records])
     slots = concat_slots(records)
     rel = reliability(delays, cfg.d_max_s) if delays.size else float("nan")
+    n_e = cfg.num_embb
     return RunSummary(
         returns=returns,
         returns_smoothed=moving_average(returns, cfg.smooth_window),
         mean_queue_embb=np.array(
-            [r.slots.backlogs_embb.sum(axis=1).mean() for r in records]),
+            [r.slots.backlogs[:, :n_e].sum(axis=1).mean() for r in records]),
         mean_queue_hrllc=np.array(
-            [r.slots.backlogs_hrllc.sum(axis=1).mean() for r in records]),
+            [r.slots.backlogs[:, n_e:].sum(axis=1).mean() for r in records]),
         mean_drift_embb=np.array([r.slots.drift_embb.mean() for r in records]),
         mean_drift_hrllc=np.array(
             [r.slots.drift_hrllc.mean() for r in records]),
         delays_s=delays, reliability_at_dmax=rel,
         mean_prbs_per_user=slots.counts.mean(axis=0),
-        mean_arrivals_hrllc=slots.arrivals_hrllc.mean(axis=0),
-        mean_departures_hrllc=slots.departures[:, cfg.num_embb:].mean(axis=0))
+        mean_arrivals=slots.arrivals.mean(axis=0),
+        mean_departures=slots.departures.mean(axis=0))
 
 
 def compare_policies(records_by_policy: dict[str, list[EpisodeRecord]],
@@ -126,8 +127,8 @@ def dexterity_sensitivity(records: list[EpisodeRecord], cfg: ScenarioConfig
         rows.append({
             "user": u,
             "dxi": float(dxi[u]),
-            "mean_arrivals": float(summ.mean_arrivals_hrllc[u]),
-            "mean_departures": float(summ.mean_departures_hrllc[u]),
+            "mean_arrivals": float(summ.mean_arrivals[n_e + u]),
+            "mean_departures": float(summ.mean_departures[n_e + u]),
             "mean_prbs": float(summ.mean_prbs_per_user[n_e + u]),
         })
     rows.sort(key=lambda r: r["dxi"])

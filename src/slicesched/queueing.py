@@ -15,11 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def service_capacity(rate_bits_per_s: float, slot_s: float, packet_bits: int) -> int:
-    """Whole packets deliverable in one slot at the given rate (floored)."""
-    if rate_bits_per_s < 0 or slot_s < 0 or packet_bits <= 0:
-        raise ValueError("rates and durations must be >= 0, packet size > 0")
-    return int(rate_bits_per_s * slot_s // packet_bits)
+def service_capacity(rates_bits_per_s, slot_s: float, packet_bits: int) -> np.ndarray:
+    """Whole packets deliverable in one slot at each rate (floored)."""
+    rates = np.asarray(rates_bits_per_s, dtype=float)
+    # the negated test also rejects NaN rates
+    if not np.all((rates >= 0) & (rates < np.inf)) or slot_s < 0 or packet_bits <= 0:
+        raise ValueError("rates must be finite and >= 0, durations >= 0, "
+                         "packet size > 0")
+    return (rates * slot_s // packet_bits).astype(np.int64)
 
 
 @dataclass
@@ -27,8 +30,6 @@ class UserQueue:
     fifo: deque = field(default_factory=deque)   # enqueue slot index per packet
     total_arrivals: int = 0
     total_departures: int = 0
-    # fractional service credit, only accumulated when the carry toggle is on
-    credit: float = 0.0
 
     @property
     def backlog(self) -> int:
@@ -58,13 +59,6 @@ def packet_delays(stamps: list[int], slot: int, slot_s: float, d_proc_s: float) 
     return [(slot - s) * slot_s + d_proc_s for s in stamps]
 
 
-def lyapunov_value(backlogs_f: np.ndarray, backlogs_g: np.ndarray) -> float:
-    """Quadratic congestion energy: half the sum of squared backlogs."""
-    f = np.asarray(backlogs_f, dtype=float)
-    g = np.asarray(backlogs_g, dtype=float)
-    return 0.5 * (float(np.sum(f * f)) + float(np.sum(g * g)))
-
-
 @dataclass
 class LyapunovState:
     """Tracks L(t) and its per-slice split so drifts can be read per slot."""
@@ -82,12 +76,16 @@ class LyapunovState:
     def drift(self) -> float:
         return self.drift_embb + self.drift_hrllc
 
-    def advance(self, backlogs_f: np.ndarray, backlogs_g: np.ndarray) -> float:
-        """Move to the new backlog state; returns the total one-step drift."""
-        new_h = lyapunov_value(backlogs_f, [])
-        new_e = lyapunov_value([], backlogs_g)
-        self.drift_hrllc = new_h - self.value_hrllc
+    def advance(self, backlogs: np.ndarray, num_embb: int) -> float:
+        """Move to the new backlog state, eMBB users first on the one user
+        axis; returns the total one-step drift.  Each slice's energy is half
+        its sum of squared backlogs."""
+        b = np.asarray(backlogs, dtype=float)
+        e, h = b[:num_embb], b[num_embb:]
+        new_e = 0.5 * float(np.dot(e, e))
+        new_h = 0.5 * float(np.dot(h, h))
         self.drift_embb = new_e - self.value_embb
-        self.value_hrllc = new_h
+        self.drift_hrllc = new_h - self.value_hrllc
         self.value_embb = new_e
+        self.value_hrllc = new_h
         return self.drift

@@ -38,26 +38,20 @@ class Allocation:
 class SchedulerContext:
     """Uniform input surface: every policy sees identical information."""
 
-    backlogs_embb: np.ndarray      # (n_e,) packets at slot start
-    backlogs_hrllc: np.ndarray     # (n_h,)
-    arrivals_embb: np.ndarray      # (n_e,) this slot's arrivals
-    arrivals_hrllc: np.ndarray     # (n_h,)
-    gain_sq: np.ndarray            # (U, K); rows 0..n_e-1 eMBB, then HRLLC
+    num_embb: int                  # users 0..num_embb-1 are eMBB, then HRLLC
+    backlogs: np.ndarray           # (U,) packets at slot start
+    arrivals: np.ndarray           # (U,) this slot's arrivals
+    gain_sq: np.ndarray            # (U, K)
     rate_matrix: np.ndarray        # (U, K) achievable bits/s per PRB
     dxi: np.ndarray                # (n_h,)
-    slot: int
     prev_rates: np.ndarray         # (U,) previous-slot achieved bits/s
     prev_drift_embb: float
     prev_drift_hrllc: float
     prev_y: float
 
     @property
-    def num_embb(self) -> int:
-        return len(self.backlogs_embb)
-
-    @property
     def num_hrllc(self) -> int:
-        return len(self.backlogs_hrllc)
+        return self.num_users - self.num_embb
 
     @property
     def num_users(self) -> int:

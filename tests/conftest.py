@@ -9,7 +9,6 @@ from slicesched.schedulers import SchedulerContext
 
 def make_context(rng: np.random.Generator, num_embb: int = 4,
                  num_hrllc: int = 3, num_prbs: int = 25,
-                 backlogs_embb=None, backlogs_hrllc=None,
                  gain_sq=None) -> SchedulerContext:
     """Random but well-formed scheduler context for property tests."""
     num_users = num_embb + num_hrllc
@@ -17,16 +16,12 @@ def make_context(rng: np.random.Generator, num_embb: int = 4,
         gain_sq = rng.exponential(1.0, size=(num_users, num_prbs))
     rates = 4e5 * np.log2(1.0 + 10.0 * gain_sq)
     return SchedulerContext(
-        backlogs_embb=(np.asarray(backlogs_embb) if backlogs_embb is not None
-                       else rng.integers(0, 20, num_embb)),
-        backlogs_hrllc=(np.asarray(backlogs_hrllc) if backlogs_hrllc is not None
-                        else rng.integers(0, 20, num_hrllc)),
-        arrivals_embb=rng.integers(0, 5, num_embb),
-        arrivals_hrllc=rng.integers(0, 5, num_hrllc),
+        num_embb=num_embb,
+        backlogs=rng.integers(0, 20, num_users),
+        arrivals=rng.integers(0, 5, num_users),
         gain_sq=gain_sq,
         rate_matrix=rates,
         dxi=rng.uniform(0.0, 10.0, num_hrllc),
-        slot=int(rng.integers(0, 1000)),
         prev_rates=rng.uniform(0.0, 1e7, num_users),
         prev_drift_embb=float(rng.normal()),
         prev_drift_hrllc=float(rng.normal()),

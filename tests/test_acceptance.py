@@ -183,11 +183,8 @@ def _check_feasibility(records, cfg):
         for s in rec.slots:
             assert s.counts.sum() == cfg.num_prbs
             assert s.counts.min() >= 1
-            arr = np.concatenate([s.arrivals_embb, s.arrivals_hrllc])
-            cum += arr - s.departures.astype(np.int64)
-        final = np.concatenate([rec.slots[-1].backlogs_embb,
-                                rec.slots[-1].backlogs_hrllc])
-        assert np.array_equal(cum, final)
+            cum += s.arrivals - s.departures.astype(np.int64)
+        assert np.array_equal(cum, rec.slots[-1].backlogs)
 
 
 def test_criterion_3_feasibility(default_a2c, default_dqn):

@@ -86,9 +86,13 @@ def test_compare_learned_policy_requires_checkpoint(tmp_path):
     assert code == 2
 
 
-def test_unknown_policy_is_usage_error(tmp_path):
-    assert main(["compare", "--policies", "rr,oracle",
+@pytest.mark.parametrize("policies", ["rr,oracle", ",", "rr,rr"],
+                         ids=["unknown", "empty", "duplicate"])
+def test_unknown_policy_is_usage_error(tmp_path, policies):
+    # rejected before the run directory is made
+    assert main(["compare", "--policies", policies,
                  "--out", str(tmp_path / "x")]) == 1
+    assert not (tmp_path / "x").exists()
 
 
 def test_missing_out_is_usage_error():

@@ -33,8 +33,7 @@ def test_replace_returns_new_instance():
 
 def test_round_trip_serialization():
     cfg = ScenarioConfig().replace(mean_snr_linear=7.25,
-                                   trunk_hidden=(32, 16),
-                                   carry_fractional_service=True)
+                                   trunk_hidden=(32, 16))
     assert parse_config_text(config_to_text(cfg)) == cfg
 
 
@@ -61,15 +60,6 @@ def test_parse_bad_value_reports_line_number():
 def test_parse_missing_equals_rejected():
     with pytest.raises(ConfigError, match="key = value"):
         parse_config_text("num_prbs 30\n")
-
-
-def test_parse_bool_spellings():
-    for raw, expect in (("true", True), ("on", True), ("1", True),
-                        ("false", False), ("no", False), ("0", False)):
-        cfg = parse_config_text(f"carry_fractional_service = {raw}\n")
-        assert cfg.carry_fractional_service is expect
-    with pytest.raises(ConfigError):
-        parse_config_text("carry_fractional_service = maybe\n")
 
 
 def test_parse_tuple_fields():

@@ -29,10 +29,9 @@ def test_zero_arrival_fixed_point():
                                    slots_per_episode=40)
     rec = _sim(cfg).run_episode()
     for s in rec.slots:
-        assert s.backlogs_embb.sum() == 0
-        assert s.backlogs_hrllc.sum() == 0
+        assert s.backlogs.sum() == 0
         assert s.drift_embb + s.drift_hrllc == 0.0
-        assert s.arrivals_embb.sum() == 0 and s.arrivals_hrllc.sum() == 0
+        assert s.arrivals.sum() == 0
     assert rec.hrllc_delays_s.size == 0
 
 
@@ -45,10 +44,8 @@ def test_zero_service_accumulates_arrivals_exactly():
     totals = np.zeros(cfg.num_users)
     for s in rec.slots:
         assert s.served.sum() == 0
-        totals[:cfg.num_embb] += s.arrivals_embb
-        totals[cfg.num_embb:] += s.arrivals_hrllc
-        assert np.array_equal(s.backlogs_embb, totals[:cfg.num_embb])
-        assert np.array_equal(s.backlogs_hrllc, totals[cfg.num_embb:])
+        totals += s.arrivals
+        assert np.array_equal(s.backlogs, totals)
 
 
 def test_return_is_sum_of_slot_rewards(tiny_cfg):
@@ -63,22 +60,19 @@ def test_episode_reset_clears_queues(tiny_cfg):
     rec2 = sim.run_episode()
     first = rec2.slots[0]
     # First-slot backlogs can only contain that slot's unserved arrivals.
-    assert np.all(first.backlogs_embb <= first.arrivals_embb)
-    assert np.all(first.backlogs_hrllc <= first.arrivals_hrllc)
+    assert np.all(first.backlogs <= first.arrivals)
 
 
 def test_queue_conservation_over_run(tiny_cfg):
     records, _ = run_training(tiny_cfg, "rr")
-    arrivals = sum(s.arrivals_embb.sum() + s.arrivals_hrllc.sum()
-                   for r in records for s in r.slots)
+    arrivals = sum(s.arrivals.sum() for r in records for s in r.slots)
     departures = sum(s.departures.sum() for r in records for s in r.slots)
     final = records[-1].slots[-1]
     # Per-episode queues reset, so cross-run conservation needs per-episode
     # backlogs at episode ends.
-    leftovers = sum(r.slots[-1].backlogs_embb.sum()
-                    + r.slots[-1].backlogs_hrllc.sum() for r in records)
+    leftovers = sum(r.slots[-1].backlogs.sum() for r in records)
     assert arrivals == departures + leftovers
-    assert final.backlogs_embb.sum() >= 0
+    assert final.backlogs.sum() >= 0
 
 
 def test_allocation_feasibility_every_slot(tiny_cfg):
@@ -117,8 +111,7 @@ def test_world_randomness_identical_across_policies(tiny_cfg):
                                     episodes=2)
     for ra, rb in zip(recs["rr"], recs["pf"]):
         for sa, sb in zip(ra.slots, rb.slots):
-            assert np.array_equal(sa.arrivals_embb, sb.arrivals_embb)
-            assert np.array_equal(sa.arrivals_hrllc, sb.arrivals_hrllc)
+            assert np.array_equal(sa.arrivals, sb.arrivals)
             assert np.array_equal(sa.mmpp_states, sb.mmpp_states)
 
 
@@ -153,6 +146,20 @@ def test_episode_slot_table(tiny_cfg):
         assert r.slots.dtype == slot_dtype(tiny_cfg)
         assert len(r.slots) == tiny_cfg.slots_per_episode
         assert r.hrllc_delays_s.dtype == np.float64
+    # per-user fields share one user axis, eMBB users first; per-slice
+    # per-user fields are gone
+    fields = slot_dtype(tiny_cfg).fields
+    users, hrllc = (tiny_cfg.num_users,), (tiny_cfg.num_hrllc,)
+    for name in ("arrivals", "counts", "rates", "served", "departures",
+                 "backlogs"):
+        assert fields[name][0].shape == users, name
+    for name in ("mmpp_states", "dxi"):
+        assert fields[name][0].shape == hrllc, name
+    for name in ("episode", "slot", "drift_embb", "drift_hrllc", "cost",
+                 "y_mean", "dual", "reward"):
+        assert fields[name][0].shape == (), name
+    assert not [n for n in fields if n.endswith(("_embb", "_hrllc"))
+                and fields[n][0].shape]
 
 
 def test_slot_rows_match_trace_csv_rates(tmp_path, tiny_cfg):

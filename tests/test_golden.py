@@ -28,7 +28,6 @@ CASES = {
                     "dqn_eps_end": 0.2}),
     "rr": ("rr", {}),
     "pf": ("pf", {}),
-    "pf-carry": ("pf", {"carry_fractional_service": True}),
 }
 
 GOLDEN = {
@@ -50,10 +49,6 @@ GOLDEN = {
     "pf": {
         "trace.csv": "a2c844622203e43733a249de5bd3be1c434d0e533c87a19d2dd87f57a2f382ae",
         "training.csv": "f5baac22963a359e4c6063a9a2cfbc97985e680b2cfa261d897bd5dd3a1db299",
-    },
-    "pf-carry": {
-        "trace.csv": "d61efeb959a1a05bce43839a2f6941ccfad5d3dca13d7fb7c90f1235bfd6afb0",
-        "training.csv": "e16eb488a2b4088f8558184c69ab7ac94ae4e534bbaff95dc15113edc3584589",
     },
     "rr": {
         "trace.csv": "a4f65c0dbca2f97960f4ba81cc33eade5e33567937b23dda951905a537917d43",

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from slicesched.queueing import (LyapunovState, UserQueue, lyapunov_value,
-                                 packet_delays, service_capacity)
+from slicesched.queueing import (LyapunovState, UserQueue, packet_delays,
+                                 service_capacity)
 
 
 def test_service_capacity_reference_points():
@@ -17,6 +17,30 @@ def test_service_capacity_rejects_bad_inputs():
         service_capacity(-1.0, 1e-3, 1000)
     with pytest.raises(ValueError):
         service_capacity(1.0, 1e-3, 0)
+    with pytest.raises(ValueError):
+        service_capacity(1.0, -1e-3, 1000)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            service_capacity(np.array([1e6, bad]), 1e-3, 1000)
+
+
+@pytest.mark.parametrize("slot_s, packet_bits", [(1e-3, 1000), (1e-3, 1500),
+                                                 (0.5e-3, 12000), (1.0, 7)])
+def test_service_capacity_matches_scalar_floor(slot_s, packet_bits):
+    """The vectorized floor equals Python's per-rate float floor division,
+    also at whole-packet boundaries and one ulp either side of them."""
+    rng = np.random.default_rng(3)
+    step = packet_bits / slot_s               # rate of one packet per slot
+    drawn = np.concatenate([rng.uniform(0.0, 60e6, 10_000),
+                             rng.exponential(step, 2_000)])
+    multiples = step * np.arange(0, 200)
+    rates = np.concatenate([
+        drawn, [0.0], multiples,
+        np.nextafter(multiples, np.inf), np.nextafter(multiples[1:], 0.0)])
+    got = service_capacity(rates, slot_s, packet_bits)
+    want = [int(r * slot_s // packet_bits) for r in rates.tolist()]
+    assert got.dtype == np.int64
+    assert got.tolist() == want
 
 
 def test_queue_truncation_case():
@@ -80,27 +104,42 @@ def test_packet_delays_fifo_order():
     assert delays == sorted(delays, reverse=True)
 
 
-def test_lyapunov_value_reference():
-    assert lyapunov_value([3, 0], [4]) == pytest.approx(12.5)
-    assert lyapunov_value([0, 0], [0]) == 0.0
-    assert lyapunov_value(np.ones(7), []) == pytest.approx(3.5)
+def _energy(f, g) -> float:
+    """Quadratic congestion energy of two backlog vectors, in Python."""
+    return 0.5 * (sum(float(x) ** 2 for x in f) + sum(float(x) ** 2 for x in g))
+
+
+def test_lyapunov_state_value_reference():
+    st = LyapunovState()
+    st.advance(np.array([4, 3, 0]), 1)               # eMBB [4], HRLLC [3, 0]
+    assert (st.value_embb, st.value_hrllc, st.value) == (8.0, 4.5, 12.5)
+    st.advance(np.zeros(3, dtype=int), 1)
+    assert st.value == 0.0
+    st.advance(np.ones(7), 0)                        # no eMBB users
+    assert (st.value_embb, st.value_hrllc) == (0.0, 3.5)
 
 
 def test_lyapunov_drift():
     st = LyapunovState()
-    st.advance(np.array([3, 0]), np.array([4]))      # L = 12.5
-    assert st.value == pytest.approx(12.5)
-    drift = st.advance(np.array([4, 0]), np.array([0]))  # L = 8.0
-    assert drift == pytest.approx(-4.5)
-    assert st.drift_embb + st.drift_hrllc == pytest.approx(st.drift)
-    assert st.advance(np.array([4, 0]), np.array([0])) == pytest.approx(0.0)
+    st.advance(np.array([4, 3, 0]), 1)               # L = 12.5
+    assert st.value == 12.5
+    drift = st.advance(np.array([0, 4, 0]), 1)       # L = 8.0
+    assert drift == -4.5
+    assert (st.drift_embb, st.drift_hrllc) == (-8.0, 3.5)
+    assert st.drift_embb + st.drift_hrllc == st.drift
+    assert st.advance(np.array([0, 4, 0]), 1) == 0.0
 
 
 def test_lyapunov_incremental_matches_recompute():
     st = LyapunovState()
     rng = np.random.default_rng(1)
+    prev_e = prev_h = 0.0
     for _ in range(200):
-        f = rng.integers(0, 30, 3)
-        g = rng.integers(0, 30, 4)
-        st.advance(f, g)
-        assert st.value == pytest.approx(lyapunov_value(f, g))
+        backlogs = rng.integers(0, 3000, 7)
+        e, h = backlogs[:4], backlogs[4:]
+        st.advance(backlogs, 4)
+        assert st.value_embb == _energy(e, []) and st.value_hrllc == _energy([], h)
+        assert st.value == _energy(e, h)
+        assert st.drift_embb == _energy(e, []) - prev_e
+        assert st.drift_hrllc == _energy([], h) - prev_h
+        prev_e, prev_h = _energy(e, []), _energy([], h)
