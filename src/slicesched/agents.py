@@ -198,48 +198,54 @@ def a2c_grads(net: Mlp, n_kh: int, obs: np.ndarray, actions: tuple[int, int],
             net.backward(trace, dout_critic), diag)
 
 
-class A2CAgent(Policy):
-    """Two-head advantage actor-critic scheduler, updated every slot."""
+class Learner(Policy):
+    """A policy that learns from one-step transitions (s, a, r, s').
 
-    name = "a2c"
+    ``allocate`` opens the slot's transition in ``_pending``: the
+    observation and the action first, then ``observe_reward`` fills in the
+    scaled reward.  The next slot's observation, or ``None`` at the end of
+    an episode, completes it, and ``_learn(next_obs)`` learns from it.
+    Subclasses own one net, ``self.net``, which is what a checkpoint holds.
+    """
+
+    # per-update quantities whose episode means diagnostics() reports
+    diagnostic_names: tuple[str, ...] = ()
 
     def __init__(self, cfg: ScenarioConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.rng = rng
         self.space = ActionSpace.from_config(cfg)
         self.obs_dim = obs_length(cfg)
-        self.net = a2c_net(cfg, self.obs_dim, self.space, rng)
-        self.opt_actor = Adam()
-        self.opt_critic = Adam()
         self.training = True
-        # [obs, (a_h, a_e), scaled reward, a2c_heads(obs)]; no update runs
-        # between allocate and _learn, so the heads are still current there
+        # [obs, action, scaled reward, ...]
         self._pending: Optional[list] = None
-        self.diag = {"actor_loss": 0.0, "critic_loss": 0.0, "entropy": 0.0,
-                     "updates": 0}
+        self.begin_episode()
 
     def set_training(self, training: bool) -> None:
         self.training = training
         self._pending = None
 
     def begin_episode(self) -> None:
-        self.diag = {"actor_loss": 0.0, "critic_loss": 0.0, "entropy": 0.0,
-                     "updates": 0}
+        self._sums = dict.fromkeys(self.diagnostic_names, 0.0)
+        self._updates = 0
 
-    def allocate(self, ctx: SchedulerContext) -> Allocation:
+    def diagnostics(self) -> dict:
+        n = max(self._updates, 1)
+        return {name: total / n for name, total in self._sums.items()}
+
+    def _tally(self, values: dict) -> None:
+        """Add one update's diagnostic values to the episode's sums."""
+        for name in self._sums:
+            self._sums[name] += values[name]
+        self._updates += 1
+
+    def _observe(self, ctx: SchedulerContext) -> np.ndarray:
+        """This slot's observation, after learning from the transition it
+        completes."""
         obs = encode_observation(ctx, self.cfg)
         if self.training and self._pending is not None:
-            self._learn(next_obs=obs, terminal=False)
-        heads = a2c_heads(self.net, self.space.n_kh, obs)
-        logits_h, logits_e = heads[:2]
-        if self.training:
-            a_h, _, _ = softmax_categorical(logits_h, self.rng)
-            a_e, _, _ = softmax_categorical(logits_e, self.rng)
-        else:
-            a_h = int(np.argmax(logits_h))
-            a_e = int(np.argmax(logits_e))
-        self._pending = [obs, (a_h, a_e), 0.0, heads]
-        return decode_action(self.space, a_h, a_e, ctx)
+            self._learn(obs)
+        return obs
 
     def observe_reward(self, rew: float) -> None:
         if self._pending is not None:
@@ -247,59 +253,97 @@ class A2CAgent(Policy):
 
     def end_episode(self) -> None:
         if self.training and self._pending is not None:
-            self._learn(next_obs=None, terminal=True)
+            self._learn(None)
         self._pending = None
 
-    def _learn(self, next_obs: Optional[np.ndarray], terminal: bool) -> None:
+    def _learn(self, next_obs: Optional[np.ndarray]) -> None:
+        """Learn from ``_pending``; ``next_obs`` is None at a terminal."""
+        raise NotImplementedError
+
+    # --- checkpointing ---
+    def _layout(self) -> dict:
+        """Checkpoint metadata besides the kind: the shapes of ``self.net``."""
+        raise NotImplementedError
+
+    def _check_layout(self, meta: dict) -> None:
+        if any(meta.get(key) != value for key, value in self._layout().items()):
+            raise ValueError("checkpoint does not match this scenario's shapes")
+
+    def save(self, path) -> None:
+        save_arrays(path, self.net.params, {"kind": self.name, **self._layout()})
+
+    def load(self, path) -> None:
+        arrays, meta = load_arrays(path)
+        if meta.get("kind") != self.name:
+            raise ValueError(f"checkpoint kind {meta.get('kind')!r} "
+                             f"is not {self.name!r}")
+        self._check_layout(meta)
+        self.net.set_params(arrays)
+
+
+class A2CAgent(Learner):
+    """Two-head advantage actor-critic scheduler, updated every slot."""
+
+    name = "a2c"
+    diagnostic_names = ("actor_loss", "critic_loss", "entropy")
+
+    def __init__(self, cfg: ScenarioConfig, rng: np.random.Generator):
+        super().__init__(cfg, rng)
+        self.net = a2c_net(cfg, self.obs_dim, self.space, rng)
+        self.opt_actor = Adam()
+        self.opt_critic = Adam()
+
+    def allocate(self, ctx: SchedulerContext) -> Allocation:
+        obs = self._observe(ctx)
+        heads = a2c_heads(self.net, self.space.n_kh, obs)
+        logits_h, logits_e = heads[:2]
+        if self.training:
+            a_h = softmax_categorical(logits_h, self.rng)
+            a_e = softmax_categorical(logits_e, self.rng)
+        else:
+            a_h = int(np.argmax(logits_h))
+            a_e = int(np.argmax(logits_e))
+        # no update runs between here and _learn, so the heads are still
+        # current there
+        self._pending = [obs, (a_h, a_e), 0.0, heads]
+        return decode_action(self.space, a_h, a_e, ctx)
+
+    def _learn(self, next_obs: Optional[np.ndarray]) -> None:
         obs, actions, rew, heads = self._pending
         grads_a, grads_c, diag = a2c_grads(
-            self.net, self.space.n_kh, obs, actions, rew,
-            None if terminal else next_obs, self.cfg.gamma,
-            self.cfg.entropy_coef, heads)
+            self.net, self.space.n_kh, obs, actions, rew, next_obs,
+            self.cfg.gamma, self.cfg.entropy_coef, heads)
         grads_a = clip_grads(grads_a, self.cfg.grad_clip)
         grads_c = clip_grads(grads_c, self.cfg.grad_clip)
         # both optimizers step the whole net, one after the other
         self.opt_actor.step([self.net.flat], grads_a, self.cfg.lr_actor)
         self.opt_critic.step([self.net.flat], grads_c, self.cfg.lr_critic)
-        self.diag["actor_loss"] += diag["actor_loss"]
-        self.diag["critic_loss"] += diag["critic_loss"]
-        self.diag["entropy"] += diag["entropy"]
-        self.diag["updates"] += 1
+        self._tally(diag)
 
-    # --- checkpointing ---
-    def save(self, path) -> None:
+    def _layout(self) -> dict:
         # "shared" marks the one-trunk layout; checkpoints of the former
         # separate actor and critic nets carry false
-        meta = {"kind": "a2c", "shared": True,
-                "obs_dim": self.obs_dim, "n_kh": self.space.n_kh}
-        save_arrays(path, self.net.params, meta)
+        return {"shared": True, "obs_dim": self.obs_dim, "n_kh": self.space.n_kh}
 
-    def load(self, path) -> None:
-        arrays, meta = load_arrays(path)
-        if meta.get("kind") != "a2c":
-            raise ValueError(f"checkpoint kind {meta.get('kind')!r} is not 'a2c'")
+    def _check_layout(self, meta: dict) -> None:
         if meta.get("shared") is not True:
             raise ValueError("checkpoint holds separate actor and critic nets; "
                              "only the one-trunk a2c net can be loaded")
-        if meta.get("obs_dim") != self.obs_dim or meta.get("n_kh") != self.space.n_kh:
-            raise ValueError("checkpoint does not match this scenario's shapes")
-        self.net.set_params(arrays)
+        super()._check_layout(meta)
 
 
-class DqnAgent(Policy):
+class DqnAgent(Learner):
     """Value-based baseline over the flattened joint action index."""
 
     name = "dqn"
+    diagnostic_names = ("td_loss",)
 
     def __init__(self, cfg: ScenarioConfig, rng: np.random.Generator):
-        self.cfg = cfg
-        self.rng = rng
-        self.space = ActionSpace.from_config(cfg)
-        self.obs_dim = obs_length(cfg)
+        super().__init__(cfg, rng)
         hidden = list(cfg.trunk_hidden)
         acts = [cfg.trunk_activation] * len(hidden) + ["identity"]
         sizes = [self.obs_dim] + hidden + [self.space.n_joint]
-        self.qnet = Mlp(sizes, acts, rng)
+        self.net = Mlp(sizes, acts, rng)
         self.target = Mlp(sizes, acts, rng)
         self._sync_target()
         self.opt = Adam()
@@ -313,14 +357,11 @@ class DqnAgent(Policy):
         self.replay_done = np.empty(cap)
         self.stored = 0
         self.head = 0
-        self.training = True
         self.steps = 0
         self.updates = 0
-        self._pending: Optional[list] = None
-        self.diag = {"loss": 0.0, "updates": 0}
 
     def _sync_target(self) -> None:
-        self.target.flat[...] = self.qnet.flat
+        self.target.flat[...] = self.net.flat
 
     @property
     def epsilon(self) -> float:
@@ -328,21 +369,12 @@ class DqnAgent(Policy):
         frac = min(self.steps / cfg.dqn_eps_decay_slots, 1.0)
         return cfg.dqn_eps_start + frac * (cfg.dqn_eps_end - cfg.dqn_eps_start)
 
-    def set_training(self, training: bool) -> None:
-        self.training = training
-        self._pending = None
-
-    def begin_episode(self) -> None:
-        self.diag = {"loss": 0.0, "updates": 0}
-
     def allocate(self, ctx: SchedulerContext) -> Allocation:
-        obs = encode_observation(ctx, self.cfg)
-        if self.training and self._pending is not None:
-            self._store(next_obs=obs, terminal=False)
+        obs = self._observe(ctx)
         if self.training and self.rng.random() < self.epsilon:
             joint = int(self.rng.integers(self.space.n_joint))
         else:
-            q, _ = self.qnet.forward(obs)
+            q, _ = self.net.forward(obs)
             joint = int(np.argmax(q[0]))
         if self.training:
             self.steps += 1
@@ -350,16 +382,9 @@ class DqnAgent(Policy):
         kh_idx, t_idx = self.space.split_index(joint)
         return decode_action(self.space, kh_idx, t_idx, ctx)
 
-    def observe_reward(self, rew: float) -> None:
-        if self._pending is not None:
-            self._pending[2] = rew * self.cfg.reward_scale
-
-    def end_episode(self) -> None:
-        if self.training and self._pending is not None:
-            self._store(next_obs=None, terminal=True)
-        self._pending = None
-
-    def _store(self, next_obs: Optional[np.ndarray], terminal: bool) -> None:
+    def _learn(self, next_obs: Optional[np.ndarray]) -> None:
+        """Store the transition in the replay ring, then update once the
+        ring holds a batch."""
         obs, joint, rew = self._pending
         cap = len(self.replay_act)
         row = (self.head + self.stored) % cap
@@ -368,10 +393,10 @@ class DqnAgent(Policy):
         else:
             self.stored += 1
         self.replay_obs[row] = obs
-        self.replay_next[row] = next_obs if next_obs is not None else obs
+        self.replay_next[row] = obs if next_obs is None else next_obs
         self.replay_act[row] = joint
         self.replay_rew[row] = rew
-        self.replay_done[row] = terminal
+        self.replay_done[row] = next_obs is None
         if self.stored >= self.cfg.dqn_batch_size:
             self._update()
 
@@ -381,7 +406,7 @@ class DqnAgent(Policy):
         idx = self.rng.choice(self.stored, size=batch, replace=False)
         rows = (self.head + idx) % len(self.replay_act)
         acts = self.replay_act[rows]
-        q, trace = self.qnet.forward(self.replay_obs[rows])
+        q, trace = self.net.forward(self.replay_obs[rows])
         q_next, _ = self.target.forward(self.replay_next[rows])
         targets = (self.replay_rew[rows] + cfg.gamma
                    * (1.0 - self.replay_done[rows]) * q_next.max(axis=1))
@@ -389,24 +414,16 @@ class DqnAgent(Policy):
         err = chosen - targets
         dout = np.zeros_like(q)
         dout[np.arange(batch), acts] = 2.0 * err / batch
-        grads = clip_grads(self.qnet.backward(trace, dout), cfg.grad_clip)
-        self.opt.step([self.qnet.flat], grads, cfg.lr_critic)
+        grads = clip_grads(self.net.backward(trace, dout), cfg.grad_clip)
+        self.opt.step([self.net.flat], grads, cfg.lr_critic)
         self.updates += 1
-        self.diag["loss"] += float(np.mean(err * err))
-        self.diag["updates"] += 1
+        self._tally({"td_loss": float(np.mean(err * err))})
         if self.updates % cfg.dqn_target_sync == 0:
             self._sync_target()
 
-    def save(self, path) -> None:
-        meta = {"kind": "dqn", "obs_dim": self.obs_dim,
-                "n_joint": self.space.n_joint}
-        save_arrays(path, self.qnet.params, meta)
+    def _layout(self) -> dict:
+        return {"obs_dim": self.obs_dim, "n_joint": self.space.n_joint}
 
     def load(self, path) -> None:
-        arrays, meta = load_arrays(path)
-        if meta.get("kind") != "dqn":
-            raise ValueError(f"checkpoint kind {meta.get('kind')!r} is not 'dqn'")
-        if meta.get("obs_dim") != self.obs_dim or meta.get("n_joint") != self.space.n_joint:
-            raise ValueError("checkpoint does not match this scenario's shapes")
-        self.qnet.set_params(arrays)
+        super().load(path)
         self._sync_target()

@@ -16,14 +16,12 @@ from pathlib import Path
 from . import __version__
 from .config import (ConfigError, ScenarioConfig, ValidationError,
                      apply_overrides, config_to_text, load_config)
-from .engine import (EpisodeRecord, build_policy, concat_slots,
-                     export_diagnostics_csv, export_trace_csv, run_evaluation,
-                     run_training, step_response_summary, POLICY_NAMES)
+from .engine import (AGENT_NAMES, POLICY_NAMES, EpisodeRecord, build_policy,
+                     concat_slots, export_diagnostics_csv, export_trace_csv,
+                     run_evaluation, run_training, step_response_summary)
 from .metrics import (compare_policies, dexterity_sensitivity, moving_average,
                       summarize)
 from .svgplot import ChartSpec, Series, render_svg
-
-EXPERIMENTS = ("two-step-dex", "dex-sensitivity", "drl-compare")
 
 
 class UsageError(Exception):
@@ -108,9 +106,8 @@ def cmd_train(args: argparse.Namespace, argv: list[str]) -> int:
     cfg = _load_cfg(args)
     run = RunDir(args.out, f"train-{args.agent}-{cfg.master_seed}", cfg, argv)
     records, policy = run_training(cfg, args.agent)
-    if hasattr(policy, "save"):
-        policy.save(run.file("checkpoint.bin"))
-    export_diagnostics_csv(records, args.agent, run.file("training.csv"))
+    policy.save(run.file("checkpoint.bin"))
+    export_diagnostics_csv(records, run.file("training.csv"))
     export_trace_csv(records, cfg, run.file("trace.csv"))
     _write_training_figures(run, records, cfg)
     run.finalize()
@@ -127,19 +124,22 @@ def cmd_compare(args: argparse.Namespace, argv: list[str]) -> int:
             raise UsageError(f"unknown policy {p!r}; choose from {POLICY_NAMES}")
         if policies.count(p) > 1:
             raise UsageError(f"policy {p!r} is listed more than once")
-    needs_ckpt = [p for p in policies if p in ("a2c", "dqn")]
-    if needs_ckpt and not args.checkpoint:
+    learned = [p for p in policies if p in AGENT_NAMES]
+    if len(learned) > 1:
+        raise UsageError(f"--policies names learned policies {learned}; "
+                         "one --checkpoint can load only one of them")
+    if learned and not args.checkpoint:
         raise ValidationError(
-            f"policies {needs_ckpt} need --checkpoint with trained parameters")
-    run = RunDir(args.out, f"compare-{cfg.master_seed}", cfg, argv)
+            f"policy {learned[0]!r} needs --checkpoint with trained parameters")
     eval_seed = args.eval_seed if args.eval_seed is not None \
         else cfg.master_seed + 1
-    records_by_policy: dict[str, list[EpisodeRecord]] = {}
-    for name in policies:
-        policy = build_policy(name, cfg, eval_seed)
-        if name in ("a2c", "dqn"):
-            policy.load(args.checkpoint)
-        records_by_policy[name] = run_evaluation(cfg, policy, eval_seed)
+    # build and load every policy first: a bad checkpoint leaves no run dir
+    built = {name: build_policy(name, cfg, eval_seed) for name in policies}
+    for name in learned:
+        built[name].load(args.checkpoint)
+    run = RunDir(args.out, f"compare-{cfg.master_seed}", cfg, argv)
+    records_by_policy = {name: run_evaluation(cfg, policy, eval_seed)
+                         for name, policy in built.items()}
     table = compare_policies(records_by_policy, cfg)
 
     lines = ["policy,reliability_at_dmax"]
@@ -224,35 +224,32 @@ def _experiment_dex_sensitivity(args, argv, cfg: ScenarioConfig) -> int:
 def _experiment_drl_compare(args, argv, cfg: ScenarioConfig) -> int:
     run = RunDir(args.out, f"drl-compare-{cfg.master_seed}", cfg, argv)
     curves = {}
-    for kind in ("a2c", "dqn"):
+    for kind in AGENT_NAMES:
         records, _ = run_training(cfg, kind)
         curves[kind] = moving_average(
             [r.episodic_return for r in records], cfg.smooth_window)
-        export_diagnostics_csv(records, kind, run.file(f"{kind}_training.csv"))
+        export_diagnostics_csv(records, run.file(f"{kind}_training.csv"))
     run.write_text("drl_returns.svg", render_svg(ChartSpec(
         kind="line", title="Smoothed episodic return",
-        series=tuple(_series(curves[k], k.upper()) for k in ("a2c", "dqn")),
+        series=tuple(_series(curves[k], k.upper()) for k in AGENT_NAMES),
         x_label="episode", y_label="return")))
-    header = "episode,a2c,dqn"
-    rows = [header] + [
-        ",".join([str(i), repr(float(curves["a2c"][i])),
-                  repr(float(curves["dqn"][i]))])
-        for i in range(len(curves["a2c"]))]
+    rows = [",".join(["episode", *AGENT_NAMES])] + [
+        ",".join([str(i), *(repr(float(v)) for v in values)])
+        for i, values in enumerate(zip(*(curves[k] for k in AGENT_NAMES)))]
     run.write_text("drl_returns.csv", "\n".join(rows) + "\n")
     run.finalize()
     return 0
 
 
+EXPERIMENTS = {
+    "two-step-dex": _experiment_two_step,
+    "dex-sensitivity": _experiment_dex_sensitivity,
+    "drl-compare": _experiment_drl_compare,
+}
+
+
 def cmd_experiment(args: argparse.Namespace, argv: list[str]) -> int:
-    cfg = _load_cfg(args)
-    if args.name == "two-step-dex":
-        return _experiment_two_step(args, argv, cfg)
-    if args.name == "dex-sensitivity":
-        return _experiment_dex_sensitivity(args, argv, cfg)
-    if args.name == "drl-compare":
-        return _experiment_drl_compare(args, argv, cfg)
-    raise UsageError(f"unknown experiment {args.name!r}; "
-                     f"choose from {EXPERIMENTS}")
+    return EXPERIMENTS[args.name](args, argv, _load_cfg(args))
 
 
 def build_parser() -> _Parser:
@@ -268,19 +265,20 @@ def build_parser() -> _Parser:
 
     p_train = sub.add_parser("train", help="train a scheduling agent")
     common(p_train)
-    p_train.add_argument("--agent", choices=("a2c", "dqn"), default="a2c")
+    p_train.add_argument("--agent", choices=AGENT_NAMES, default="a2c")
 
     p_cmp = sub.add_parser("compare", help="evaluate policies on shared seeds")
     common(p_cmp)
     p_cmp.add_argument("--policies", default="a2c,rr,pf",
-                       help="comma list from: a2c,dqn,rr,pf")
-    p_cmp.add_argument("--checkpoint", help="trained parameters for a2c/dqn")
+                       help="comma list from: " + ",".join(POLICY_NAMES)
+                       + "; at most one learned policy")
+    p_cmp.add_argument("--checkpoint",
+                       help="trained parameters of the learned policy")
     p_cmp.add_argument("--eval-seed", type=int, default=None)
 
     p_exp = sub.add_parser("experiment", help="run a preconfigured scenario")
     common(p_exp)
-    p_exp.add_argument("--name", required=True,
-                       help="one of: " + ", ".join(EXPERIMENTS))
+    p_exp.add_argument("--name", required=True, choices=EXPERIMENTS)
     return parser
 
 

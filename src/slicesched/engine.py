@@ -33,7 +33,9 @@ from .schedulers import (Policy, ProportionalFairPolicy, RoundRobinPolicy,
 from .traffic import (DexterityProfile, MmppChain, init_state_stationary,
                       sample_embb_arrivals, sample_hrllc_arrivals)
 
-POLICY_NAMES = ("a2c", "dqn", "rr", "pf")
+_LEARNERS = {agent.name: agent for agent in (A2CAgent, DqnAgent)}
+AGENT_NAMES = tuple(_LEARNERS)            # the learned policies: a2c, dqn
+POLICY_NAMES = AGENT_NAMES + ("rr", "pf")
 
 
 def slot_dtype(cfg: ScenarioConfig) -> np.dtype:
@@ -66,7 +68,7 @@ class EpisodeRecord:
     slots: np.recarray            # one row per slot, dtype slot_dtype(cfg)
     episodic_return: float
     hrllc_delays_s: np.ndarray    # per departed HRLLC packet, departure order
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)   # the policy's, then dual
 
 
 def concat_slots(records: list[EpisodeRecord]) -> np.recarray:
@@ -75,10 +77,8 @@ def concat_slots(records: list[EpisodeRecord]) -> np.recarray:
 
 
 def build_policy(name: str, cfg: ScenarioConfig, master_seed: int) -> Policy:
-    if name == "a2c":
-        return A2CAgent(cfg, rs.stream(master_seed, rs.POLICY))
-    if name == "dqn":
-        return DqnAgent(cfg, rs.stream(master_seed, rs.POLICY))
+    if name in _LEARNERS:
+        return _LEARNERS[name](cfg, rs.stream(master_seed, rs.POLICY))
     if name == "rr":
         return RoundRobinPolicy()
     if name == "pf":
@@ -216,21 +216,18 @@ class Simulation:
         for q in queues:
             q.audit_conservation()
         self._episode += 1
-        diag = dict(getattr(self.policy, "diag", {}))
-        diag["dual"] = self.dual.value
         return EpisodeRecord(episode=episode, slots=slots,
                              episodic_return=ep_return,
                              hrllc_delays_s=np.array(delays, dtype=float),
-                             diagnostics=diag)
+                             diagnostics={**self.policy.diagnostics(),
+                                          "dual": self.dual.value})
 
 
-def run_training(cfg: ScenarioConfig, agent_kind: str,
-                 master_seed: Optional[int] = None
+def run_training(cfg: ScenarioConfig, agent_kind: str
                  ) -> tuple[list[EpisodeRecord], Policy]:
     """Train (or just run, for rr/pf) a policy for cfg.episodes episodes."""
-    seed = cfg.master_seed if master_seed is None else master_seed
-    policy = build_policy(agent_kind, cfg, seed)
-    sim = Simulation(cfg, policy, master_seed=seed)
+    policy = build_policy(agent_kind, cfg, cfg.master_seed)
+    sim = Simulation(cfg, policy)
     records = [sim.run_episode() for _ in range(cfg.episodes)]
     return records, policy
 
@@ -251,8 +248,8 @@ def run_evaluation(cfg: ScenarioConfig, policy: Policy, eval_seed: int,
     return [sim.run_episode() for _ in range(n_episodes)]
 
 
-def step_response_summary(records: list[EpisodeRecord], cfg: ScenarioConfig,
-                          window_slots: Optional[int] = None) -> dict:
+def step_response_summary(records: list[EpisodeRecord], cfg: ScenarioConfig
+                          ) -> dict:
     """Pre/post statistics around the two dexterity change points for the
     stepped user: mean arrivals, PRBs and achieved rate per window."""
     slots = concat_slots(records)
@@ -260,7 +257,7 @@ def step_response_summary(records: list[EpisodeRecord], cfg: ScenarioConfig,
     profile = DexterityProfile(cfg, cfg.episodes * cfg.slots_per_episode)
     user = cfg.dxi_step_user
     col = cfg.num_embb + user
-    w = window_slots or max(total // 10, 1)
+    w = max(total // 10, 1)
 
     def window_stats(lo: int, hi: int) -> dict:
         part = slots[max(lo, 0):min(hi, total)]
@@ -283,12 +280,6 @@ def step_response_summary(records: list[EpisodeRecord], cfg: ScenarioConfig,
 
 
 # --- CSV export -------------------------------------------------------------
-
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(int(x))
-
 
 def trace_columns(cfg: ScenarioConfig) -> list[str]:
     cols = ["episode", "slot"]
@@ -317,29 +308,14 @@ def export_trace_csv(records: list[EpisodeRecord], cfg: ScenarioConfig,
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def diagnostics_columns(agent_kind: str) -> list[str]:
-    if agent_kind == "a2c":
-        return ["episode", "return", "actor_loss", "critic_loss", "entropy",
-                "dual"]
-    if agent_kind == "dqn":
-        return ["episode", "return", "td_loss", "dual"]
-    return ["episode", "return", "dual"]
-
-
-def export_diagnostics_csv(records: list[EpisodeRecord], agent_kind: str,
+def export_diagnostics_csv(records: list[EpisodeRecord],
                            path: str | Path) -> None:
-    cols = diagnostics_columns(agent_kind)
-    lines = [",".join(cols)]
+    """One row per episode: ``episode,return``, then the record's
+    diagnostics in their order (the policy's, then ``dual``)."""
+    names = list(records[0].diagnostics) if records else []
+    lines = [",".join(["episode", "return", *names])]
     for rec in records:
-        d = rec.diagnostics
-        n = max(d.get("updates", 0), 1)
-        row = [str(rec.episode), _fmt(rec.episodic_return)]
-        if agent_kind == "a2c":
-            row += [_fmt(d.get("actor_loss", 0.0) / n),
-                    _fmt(d.get("critic_loss", 0.0) / n),
-                    _fmt(d.get("entropy", 0.0) / n)]
-        elif agent_kind == "dqn":
-            row += [_fmt(d.get("loss", 0.0) / n)]
-        row.append(_fmt(d.get("dual", 0.0)))
-        lines.append(",".join(row))
+        values = [rec.episodic_return, *(rec.diagnostics[n] for n in names)]
+        lines.append(",".join([str(rec.episode),
+                               *(repr(float(v)) for v in values)]))
     Path(path).write_text("\n".join(lines) + "\n")

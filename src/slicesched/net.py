@@ -137,9 +137,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_categorical(logits: np.ndarray, rng: np.random.Generator
-                        ) -> tuple[int, float, np.ndarray]:
-    """Sample an index by inverse CDF; return (index, log-prob, distribution)."""
+def softmax_categorical(logits: np.ndarray, rng: np.random.Generator) -> int:
+    """Sample an index of softmax(logits) by inverse CDF."""
     logits = np.asarray(logits, dtype=float).ravel()
     if not np.all(np.isfinite(logits)):
         raise ValueError("logits must be finite")
@@ -147,8 +146,7 @@ def softmax_categorical(logits: np.ndarray, rng: np.random.Generator
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
     idx = int(np.searchsorted(cdf, rng.random(), side="right"))
-    idx = min(idx, len(probs) - 1)
-    return idx, float(np.log(probs[idx] + 1e-300)), probs
+    return min(idx, len(probs) - 1)
 
 
 def clip_grads(grads: list[np.ndarray], max_norm: float) -> list[np.ndarray]:

@@ -186,6 +186,10 @@ class Policy:
     def set_training(self, training: bool) -> None:
         pass
 
+    def diagnostics(self) -> dict:
+        """The current episode's learning diagnostics, name -> value."""
+        return {}
+
 
 class RoundRobinPolicy(Policy):
     """Channel-agnostic cyclic sharing with a persistent cursor."""

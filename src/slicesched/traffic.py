@@ -90,30 +90,6 @@ def sample_embb_arrivals(lam: float, rng: np.random.Generator) -> int:
     return int(rng.poisson(lam)) if lam > 0 else 0
 
 
-def sample_state_path(chain: MmppChain, n_slots: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized state trajectory over n_slots via geometric holding times.
-
-    Statistically identical to stepping the chain slot by slot (each slot is
-    an independent Bernoulli exit trial), but fast enough for 1e6-slot
-    occupancy checks.  Uses its own draw pattern, so it does not replay the
-    per-slot stream of ``step``.
-    """
-    out = np.empty(n_slots, dtype=np.int8)
-    pos = 0
-    state = chain.state
-    while pos < n_slots:
-        p_exit = chain.p_1_to_2 if state == 1 else chain.p_2_to_1
-        if p_exit <= 0:
-            out[pos:] = state
-            break
-        hold = rng.geometric(p_exit)  # slots until (and including) the exit trial
-        end = min(pos + hold, n_slots)
-        out[pos:end] = state
-        pos = end
-        state = 2 if state == 1 else 1
-    return out
-
-
 class DexterityProfile:
     """Per-HRLLC-user DXI schedule over a global slot horizon."""
 

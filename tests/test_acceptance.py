@@ -21,7 +21,7 @@ from slicesched.metrics import (dexterity_sensitivity, moving_average,
                                 spearman_rank_correlation, summarize,
                                 windowed_slope)
 from slicesched.net import Mlp, softmax
-from slicesched.traffic import MmppChain, mean_rate, sample_state_path
+from slicesched.traffic import MmppChain, mean_rate, sample_hrllc_arrivals
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> bool:
@@ -160,18 +160,21 @@ def test_criterion_2_mmpp_statistics():
                       lambda_by_state=(cfg.lambda_slow, cfg.lambda_burst),
                       slot_duration_s=1.0)
     n = 10 ** 6
+    # the engine's per-slot path: step the chain, then draw the slot's
+    # arrivals (no dexterity reduction), both from the one stream
     rng = np.random.default_rng(2024)
-    path = sample_state_path(chain, n, rng)
-    occupancy = float(np.mean(path == 1))
-    lam = np.where(path == 1, chain.lambda_by_state[0],
-                   chain.lambda_by_state[1])
-    arrivals = rng.poisson(lam)
+    slots_in_one = arrivals = 0
+    for _ in range(n):
+        slots_in_one += chain.step(rng) == 1
+        arrivals += sample_hrllc_arrivals(chain, 0.0, 0.0, rng)
+    occupancy = slots_in_one / n
+    arrival_mean = arrivals / n
     expected = mean_rate(chain.alpha, chain.beta, *chain.lambda_by_state)
-    mean_err = abs(arrivals.mean() - expected) / expected
+    mean_err = abs(arrival_mean - expected) / expected
     ok = abs(occupancy - 0.5) <= 0.02 and mean_err <= 0.02
     assert _report(2, "MMPP statistics", ok,
                    f"occupancy {occupancy:.4f} (target 0.5±0.02), "
-                   f"arrival mean {arrivals.mean():.4f} vs {expected:.1f} "
+                   f"arrival mean {arrival_mean:.4f} vs {expected:.1f} "
                    f"({100 * mean_err:.2f}%)")
 
 

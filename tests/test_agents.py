@@ -264,10 +264,10 @@ def test_dqn_greedy_action_follows_q_values():
     agent = DqnAgent(cfg, np.random.default_rng(16))
     agent.set_training(False)    # epsilon path disabled
     # bias the last layer so one joint action dominates
-    params = [np.zeros_like(p) for p in agent.qnet.params]
+    params = [np.zeros_like(p) for p in agent.net.params]
     joint = 17
     params[-1][joint] = 100.0
-    agent.qnet.set_params(params)
+    agent.net.set_params(params)
     ctx = make_context(np.random.default_rng(17))
     alloc = agent.allocate(ctx)
     kh_idx, t_idx = agent.space.split_index(joint)

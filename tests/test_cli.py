@@ -86,11 +86,25 @@ def test_compare_learned_policy_requires_checkpoint(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("policies", ["rr,oracle", ",", "rr,rr"],
-                         ids=["unknown", "empty", "duplicate"])
+@pytest.mark.parametrize("problem", ["wrong-kind", "corrupt", "missing"])
+def test_compare_unloadable_checkpoint_leaves_no_run_dir(tmp_path, problem):
+    ckpt = tmp_path / "checkpoint.bin"
+    if problem == "wrong-kind":
+        ckpt = _train(tmp_path) / "checkpoint.bin"    # an a2c checkpoint
+    elif problem == "corrupt":
+        ckpt.write_bytes(b"not a checkpoint")
+    assert main(["compare", "--policies", "rr,dqn", "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "x"), *TINY]) == 3
+    assert not (tmp_path / "x").exists()
+
+
+# two-learned: the one --checkpoint holds one kind, so a2c and dqn cannot
+# both load it
+@pytest.mark.parametrize("policies", ["rr,oracle", ",", "rr,rr", "a2c,dqn"],
+                         ids=["unknown", "empty", "duplicate", "two-learned"])
 def test_unknown_policy_is_usage_error(tmp_path, policies):
     # rejected before the run directory is made
-    assert main(["compare", "--policies", policies,
+    assert main(["compare", "--policies", policies, "--checkpoint", "any.bin",
                  "--out", str(tmp_path / "x")]) == 1
     assert not (tmp_path / "x").exists()
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from slicesched.config import ScenarioConfig, ValidationError
-from slicesched.engine import (Simulation, build_policy,
-                               diagnostics_columns, export_diagnostics_csv,
+from slicesched.engine import (Simulation, build_policy, export_diagnostics_csv,
                                export_trace_csv, run_evaluation, run_training,
                                slot_dtype, step_response_summary,
                                trace_columns, POLICY_NAMES)
@@ -177,16 +176,19 @@ def test_slot_rows_match_trace_csv_rates(tmp_path, tiny_cfg):
 
 
 def test_diagnostics_csv_schemas(tmp_path, tiny_cfg):
-    assert diagnostics_columns("a2c") == ["episode", "return", "actor_loss",
-                                          "critic_loss", "entropy", "dual"]
-    assert diagnostics_columns("dqn") == ["episode", "return", "td_loss",
-                                          "dual"]
-    records, _ = run_training(tiny_cfg, "a2c")
-    path = tmp_path / "diag.csv"
-    export_diagnostics_csv(records, "a2c", path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 1 + tiny_cfg.episodes
-    assert len(lines[1].split(",")) == 6
+    # each policy names its own diagnostics; the engine adds the dual
+    headers = {"a2c": "episode,return,actor_loss,critic_loss,entropy,dual",
+               "dqn": "episode,return,td_loss,dual",
+               "rr": "episode,return,dual"}
+    for name, header in headers.items():
+        records, _ = run_training(tiny_cfg, name)
+        path = tmp_path / f"{name}.csv"
+        export_diagnostics_csv(records, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == header
+        assert len(lines) == 1 + tiny_cfg.episodes
+        assert all(len(line.split(",")) == header.count(",") + 1
+                   for line in lines[1:])
 
 
 def test_step_response_null_experiment():

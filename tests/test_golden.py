@@ -62,7 +62,7 @@ def _digests(cfg, agent, out_dir) -> dict:
     files = {"trace.csv": out_dir / "trace.csv",
              "training.csv": out_dir / "training.csv"}
     export_trace_csv(records, cfg, files["trace.csv"])
-    export_diagnostics_csv(records, agent, files["training.csv"])
+    export_diagnostics_csv(records, files["training.csv"])
     if hasattr(policy, "save"):
         files["checkpoint.bin"] = out_dir / "checkpoint.bin"
         policy.save(files["checkpoint.bin"])

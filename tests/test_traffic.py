@@ -6,7 +6,7 @@ from slicesched.traffic import (DegenerateChainError, DexterityProfile,
                                 MmppChain, effective_intensity,
                                 init_state_stationary, mean_rate,
                                 sample_embb_arrivals, sample_hrllc_arrivals,
-                                sample_state_path, stationary_probs)
+                                stationary_probs)
 
 
 def test_stationary_probs_symmetric():
@@ -140,11 +140,6 @@ def test_init_state_stationary_distribution():
     assert np.mean(np.array(states) == 1) == pytest.approx(0.25, abs=0.02)
 
 
-def test_sample_state_path_absorbing():
-    path = sample_state_path(_chain(alpha=0.0), 1000, np.random.default_rng(0))
-    assert np.all(path == 1)
-
-
 def test_sample_state_path_occupancy():
     # with a slot as long as 1 s the exact-exponential transition
     # probabilities give a discrete chain whose stationary occupancy
@@ -153,7 +148,8 @@ def test_sample_state_path_occupancy():
     p_on = 1.0 - np.exp(-0.1)
     p_off = 1.0 - np.exp(-0.3)
     expected = p_on / (p_on + p_off)
-    path = sample_state_path(c, 200_000, np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    path = np.array([c.step(rng) for _ in range(200_000)])
     assert np.mean(path == 1) == pytest.approx(expected, abs=0.02)
 
 
