@@ -28,7 +28,6 @@ TEMPLATES = ("uniform", "backlog", "channel")
 @dataclass(frozen=True)
 class ActionSpace:
     kh_options: tuple[int, ...]
-    templates: tuple[str, ...] = TEMPLATES
 
     @classmethod
     def from_config(cls, cfg: ScenarioConfig) -> "ActionSpace":
@@ -41,7 +40,7 @@ class ActionSpace:
 
     @property
     def n_templates(self) -> int:
-        return len(self.templates)
+        return len(TEMPLATES)
 
     @property
     def n_joint(self) -> int:
@@ -91,7 +90,7 @@ def decode_action(space: ActionSpace, kh_idx: int, template_idx: int,
                   ctx: SchedulerContext) -> Allocation:
     """Expand a (slice size, template) pair into a full feasible Allocation."""
     k_h = space.kh_options[kh_idx]
-    template = space.templates[template_idx]
+    template = TEMPLATES[template_idx]
     n_e, n_h = ctx.num_embb, ctx.num_hrllc
     work = ctx.backlogs + ctx.arrivals
     counts_h = intra_slice_divide(n_h, k_h, work[n_e:])
@@ -123,14 +122,20 @@ def reward(drift: float, cost: float, v: float, dual: float, y: float) -> float:
     return -(drift + v * cost + dual * max(y, 0.0))
 
 
+def trunk_mlp(cfg: ScenarioConfig, obs_dim: int, out_dim: int,
+              rng: np.random.Generator) -> Mlp:
+    """The learners' net: tanh layers of ``cfg.trunk_hidden`` widths, then a
+    linear output layer of ``out_dim`` columns."""
+    hidden = list(cfg.trunk_hidden)
+    return Mlp([obs_dim] + hidden + [out_dim],
+               ["tanh"] * len(hidden) + ["identity"], rng)
+
+
 def a2c_net(cfg: ScenarioConfig, obs_dim: int, space: ActionSpace,
             rng: np.random.Generator) -> Mlp:
     """Actor-critic net on one trunk.  Output columns: the ``n_kh`` slice-size
     logits, then the template logits, then the state value."""
-    hidden = list(cfg.trunk_hidden)
-    acts = [cfg.trunk_activation] * len(hidden) + ["identity"]
-    out = space.n_kh + space.n_templates + 1
-    return Mlp([obs_dim] + hidden + [out], acts, rng)
+    return trunk_mlp(cfg, obs_dim, space.n_kh + space.n_templates + 1, rng)
 
 
 def a2c_heads(net: Mlp, n_kh: int, obs: np.ndarray
@@ -149,20 +154,18 @@ def _entropy_grad(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return -probs * (logp + entropy), logp, entropy
 
 
-def a2c_grads(net: Mlp, n_kh: int, obs: np.ndarray, actions: tuple[int, int],
-              rew: float, next_obs: Optional[np.ndarray], gamma: float,
-              entropy_coef: float, heads: Optional[tuple] = None
+def a2c_grads(net: Mlp, heads: tuple, actions: tuple[int, int], rew: float,
+              next_obs: Optional[np.ndarray], gamma: float, entropy_coef: float
               ) -> tuple[list, list, dict]:
     """One-transition actor and critic gradients plus diagnostics, both
     backpropagated through the one trace of ``net``.
 
-    The bootstrapped target and the advantage are treated as constants
-    (semi-gradient TD); terminal transitions bootstrap with zero.  ``heads``
-    is ``a2c_heads(net, n_kh, obs)`` when the caller already has it under
-    the current parameters.
+    ``heads`` is ``a2c_heads(net, n_kh, obs)`` for the transition's
+    observation under the current parameters.  The bootstrapped target and
+    the advantage are treated as constants (semi-gradient TD); terminal
+    transitions bootstrap with zero.
     """
-    logits_h, logits_e, value, trace = (heads if heads is not None
-                                         else a2c_heads(net, n_kh, obs))
+    logits_h, logits_e, value, trace = heads
     v_next = 0.0
     if next_obs is not None:
         v_next = float(net.forward(next_obs)[0][0, -1])
@@ -309,10 +312,10 @@ class A2CAgent(Learner):
         return decode_action(self.space, a_h, a_e, ctx)
 
     def _learn(self, next_obs: Optional[np.ndarray]) -> None:
-        obs, actions, rew, heads = self._pending
+        _, actions, rew, heads = self._pending
         grads_a, grads_c, diag = a2c_grads(
-            self.net, self.space.n_kh, obs, actions, rew, next_obs,
-            self.cfg.gamma, self.cfg.entropy_coef, heads)
+            self.net, heads, actions, rew, next_obs, self.cfg.gamma,
+            self.cfg.entropy_coef)
         grads_a = clip_grads(grads_a, self.cfg.grad_clip)
         grads_c = clip_grads(grads_c, self.cfg.grad_clip)
         # both optimizers step the whole net, one after the other
@@ -340,11 +343,8 @@ class DqnAgent(Learner):
 
     def __init__(self, cfg: ScenarioConfig, rng: np.random.Generator):
         super().__init__(cfg, rng)
-        hidden = list(cfg.trunk_hidden)
-        acts = [cfg.trunk_activation] * len(hidden) + ["identity"]
-        sizes = [self.obs_dim] + hidden + [self.space.n_joint]
-        self.net = Mlp(sizes, acts, rng)
-        self.target = Mlp(sizes, acts, rng)
+        self.net = trunk_mlp(cfg, self.obs_dim, self.space.n_joint, rng)
+        self.target = trunk_mlp(cfg, self.obs_dim, self.space.n_joint, rng)
         self._sync_target()
         self.opt = Adam()
         # replay ring: row (head + i) % capacity holds the i-th oldest of the

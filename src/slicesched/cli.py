@@ -83,19 +83,19 @@ def _series(ys, label: str) -> Series:
 
 
 def _write_training_figures(run: RunDir, records: list[EpisodeRecord],
-                            cfg: ScenarioConfig, prefix: str = "") -> None:
+                            cfg: ScenarioConfig) -> None:
     summ = summarize(records, cfg)
-    run.write_text(f"{prefix}return_curve.svg", render_svg(ChartSpec(
+    run.write_text("return_curve.svg", render_svg(ChartSpec(
         kind="line", title="Episodic return",
         series=(_series(summ.returns, "raw"),
                 _series(summ.returns_smoothed, "smoothed")),
         x_label="episode", y_label="return")))
-    run.write_text(f"{prefix}queues.svg", render_svg(ChartSpec(
+    run.write_text("queues.svg", render_svg(ChartSpec(
         kind="line", title="Mean queue backlog per episode",
         series=(_series(summ.mean_queue_embb, "eMBB"),
                 _series(summ.mean_queue_hrllc, "HRLLC")),
         x_label="episode", y_label="packets")))
-    run.write_text(f"{prefix}drift.svg", render_svg(ChartSpec(
+    run.write_text("drift.svg", render_svg(ChartSpec(
         kind="line", title="Mean per-slice drift per episode",
         series=(_series(summ.mean_drift_embb, "eMBB"),
                 _series(summ.mean_drift_hrllc, "HRLLC")),

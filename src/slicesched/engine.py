@@ -5,10 +5,9 @@ Slot order is fixed: (1) step the modulating chains and read DXI, (2) sample
 arrivals, (3) draw the channel, (4-6) build the context and let the policy
 allocate, (7) compute rates and packet service capacities, (8) update queues
 and collect per-packet delays, (9) compute the Lyapunov drift, cost,
-violation surrogate and reward, (10) dual ascent (per the configured
-cadence), (11) the policy learns.  Observations use the previous slot's
-rates, drifts and violation signal; this slot's do not exist before the
-action.
+violation surrogate and reward, (10) dual ascent on this slot's violation,
+(11) the policy learns.  Observations use the previous slot's rates, drifts
+and violation signal; this slot's do not exist before the action.
 
 Episodes reset queues and chains; learned parameters, the dual variable and
 any baseline scheduler state persist across episodes.
@@ -138,7 +137,6 @@ class Simulation:
         slots = np.recarray(cfg.slots_per_episode, dtype=slot_dtype(cfg))
         delays: list[float] = []
         ep_return = 0.0
-        y_sum = 0.0
 
         for i in range(cfg.slots_per_episode):
             t = self.global_slot
@@ -194,9 +192,8 @@ class Simulation:
             rew = compute_reward(lyap.drift, cost, cfg.lyapunov_v,
                                  self.dual.value, violation)
             # (10) dual ascent
-            if self.update_dual and cfg.dual_cadence == "slot":
+            if self.update_dual:
                 self.dual.update(violation)
-            y_sum += violation
             # (11) learning signal
             self.policy.observe_reward(rew)
 
@@ -210,8 +207,6 @@ class Simulation:
             prev_y = y_mean
             self.global_slot += 1
 
-        if self.update_dual and cfg.dual_cadence == "episode":
-            self.dual.update(y_sum / cfg.slots_per_episode)
         self.policy.end_episode()
         for q in queues:
             q.audit_conservation()

@@ -24,12 +24,11 @@ def moving_average(series, window: int) -> np.ndarray:
     if x.size == 0:
         raise ValueError("empty series")
     cum = np.cumsum(x)
-    out = np.empty_like(x)
-    for i in range(x.size):
-        lo = max(i - window + 1, 0)
-        total = cum[i] - (cum[lo - 1] if lo > 0 else 0.0)
-        out[i] = total / (i - lo + 1)
-    return out
+    # cum[i] - cum[i - window] once the window is full, cum[i] - 0.0 before
+    before = np.zeros_like(x)
+    before[window:] = cum[:-window]
+    counts = np.minimum(np.arange(1, x.size + 1), window)
+    return (cum - before) / counts
 
 
 def windowed_slope(series, window: int) -> np.ndarray:

@@ -91,25 +91,22 @@ def sample_embb_arrivals(lam: float, rng: np.random.Generator) -> int:
 
 
 class DexterityProfile:
-    """Per-HRLLC-user DXI schedule over a global slot horizon."""
+    """Per-HRLLC-user DXI schedule over a global slot horizon: each user has
+    one level outside the middle third of the horizon and one inside it."""
 
     def __init__(self, cfg: ScenarioConfig, total_slots: int):
-        self.cfg = cfg
-        self.total_slots = total_slots
         # two-step change points at thirds of the run
         self.step_a = total_slots // 3
         self.step_b = (2 * total_slots) // 3
-
-    def value(self, user: int, slot: int) -> float:
-        cfg = self.cfg
-        if cfg.dexterity_profile == "constant":
-            return cfg.dxi_level
-        if cfg.dexterity_profile == "per_user":
-            return cfg.dxi_values[user]
-        # two_step: low -> high -> low for the stepped user, constant otherwise
-        if user != cfg.dxi_step_user:
-            return cfg.dxi_level
-        return cfg.dxi_high if self.step_a <= slot < self.step_b else cfg.dxi_low
+        outer = (list(cfg.dxi_values) if cfg.dexterity_profile == "per_user"
+                 else [cfg.dxi_level] * cfg.num_hrllc)
+        inner = list(outer)
+        if cfg.dexterity_profile == "two_step":  # stepped user: low, high, low
+            outer[cfg.dxi_step_user] = cfg.dxi_low
+            inner[cfg.dxi_step_user] = cfg.dxi_high
+        self._outer = np.array(outer, dtype=float)
+        self._inner = np.array(inner, dtype=float)
 
     def vector(self, slot: int) -> np.ndarray:
-        return np.array([self.value(u, slot) for u in range(self.cfg.num_hrllc)])
+        """The users' levels at ``slot``; callers must not change it."""
+        return self._inner if self.step_a <= slot < self.step_b else self._outer

@@ -136,8 +136,8 @@ def test_criterion_1_gradient_oracle():
             d = target - value(obs)
             return float(d * d)
 
-        ga, gc, _ = a2c_grads(net, space.n_kh, obs, actions, rew, nxt,
-                              gamma, beta)
+        ga, gc, _ = a2c_grads(net, a2c_heads(net, space.n_kh, obs), actions,
+                              rew, nxt, gamma, beta)
         for loss, analytic in ((actor_loss, ga), (critic_loss, gc)):
             fa = np.concatenate([g.ravel() for g in analytic])
             fd = numeric(net, loss)

@@ -158,8 +158,8 @@ def test_a2c_gradients_match_finite_differences():
         d = target - value(obs)
         return float(d * d)
 
-    grads_a, grads_c, diag = a2c_grads(net, space.n_kh, obs, actions, rew,
-                                       next_obs, gamma, beta)
+    grads_a, grads_c, diag = a2c_grads(net, a2c_heads(net, space.n_kh, obs),
+                                       actions, rew, next_obs, gamma, beta)
     assert diag["delta"] == pytest.approx(delta)
 
     step = 1e-6
@@ -192,8 +192,8 @@ def test_a2c_grads_terminal_delta():
     space = ActionSpace.from_config(cfg)
     net = a2c_net(cfg, 5, space, np.random.default_rng(6))
     net.set_params([np.zeros_like(p) for p in net.params])
-    _, _, diag = a2c_grads(net, space.n_kh, np.zeros(5), (0, 0), 1.0, None,
-                           0.99, 0.0)
+    heads = a2c_heads(net, space.n_kh, np.zeros(5))
+    _, _, diag = a2c_grads(net, heads, (0, 0), 1.0, None, 0.99, 0.0)
     assert diag["delta"] == pytest.approx(1.0)   # V(s)=0, terminal bootstrap 0
 
 

@@ -128,6 +128,20 @@ def test_invalid_config_value_is_config_error(tmp_path):
                  "--set", "gamma=2.0"]) == 2
 
 
+@pytest.mark.parametrize("setting", ["beta_dex=nan", "total_bandwidth_hz=inf",
+                                     "dxi_values=0,nan,1"])
+def test_non_finite_config_value_is_config_error(tmp_path, setting):
+    assert main(["compare", "--policies", "rr", "--out", str(tmp_path / "x"),
+                 *TINY, "--set", setting]) == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_unreadable_config_file_is_config_error(tmp_path):
+    assert main(["train", "--config", str(tmp_path / "missing.txt"),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x").exists()
+
+
 def test_experiment_two_step(tmp_path):
     out = tmp_path / "two-step"
     code = main(["experiment", "--name", "two-step-dex", "--out", str(out),

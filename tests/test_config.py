@@ -77,13 +77,19 @@ def test_parse_tuple_fields():
     {"dexterity_profile": "sinusoid"},
     {"dexterity_profile": "per_user", "dxi_values": (1.0,)},
     {"dexterity_profile": "two_step", "dxi_step_user": 9},
-    {"dual_cadence": "hourly"},
-    {"trunk_activation": "sigmoid"},
+    {"beta_dex": float("nan")},           # a nan passes ordered comparisons
+    {"total_bandwidth_hz": float("inf")},
     {"pf_ewma": 0.0},
     {"slots_per_episode": 0},
     {"episodes": 0},
     {"dqn_eps_end": 0.5, "dqn_eps_start": 0.1},
     {"trunk_hidden": (64, 0)},
+    {"dxi_level": float("nan")},
+    {"lambda_embb": float("nan")},
+    {"lambda_embb": float("inf")},
+    {"mmpp_alpha": float("nan")},
+    {"y_clip": float("nan")},
+    {"dxi_values": (0.0, float("nan"), 1.0)},
 ])
 def test_invariant_violations_rejected(overrides):
     with pytest.raises(ValidationError):

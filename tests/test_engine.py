@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from slicesched.config import ScenarioConfig, ValidationError
-from slicesched.engine import (Simulation, build_policy, export_diagnostics_csv,
+from slicesched.engine import (Simulation, build_policy, concat_slots,
+                               export_diagnostics_csv,
                                export_trace_csv, run_evaluation, run_training,
                                slot_dtype, step_response_summary,
                                trace_columns, POLICY_NAMES)
@@ -121,10 +122,15 @@ def test_evaluation_freezes_dual(tiny_cfg):
 
 
 def test_dual_never_negative_and_updates_on_cadence(tiny_cfg):
-    for cadence in ("slot", "episode"):
-        cfg = tiny_cfg.replace(dual_cadence=cadence)
-        records, _ = run_training(cfg, "rr")
-        assert all(s.dual >= 0.0 for r in records for s in r.slots)
+    # the dual takes one projected ascent step on each slot's violation
+    records, _ = run_training(tiny_cfg, "rr")
+    slots = concat_slots(records)
+    expected, dual = [], 0.0
+    for y in slots.y_mean:
+        dual += tiny_cfg.dual_step * max(y - tiny_cfg.chi_h, 0.0)
+        expected.append(dual)
+    assert np.all(slots.dual >= 0.0)
+    assert np.allclose(slots.dual, expected)
 
 
 def test_trace_csv_round(tmp_path, tiny_cfg):

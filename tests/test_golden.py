@@ -22,7 +22,6 @@ from slicesched.engine import (export_diagnostics_csv, export_trace_csv,
 # short epsilon decay so that greedy decisions happen too
 CASES = {
     "a2c-shared": ("a2c", {}),
-    "a2c-episode-dual": ("a2c", {"dual_cadence": "episode"}),
     "dqn": ("dqn", {"dqn_batch_size": 8, "dqn_target_sync": 10,
                     "dqn_replay_capacity": 40, "dqn_eps_decay_slots": 30,
                     "dqn_eps_end": 0.2}),
@@ -31,11 +30,6 @@ CASES = {
 }
 
 GOLDEN = {
-    "a2c-episode-dual": {
-        "trace.csv": "2b0c3bef71cc9a3a1479782034aacbba1a360ff1eb73f6d44b2729facfb76422",
-        "training.csv": "081b6b4340cf4de6a09f0594bdb0dd4f2d7a236171c1d1d06f9d296c28d4d72e",
-        "checkpoint.bin": "6e276399463700ffb2640676ef78709f190e8ee1e451026c364e24265c5594ca",
-    },
     "a2c-shared": {
         "trace.csv": "595c7eed311008c04625dc3b481625b8902f4343be6ea7ca9623532a5dab8447",
         "training.csv": "bb92aff4a72cacb58b1071c6a605a848d11edac30183afaed4fbddfd5d6e87a9",

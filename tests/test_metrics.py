@@ -28,6 +28,28 @@ def test_moving_average_preserves_bounds():
     assert len(sm) == len(x)
 
 
+def _moving_average_loop(x, window):
+    """Reference: each trailing window's sum from the cumulative sum, one
+    element at a time."""
+    cum = np.cumsum(x)
+    out = np.empty_like(x)
+    for i in range(x.size):
+        lo = max(i - window + 1, 0)
+        total = cum[i] - (cum[lo - 1] if lo > 0 else 0.0)
+        out[i] = total / (i - lo + 1)
+    return out
+
+
+def test_moving_average_matches_loop_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        x = rng.normal(scale=rng.uniform(0.1, 100.0),
+                       size=int(rng.integers(1, 60)))
+        window = int(rng.integers(1, 70))
+        assert np.array_equal(moving_average(x, window),
+                              _moving_average_loop(x, window))
+
+
 def test_moving_average_errors():
     with pytest.raises(ValueError):
         moving_average([], 3)

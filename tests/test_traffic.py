@@ -156,15 +156,16 @@ def test_sample_state_path_occupancy():
 def test_dexterity_profile_constant():
     cfg = ScenarioConfig().replace(dexterity_profile="constant", dxi_level=4.0)
     prof = DexterityProfile(cfg, 900)
-    assert np.all(prof.vector(0) == 4.0)
-    assert np.all(prof.vector(899) == 4.0)
+    for slot in (0, 300, 450, 599, 899):      # outer and middle thirds
+        assert prof.vector(slot).tolist() == [4.0, 4.0, 4.0]
 
 
 def test_dexterity_profile_per_user():
     cfg = ScenarioConfig().replace(dexterity_profile="per_user",
                                    dxi_values=(0.0, 2.0, 7.0))
     prof = DexterityProfile(cfg, 100)
-    assert prof.vector(50).tolist() == [0.0, 2.0, 7.0]
+    for slot in (0, 33, 50, 66, 99):          # outer and middle thirds
+        assert prof.vector(slot).tolist() == [0.0, 2.0, 7.0]
 
 
 def test_dexterity_profile_two_step():
@@ -173,11 +174,12 @@ def test_dexterity_profile_two_step():
                                    dxi_level=3.0)
     prof = DexterityProfile(cfg, 900)
     assert prof.step_a == 300 and prof.step_b == 600
-    assert prof.value(1, 0) == 1.0          # before the first change point
-    assert prof.value(1, 300) == 6.0        # middle third
-    assert prof.value(1, 599) == 6.0
-    assert prof.value(1, 600) == 1.0        # after the second change point
+    assert prof.vector(0)[1] == 1.0         # before the first change point
+    assert prof.vector(299)[1] == 1.0
+    assert prof.vector(300)[1] == 6.0       # middle third
+    assert prof.vector(599)[1] == 6.0
+    assert prof.vector(600)[1] == 1.0       # after the second change point
     # other users stay at the constant level throughout
-    for slot in (0, 450, 899):
-        assert prof.value(0, slot) == 3.0
-        assert prof.value(2, slot) == 3.0
+    for slot in (0, 300, 450, 599, 899):
+        assert prof.vector(slot)[0] == 3.0
+        assert prof.vector(slot)[2] == 3.0
