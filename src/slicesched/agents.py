@@ -46,9 +46,6 @@ class ActionSpace:
     def n_joint(self) -> int:
         return self.n_kh * self.n_templates
 
-    def joint_index(self, kh_idx: int, template_idx: int) -> int:
-        return kh_idx * self.n_templates + template_idx
-
     def split_index(self, joint: int) -> tuple[int, int]:
         return divmod(joint, self.n_templates)
 

@@ -133,6 +133,8 @@ def cmd_compare(args: argparse.Namespace, argv: list[str]) -> int:
             f"policy {learned[0]!r} needs --checkpoint with trained parameters")
     eval_seed = args.eval_seed if args.eval_seed is not None \
         else cfg.master_seed + 1
+    if eval_seed < 0:
+        raise UsageError(f"--eval-seed must be >= 0, got {eval_seed}")
     # build and load every policy first: a bad checkpoint leaves no run dir
     built = {name: build_policy(name, cfg, eval_seed) for name in policies}
     for name in learned:

@@ -9,8 +9,10 @@ violation surrogate and reward, (10) dual ascent on this slot's violation,
 (11) the policy learns.  Observations use the previous slot's rates, drifts
 and violation signal; this slot's do not exist before the action.
 
-Episodes reset queues and chains; learned parameters, the dual variable and
-any baseline scheduler state persist across episodes.
+Episodes reset queues and redraw the chains' states; learned parameters,
+the dual variable and any baseline scheduler state persist across episodes.
+Queues are one backlog vector on the user axis; only HRLLC users, whose
+delays are read, also keep a FIFO of packet stamps.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from .agents import A2CAgent, DqnAgent, reward as compute_reward, step_cost
 from .channel import all_user_rates, draw_channel, rate_matrix
 from .config import ScenarioConfig
 from .constraint import DualVariable, surrogate_y
-from .queueing import LyapunovState, UserQueue, packet_delays, service_capacity
+from .queueing import (LyapunovState, UserQueue, audit_conservation,
+                       packet_delays, service_capacity)
 from .schedulers import (Policy, ProportionalFairPolicy, RoundRobinPolicy,
                          SchedulerContext)
 from .traffic import (DexterityProfile, MmppChain, init_state_stationary,
@@ -86,7 +89,7 @@ def build_policy(name: str, cfg: ScenarioConfig, master_seed: int) -> Policy:
 
 
 class Simulation:
-    """One world: owns the rng streams, queues, dual and the global clock."""
+    """One world: owns the rng streams, chains, dual and the episode count."""
 
     def __init__(self, cfg: ScenarioConfig, policy: Policy,
                  master_seed: Optional[int] = None,
@@ -95,7 +98,6 @@ class Simulation:
         self.cfg = cfg
         self.policy = policy
         seed = cfg.master_seed if master_seed is None else master_seed
-        self.seed = seed
         self.rng_hrllc = [rs.stream(seed, rs.TRAFFIC_HRLLC, u)
                           for u in range(cfg.num_hrllc)]
         self.rng_embb = [rs.stream(seed, rs.TRAFFIC_EMBB, u)
@@ -107,27 +109,21 @@ class Simulation:
         self.dex_profile = DexterityProfile(cfg, horizon)
         self.dual = DualVariable(value=0.0, step=cfg.dual_step)
         self.update_dual = update_dual
-        self.global_slot = 0
+        self.chains = [MmppChain(alpha=cfg.mmpp_alpha, beta=cfg.mmpp_beta,
+                                 lambda_by_state=(cfg.lambda_slow,
+                                                  cfg.lambda_burst),
+                                 slot_duration_s=cfg.slot_duration_s)
+                       for _ in range(cfg.num_hrllc)]
         self._episode = 0
-
-    def _fresh_chains(self) -> list:
-        cfg = self.cfg
-        chains = []
-        for _ in range(cfg.num_hrllc):
-            state = init_state_stationary(cfg.mmpp_alpha, cfg.mmpp_beta,
-                                          self.rng_chain_init)
-            chains.append(MmppChain(alpha=cfg.mmpp_alpha, beta=cfg.mmpp_beta,
-                                    lambda_by_state=(cfg.lambda_slow,
-                                                     cfg.lambda_burst),
-                                    slot_duration_s=cfg.slot_duration_s,
-                                    state=state))
-        return chains
 
     def run_episode(self) -> EpisodeRecord:
         cfg = self.cfg
         n_e, n_h = cfg.num_embb, cfg.num_hrllc
-        chains = self._fresh_chains()
-        queues = [UserQueue() for _ in range(cfg.num_users)]  # eMBB first
+        chains = self.chains
+        for chain in chains:
+            chain.state = init_state_stationary(cfg.mmpp_alpha, cfg.mmpp_beta,
+                                                self.rng_chain_init)
+        fifos = [UserQueue() for _ in range(n_h)]
         lyap = LyapunovState()
         backlogs = np.zeros(cfg.num_users, dtype=int)
         prev_rates = np.zeros(cfg.num_users)
@@ -139,7 +135,7 @@ class Simulation:
         ep_return = 0.0
 
         for i in range(cfg.slots_per_episode):
-            t = self.global_slot
+            t = episode * cfg.slots_per_episode + i
             # (1) task state and modulating chains
             for u, chain in enumerate(chains):
                 chain.step(self.rng_hrllc[u])
@@ -150,8 +146,7 @@ class Simulation:
                      for u in range(n_h)]
             arr_e = [sample_embb_arrivals(cfg.lambda_embb, self.rng_embb[u])
                      for u in range(n_e)]
-            arr = arr_e + arr_h                  # eMBB users first
-            arrivals = np.array(arr)
+            arrivals = np.array(arr_e + arr_h)   # eMBB users first
             # (3) channel
             gain_sq = draw_channel(cfg, self.rng_channel)
             # (4-6) context, decision
@@ -168,22 +163,21 @@ class Simulation:
             served = service_capacity(rates, cfg.slot_duration_s,
                                       cfg.packet_size_bits)
             # (8) queue updates and per-packet HRLLC delays
+            work = backlogs + arrivals
+            departures = np.minimum(work, served)
+            backlogs = work - departures
             served_l = served.tolist()
-            departures = np.empty(cfg.num_users, dtype=int)
-            for u, q in enumerate(queues):
-                stamps = q.update(arr[u], served_l[u], t)
-                departures[u] = len(stamps)
-                if u >= n_e:
-                    delays.extend(packet_delays(stamps, t, cfg.slot_duration_s,
-                                                cfg.d_proc_s))
-            backlogs = np.array([q.backlog for q in queues])
+            for u, q in enumerate(fifos):
+                stamps = q.update(arr_h[u], served_l[n_e + u], t)
+                delays.extend(packet_delays(stamps, t, cfg.slot_duration_s,
+                                            cfg.d_proc_s))
             # (9) drift, cost, violation signal, reward
             lyap.advance(backlogs, n_e)
             cost = step_cost(rates[n_e:], rates[:n_e], cfg.eps_cost)
-            y_users = [surrogate_y(arr[u], served_l[u], cfg.packet_size_bits,
-                                   cfg.d_max_s, cfg.d_proc_s, cfg.chi_h,
+            y_users = [surrogate_y(a, s, cfg.packet_size_bits, cfg.d_max_s,
+                                   cfg.d_proc_s, cfg.chi_h,
                                    cfg.surrogate_exp_cap)
-                       for u in range(n_e, cfg.num_users)]
+                       for a, s in zip(arr_h, served_l[n_e:])]
             y_mean = float(np.mean(y_users))
             # The surrogate equals chi_h at arrival/service balance, so the
             # penalty and the dual ascend on the excess over that neutral
@@ -205,11 +199,9 @@ class Simulation:
             prev_rates = rates
             prev_drift_e, prev_drift_h = lyap.drift_embb, lyap.drift_hrllc
             prev_y = y_mean
-            self.global_slot += 1
 
         self.policy.end_episode()
-        for q in queues:
-            q.audit_conservation()
+        audit_conservation(slots, fifos)
         self._episode += 1
         return EpisodeRecord(episode=episode, slots=slots,
                              episodic_return=ep_return,

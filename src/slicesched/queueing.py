@@ -1,10 +1,10 @@
-"""Per-user packet queues with FIFO timestamps, plus the quadratic Lyapunov
-energy of the backlog state and its one-step drift.
+"""Whole-packet service, HRLLC packet FIFOs with the episode conservation
+audit, and the quadratic Lyapunov energy of the backlog state and its drift.
 
 Arrivals of slot t are eligible for service in slot t (arrival and service
-terms share the slot index in the queue recursion).  Delays are measured per
-packet from FIFO enqueue/dequeue stamps: only per-packet delays make the
-threshold-violation probability well-defined.
+terms share the slot index in the queue recursion).  HRLLC delays are
+measured per packet from FIFO stamps, which makes the threshold-violation
+probability well-defined; nothing reads eMBB delays, so eMBB has no FIFO.
 """
 
 from __future__ import annotations
@@ -27,13 +27,9 @@ def service_capacity(rates_bits_per_s, slot_s: float, packet_bits: int) -> np.nd
 
 @dataclass
 class UserQueue:
-    fifo: deque = field(default_factory=deque)   # enqueue slot index per packet
-    total_arrivals: int = 0
-    total_departures: int = 0
+    """One HRLLC user's packets, oldest first."""
 
-    @property
-    def backlog(self) -> int:
-        return len(self.fifo)
+    fifo: deque = field(default_factory=deque)   # enqueue slot index per packet
 
     def update(self, arrivals: int, served: int, slot: int) -> list[int]:
         """Apply one slot: append arrivals, serve head-first, return the
@@ -41,17 +37,26 @@ class UserQueue:
         if arrivals < 0 or served < 0:
             raise ValueError("arrivals and served must be >= 0")
         self.fifo.extend([slot] * arrivals)
-        self.total_arrivals += arrivals
         departures = min(len(self.fifo), served)
-        stamps = [self.fifo.popleft() for _ in range(departures)]
-        self.total_departures += departures
-        return stamps
+        return [self.fifo.popleft() for _ in range(departures)]
 
-    def audit_conservation(self) -> None:
-        if self.total_arrivals != self.total_departures + self.backlog:
-            raise AssertionError(
-                f"queue conservation violated: {self.total_arrivals} arrivals vs "
-                f"{self.total_departures} departures + {self.backlog} backlog")
+
+def audit_conservation(slots: np.recarray, fifos: list[UserQueue]) -> None:
+    """Check an episode's slot table (queues start empty): per user, arrivals
+    equal departures plus the final backlog, and each FIFO (the HRLLC users,
+    last on the user axis) holds its user's final backlog."""
+    final = slots.backlogs[-1]
+    arrived = slots.arrivals.sum(axis=0)
+    accounted = slots.departures.sum(axis=0) + final
+    if not np.array_equal(arrived, accounted):
+        raise AssertionError(
+            f"queue conservation violated: arrivals {arrived.tolist()} vs "
+            f"departures + backlog {accounted.tolist()}")
+    lengths = [len(q.fifo) for q in fifos]
+    if lengths != final[len(final) - len(fifos):].tolist():
+        raise AssertionError(
+            f"HRLLC FIFO lengths {lengths} differ from backlogs "
+            f"{final.tolist()}")
 
 
 def packet_delays(stamps: list[int], slot: int, slot_s: float, d_proc_s: float) -> list[float]:

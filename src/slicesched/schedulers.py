@@ -84,11 +84,9 @@ def proportional_fair(ctx: SchedulerContext, ewma: np.ndarray) -> Allocation:
     """
     if ewma is None or np.any(ewma <= 0):
         raise ValueError("EWMA throughputs must be initialized > 0")
-    num_users, num_prbs = ctx.num_users, ctx.num_prbs
+    num_users = ctx.num_users
     metric = ctx.rate_matrix / ewma[:, None]
-    assignment = np.empty(num_prbs, dtype=int)
-    for j in range(num_prbs):
-        assignment[j] = int(np.argmax(metric[:, j]))  # argmax takes lowest index on ties
+    assignment = np.argmax(metric, axis=0)   # ties go to the lowest index
     counts = np.bincount(assignment, minlength=num_users)
     for user in range(num_users):
         while counts[user] == 0:

@@ -20,9 +20,9 @@ def test_action_space_defaults():
 
 def test_action_space_index_round_trip():
     space = ActionSpace.from_config(ScenarioConfig())
-    for joint in range(space.n_joint):
-        kh, t = space.split_index(joint)
-        assert space.joint_index(kh, t) == joint
+    # joint indices run over templates fastest, then PRB splits
+    assert [space.split_index(joint) for joint in range(space.n_joint)] == [
+        (kh, t) for kh in range(space.n_kh) for t in range(space.n_templates)]
 
 
 def test_obs_length_formula():

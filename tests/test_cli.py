@@ -109,6 +109,13 @@ def test_unknown_policy_is_usage_error(tmp_path, policies):
     assert not (tmp_path / "x").exists()
 
 
+def test_negative_eval_seed_is_usage_error(tmp_path):
+    # rejected before the run directory is made
+    assert main(["compare", "--policies", "rr", "--eval-seed", "-1",
+                 "--out", str(tmp_path / "x"), *TINY]) == 1
+    assert not (tmp_path / "x").exists()
+
+
 def test_missing_out_is_usage_error():
     assert main(["train"]) == 1
 

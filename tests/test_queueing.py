@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from slicesched.queueing import (LyapunovState, UserQueue, packet_delays,
-                                 service_capacity)
+from slicesched.queueing import (LyapunovState, UserQueue, audit_conservation,
+                                 packet_delays, service_capacity)
 
 
 def test_service_capacity_reference_points():
@@ -47,7 +47,7 @@ def test_queue_truncation_case():
     q = UserQueue()
     q.update(5, 0, 0)                      # preload backlog 5
     stamps = q.update(3, 10, 1)
-    assert q.backlog == 0
+    assert len(q.fifo) == 0
     assert len(stamps) == 8                # all 5 old + 3 new departed
 
 
@@ -55,7 +55,7 @@ def test_queue_partial_service():
     q = UserQueue()
     q.update(5, 0, 0)
     stamps = q.update(3, 2, 1)
-    assert q.backlog == 6
+    assert len(q.fifo) == 6
     assert len(stamps) == 2
     assert stamps == [0, 0]                # FIFO: oldest first
 
@@ -63,7 +63,7 @@ def test_queue_partial_service():
 def test_queue_empty_noop():
     q = UserQueue()
     assert q.update(0, 7, 0) == []
-    assert q.backlog == 0
+    assert len(q.fifo) == 0
 
 
 def test_queue_rejects_negative():
@@ -74,22 +74,43 @@ def test_queue_rejects_negative():
         q.update(0, -1, 0)
 
 
-def test_queue_fifo_stamps_nondecreasing():
-    q = UserQueue()
+def _episode_table(slots=50):
+    """A slot table for one eMBB and one HRLLC user, with the HRLLC FIFO:
+    the backlog recursion on the user axis, the FIFO beside it."""
     rng = np.random.default_rng(0)
-    for t in range(200):
-        q.update(int(rng.integers(0, 5)), int(rng.integers(0, 4)), t)
-        assert list(q.fifo) == sorted(q.fifo)
-        assert q.backlog == len(q.fifo)
-    q.audit_conservation()
+    table = np.recarray(slots, dtype=[("arrivals", np.int64, (2,)),
+                                      ("departures", np.int64, (2,)),
+                                      ("backlogs", np.int64, (2,))])
+    fifo, backlogs = UserQueue(), np.zeros(2, dtype=np.int64)
+    for t in range(slots):
+        arrivals, served = rng.integers(0, 5, 2), rng.integers(0, 4, 2)
+        work = backlogs + arrivals
+        departures = np.minimum(work, served)
+        backlogs = work - departures
+        stamps = fifo.update(int(arrivals[1]), int(served[1]), t)
+        assert list(fifo.fifo) == sorted(fifo.fifo)
+        assert len(stamps) == departures[1] and len(fifo.fifo) == backlogs[1]
+        table[t] = (arrivals, departures, backlogs)
+    return table, fifo
 
 
-def test_queue_conservation_audit_detects_tampering():
-    q = UserQueue()
-    q.update(3, 1, 0)
-    q.total_departures += 1
+def test_queue_fifo_stamps_nondecreasing():
+    table, fifo = _episode_table()
+    audit_conservation(table, [fifo])
+
+
+def test_queue_conservation_audit_detects_tampered_departures():
+    table, fifo = _episode_table()
+    table.departures[7, 0] += 1
     with pytest.raises(AssertionError):
-        q.audit_conservation()
+        audit_conservation(table, [fifo])
+
+
+def test_queue_conservation_audit_detects_tampered_fifo():
+    table, fifo = _episode_table()
+    fifo.fifo.append(49)
+    with pytest.raises(AssertionError):
+        audit_conservation(table, [fifo])
 
 
 def test_packet_delays_reference():

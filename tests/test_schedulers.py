@@ -93,6 +93,47 @@ def test_proportional_fair_feasibility_property():
         proportional_fair(ctx, ewma).validate(6, 4)
 
 
+def _pf_oracle(ctx, ewma):
+    """The per-PRB argmax loop that ``proportional_fair`` replaced, with the
+    same feasibility repair."""
+    metric = ctx.rate_matrix / ewma[:, None]
+    assignment = np.empty(ctx.num_prbs, dtype=int)
+    for j in range(ctx.num_prbs):
+        assignment[j] = int(np.argmax(metric[:, j]))
+    counts = np.bincount(assignment, minlength=ctx.num_users)
+    for user in range(ctx.num_users):
+        while counts[user] == 0:
+            donor = int(np.argmax(counts))
+            donor_prbs = np.flatnonzero(assignment == donor)
+            worst = donor_prbs[int(np.argmin(ctx.rate_matrix[donor, donor_prbs]))]
+            assignment[worst] = user
+            counts[donor] -= 1
+            counts[user] += 1
+    return assignment
+
+
+@pytest.mark.parametrize("case", ["random", "duplicate_rows", "equal_ewma"])
+def test_proportional_fair_matches_oracle(case):
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        n_e, n_h = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        users = n_e + n_h
+        prbs = users + int(rng.integers(0, 25))
+        gains = rng.exponential(1.0, size=(users, prbs))
+        ewma = rng.uniform(0.5, 2.0, users)
+        if case == "duplicate_rows":      # exact ties between two users
+            src, dst = rng.integers(0, users, 2)
+            gains[dst] = gains[src]
+            ewma[dst] = ewma[src]
+        elif case == "equal_ewma":        # many gain ties, zeros included
+            gains = rng.integers(0, 3, size=(users, prbs)).astype(float)
+            ewma = np.full(users, 1.5)
+        ctx = make_context(rng, n_e, n_h, prbs, gain_sq=gains)
+        got = proportional_fair(ctx, ewma).assignment
+        want = _pf_oracle(ctx, ewma)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_intra_slice_divide_largest_remainder():
     assert intra_slice_divide(2, 3, np.array([10.0, 0.0])).tolist() == [2, 1]
     assert intra_slice_divide(3, 6, np.ones(3)).tolist() == [2, 2, 2]
