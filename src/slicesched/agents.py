@@ -59,13 +59,13 @@ def obs_length(cfg: ScenarioConfig) -> int:
 def encode_observation(ctx: SchedulerContext, cfg: ScenarioConfig) -> np.ndarray:
     """Normalized feature vector, eMBB block then HRLLC block.
 
-    Queue features include the current slot's arrivals (they are eligible
-    for same-slot service, so they are part of the workload the action must
-    cover).  Rates, drifts and the violation signal come from the previous
-    slot: this slot's do not exist until after the action.
+    Queue features are the slot's work, arrivals included (they are
+    eligible for same-slot service, so they are part of the workload the
+    action must cover).  Rates, drifts and the violation signal come from
+    the previous slot: this slot's do not exist until after the action.
     """
     n_e = cfg.num_embb
-    queue = (ctx.backlogs + ctx.arrivals) / cfg.q_ref
+    queue = ctx.work / cfg.q_ref
     mean_gain = ctx.gain_sq.mean(axis=1)
     r_ref = cfg.r_ref_mbps * 1e6
     feats = np.concatenate([
@@ -88,18 +88,15 @@ def decode_action(space: ActionSpace, kh_idx: int, template_idx: int,
     """Expand a (slice size, template) pair into a full feasible Allocation."""
     k_h = space.kh_options[kh_idx]
     template = TEMPLATES[template_idx]
-    n_e, n_h = ctx.num_embb, ctx.num_hrllc
-    work = ctx.backlogs + ctx.arrivals
-    counts_h = intra_slice_divide(n_h, k_h, work[n_e:])
+    n_e, work = ctx.num_embb, ctx.work
+    counts_h = intra_slice_divide(k_h, work[n_e:])
     if template == "uniform":
         weights_e = np.zeros(n_e)
     elif template == "backlog":
         weights_e = work[:n_e].astype(float)
-    elif template == "channel":
+    else:                                    # "channel"
         weights_e = ctx.gain_sq[:n_e].mean(axis=1)
-    else:
-        raise ValueError(f"unknown template {template!r}")
-    counts_e = intra_slice_divide(n_e, ctx.num_prbs - k_h, weights_e)
+    counts_e = intra_slice_divide(ctx.num_prbs - k_h, weights_e)
     counts = np.concatenate([counts_e, counts_h])
     assignment = materialize_assignment(counts, ctx.gain_sq)
     return Allocation(counts=counts, assignment=assignment)
@@ -123,9 +120,7 @@ def trunk_mlp(cfg: ScenarioConfig, obs_dim: int, out_dim: int,
               rng: np.random.Generator) -> Mlp:
     """The learners' net: tanh layers of ``cfg.trunk_hidden`` widths, then a
     linear output layer of ``out_dim`` columns."""
-    hidden = list(cfg.trunk_hidden)
-    return Mlp([obs_dim] + hidden + [out_dim],
-               ["tanh"] * len(hidden) + ["identity"], rng)
+    return Mlp([obs_dim, *cfg.trunk_hidden, out_dim], rng)
 
 
 def a2c_net(cfg: ScenarioConfig, obs_dim: int, space: ActionSpace,

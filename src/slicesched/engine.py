@@ -6,8 +6,14 @@ arrivals, (3) draw the channel, (4-6) build the context and let the policy
 allocate, (7) compute rates and packet service capacities, (8) update queues
 and collect per-packet delays, (9) compute the Lyapunov drift, cost,
 violation surrogate and reward, (10) dual ascent on this slot's violation,
-(11) the policy learns.  Observations use the previous slot's rates, drifts
-and violation signal; this slot's do not exist before the action.
+(11) hand the reward to the policy.  Observations use the previous slot's
+rates, drifts and violation signal; this slot's do not exist before the
+action.
+
+A learner's update for slot t needs slot t+1's observation, so it runs
+inside slot t+1's ``allocate``, once that observation is encoded; the last
+slot's update runs in ``end_episode``.  The time of a learner's decision
+therefore includes one update.
 
 Episodes reset queues and redraw the chains' states; learned parameters,
 the dual variable and any baseline scheduler state persist across episodes.
@@ -23,7 +29,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import rngstreams as rs
 from .agents import A2CAgent, DqnAgent, reward as compute_reward, step_cost
 from .channel import all_user_rates, draw_channel, rate_matrix
 from .config import ScenarioConfig
@@ -34,6 +39,26 @@ from .schedulers import (Policy, ProportionalFairPolicy, RoundRobinPolicy,
                          SchedulerContext)
 from .traffic import (DexterityProfile, MmppChain, init_state_stationary,
                       sample_embb_arrivals, sample_hrllc_arrivals)
+
+# purpose tags of the random streams (stable; changing one invalidates
+# recorded golden traces)
+TRAFFIC_HRLLC = 0
+TRAFFIC_EMBB = 1
+CHANNEL = 2
+POLICY = 3
+CHAIN_INIT = 4
+
+
+def stream(master_seed: int, *key: int) -> np.random.Generator:
+    """Independent generator for (master_seed, key).
+
+    A stream is identified by a purpose tag plus optional sub-indices (user
+    id, ...).  Streams with distinct keys are statistically independent, and
+    the traffic and channel tags are separate from the policy tag, so
+    different policies can replay identical world randomness.
+    """
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=tuple(key)))
+
 
 _LEARNERS = {agent.name: agent for agent in (A2CAgent, DqnAgent)}
 AGENT_NAMES = tuple(_LEARNERS)            # the learned policies: a2c, dqn
@@ -80,7 +105,7 @@ def concat_slots(records: list[EpisodeRecord]) -> np.recarray:
 
 def build_policy(name: str, cfg: ScenarioConfig, master_seed: int) -> Policy:
     if name in _LEARNERS:
-        return _LEARNERS[name](cfg, rs.stream(master_seed, rs.POLICY))
+        return _LEARNERS[name](cfg, stream(master_seed, POLICY))
     if name == "rr":
         return RoundRobinPolicy()
     if name == "pf":
@@ -98,12 +123,12 @@ class Simulation:
         self.cfg = cfg
         self.policy = policy
         seed = cfg.master_seed if master_seed is None else master_seed
-        self.rng_hrllc = [rs.stream(seed, rs.TRAFFIC_HRLLC, u)
+        self.rng_hrllc = [stream(seed, TRAFFIC_HRLLC, u)
                           for u in range(cfg.num_hrllc)]
-        self.rng_embb = [rs.stream(seed, rs.TRAFFIC_EMBB, u)
+        self.rng_embb = [stream(seed, TRAFFIC_EMBB, u)
                          for u in range(cfg.num_embb)]
-        self.rng_channel = rs.stream(seed, rs.CHANNEL)
-        self.rng_chain_init = rs.stream(seed, rs.CHAIN_INIT)
+        self.rng_channel = stream(seed, CHANNEL)
+        self.rng_chain_init = stream(seed, CHAIN_INIT)
         horizon = total_slots if total_slots is not None else \
             cfg.episodes * cfg.slots_per_episode
         self.dex_profile = DexterityProfile(cfg, horizon)
@@ -150,10 +175,11 @@ class Simulation:
             # (3) channel
             gain_sq = draw_channel(cfg, self.rng_channel)
             # (4-6) context, decision
+            work = backlogs + arrivals
             ctx = SchedulerContext(
-                num_embb=n_e, backlogs=backlogs, arrivals=arrivals,
-                gain_sq=gain_sq, rate_matrix=rate_matrix(cfg, gain_sq),
-                dxi=dxi, prev_rates=prev_rates,
+                num_embb=n_e, work=work, gain_sq=gain_sq,
+                rate_matrix=rate_matrix(cfg, gain_sq), dxi=dxi,
+                prev_rates=prev_rates,
                 prev_drift_embb=prev_drift_e, prev_drift_hrllc=prev_drift_h,
                 prev_y=prev_y)
             alloc = self.policy.allocate(ctx)
@@ -163,7 +189,6 @@ class Simulation:
             served = service_capacity(rates, cfg.slot_duration_s,
                                       cfg.packet_size_bits)
             # (8) queue updates and per-packet HRLLC delays
-            work = backlogs + arrivals
             departures = np.minimum(work, served)
             backlogs = work - departures
             served_l = served.tolist()
@@ -188,7 +213,7 @@ class Simulation:
             # (10) dual ascent
             if self.update_dual:
                 self.dual.update(violation)
-            # (11) learning signal
+            # (11) the reward for the policy's next update
             self.policy.observe_reward(rew)
 
             ep_return += rew
@@ -219,29 +244,30 @@ def run_training(cfg: ScenarioConfig, agent_kind: str
     return records, policy
 
 
-def run_evaluation(cfg: ScenarioConfig, policy: Policy, eval_seed: int,
-                   episodes: Optional[int] = None) -> list[EpisodeRecord]:
-    """Frozen-policy rollout on a fresh world seeded by eval_seed.
+def run_evaluation(cfg: ScenarioConfig, policy: Policy, eval_seed: int
+                   ) -> list[EpisodeRecord]:
+    """Frozen-policy rollout of cfg.eval_episodes episodes on a fresh world
+    seeded by eval_seed.
 
     Traffic and channel streams depend only on (eval_seed, user), so
     different policies evaluated with the same eval_seed face identical
     randomness.
     """
-    n_episodes = episodes if episodes is not None else cfg.eval_episodes
     policy.set_training(False)
     sim = Simulation(cfg, policy, master_seed=eval_seed,
-                     total_slots=n_episodes * cfg.slots_per_episode,
+                     total_slots=cfg.eval_episodes * cfg.slots_per_episode,
                      update_dual=False)
-    return [sim.run_episode() for _ in range(n_episodes)]
+    return [sim.run_episode() for _ in range(cfg.eval_episodes)]
 
 
 def step_response_summary(records: list[EpisodeRecord], cfg: ScenarioConfig
                           ) -> dict:
     """Pre/post statistics around the two dexterity change points for the
-    stepped user: mean arrivals, PRBs and achieved rate per window."""
+    stepped user: mean arrivals, PRBs and achieved rate per window.  The
+    change points are those of a profile over the records' own slots."""
     slots = concat_slots(records)
     total = len(slots)
-    profile = DexterityProfile(cfg, cfg.episodes * cfg.slots_per_episode)
+    profile = DexterityProfile(cfg, total)
     user = cfg.dxi_step_user
     col = cfg.num_embb + user
     w = max(total // 10, 1)

@@ -25,35 +25,15 @@ import numpy as np
 _MAGIC = b"MLP1"
 
 
-def _act(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "identity":
-        return z
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _act_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    if name == "tanh":
-        return 1.0 - a * a
-    if name == "relu":
-        return (z > 0).astype(z.dtype)
-    if name == "identity":
-        return np.ones_like(z)
-    raise ValueError(f"unknown activation {name!r}")
-
-
 @dataclass
 class ForwardTrace:
     x: np.ndarray                 # (N, d_in)
-    pre: list                     # per-layer pre-activations
-    post: list                    # per-layer activations
+    post: list                    # per-layer outputs, the net's output last
 
 
 class Mlp:
-    """Fully-connected net; weights W[l] has shape (d_l, d_{l+1}).
+    """Fully-connected net: tanh hidden layers, then a linear output layer.
+    Weights W[l] have shape (d_l, d_{l+1}).
 
     All parameters live in one contiguous float64 buffer ``flat`` laid out
     in ``params`` order (W0, b0, W1, b1, ...); ``weights[l]`` and
@@ -61,17 +41,12 @@ class Mlp:
     net in place through ``flat``.
     """
 
-    def __init__(self, sizes: list[int], activations: list[str],
-                 rng: np.random.Generator | None = None):
-        if len(activations) != len(sizes) - 1:
-            raise ValueError("need one activation per layer")
+    def __init__(self, sizes: list[int], rng: np.random.Generator):
         self.sizes = list(sizes)
-        self.activations = list(activations)
         pairs = list(zip(sizes[:-1], sizes[1:]))
         self.flat = np.zeros(sum(d_in * d_out + d_out for d_in, d_out in pairs))
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
-        rng = rng or np.random.default_rng(0)
         off = 0
         for d_in, d_out in pairs:
             w = self.flat[off:off + d_in * d_out].reshape(d_in, d_out)
@@ -102,14 +77,14 @@ class Mlp:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.sizes[0]:
             raise ValueError(f"input width {x.shape[1]} != {self.sizes[0]}")
-        pre, post = [], []
+        post = []
         h = x
-        for w, b, act in zip(self.weights, self.biases, self.activations):
-            z = h @ w + b
-            h = _act(act, z)
-            pre.append(z)
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            h = np.tanh(h @ w + b)
             post.append(h)
-        return h, ForwardTrace(x=x, pre=pre, post=post)
+        h = h @ self.weights[-1] + self.biases[-1]
+        post.append(h)
+        return h, ForwardTrace(x=x, post=post)
 
     def backward(self, trace: ForwardTrace, dout: np.ndarray) -> list[np.ndarray]:
         """Exact gradients (summed over the batch) for the scalar loss whose
@@ -118,15 +93,13 @@ class Mlp:
         if dout.shape != trace.post[-1].shape:
             raise ValueError("output gradient shape mismatch")
         grads: list[np.ndarray] = [None] * (2 * len(self.weights))
-        delta = dout
+        delta = dout                  # the output layer is linear
         for layer in reversed(range(len(self.weights))):
-            z, a = trace.pre[layer], trace.post[layer]
-            delta = delta * _act_grad(self.activations[layer], z, a)
             inp = trace.x if layer == 0 else trace.post[layer - 1]
             grads[2 * layer] = inp.T @ delta
             grads[2 * layer + 1] = delta.sum(axis=0)
-            if layer > 0:
-                delta = delta @ self.weights[layer].T
+            if layer > 0:             # back through the tanh that made inp
+                delta = (delta @ self.weights[layer].T) * (1.0 - inp * inp)
         return grads
 
 

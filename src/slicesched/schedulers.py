@@ -39,8 +39,7 @@ class SchedulerContext:
     """Uniform input surface: every policy sees identical information."""
 
     num_embb: int                  # users 0..num_embb-1 are eMBB, then HRLLC
-    backlogs: np.ndarray           # (U,) packets at slot start
-    arrivals: np.ndarray           # (U,) this slot's arrivals
+    work: np.ndarray               # (U,) backlog at slot start + arrivals
     gain_sq: np.ndarray            # (U, K)
     rate_matrix: np.ndarray        # (U, K) achievable bits/s per PRB
     dxi: np.ndarray                # (n_h,)
@@ -48,10 +47,6 @@ class SchedulerContext:
     prev_drift_embb: float
     prev_drift_hrllc: float
     prev_y: float
-
-    @property
-    def num_hrllc(self) -> int:
-        return self.num_users - self.num_embb
 
     @property
     def num_users(self) -> int:
@@ -99,17 +94,18 @@ def proportional_fair(ctx: SchedulerContext, ewma: np.ndarray) -> Allocation:
     return Allocation(counts=counts, assignment=assignment)
 
 
-def intra_slice_divide(num_users: int, slice_prbs: int, weights: np.ndarray) -> np.ndarray:
+def intra_slice_divide(slice_prbs: int, weights: np.ndarray) -> np.ndarray:
     """One PRB each, then largest-remainder apportionment of the rest by weight.
 
-    All-zero weights degrade to a uniform split with remainders going to the
-    lowest indices.
+    ``weights`` holds one entry per user of the slice.  All-zero weights
+    degrade to a uniform split with remainders going to the lowest indices.
     """
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 1 or np.any(weights < 0):
+        raise ValueError("weights must be non-negative, one per user")
+    num_users = len(weights)
     if slice_prbs < num_users:
         raise ValueError(f"slice needs >= {num_users} PRBs, got {slice_prbs}")
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (num_users,) or np.any(weights < 0):
-        raise ValueError("weights must be non-negative, one per user")
     counts = np.ones(num_users, dtype=int)
     extra = slice_prbs - num_users
     if extra == 0:

@@ -17,8 +17,7 @@ def make_context(rng: np.random.Generator, num_embb: int = 4,
     rates = 4e5 * np.log2(1.0 + 10.0 * gain_sq)
     return SchedulerContext(
         num_embb=num_embb,
-        backlogs=rng.integers(0, 20, num_users),
-        arrivals=rng.integers(0, 5, num_users),
+        work=rng.integers(0, 20, num_users) + rng.integers(0, 5, num_users),
         gain_sq=gain_sq,
         rate_matrix=rates,
         dxi=rng.uniform(0.0, 10.0, num_hrllc),

@@ -37,8 +37,7 @@ def test_obs_length_formula():
 def _empty_context(cfg):
     ctx = make_context(np.random.default_rng(0), cfg.num_embb, cfg.num_hrllc,
                        cfg.num_prbs)
-    ctx.backlogs = np.zeros(cfg.num_users, dtype=int)
-    ctx.arrivals = np.zeros(cfg.num_users, dtype=int)
+    ctx.work = np.zeros(cfg.num_users, dtype=int)
     ctx.gain_sq = np.zeros((cfg.num_users, cfg.num_prbs))
     ctx.prev_rates = np.zeros(cfg.num_users)
     ctx.prev_drift_embb = ctx.prev_drift_hrllc = ctx.prev_y = 0.0
@@ -57,9 +56,9 @@ def test_encode_empty_system_is_zero_except_dxi():
 def test_encode_queue_features_scale_linearly():
     cfg = ScenarioConfig()
     ctx = _empty_context(cfg)
-    ctx.backlogs = np.array([10, 0, 0, 0, 0, 0, 0])
+    ctx.work = np.array([10, 0, 0, 0, 0, 0, 0])
     one = encode_observation(ctx, cfg)
-    ctx.backlogs = np.array([20, 0, 0, 0, 0, 0, 0])
+    ctx.work = np.array([20, 0, 0, 0, 0, 0, 0])
     two = encode_observation(ctx, cfg)
     assert two[0] == pytest.approx(2 * one[0])
 
@@ -67,7 +66,7 @@ def test_encode_queue_features_scale_linearly():
 def test_encode_clips_extremes():
     cfg = ScenarioConfig()
     ctx = _empty_context(ctx_cfg := cfg)
-    ctx.backlogs = np.array([10**9, 0, 0, 0, 0, 0, 0])
+    ctx.work = np.array([10**9, 0, 0, 0, 0, 0, 0])
     ctx.prev_drift_hrllc = -1e12
     obs = encode_observation(ctx, ctx_cfg)
     assert obs.max() <= cfg.obs_clip and obs.min() >= -cfg.obs_clip

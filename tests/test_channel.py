@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from slicesched import rngstreams as rs
 from slicesched.channel import all_user_rates, draw_channel, rate_matrix
 from slicesched.config import ScenarioConfig, derive_prb_bandwidth
+from slicesched.engine import CHANNEL, stream
 from slicesched.schedulers import Allocation
 
 CFG = ScenarioConfig()      # mean SNR 10, 25 PRBs of 400 kHz
@@ -44,8 +44,8 @@ def test_draw_unit_mean_exponential(default_cfg):
 
 
 def test_draw_deterministic_per_seed(default_cfg):
-    a = draw_channel(default_cfg, rs.stream(9, rs.CHANNEL))
-    b = draw_channel(default_cfg, rs.stream(9, rs.CHANNEL))
+    a = draw_channel(default_cfg, stream(9, CHANNEL))
+    b = draw_channel(default_cfg, stream(9, CHANNEL))
     assert np.array_equal(a, b)
 
 

@@ -107,8 +107,8 @@ def test_world_randomness_identical_across_policies(tiny_cfg):
     recs = {}
     for name in ("rr", "pf"):
         policy = build_policy(name, tiny_cfg, 999)
-        recs[name] = run_evaluation(tiny_cfg, policy, eval_seed=999,
-                                    episodes=2)
+        recs[name] = run_evaluation(tiny_cfg.replace(eval_episodes=2),
+                                    policy, eval_seed=999)
     for ra, rb in zip(recs["rr"], recs["pf"]):
         for sa, sb in zip(ra.slots, rb.slots):
             assert np.array_equal(sa.arrivals, sb.arrivals)
@@ -117,7 +117,8 @@ def test_world_randomness_identical_across_policies(tiny_cfg):
 
 def test_evaluation_freezes_dual(tiny_cfg):
     policy = build_policy("rr", tiny_cfg, 5)
-    recs = run_evaluation(tiny_cfg, policy, eval_seed=5, episodes=2)
+    recs = run_evaluation(tiny_cfg.replace(eval_episodes=2), policy,
+                          eval_seed=5)
     assert all(s.dual == 0.0 for r in recs for s in r.slots)
 
 
@@ -209,6 +210,24 @@ def test_step_response_null_experiment():
     assert abs(da) < 1.5
     assert summary["before_step_a"]["mean_dxi"] == \
         summary["after_step_a"]["mean_dxi"]
+
+
+def test_step_response_on_evaluation_records():
+    # The change points are those of the records' own horizon: 3 evaluation
+    # episodes of 50 slots step at slots 50 and 100, whatever cfg.episodes.
+    cfg = ScenarioConfig().replace(dexterity_profile="two_step", episodes=30,
+                                   slots_per_episode=50, eval_episodes=3)
+    records = run_evaluation(cfg, build_policy("rr", cfg, 1), eval_seed=7)
+    summary = step_response_summary(records, cfg)
+    assert (summary["step_a_slot"], summary["step_b_slot"]) == (50, 100)
+    assert summary["window_slots"] == 15
+    for name, dxi in (("before_step_a", cfg.dxi_low),
+                      ("after_step_a", cfg.dxi_high),
+                      ("before_step_b", cfg.dxi_high),
+                      ("after_step_b", cfg.dxi_low)):
+        stats = summary[name]
+        assert stats["mean_dxi"] == dxi
+        assert all(np.isfinite(v) for v in stats.values())
 
 
 def test_slots_per_episode_must_be_positive():

@@ -32,40 +32,40 @@ def _numeric_grad(net, x, loss_of_output, step=1e-5):
 
 
 def test_forward_zero_parameters():
-    net = Mlp([3, 4, 2], ["tanh", "identity"])
+    net = Mlp([3, 4, 2], np.random.default_rng(0))
     net.set_params([np.zeros_like(p) for p in net.params])
     out, _ = net.forward(np.array([1.0, -2.0, 3.0]))
     assert np.array_equal(out, np.zeros((1, 2)))
 
 
 def test_forward_identity_linear_layer():
-    net = Mlp([2, 2], ["identity"])
+    net = Mlp([2, 2], np.random.default_rng(0))
     net.set_params([np.eye(2), np.zeros(2)])
     out, _ = net.forward(np.array([0.3, -0.7]))
     assert np.allclose(out, [[0.3, -0.7]])
 
 
 def test_forward_rejects_bad_width():
-    net = Mlp([3, 2], ["identity"])
+    net = Mlp([3, 2], np.random.default_rng(0))
     with pytest.raises(ValueError):
         net.forward(np.ones(4))
 
 
 def test_set_params_shape_check():
-    net = Mlp([3, 2], ["identity"])
+    net = Mlp([3, 2], np.random.default_rng(0))
     with pytest.raises(ValueError):
         net.set_params([np.ones((2, 3)), np.zeros(2)])
 
 
 def test_backward_zero_output_gradient():
-    net = Mlp([3, 4, 2], ["relu", "identity"], np.random.default_rng(0))
+    net = Mlp([3, 4, 2], np.random.default_rng(0))
     out, trace = net.forward(np.ones(3))
     grads = net.backward(trace, np.zeros_like(out))
     assert all(np.all(g == 0) for g in grads)
 
 
 def test_backward_single_linear_neuron():
-    net = Mlp([3, 1], ["identity"])
+    net = Mlp([3, 1], np.random.default_rng(0))
     net.set_params([np.array([[2.0], [3.0], [4.0]]), np.zeros(1)])
     x = np.array([0.5, -1.0, 2.0])
     _, trace = net.forward(x)
@@ -79,18 +79,10 @@ def test_gradients_match_finite_differences():
     rng = np.random.default_rng(42)
     t0 = time.time()
     worst = 0.0
-    for trial in range(24):
-        act = ["tanh", "relu"][trial % 2]
+    for _ in range(24):
         sizes = [int(rng.integers(2, 5)) for _ in range(3)] + [3]
-        net = Mlp(sizes, [act] * (len(sizes) - 2) + ["identity"], rng)
-        # keep pre-activations away from the relu kink so the central
-        # difference stays on one side of it
-        while True:
-            x = rng.normal(size=(2, sizes[0]))
-            _, probe = net.forward(x)
-            if act != "relu" or all(np.min(np.abs(z)) > 1e-3
-                                    for z in probe.pre[:-1]):
-                break
+        net = Mlp(sizes, rng)
+        x = rng.normal(size=(2, sizes[0]))
         w = rng.normal(size=3)
 
         def loss_of_output(out):
@@ -104,6 +96,68 @@ def test_gradients_match_finite_differences():
         worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))
     assert worst < 1e-4
     assert time.time() - t0 < 10.0
+
+
+def _act(name, z):
+    return np.tanh(z) if name == "tanh" else z
+
+
+def _act_grad(name, z, a):
+    return 1.0 - a * a if name == "tanh" else np.ones_like(z)
+
+
+def _dispatch_forward(net, activations, x):
+    """The forward pass of the net with a per-layer activation table, before
+    its shape was fixed to tanh hidden layers and a linear output.  Oracle
+    for ``Mlp.forward``; returns the output and (x, pre, post)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    pre, post = [], []
+    h = x
+    for w, b, act in zip(net.weights, net.biases, activations):
+        z = h @ w + b
+        h = _act(act, z)
+        pre.append(z)
+        post.append(h)
+    return h, (x, pre, post)
+
+
+def _dispatch_backward(net, activations, trace, dout):
+    """The matching backward pass.  Oracle for ``Mlp.backward``."""
+    x, pre, post = trace
+    grads = [None] * (2 * len(net.weights))
+    delta = np.atleast_2d(np.asarray(dout, dtype=float))
+    for layer in reversed(range(len(net.weights))):
+        delta = delta * _act_grad(activations[layer], pre[layer], post[layer])
+        inp = x if layer == 0 else post[layer - 1]
+        grads[2 * layer] = inp.T @ delta
+        grads[2 * layer + 1] = delta.sum(axis=0)
+        if layer > 0:
+            delta = delta @ net.weights[layer].T
+    return grads
+
+
+@pytest.mark.parametrize("batch", [1, 64])
+@pytest.mark.parametrize("hidden", [0, 1, 2, 3])
+def test_mlp_bit_exact_against_dispatch_oracle(hidden, batch):
+    """Outputs and gradients of the fixed tanh/linear net match the
+    activation-table forward and backward byte for byte."""
+    rng = np.random.default_rng(100 + 10 * hidden + batch)
+    for _ in range(5):
+        sizes = [int(rng.integers(2, 30)) for _ in range(hidden + 2)]
+        net = Mlp(sizes, rng)
+        activations = ["tanh"] * hidden + ["identity"]
+        x = rng.normal(scale=2.0, size=(batch, sizes[0]))
+        if batch == 1:
+            x = x[0]                  # the learners' single-row call
+        dout = rng.normal(size=(batch, sizes[-1]))
+        out, trace = net.forward(x)
+        want, want_trace = _dispatch_forward(net, activations, x)
+        assert out.tobytes() == want.tobytes()
+        got = net.backward(trace, dout)
+        expected = _dispatch_backward(net, activations, want_trace, dout)
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert g.shape == e.shape and g.tobytes() == e.tobytes()
 
 
 def test_softmax_uniform_and_shift_invariance():
@@ -208,7 +262,7 @@ def test_adam_bit_exact_against_allocating_oracle(flat):
     """50 steps on a net's parameter list, stepped array by array or as the
     net's flat buffer, match the allocating optimizer bit for bit."""
     rng = np.random.default_rng(5)
-    net = Mlp([4, 6, 5, 3], ["tanh", "relu", "identity"], rng)
+    net = Mlp([4, 6, 5, 3], rng)
     expected = [p.copy() for p in net.params]
     oracle, opt = _AllocatingAdam(), Adam()
     for t in range(50):
@@ -228,7 +282,7 @@ def test_adam_rejects_noncontiguous_parameters():
 
 
 def test_mlp_params_are_views_of_flat_buffer():
-    net = Mlp([3, 4, 2], ["tanh", "identity"], np.random.default_rng(0))
+    net = Mlp([3, 4, 2], np.random.default_rng(0))
     assert net.flat.size == sum(p.size for p in net.params)
     assert all(np.shares_memory(p, net.flat) for p in net.params)
     assert np.array_equal(net.flat, np.concatenate([p.ravel() for p in net.params]))

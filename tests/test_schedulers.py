@@ -135,17 +135,17 @@ def test_proportional_fair_matches_oracle(case):
 
 
 def test_intra_slice_divide_largest_remainder():
-    assert intra_slice_divide(2, 3, np.array([10.0, 0.0])).tolist() == [2, 1]
-    assert intra_slice_divide(3, 6, np.ones(3)).tolist() == [2, 2, 2]
+    assert intra_slice_divide(3, np.array([10.0, 0.0])).tolist() == [2, 1]
+    assert intra_slice_divide(6, np.ones(3)).tolist() == [2, 2, 2]
     # all-zero weights: uniform with the remainder at the lowest indices
-    assert intra_slice_divide(3, 8, np.zeros(3)).tolist() == [3, 3, 2]
+    assert intra_slice_divide(8, np.zeros(3)).tolist() == [3, 3, 2]
 
 
 def test_intra_slice_divide_errors():
     with pytest.raises(ValueError):
-        intra_slice_divide(3, 2, np.ones(3))
+        intra_slice_divide(2, np.ones(3))
     with pytest.raises(ValueError):
-        intra_slice_divide(2, 4, np.array([1.0, -1.0]))
+        intra_slice_divide(4, np.array([1.0, -1.0]))
 
 
 def test_intra_slice_divide_conserves_total():
@@ -153,7 +153,7 @@ def test_intra_slice_divide_conserves_total():
     for _ in range(500):
         users = int(rng.integers(1, 6))
         prbs = users + int(rng.integers(0, 10))
-        counts = intra_slice_divide(users, prbs, rng.uniform(0, 5, users))
+        counts = intra_slice_divide(prbs, rng.uniform(0, 5, users))
         assert counts.sum() == prbs and np.all(counts >= 1)
 
 
