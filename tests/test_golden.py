@@ -5,8 +5,10 @@ compare the outputs across versions of the code, so a refactor that claims
 to be behaviour-preserving must leave every digest unchanged.  A change
 that alters behaviour on purpose re-pins the digests and says why.
 
-The digests are of float64 results formatted with ``repr``; they were
-recorded with Python 3.11 and NumPy 2.4 on x86-64.
+The digests are of float64 results formatted with ``repr``, and of the raw
+bytes of the pooled HRLLC delays, which ``delay_cdf.svg`` shows only to six
+significant digits; they were recorded with Python 3.11 and NumPy 2.4 on
+x86-64.
 """
 
 import hashlib
@@ -16,6 +18,7 @@ import pytest
 from slicesched.cli import main
 from slicesched.engine import (export_diagnostics_csv, export_trace_csv,
                                run_training)
+from slicesched.metrics import summarize
 
 # dqn: a small batch, target sync and replay capacity so that updates,
 # target syncs and replay wrap-around all happen within 75 slots, and a
@@ -34,25 +37,31 @@ GOLDEN = {
         "trace.csv": "595c7eed311008c04625dc3b481625b8902f4343be6ea7ca9623532a5dab8447",
         "training.csv": "bb92aff4a72cacb58b1071c6a605a848d11edac30183afaed4fbddfd5d6e87a9",
         "checkpoint.bin": "d9dcc0108cd26f779cd09c09bf29ea1ae0174403cbde76dfb0fe5acd06e282c0",
+        "delays_s": "9965605ec287c04cda7bed88c0322356261cd3c4fbad853f1c2d36f61607b703",
     },
     "dqn": {
         "trace.csv": "7920ad64295563f39ad8babda841dcd594e808ed6f6a7e4894dee51bdf9d3131",
         "training.csv": "b5c5a718e0f99428b3be0d6951502d275bfb8ad07f9b3d572721b3231f0d41bc",
         "checkpoint.bin": "b47393399b98d7b9772e346f94ad338257d3aed98148cb20f202dfeb5b899ba9",
+        "delays_s": "cd1cd75771c53fe3642a84991af94e72ff9934284e9d0d2c1ff5060c895bffc1",
     },
     "pf": {
         "trace.csv": "a2c844622203e43733a249de5bd3be1c434d0e533c87a19d2dd87f57a2f382ae",
         "training.csv": "f5baac22963a359e4c6063a9a2cfbc97985e680b2cfa261d897bd5dd3a1db299",
+        "delays_s": "a4ed94d6f74ca62c6a2a572e9ffa24cf2dfeb82dc4d76e8de9e80a044f76bb48",
     },
     "rr": {
         "trace.csv": "a4f65c0dbca2f97960f4ba81cc33eade5e33567937b23dda951905a537917d43",
         "training.csv": "4274870427f8e7c7f6bd156d37c561a914503d4f25a9e38bb383c65cf9d5b86d",
+        "delays_s": "39826994a5618d819eacb7b7314ebcbd7a00f069e3a94e74dd009482b1e309e4",
     },
 }
 
 
 def _digests(cfg, agent, out_dir) -> dict:
     records, policy = run_training(cfg, agent)
+    # the delay pin must also cover packets still queued when an episode ends
+    assert any(r.slots.backlogs[-1, cfg.num_embb:].any() for r in records)
     files = {"trace.csv": out_dir / "trace.csv",
              "training.csv": out_dir / "training.csv"}
     export_trace_csv(records, cfg, files["trace.csv"])
@@ -60,8 +69,11 @@ def _digests(cfg, agent, out_dir) -> dict:
     if hasattr(policy, "save"):
         files["checkpoint.bin"] = out_dir / "checkpoint.bin"
         policy.save(files["checkpoint.bin"])
-    return {name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for name, path in files.items()}
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for name, path in files.items()}
+    delays = summarize(records, cfg).delays_s
+    digests["delays_s"] = hashlib.sha256(delays.tobytes()).hexdigest()
+    return digests
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
