@@ -180,8 +180,9 @@ def _experiment_two_step(args, argv, cfg: ScenarioConfig) -> int:
     _write_training_figures(run, records, cfg)
     user = cfg.num_embb + cfg.dxi_step_user
     slots = concat_slots(records)
-    slots = slots[::max(len(slots) // 2000, 1)]  # decimate for plotting
-    times = slots.slot.astype(float).tolist()
+    step = max(len(slots) // 2000, 1)          # decimate for plotting
+    times = [float(t) for t in range(0, len(slots), step)]  # from slot 0
+    slots = slots[::step]
     mbps = (slots.rates[:, user] / 1e6).tolist()
     dxi = slots.dxi[:, cfg.dxi_step_user].tolist()
     run.write_text("step_rate.svg", render_svg(ChartSpec(

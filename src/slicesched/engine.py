@@ -3,12 +3,11 @@ queue update -> reward -> learning, with full trace recording.
 
 Slot order is fixed: (1) step the modulating chains and read DXI, (2) sample
 arrivals, (3) draw the channel, (4-6) build the context and let the policy
-allocate, (7) compute rates and packet service capacities, (8) update queues
-and collect per-packet delays, (9) compute the Lyapunov drift, cost,
-violation surrogate and reward, (10) dual ascent on this slot's violation,
-(11) hand the reward to the policy.  Observations use the previous slot's
-rates, drifts and violation signal; this slot's do not exist before the
-action.
+allocate, (7) compute rates and packet service capacities, (8) update the
+queues, (9) compute the Lyapunov drift, cost, violation surrogate and
+reward, (10) dual ascent on this slot's violation, (11) hand the reward to
+the policy.  Observations use the previous slot's rates, drifts and
+violation signal; this slot's do not exist before the action.
 
 A learner's update for slot t needs slot t+1's observation, so it runs
 inside slot t+1's ``allocate``, once that observation is encoded; the last
@@ -17,8 +16,8 @@ therefore includes one update.
 
 Episodes reset queues and redraw the chains' states; learned parameters,
 the dual variable and any baseline scheduler state persist across episodes.
-Queues are one backlog vector on the user axis; only HRLLC users, whose
-delays are read, also keep a FIFO of packet stamps.
+Queues are one backlog vector on the user axis; a row's global slot index
+and the HRLLC packet delays are derived from the episode's slot table.
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ from .agents import A2CAgent, DqnAgent, reward as compute_reward, step_cost
 from .channel import all_user_rates, draw_channel, rate_matrix
 from .config import ScenarioConfig
 from .constraint import DualVariable, surrogate_y
-from .queueing import (LyapunovState, UserQueue, audit_conservation,
-                       packet_delays, service_capacity)
+from .queueing import LyapunovState, audit_conservation, service_capacity
 from .schedulers import (Policy, ProportionalFairPolicy, RoundRobinPolicy,
                          SchedulerContext)
 from .traffic import (DexterityProfile, MmppChain, init_state_stationary,
@@ -70,14 +68,11 @@ def slot_dtype(cfg: ScenarioConfig) -> np.dtype:
     queues as they stand after it."""
     n_h, n_u = (cfg.num_hrllc,), (cfg.num_users,)
     return np.dtype([
-        ("episode", np.int64),
-        ("slot", np.int64),                    # global slot index
         ("mmpp_states", np.int64, n_h),
         ("dxi", np.float64, n_h),
         ("arrivals", np.int64, n_u),           # eMBB users first
         ("counts", np.int64, n_u),             # allocated PRBs
         ("rates", np.float64, n_u),            # achieved bits/s
-        ("served", np.int64, n_u),             # packet service capacity
         ("departures", np.int64, n_u),         # actual departures
         ("backlogs", np.int64, n_u),           # after the slot
         ("drift_embb", np.float64),
@@ -94,7 +89,6 @@ class EpisodeRecord:
     episode: int
     slots: np.recarray            # one row per slot, dtype slot_dtype(cfg)
     episodic_return: float
-    hrllc_delays_s: np.ndarray    # per departed HRLLC packet, departure order
     diagnostics: dict = field(default_factory=dict)   # the policy's, then dual
 
 
@@ -148,7 +142,6 @@ class Simulation:
         for chain in chains:
             chain.state = init_state_stationary(cfg.mmpp_alpha, cfg.mmpp_beta,
                                                 self.rng_chain_init)
-        fifos = [UserQueue() for _ in range(n_h)]
         lyap = LyapunovState()
         backlogs = np.zeros(cfg.num_users, dtype=int)
         prev_rates = np.zeros(cfg.num_users)
@@ -156,7 +149,6 @@ class Simulation:
         episode = self._episode
         self.policy.begin_episode()
         slots = np.recarray(cfg.slots_per_episode, dtype=slot_dtype(cfg))
-        delays: list[float] = []
         ep_return = 0.0
 
         for i in range(cfg.slots_per_episode):
@@ -188,21 +180,16 @@ class Simulation:
             rates = all_user_rates(ctx.rate_matrix, alloc.assignment)
             served = service_capacity(rates, cfg.slot_duration_s,
                                       cfg.packet_size_bits)
-            # (8) queue updates and per-packet HRLLC delays
+            # (8) queue updates
             departures = np.minimum(work, served)
             backlogs = work - departures
-            served_l = served.tolist()
-            for u, q in enumerate(fifos):
-                stamps = q.update(arr_h[u], served_l[n_e + u], t)
-                delays.extend(packet_delays(stamps, t, cfg.slot_duration_s,
-                                            cfg.d_proc_s))
             # (9) drift, cost, violation signal, reward
             lyap.advance(backlogs, n_e)
             cost = step_cost(rates[n_e:], rates[:n_e], cfg.eps_cost)
             y_users = [surrogate_y(a, s, cfg.packet_size_bits, cfg.d_max_s,
                                    cfg.d_proc_s, cfg.chi_h,
                                    cfg.surrogate_exp_cap)
-                       for a, s in zip(arr_h, served_l[n_e:])]
+                       for a, s in zip(arr_h, served[n_e:].tolist())]
             y_mean = float(np.mean(y_users))
             # The surrogate equals chi_h at arrival/service balance, so the
             # penalty and the dual ascend on the excess over that neutral
@@ -217,20 +204,18 @@ class Simulation:
             self.policy.observe_reward(rew)
 
             ep_return += rew
-            slots[i] = (episode, t, [c.state for c in chains], dxi, arrivals,
-                        alloc.counts, rates, served, departures, backlogs,
-                        lyap.drift_embb, lyap.drift_hrllc, cost, y_mean,
-                        self.dual.value, rew)
+            slots[i] = ([c.state for c in chains], dxi, arrivals, alloc.counts,
+                        rates, departures, backlogs, lyap.drift_embb,
+                        lyap.drift_hrllc, cost, y_mean, self.dual.value, rew)
             prev_rates = rates
             prev_drift_e, prev_drift_h = lyap.drift_embb, lyap.drift_hrllc
             prev_y = y_mean
 
         self.policy.end_episode()
-        audit_conservation(slots, fifos)
+        audit_conservation(slots)
         self._episode += 1
         return EpisodeRecord(episode=episode, slots=slots,
                              episodic_return=ep_return,
-                             hrllc_delays_s=np.array(delays, dtype=float),
                              diagnostics={**self.policy.diagnostics(),
                                           "dual": self.dual.value})
 
@@ -311,10 +296,11 @@ def export_trace_csv(records: list[EpisodeRecord], cfg: ScenarioConfig,
     """One CSV per run with a stable column order for downstream plotting."""
     lines = [",".join(trace_columns(cfg))]
     for rec in records:
-        s = rec.slots
-        columns = [s.episode, s.slot, *s.backlogs.T, *s.counts.T, *s.rates.T, s.drift_embb, s.drift_hrllc,
-                   s.cost, s.y_mean, s.dual, s.reward, *s.dxi.T,
-                   *s.mmpp_states.T]
+        s, n = rec.slots, len(rec.slots)
+        columns = [np.full(n, rec.episode), rec.episode * n + np.arange(n),
+                   *s.backlogs.T, *s.counts.T, *s.rates.T, s.drift_embb,
+                   s.drift_hrllc, s.cost, s.y_mean, s.dual, s.reward,
+                   *s.dxi.T, *s.mmpp_states.T]
         # one .tolist() per column; str of a Python float is its repr
         text = [list(map(str, c.tolist())) for c in columns]
         lines.extend(",".join(row) for row in zip(*text))

@@ -14,6 +14,7 @@ import numpy as np
 from .config import ScenarioConfig
 from .constraint import delay_cdf, reliability
 from .engine import EpisodeRecord, concat_slots
+from .queueing import hrllc_delays
 
 
 def moving_average(series, window: int) -> np.ndarray:
@@ -56,10 +57,11 @@ class RunSummary:
 
 def summarize(records: list[EpisodeRecord], cfg: ScenarioConfig) -> RunSummary:
     returns = np.array([r.episodic_return for r in records])
-    delays = np.concatenate([r.hrllc_delays_s for r in records])
+    n_e = cfg.num_embb
+    delays = np.concatenate([hrllc_delays(r.slots, n_e, cfg.slot_duration_s,
+                                          cfg.d_proc_s) for r in records])
     slots = concat_slots(records)
     rel = reliability(delays, cfg.d_max_s) if delays.size else float("nan")
-    n_e = cfg.num_embb
     return RunSummary(
         returns=returns,
         returns_smoothed=moving_average(returns, cfg.smooth_window),

@@ -1,10 +1,10 @@
-"""Whole-packet service, HRLLC packet FIFOs with the episode conservation
-audit, and the quadratic Lyapunov energy of the backlog state and its drift.
+"""Whole-packet service, the episode conservation audit, HRLLC packet delays
+from the slot table, and the quadratic Lyapunov energy of the backlogs.
 
 Arrivals of slot t are eligible for service in slot t (arrival and service
-terms share the slot index in the queue recursion).  HRLLC delays are
-measured per packet from FIFO stamps, which makes the threshold-violation
-probability well-defined; nothing reads eMBB delays, so eMBB has no FIFO.
+terms share the slot index in the queue recursion).  Queues are FIFO, so a
+packet's delay is the horizontal distance between its user's cumulative
+arrival and departure curves; nothing reads eMBB delays.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ def service_capacity(rates_bits_per_s, slot_s: float, packet_bits: int) -> np.nd
 
 @dataclass
 class UserQueue:
-    """One HRLLC user's packets, oldest first."""
+    """One user's packets, oldest first: the FIFO hrllc_delays must match."""
 
     fifo: deque = field(default_factory=deque)   # enqueue slot index per packet
 
@@ -41,27 +41,38 @@ class UserQueue:
         return [self.fifo.popleft() for _ in range(departures)]
 
 
-def audit_conservation(slots: np.recarray, fifos: list[UserQueue]) -> None:
-    """Check an episode's slot table (queues start empty): per user, arrivals
-    equal departures plus the final backlog, and each FIFO (the HRLLC users,
-    last on the user axis) holds its user's final backlog."""
-    final = slots.backlogs[-1]
-    arrived = slots.arrivals.sum(axis=0)
-    accounted = slots.departures.sum(axis=0) + final
-    if not np.array_equal(arrived, accounted):
-        raise AssertionError(
-            f"queue conservation violated: arrivals {arrived.tolist()} vs "
-            f"departures + backlog {accounted.tolist()}")
-    lengths = [len(q.fifo) for q in fifos]
-    if lengths != final[len(final) - len(fifos):].tolist():
-        raise AssertionError(
-            f"HRLLC FIFO lengths {lengths} differ from backlogs "
-            f"{final.tolist()}")
+def audit_conservation(slots: np.recarray) -> None:
+    """Check an episode's slot table (queues start empty): in every row, each
+    user's backlog equals its cumulative arrivals minus cumulative departures
+    and is >= 0, so no packet leaves before it arrived."""
+    flow = np.cumsum(slots.arrivals, axis=0) - np.cumsum(slots.departures, axis=0)
+    bad = np.flatnonzero(((slots.backlogs != flow) | (slots.backlogs < 0)).any(axis=1))
+    if bad.size:
+        raise AssertionError(f"queue conservation violated in row {bad[0]}: "
+                             f"backlogs {slots.backlogs[bad[0]].tolist()}")
 
 
-def packet_delays(stamps: list[int], slot: int, slot_s: float, d_proc_s: float) -> list[float]:
-    """End-to-end delay per departed packet: queueing time plus processing."""
-    return [(slot - s) * slot_s + d_proc_s for s in stamps]
+def packet_delays(stamps, slot, slot_s: float, d_proc_s: float) -> np.ndarray:
+    """Queueing plus processing delay per departed packet, elementwise."""
+    return (np.asarray(slot) - np.asarray(stamps)) * slot_s + d_proc_s
+
+
+def hrllc_delays(slots: np.recarray, num_embb: int, slot_s: float,
+                 d_proc_s: float) -> np.ndarray:
+    """One episode's HRLLC packet delays (users after the eMBB ones) in
+    departure order: by slot, then user, then FIFO position.  Packet j of a
+    user arrives in the first row whose cumulative arrivals exceed j and
+    leaves in the first whose cumulative departures exceed j."""
+    arrived = np.cumsum(slots.arrivals[:, num_embb:], axis=0)
+    departed = np.cumsum(slots.departures[:, num_embb:], axis=0)
+    came, left = [], []
+    for a, d in zip(arrived.T, departed.T):
+        j = np.arange(d[-1])
+        came.append(np.searchsorted(a, j, side="right"))
+        left.append(np.searchsorted(d, j, side="right"))
+    came, left = np.concatenate(came), np.concatenate(left)
+    order = np.argsort(left, kind="stable")
+    return packet_delays(came[order], left[order], slot_s, d_proc_s)
 
 
 @dataclass

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from slicesched.config import ScenarioConfig, ValidationError
+from slicesched.metrics import summarize
+from slicesched.queueing import service_capacity
 from slicesched.engine import (Simulation, build_policy, concat_slots,
                                export_diagnostics_csv,
                                export_trace_csv, run_evaluation, run_training,
@@ -32,7 +34,7 @@ def test_zero_arrival_fixed_point():
         assert s.backlogs.sum() == 0
         assert s.drift_embb + s.drift_hrllc == 0.0
         assert s.arrivals.sum() == 0
-    assert rec.hrllc_delays_s.size == 0
+    assert summarize([rec], cfg).delays_s.size == 0
 
 
 def test_zero_service_accumulates_arrivals_exactly():
@@ -42,8 +44,9 @@ def test_zero_service_accumulates_arrivals_exactly():
                                    slots_per_episode=30)
     rec = _sim(cfg).run_episode()
     totals = np.zeros(cfg.num_users)
+    assert service_capacity(rec.slots.rates, cfg.slot_duration_s,
+                            cfg.packet_size_bits).sum() == 0
     for s in rec.slots:
-        assert s.served.sum() == 0
         totals += s.arrivals
         assert np.array_equal(s.backlogs, totals)
 
@@ -151,19 +154,19 @@ def test_episode_slot_table(tiny_cfg):
     for r in records:
         assert r.slots.dtype == slot_dtype(tiny_cfg)
         assert len(r.slots) == tiny_cfg.slots_per_episode
-        assert r.hrllc_delays_s.dtype == np.float64
     # per-user fields share one user axis, eMBB users first; per-slice
     # per-user fields are gone
     fields = slot_dtype(tiny_cfg).fields
     users, hrllc = (tiny_cfg.num_users,), (tiny_cfg.num_hrllc,)
-    for name in ("arrivals", "counts", "rates", "served", "departures",
-                 "backlogs"):
+    for name in ("arrivals", "counts", "rates", "departures", "backlogs"):
         assert fields[name][0].shape == users, name
     for name in ("mmpp_states", "dxi"):
         assert fields[name][0].shape == hrllc, name
-    for name in ("episode", "slot", "drift_embb", "drift_hrllc", "cost",
-                 "y_mean", "dual", "reward"):
+    for name in ("drift_embb", "drift_hrllc", "cost", "y_mean", "dual",
+                 "reward"):
         assert fields[name][0].shape == (), name
+    # what the record's episode number or other columns already determine
+    assert not {"episode", "slot", "served"} & set(fields)
     assert not [n for n in fields if n.endswith(("_embb", "_hrllc"))
                 and fields[n][0].shape]
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from slicesched.queueing import (LyapunovState, UserQueue, audit_conservation,
-                                 packet_delays, service_capacity)
+                                 hrllc_delays, packet_delays, service_capacity)
 
 
 def test_service_capacity_reference_points():
@@ -95,34 +95,106 @@ def _episode_table(slots=50):
 
 
 def test_queue_fifo_stamps_nondecreasing():
-    table, fifo = _episode_table()
-    audit_conservation(table, [fifo])
+    table, _ = _episode_table()
+    audit_conservation(table)
 
 
 def test_queue_conservation_audit_detects_tampered_departures():
-    table, fifo = _episode_table()
+    table, _ = _episode_table()
     table.departures[7, 0] += 1
     with pytest.raises(AssertionError):
-        audit_conservation(table, [fifo])
+        audit_conservation(table)
 
 
-def test_queue_conservation_audit_detects_tampered_fifo():
-    table, fifo = _episode_table()
-    fifo.fifo.append(49)
-    with pytest.raises(AssertionError):
-        audit_conservation(table, [fifo])
+def test_queue_conservation_audit_detects_tampered_middle_backlog():
+    # the last row still conserves packets; only row 25 is wrong
+    table, _ = _episode_table()
+    table.backlogs[25, 1] += 1
+    with pytest.raises(AssertionError, match="row 25"):
+        audit_conservation(table)
+
+
+def test_queue_conservation_audit_detects_negative_backlog():
+    # a packet served one slot before it arrived: every row still equals
+    # cumulative arrivals minus cumulative departures
+    table = np.recarray(3, dtype=[("arrivals", np.int64, (1,)),
+                                  ("departures", np.int64, (1,)),
+                                  ("backlogs", np.int64, (1,))])
+    table.arrivals[:, 0] = [0, 1, 2]
+    table.departures[:, 0] = [1, 0, 2]
+    table.backlogs[:, 0] = [-1, 0, 0]
+    with pytest.raises(AssertionError, match="row 0"):
+        audit_conservation(table)
+    table.departures[:, 0] = [0, 1, 2]
+    table.backlogs[:, 0] = 0
+    audit_conservation(table)
 
 
 def test_packet_delays_reference():
     # enqueued slot 3, dequeued slot 7, 1 ms slots, 5 ms processing -> 9 ms
-    assert packet_delays([3], 7, 1e-3, 5e-3) == [pytest.approx(9e-3)]
+    assert packet_delays([3], 7, 1e-3, 5e-3).tolist() == [pytest.approx(9e-3)]
     # same-slot service -> processing delay only
-    assert packet_delays([4], 4, 1e-3, 5e-3) == [pytest.approx(5e-3)]
+    assert packet_delays([4], 4, 1e-3, 5e-3).tolist() == [pytest.approx(5e-3)]
+    # elementwise over departure slots too
+    assert packet_delays(np.array([1, 2]), np.array([3, 2]), 1.0, 0.5).tolist() \
+        == [2.5, 0.5]
 
 
 def test_packet_delays_fifo_order():
-    delays = packet_delays([1, 2, 5], 5, 1e-3, 5e-3)
+    delays = packet_delays([1, 2, 5], 5, 1e-3, 5e-3).tolist()
     assert delays == sorted(delays, reverse=True)
+
+
+def _random_table(rng):
+    """A random slot table for 0-2 eMBB and 1-5 HRLLC users under the backlog
+    recursion, and the HRLLC delays of a packet-level FIFO replay of it, in
+    departure order: by slot, then user, then FIFO position.
+
+    Each user draws a regime: idle, light, loaded or overloaded arrivals,
+    and service capacity from none to far above its work."""
+    n_e, n_h = int(rng.integers(0, 3)), int(rng.integers(1, 6))
+    n_u, slots = n_e + n_h, int(rng.integers(1, 40))
+    lam = rng.choice([0.0, 0.5, 2.0, 6.0], n_u)
+    cap = rng.choice([0, 1, 3, 20], n_u)
+    slot_s, d_proc_s = rng.choice([1e-3, 0.5e-3, 1 / 3]), rng.choice([5e-3, 0.0, 0.1])
+    table = np.recarray(slots, dtype=[("arrivals", np.int64, (n_u,)),
+                                      ("departures", np.int64, (n_u,)),
+                                      ("backlogs", np.int64, (n_u,))])
+    fifos, backlogs = [UserQueue() for _ in range(n_h)], np.zeros(n_u, np.int64)
+    want, over_served = [np.zeros(0)], False
+    for t in range(slots):
+        arrivals = rng.poisson(lam)
+        served = rng.integers(0, cap + 1)
+        work = backlogs + arrivals
+        departures = np.minimum(work, served)
+        backlogs = work - departures
+        over_served |= bool(np.any(served[n_e:] > work[n_e:]))
+        for u, q in enumerate(fifos):
+            stamps = q.update(int(arrivals[n_e + u]), int(served[n_e + u]), t)
+            want.append(packet_delays(stamps, t, slot_s, d_proc_s))
+        table[t] = (arrivals, departures, backlogs)
+    return (table, n_e, slot_s, d_proc_s, np.concatenate(want),
+            {"idle": bool(np.any(table.arrivals[:, n_e:].sum(axis=0) == 0)),
+             "queued at end": bool(np.any(backlogs[n_e:])),
+             "service above work": over_served})
+
+
+def test_hrllc_delays_match_fifo_replay():
+    """The delays derived from the slot table equal a packet-level FIFO
+    replay byte for byte and in the same order."""
+    rng = np.random.default_rng(11)
+    seen = {"idle": 0, "queued at end": 0, "service above work": 0}
+    packets = 0
+    for _ in range(1000):
+        table, n_e, slot_s, d_proc_s, want, cases = _random_table(rng)
+        audit_conservation(table)
+        got = hrllc_delays(table, n_e, slot_s, d_proc_s)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        packets += got.size
+        for name, hit in cases.items():
+            seen[name] += hit
+    assert packets > 10_000 and all(seen.values()), (packets, seen)
 
 
 def _energy(f, g) -> float:
