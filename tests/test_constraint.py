@@ -82,6 +82,17 @@ def test_reliability_counting():
     assert reliability([1e-3, 2e-3], 0.0) == 0.0
 
 
+def test_reliability_counts_rounded_on_time_delays():
+    # 13 slots of 1 ms plus 5 ms processing is 0.018000000000000002 in float
+    assert reliability([13 * 1e-3 + 5e-3], 0.018) == 1.0
+    assert reliability([14 * 1e-3 + 5e-3], 0.018) == 0.0
+    for d_max_ms in (9, 13, 14, 18, 22, 23, 26, 30, 31):
+        d_max = float(f"{d_max_ms}e-3")
+        age = d_max_ms - 5
+        assert reliability([age * 1e-3 + 5e-3], d_max) == 1.0, d_max_ms
+        assert reliability([(age + 1) * 1e-3 + 5e-3], d_max) == 0.0, d_max_ms
+
+
 def test_reliability_empty_sample():
     with pytest.raises(EmptySampleError):
         reliability([], 20e-3)
