@@ -3,7 +3,8 @@
 Config files are flat text: one ``key = value`` per line, ``#`` starts a
 comment, blank lines ignored.  Dotted keys (``traffic.lambda_slow``) are
 accepted and mapped to the flat field name after the last dot, so files can
-be organized into visual sections without a nested format.
+be organized into visual sections without a nested format.  A key may be set
+once per file, dotted or not.
 
 Every field is overridable from the CLI via ``--set key=value``.  Values are
 parsed by the declared field type; tuples are comma-separated.
@@ -211,6 +212,7 @@ def _parse_value(name: str, raw: str) -> Any:
 
 def parse_config_text(text: str) -> ScenarioConfig:
     values: dict[str, Any] = {}
+    set_on: dict[str, int] = {}      # key -> line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -221,6 +223,10 @@ def parse_config_text(text: str) -> ScenarioConfig:
         key = key.strip().split(".")[-1]  # dotted section prefix is cosmetic
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"line {lineno}: key {key!r} already set on "
+                              f"line {set_on[key]}")
+        set_on[key] = lineno
         try:
             values[key] = _parse_value(key, raw)
         except ConfigError as exc:

@@ -185,3 +185,18 @@ def test_experiment_drl_compare(tmp_path):
     assert lines[0] == "episode,a2c,dqn"
     assert len(lines) == 3
     assert (out / "drl_returns.svg").exists()
+
+
+def test_repeated_config_file_key_is_config_error(tmp_path):
+    path = tmp_path / "scenario.txt"
+    path.write_text("d_max_s = 0.02\ntraffic.d_max_s = 0.05\n")
+    assert main(["train", "--config", str(path),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_repeated_set_keeps_the_last(tmp_path):
+    out = tmp_path / "x"
+    assert main(["train", "--out", str(out), *TINY, "--set", "d_max_s=0.05",
+                 "--set", "traffic.d_max_s=0.03"]) == 0
+    assert "d_max_s = 0.03" in (out / "config.txt").read_text()

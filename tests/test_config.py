@@ -52,6 +52,14 @@ def test_parse_unknown_key_reports_line_number():
         parse_config_text("num_prbs = 30\nnot_a_key = 1\n")
 
 
+def test_parse_repeated_key_reports_both_line_numbers():
+    # a dotted key sets the same field as its bare name
+    with pytest.raises(ConfigError, match="line 3: key 'd_max_s' already set on line 1"):
+        parse_config_text("d_max_s = 0.02\n# deadline\ntraffic.d_max_s = 0.05\n")
+    with pytest.raises(ConfigError, match="line 2: .* line 1"):
+        parse_config_text("num_prbs = 30\nnum_prbs = 30\n")
+
+
 def test_parse_bad_value_reports_line_number():
     with pytest.raises(ConfigError, match="line 1"):
         parse_config_text("num_prbs = many\n")
