@@ -112,7 +112,8 @@ def step_cost(rates_hrllc: np.ndarray, rates_embb: np.ndarray, eps: float) -> fl
 
 def reward(drift: float, cost: float, v: float, dual: float, y: float) -> float:
     """Negative drift-plus-penalty with the dual scaling only positive
-    violation (penalty sign; see decision notes)."""
+    violation: ``y`` is the surrogate's excess over chi_h, its value at
+    arrival/service balance, so only arrivals outpacing service cost."""
     return -(drift + v * cost + dual * max(y, 0.0))
 
 

@@ -2,10 +2,10 @@
 non-negative dual multiplier, and empirical reliability statistics.
 
 The surrogate maps per-slot arrival/service imbalance to a differentiable
-violation signal.  Note that it evaluates to the reliability target (a
-positive number) even at perfect balance, so the dual ascends only on the
-positive part and the reward penalizes only the positive part; see the
-repo's decision notes for the sign discussion.
+violation signal.  At perfect balance it equals the reliability target
+chi_h, not 0, so the engine takes the excess over chi_h as the violation:
+the dual ascends on, and the reward penalizes, only its positive part,
+which appears only when arrivals outpace service.
 """
 
 from __future__ import annotations
