@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from slicesched.config import ScenarioConfig, ValidationError
-from slicesched.metrics import summarize
-from slicesched.queueing import service_capacity
 from slicesched.engine import (Simulation, build_policy, concat_slots,
                                export_diagnostics_csv,
                                export_trace_csv, run_evaluation, run_training,
                                slot_dtype, step_response_summary,
                                trace_columns, POLICY_NAMES)
+from slicesched.metrics import summarize
+from slicesched.queueing import service_capacity
 
 
 def _sim(cfg, policy_name="rr", seed=None, **kwargs):
