@@ -12,14 +12,14 @@ import numpy as np
 from .config import ScenarioConfig, derive_prb_bandwidth
 
 
-def draw_channel(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
-    """Fresh i.i.d. Rayleigh draw: the (U, K) matrix of squared gains,
-    |h|^2 ~ Exp(1) per user per PRB."""
-    return rng.exponential(1.0, size=(cfg.num_users, cfg.num_prbs))
+def draw_channel(cfg: ScenarioConfig, rng: np.random.Generator, slots: int) -> np.ndarray:
+    """Fresh i.i.d. Rayleigh draws: the (S, U, K) block of squared gains,
+    |h|^2 ~ Exp(1) per slot per user per PRB."""
+    return rng.exponential(1.0, size=(slots, cfg.num_users, cfg.num_prbs))
 
 
 def rate_matrix(cfg: ScenarioConfig, gain_sq: np.ndarray) -> np.ndarray:
-    """(U, K) matrix of per-PRB achievable rates in bits/s."""
+    """Per-PRB achievable rates in bits/s, elementwise on the squared gains."""
     return derive_prb_bandwidth(cfg) * np.log2(1.0 + cfg.mean_snr_linear * gain_sq)
 
 

@@ -1,23 +1,24 @@
-"""Per-slot closed loop: traffic -> observation -> action -> service ->
-queue update -> reward -> learning, with full trace recording.
+"""Per-episode closed loop with full trace recording: draw the episode's
+world, then run each slot's action -> service -> queues -> reward -> learning.
 
-Slot order is fixed: (1) step the modulating chains and read DXI, (2) sample
-arrivals, (3) draw the channel, (4-6) build the context and let the policy
-allocate, (7) compute rates and packet service capacities, (8) update the
-queues, (9) compute the Lyapunov drift, cost, violation surrogate and
-reward, (10) dual ascent on this slot's violation, (11) hand the reward to
-the policy.  Observations use the previous slot's rates, drifts and
-violation signal; this slot's do not exist before the action.
+No allocation changes the world, so it is drawn before the slot loop: (1)
+the chains' states and DXI, (2) arrivals, (3) the channel's squared gains
+and per-PRB rates.  Each slot reads its row and runs (4-6) build the
+context and let the policy allocate, (7) rates and packet service, (8)
+queue update, (9) Lyapunov drift, cost, violation surrogate and reward,
+(10) dual ascent on this slot's violation, (11) the reward to the policy.
+Observations use the previous slot's rates, drifts and violation signal;
+this slot's do not exist before the action.
 
 A learner's update for slot t needs slot t+1's observation, so it runs
 inside slot t+1's ``allocate``, once that observation is encoded; the last
 slot's update runs in ``end_episode``.  The time of a learner's decision
 therefore includes one update.
 
-Episodes reset queues and redraw the chains' states; learned parameters,
-the dual variable and any baseline scheduler state persist across episodes.
-Queues are one backlog vector on the user axis; a row's global slot index
-and the HRLLC packet delays are derived from the episode's slot table.
+Episodes reset queues and build fresh chains in stationary states; learned
+parameters, the dual and any baseline scheduler state persist.  Queues are
+one backlog vector on the user axis; a row's global slot index and the
+HRLLC packet delays are derived from the episode's slot table.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def build_policy(name: str, cfg: ScenarioConfig, master_seed: int) -> Policy:
 
 
 class Simulation:
-    """One world: owns the rng streams, chains, dual and the episode count."""
+    """One world: owns the rng streams, dual and the episode count."""
 
     def __init__(self, cfg: ScenarioConfig, policy: Policy,
                  master_seed: Optional[int] = None,
@@ -128,20 +129,33 @@ class Simulation:
         self.dex_profile = DexterityProfile(cfg, horizon)
         self.dual = DualVariable(value=0.0, step=cfg.dual_step)
         self.update_dual = update_dual
-        self.chains = [MmppChain(alpha=cfg.mmpp_alpha, beta=cfg.mmpp_beta,
-                                 lambda_by_state=(cfg.lambda_slow,
-                                                  cfg.lambda_burst),
-                                 slot_duration_s=cfg.slot_duration_s)
-                       for _ in range(cfg.num_hrllc)]
         self._episode = 0
 
+    def _draw_world(self) -> tuple[np.ndarray, ...]:
+        """The next episode's exogenous columns, one row per slot: chain states,
+        DXI, arrivals (eMBB users first), squared gains, per-PRB rates."""
+        cfg, n_s = self.cfg, self.cfg.slots_per_episode
+        alpha, beta = cfg.mmpp_alpha, cfg.mmpp_beta
+        dxi = self.dex_profile.vector(self._episode * n_s + np.arange(n_s))
+        hrllc = []              # per user, per slot: (chain state, arrivals)
+        for u, rng in enumerate(self.rng_hrllc):
+            # the chain step and the Poisson draw share the user's stream
+            state = init_state_stationary(alpha, beta, self.rng_chain_init)
+            chain = MmppChain(alpha, beta, (cfg.lambda_slow, cfg.lambda_burst),
+                              cfg.slot_duration_s, state)
+            hrllc.append([(chain.step(rng),
+                           sample_hrllc_arrivals(chain, cfg.beta_dex, level, rng))
+                          for level in dxi[:, u].tolist()])
+        states, arr_h = np.array(hrllc, dtype=np.int64).T
+        arrivals = np.column_stack([*(sample_embb_arrivals(cfg.lambda_embb, rng, n_s)
+                                      for rng in self.rng_embb), arr_h])
+        gain_sq = draw_channel(cfg, self.rng_channel, n_s)
+        return states, dxi, arrivals, gain_sq, rate_matrix(cfg, gain_sq)
+
     def run_episode(self) -> EpisodeRecord:
-        cfg = self.cfg
-        n_e, n_h = cfg.num_embb, cfg.num_hrllc
-        chains = self.chains
-        for chain in chains:
-            chain.state = init_state_stationary(cfg.mmpp_alpha, cfg.mmpp_beta,
-                                                self.rng_chain_init)
+        cfg, n_e = self.cfg, self.cfg.num_embb
+        states, dxi, arrivals, gain_sq, prb_rates = self._draw_world()
+        arr_h = arrivals[:, n_e:].tolist()
         lyap = LyapunovState()
         backlogs = np.zeros(cfg.num_users, dtype=int)
         prev_rates = np.zeros(cfg.num_users)
@@ -152,26 +166,11 @@ class Simulation:
         ep_return = 0.0
 
         for i in range(cfg.slots_per_episode):
-            t = episode * cfg.slots_per_episode + i
-            # (1) task state and modulating chains
-            for u, chain in enumerate(chains):
-                chain.step(self.rng_hrllc[u])
-            dxi = self.dex_profile.vector(t)
-            # (2) arrivals; each user draws from its own stream
-            arr_h = [sample_hrllc_arrivals(chains[u], cfg.beta_dex, dxi[u],
-                                           self.rng_hrllc[u])
-                     for u in range(n_h)]
-            arr_e = [sample_embb_arrivals(cfg.lambda_embb, self.rng_embb[u])
-                     for u in range(n_e)]
-            arrivals = np.array(arr_e + arr_h)   # eMBB users first
-            # (3) channel
-            gain_sq = draw_channel(cfg, self.rng_channel)
             # (4-6) context, decision
-            work = backlogs + arrivals
+            work = backlogs + arrivals[i]
             ctx = SchedulerContext(
-                num_embb=n_e, work=work, gain_sq=gain_sq,
-                rate_matrix=rate_matrix(cfg, gain_sq), dxi=dxi,
-                prev_rates=prev_rates,
+                num_embb=n_e, work=work, gain_sq=gain_sq[i],
+                rate_matrix=prb_rates[i], dxi=dxi[i], prev_rates=prev_rates,
                 prev_drift_embb=prev_drift_e, prev_drift_hrllc=prev_drift_h,
                 prev_y=prev_y)
             alloc = self.policy.allocate(ctx)
@@ -189,7 +188,7 @@ class Simulation:
             y_users = [surrogate_y(a, s, cfg.packet_size_bits, cfg.d_max_s,
                                    cfg.d_proc_s, cfg.chi_h,
                                    cfg.surrogate_exp_cap)
-                       for a, s in zip(arr_h, served[n_e:].tolist())]
+                       for a, s in zip(arr_h[i], served[n_e:].tolist())]
             y_mean = float(np.mean(y_users))
             # The surrogate equals chi_h at arrival/service balance, so the
             # penalty and the dual ascend on the excess over that neutral
@@ -204,7 +203,7 @@ class Simulation:
             self.policy.observe_reward(rew)
 
             ep_return += rew
-            slots[i] = ([c.state for c in chains], dxi, arrivals, alloc.counts,
+            slots[i] = (states[i], dxi[i], arrivals[i], alloc.counts,
                         rates, departures, backlogs, lyap.drift_embb,
                         lyap.drift_hrllc, cost, y_mean, self.dual.value, rew)
             prev_rates = rates

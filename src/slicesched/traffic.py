@@ -79,15 +79,14 @@ def init_state_stationary(alpha: float, beta: float, rng: np.random.Generator) -
 
 def sample_hrllc_arrivals(chain: MmppChain, beta_dex: float, dxi: float,
                           rng: np.random.Generator) -> int:
-    """Poisson arrivals at the chain's current dexterity-adjusted intensity."""
-    lam = effective_intensity(chain.intensity, beta_dex, dxi)
-    return int(rng.poisson(lam)) if lam > 0 else 0
+    """Poisson arrivals at the chain's current dexterity-adjusted intensity;
+    a zero intensity draws nothing from ``rng``."""
+    return int(rng.poisson(effective_intensity(chain.intensity, beta_dex, dxi)))
 
 
-def sample_embb_arrivals(lam: float, rng: np.random.Generator) -> int:
-    if lam < 0:
-        raise ValueError("arrival rate must be >= 0")
-    return int(rng.poisson(lam)) if lam > 0 else 0
+def sample_embb_arrivals(lam: float, rng: np.random.Generator, slots: int) -> np.ndarray:
+    """One user's Poisson arrivals in each of ``slots`` slots."""
+    return rng.poisson(lam, slots)
 
 
 class DexterityProfile:
@@ -107,6 +106,7 @@ class DexterityProfile:
         self._outer = np.array(outer, dtype=float)
         self._inner = np.array(inner, dtype=float)
 
-    def vector(self, slot: int) -> np.ndarray:
-        """The users' levels at ``slot``; callers must not change it."""
-        return self._inner if self.step_a <= slot < self.step_b else self._outer
+    def vector(self, slots: np.ndarray) -> np.ndarray:
+        """The users' levels, one new row per global slot index in ``slots``."""
+        inside = (self.step_a <= slots) & (slots < self.step_b)
+        return np.where(np.expand_dims(inside, -1), self._inner, self._outer)

@@ -26,26 +26,22 @@ def user_rate(gain_sq: np.ndarray, alloc: Allocation, user: int) -> float:
 
 
 def test_draw_shapes_and_nonnegativity(default_cfg):
-    gain_sq = draw_channel(default_cfg, np.random.default_rng(0))
-    assert gain_sq.shape == (default_cfg.num_users, default_cfg.num_prbs)
+    gain_sq = draw_channel(default_cfg, np.random.default_rng(0), 3)
+    assert gain_sq.shape == (3, default_cfg.num_users, default_cfg.num_prbs)
     assert np.all(gain_sq >= 0)
 
 
 def test_draw_unit_mean_exponential(default_cfg):
-    rng = np.random.default_rng(1)
-    total, n = 0.0, 0
-    for _ in range(6):
-        gain_sq = draw_channel(default_cfg, rng)
-        total += gain_sq.sum()
-        n += gain_sq.size
+    gain_sq = draw_channel(default_cfg, np.random.default_rng(1), 6)
+    total, n = gain_sq.sum(), gain_sq.size
     big = np.random.default_rng(2).exponential(1.0, size=1_000_000)
     assert big.mean() == pytest.approx(1.0, abs=0.01)
     assert total / n == pytest.approx(1.0, abs=0.1)
 
 
 def test_draw_deterministic_per_seed(default_cfg):
-    a = draw_channel(default_cfg, stream(9, CHANNEL))
-    b = draw_channel(default_cfg, stream(9, CHANNEL))
+    a = draw_channel(default_cfg, stream(9, CHANNEL), 4)
+    b = draw_channel(default_cfg, stream(9, CHANNEL), 4)
     assert np.array_equal(a, b)
 
 

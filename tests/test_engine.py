@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 
-from slicesched.config import ScenarioConfig, ValidationError
-from slicesched.engine import (Simulation, build_policy, concat_slots,
-                               export_diagnostics_csv,
+from slicesched import engine
+from slicesched.config import (ScenarioConfig, ValidationError,
+                               derive_prb_bandwidth)
+from slicesched.engine import (CHAIN_INIT, CHANNEL, TRAFFIC_EMBB,
+                               TRAFFIC_HRLLC, Simulation, build_policy,
+                               concat_slots, export_diagnostics_csv,
                                export_trace_csv, run_evaluation, run_training,
-                               slot_dtype, step_response_summary,
+                               slot_dtype, step_response_summary, stream,
                                trace_columns, POLICY_NAMES)
 from slicesched.metrics import summarize
 from slicesched.queueing import service_capacity
+from slicesched.schedulers import RoundRobinPolicy
+from slicesched.traffic import (DexterityProfile, MmppChain,
+                                effective_intensity, init_state_stationary)
 
 
 def _sim(cfg, policy_name="rr", seed=None, **kwargs):
@@ -236,3 +242,122 @@ def test_step_response_on_evaluation_records():
 def test_slots_per_episode_must_be_positive():
     with pytest.raises(ValidationError):
         ScenarioConfig().replace(slots_per_episode=0)
+
+
+# --- the episode's world against the per-slot draw loop ----------------------
+
+def per_slot_world(cfg, seed, episodes):
+    """The draw loop the slot loop used to run: per slot, step each chain,
+    read DXI, draw each user's arrivals, then the (U, K) channel.  Returns
+    per-slot chain states, DXI, arrivals, squared gains and rates."""
+    n_s = cfg.slots_per_episode
+    rng_h = [stream(seed, TRAFFIC_HRLLC, u) for u in range(cfg.num_hrllc)]
+    rng_e = [stream(seed, TRAFFIC_EMBB, u) for u in range(cfg.num_embb)]
+    rng_c, rng_init = stream(seed, CHANNEL), stream(seed, CHAIN_INIT)
+    profile = DexterityProfile(cfg, cfg.episodes * n_s)
+    chains = [MmppChain(alpha=cfg.mmpp_alpha, beta=cfg.mmpp_beta,
+                        lambda_by_state=(cfg.lambda_slow, cfg.lambda_burst),
+                        slot_duration_s=cfg.slot_duration_s)
+              for _ in range(cfg.num_hrllc)]
+    cols = {k: [] for k in ("states", "dxi", "arrivals", "gain_sq", "rates")}
+    for episode in range(episodes):
+        for chain in chains:
+            chain.state = init_state_stationary(cfg.mmpp_alpha, cfg.mmpp_beta,
+                                                rng_init)
+        for i in range(n_s):
+            t = episode * n_s + i
+            for u, chain in enumerate(chains):
+                chain.step(rng_h[u])
+            dxi = (profile._inner if profile.step_a <= t < profile.step_b
+                   else profile._outer)
+            arr_h = []
+            for u, chain in enumerate(chains):
+                lam = effective_intensity(chain.intensity, cfg.beta_dex, dxi[u])
+                arr_h.append(int(rng_h[u].poisson(lam)) if lam > 0 else 0)
+            lam = cfg.lambda_embb
+            arr_e = [int(rng.poisson(lam)) if lam > 0 else 0 for rng in rng_e]
+            gain_sq = rng_c.exponential(1.0, size=(cfg.num_users, cfg.num_prbs))
+            cols["states"].append([c.state for c in chains])
+            cols["dxi"].append(dxi)
+            cols["arrivals"].append(arr_e + arr_h)
+            cols["gain_sq"].append(gain_sq)
+            cols["rates"].append(derive_prb_bandwidth(cfg) * np.log2(
+                1.0 + cfg.mean_snr_linear * gain_sq))
+    return {"states": np.array(cols["states"], dtype=np.int64),
+            "dxi": np.array(cols["dxi"], dtype=float),
+            "arrivals": np.array(cols["arrivals"], dtype=np.int64),
+            "gain_sq": np.array(cols["gain_sq"]),
+            "rates": np.array(cols["rates"])}
+
+
+class SeeingPolicy(RoundRobinPolicy):
+    """Round-robin that keeps a copy of the channel and DXI it is shown."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = {"gain_sq": [], "rates": [], "dxi": []}
+
+    def allocate(self, ctx):
+        self.seen["gain_sq"].append(ctx.gain_sq.copy())
+        self.seen["rates"].append(ctx.rate_matrix.copy())
+        self.seen["dxi"].append(ctx.dxi.copy())
+        return super().allocate(ctx)
+
+
+WORLD_CASES = {
+    "defaults": {},
+    # horizon 100: the DXI steps at slots 33 and 66, inside episodes 1 and 2
+    "two-step": {"dexterity_profile": "two_step"},
+    # slow-state intensity clamped to 0 while the chain keeps stepping
+    "clamped": {"beta_dex": 1.0, "dxi_level": 2.0, "mmpp_alpha": 200.0,
+                "mmpp_beta": 200.0},
+    "no-embb-traffic": {"lambda_embb": 0.0},
+    "one-hrllc": {"num_hrllc": 1},
+}
+
+
+@pytest.mark.parametrize("case", sorted(WORLD_CASES))
+def test_episode_world_matches_per_slot_draws(case):
+    cfg = ScenarioConfig().replace(episodes=4, slots_per_episode=25,
+                                   **WORLD_CASES[case])
+    seed = 2024
+    expected = per_slot_world(cfg, seed, cfg.episodes)
+    policy = SeeingPolicy()
+    sim = Simulation(cfg, policy, master_seed=seed)
+    slots = concat_slots([sim.run_episode() for _ in range(cfg.episodes)])
+    seen = {k: np.array(v) for k, v in policy.seen.items()}
+    got = {"states": slots.mmpp_states, "dxi": slots.dxi,
+           "arrivals": slots.arrivals, "gain_sq": seen["gain_sq"],
+           "rates": seen["rates"]}
+    for name, column in expected.items():
+        assert column.dtype == got[name].dtype, name
+        assert column.tobytes() == got[name].tobytes(), name
+    assert seen["dxi"].tobytes() == expected["dxi"].tobytes()
+    if case == "clamped":
+        hrllc = slots.arrivals[:, cfg.num_embb:]
+        assert np.all(hrllc[slots.mmpp_states == 1] == 0)
+        assert hrllc[slots.mmpp_states == 2].sum() > 0
+
+
+def test_world_is_drawn_once_per_episode(monkeypatch, tiny_cfg):
+    calls = {}
+
+    def count(name, fn):
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return counted
+
+    for name in ("draw_channel", "rate_matrix", "sample_embb_arrivals",
+                 "sample_hrllc_arrivals"):
+        monkeypatch.setattr(engine, name, count(name, getattr(engine, name)))
+    sim = _sim(tiny_cfg)
+    monkeypatch.setattr(sim.dex_profile, "vector",
+                        count("vector", sim.dex_profile.vector))
+    for _ in range(tiny_cfg.episodes):
+        sim.run_episode()
+    n_ep, n_s = tiny_cfg.episodes, tiny_cfg.slots_per_episode
+    assert calls == {"draw_channel": n_ep, "rate_matrix": n_ep, "vector": n_ep,
+                     "sample_embb_arrivals": n_ep * tiny_cfg.num_embb,
+                     "sample_hrllc_arrivals": n_ep * n_s * tiny_cfg.num_hrllc}
+    assert not hasattr(sim, "chains")

@@ -102,10 +102,12 @@ def test_effective_intensity_monotone():
 
 def test_hrllc_arrivals_zero_intensity():
     c = _chain(state=1)
-    rng = np.random.default_rng(0)
-    # beta_dex * dxi exceeds the slow intensity -> clamp to 0 arrivals
+    rng, same = np.random.default_rng(0), np.random.default_rng(0)
+    # beta_dex * dxi exceeds the slow intensity -> clamp to 0 arrivals,
+    # drawing nothing from the stream that the chain shares
     assert all(sample_hrllc_arrivals(c, 1.0, 5.0, rng) == 0
                for _ in range(100))
+    assert rng.random() == same.random()
 
 
 def test_hrllc_arrivals_poisson_moments():
@@ -120,17 +122,18 @@ def test_hrllc_arrivals_poisson_moments():
 
 def test_embb_arrivals():
     rng = np.random.default_rng(2)
-    assert sample_embb_arrivals(0.0, rng) == 0
-    draws = np.array([sample_embb_arrivals(3.0, rng) for _ in range(200_000)])
+    assert sample_embb_arrivals(0.0, rng, 5).tolist() == [0] * 5
+    draws = sample_embb_arrivals(3.0, rng, 200_000)
     assert draws.mean() == pytest.approx(3.0, abs=0.03)
-    with pytest.raises(ValueError):
-        sample_embb_arrivals(-1.0, rng)
+    for lam in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            sample_embb_arrivals(lam, rng, 1)
 
 
 def test_embb_arrivals_deterministic_per_seed():
-    a = [sample_embb_arrivals(3.0, np.random.default_rng(5)) for _ in range(1)]
-    b = [sample_embb_arrivals(3.0, np.random.default_rng(5)) for _ in range(1)]
-    assert a == b
+    a = sample_embb_arrivals(3.0, np.random.default_rng(5), 50)
+    b = sample_embb_arrivals(3.0, np.random.default_rng(5), 50)
+    assert a.shape == (50,) and np.array_equal(a, b)
 
 
 def test_init_state_stationary_distribution():
@@ -183,3 +186,19 @@ def test_dexterity_profile_two_step():
     for slot in (0, 300, 450, 599, 899):
         assert prof.vector(slot)[0] == 3.0
         assert prof.vector(slot)[2] == 3.0
+
+
+def test_dexterity_profile_array_of_slots():
+    # one row per global slot index, equal to the scalar lookups
+    cfg = ScenarioConfig().replace(dexterity_profile="two_step", dxi_low=1.0,
+                                   dxi_high=6.0, dxi_step_user=1,
+                                   dxi_level=3.0)
+    prof = DexterityProfile(cfg, 900)
+    slots = np.arange(250, 650)
+    levels = prof.vector(slots)
+    assert levels.shape == (400, 3)
+    assert levels.tolist() == [prof.vector(int(t)).tolist() for t in slots]
+    assert levels[:, 1].tolist() == [1.0] * 50 + [6.0] * 300 + [1.0] * 50
+    # a new array each call: changing one leaves the profile as it was
+    levels[:] = -1.0
+    assert prof.vector(slots[:1]).tolist() == [[3.0, 1.0, 3.0]]
