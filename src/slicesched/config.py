@@ -145,7 +145,8 @@ def validate(cfg: ScenarioConfig) -> None:
         cfg, "total_bandwidth_hz", "num_prbs", "num_embb", "num_hrllc",
         "slot_duration_s", "packet_size_bits", "mean_snr_linear", "d_max_s",
         "d_proc_s", "eps_cost", "lyapunov_v", "dual_step", "lr_actor",
-        "lr_critic", "episodes", "slots_per_episode", "q_ref", "r_ref_mbps",
+        "lr_critic", "episodes", "slots_per_episode", "grad_clip",
+        "reward_scale", "q_ref", "r_ref_mbps",
         "l_ref", "obs_clip", "surrogate_exp_cap", "smooth_window",
         "eval_episodes", "dqn_replay_capacity", "dqn_batch_size",
         "dqn_target_sync", "dqn_eps_decay_slots",
@@ -161,6 +162,10 @@ def validate(cfg: ScenarioConfig) -> None:
         raise ValidationError(
             f"num_prbs ({cfg.num_prbs}) must be >= num_embb + num_hrllc "
             f"({cfg.num_users}) so every user can hold one PRB")
+    if not cfg.mmpp_alpha + cfg.mmpp_beta > 0:
+        raise ValidationError(
+            "mmpp_alpha + mmpp_beta must be > 0, or the chain has no "
+            "stationary distribution")
     if not cfg.lambda_burst > cfg.lambda_slow:
         raise ValidationError(
             f"lambda_burst ({cfg.lambda_burst}) must exceed lambda_slow ({cfg.lambda_slow})")

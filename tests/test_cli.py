@@ -143,6 +143,16 @@ def test_non_finite_config_value_is_config_error(tmp_path, setting):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("settings", [
+    ["grad_clip=0"], ["grad_clip=-1"], ["reward_scale=0"], ["reward_scale=-1"],
+    ["mmpp_alpha=0", "mmpp_beta=0"]])
+def test_invariant_violation_is_config_error(tmp_path, settings):
+    # rejected before the run directory is made, not mid-run
+    sets = [arg for s in settings for arg in ("--set", s)]
+    assert main(["train", "--out", str(tmp_path / "x"), *TINY, *sets]) == 2
+    assert not (tmp_path / "x").exists()
+
+
 def test_unreadable_config_file_is_config_error(tmp_path):
     assert main(["train", "--config", str(tmp_path / "missing.txt"),
                  "--out", str(tmp_path / "x")]) == 2

@@ -98,6 +98,11 @@ def test_parse_tuple_fields():
     {"mmpp_alpha": float("nan")},
     {"y_clip": float("nan")},
     {"dxi_values": (0.0, float("nan"), 1.0)},
+    {"grad_clip": 0.0},                   # zeroes every update
+    {"grad_clip": -1.0},                  # flips every clipped gradient
+    {"reward_scale": 0.0},
+    {"reward_scale": -1.0},               # the learner would maximise cost
+    {"mmpp_alpha": 0.0, "mmpp_beta": 0.0},   # no stationary distribution
 ])
 def test_invariant_violations_rejected(overrides):
     with pytest.raises(ValidationError):
