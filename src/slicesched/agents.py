@@ -56,6 +56,11 @@ def obs_length(cfg: ScenarioConfig) -> int:
     return 3 * cfg.num_embb + 1 + 3 * cfg.num_hrllc + 1 + 1 + cfg.num_hrllc
 
 
+# observation scales: constants, so a checkpoint's shapes fix its input format
+Q_REF, R_REF_BPS, L_REF = 100.0, 20e6, 500.0    # packets, bits/s, drift
+Y_CLIP, OBS_CLIP = 5.0, 10.0     # clips: violation signal, every feature
+
+
 def encode_observation(ctx: SchedulerContext, cfg: ScenarioConfig) -> np.ndarray:
     """Normalized feature vector, eMBB block then HRLLC block.
 
@@ -65,22 +70,21 @@ def encode_observation(ctx: SchedulerContext, cfg: ScenarioConfig) -> np.ndarray
     the previous slot: this slot's do not exist until after the action.
     """
     n_e = cfg.num_embb
-    queue = ctx.work / cfg.q_ref
+    queue = ctx.work / Q_REF
     mean_gain = ctx.gain_sq.mean(axis=1)
-    r_ref = cfg.r_ref_mbps * 1e6
     feats = np.concatenate([
         queue[:n_e],
         mean_gain[:n_e],
-        ctx.prev_rates[:n_e] / r_ref,
-        [ctx.prev_drift_embb / cfg.l_ref],
+        ctx.prev_rates[:n_e] / R_REF_BPS,
+        [ctx.prev_drift_embb / L_REF],
         queue[n_e:],
         mean_gain[n_e:],
-        ctx.prev_rates[n_e:] / r_ref,
-        [ctx.prev_drift_hrllc / cfg.l_ref],
-        [np.clip(ctx.prev_y, -1.0, cfg.y_clip)],
+        ctx.prev_rates[n_e:] / R_REF_BPS,
+        [ctx.prev_drift_hrllc / L_REF],
+        [np.clip(ctx.prev_y, -1.0, Y_CLIP)],
         ctx.dxi,
     ])
-    return np.clip(feats, -cfg.obs_clip, cfg.obs_clip)
+    return np.clip(feats, -OBS_CLIP, OBS_CLIP)
 
 
 def decode_action(space: ActionSpace, kh_idx: int, template_idx: int,
@@ -201,7 +205,9 @@ class Learner(Policy):
     observation and the action first, then ``observe_reward`` fills in the
     scaled reward.  The next slot's observation, or ``None`` at the end of
     an episode, completes it, and ``_learn(next_obs)`` learns from it.
-    Subclasses own one net, ``self.net``, which is what a checkpoint holds.
+    It learns only while ``training`` (the flag ``Policy`` keeps), and
+    ``set_training`` also drops the open transition.  Subclasses own one
+    net, ``self.net``, which is what a checkpoint holds.
     """
 
     # per-update quantities whose episode means diagnostics() reports
@@ -212,13 +218,12 @@ class Learner(Policy):
         self.rng = rng
         self.space = ActionSpace.from_config(cfg)
         self.obs_dim = obs_length(cfg)
-        self.training = True
         # [obs, action, scaled reward, ...]
         self._pending: Optional[list] = None
         self.begin_episode()
 
     def set_training(self, training: bool) -> None:
-        self.training = training
+        super().set_training(training)
         self._pending = None
 
     def begin_episode(self) -> None:

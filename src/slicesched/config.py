@@ -78,13 +78,6 @@ class ScenarioConfig:
     reward_scale: float = 0.01
     trunk_hidden: tuple[int, ...] = (64, 64)
 
-    # --- observation normalization ---
-    q_ref: float = 100.0
-    r_ref_mbps: float = 20.0
-    l_ref: float = 500.0
-    y_clip: float = 5.0
-    obs_clip: float = 10.0
-
     # --- DQN baseline ---
     dqn_replay_capacity: int = 10000
     dqn_batch_size: int = 64
@@ -146,14 +139,13 @@ def validate(cfg: ScenarioConfig) -> None:
         "slot_duration_s", "packet_size_bits", "mean_snr_linear", "d_max_s",
         "d_proc_s", "eps_cost", "lyapunov_v", "dual_step", "lr_actor",
         "lr_critic", "episodes", "slots_per_episode", "grad_clip",
-        "reward_scale", "q_ref", "r_ref_mbps",
-        "l_ref", "obs_clip", "surrogate_exp_cap", "smooth_window",
+        "reward_scale", "surrogate_exp_cap", "smooth_window",
         "eval_episodes", "dqn_replay_capacity", "dqn_batch_size",
         "dqn_target_sync", "dqn_eps_decay_slots",
     )
     _nonneg(cfg, "mmpp_alpha", "mmpp_beta", "lambda_slow", "lambda_burst",
             "beta_dex", "lambda_embb", "entropy_coef", "master_seed",
-            "dxi_level", "dxi_low", "dxi_high", "y_clip")
+            "dxi_level", "dxi_low", "dxi_high")
     if cfg.dqn_replay_capacity < cfg.dqn_batch_size:
         raise ValidationError(
             f"dqn_replay_capacity ({cfg.dqn_replay_capacity}) must be >= "

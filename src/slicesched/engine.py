@@ -6,9 +6,9 @@ the chains' states and DXI, (2) arrivals, (3) the channel's squared gains
 and per-PRB rates.  Each slot reads its row and runs (4-6) build the
 context and let the policy allocate, (7) rates and packet service, (8)
 queue update, (9) Lyapunov drift, cost, violation surrogate and reward,
-(10) dual ascent on this slot's violation, (11) the reward to the policy.
-Observations use the previous slot's rates, drifts and violation signal;
-this slot's do not exist before the action.
+(10) dual ascent on this slot's violation while the policy trains, (11)
+the reward to the policy.  Observations use the previous slot's rates,
+drifts and violation signal; this slot's do not exist before the action.
 
 A learner's update for slot t needs slot t+1's observation, so it runs
 inside slot t+1's ``allocate``, once that observation is encoded; the last
@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
-
 import numpy as np
 
 from .agents import A2CAgent, DqnAgent, reward as compute_reward, step_cost
@@ -109,26 +107,24 @@ def build_policy(name: str, cfg: ScenarioConfig, master_seed: int) -> Policy:
 
 
 class Simulation:
-    """One world: owns the rng streams, dual and the episode count."""
+    """One world of ``episodes`` episodes seeded by ``seed``: owns the rng
+    streams, the dual and the episode count.  The dexterity profile spans
+    all ``episodes`` episodes, and the dual steps only while
+    ``policy.training`` holds, so a frozen policy leaves it where it is."""
 
-    def __init__(self, cfg: ScenarioConfig, policy: Policy,
-                 master_seed: Optional[int] = None,
-                 total_slots: Optional[int] = None,
-                 update_dual: bool = True):
+    def __init__(self, cfg: ScenarioConfig, policy: Policy, seed: int,
+                 episodes: int):
         self.cfg = cfg
         self.policy = policy
-        seed = cfg.master_seed if master_seed is None else master_seed
         self.rng_hrllc = [stream(seed, TRAFFIC_HRLLC, u)
                           for u in range(cfg.num_hrllc)]
         self.rng_embb = [stream(seed, TRAFFIC_EMBB, u)
                          for u in range(cfg.num_embb)]
         self.rng_channel = stream(seed, CHANNEL)
         self.rng_chain_init = stream(seed, CHAIN_INIT)
-        horizon = total_slots if total_slots is not None else \
-            cfg.episodes * cfg.slots_per_episode
-        self.dex_profile = DexterityProfile(cfg, horizon)
+        self.dex_profile = DexterityProfile(
+            cfg, episodes * cfg.slots_per_episode)
         self.dual = DualVariable(value=0.0, step=cfg.dual_step)
-        self.update_dual = update_dual
         self._episode = 0
 
     def _draw_world(self) -> tuple[np.ndarray, ...]:
@@ -197,7 +193,7 @@ class Simulation:
             rew = compute_reward(lyap.drift, cost, cfg.lyapunov_v,
                                  self.dual.value, violation)
             # (10) dual ascent
-            if self.update_dual:
+            if self.policy.training:
                 self.dual.update(violation)
             # (11) the reward for the policy's next update
             self.policy.observe_reward(rew)
@@ -223,7 +219,7 @@ def run_training(cfg: ScenarioConfig, agent_kind: str
                  ) -> tuple[list[EpisodeRecord], Policy]:
     """Train (or just run, for rr/pf) a policy for cfg.episodes episodes."""
     policy = build_policy(agent_kind, cfg, cfg.master_seed)
-    sim = Simulation(cfg, policy)
+    sim = Simulation(cfg, policy, cfg.master_seed, cfg.episodes)
     records = [sim.run_episode() for _ in range(cfg.episodes)]
     return records, policy
 
@@ -238,9 +234,7 @@ def run_evaluation(cfg: ScenarioConfig, policy: Policy, eval_seed: int
     randomness.
     """
     policy.set_training(False)
-    sim = Simulation(cfg, policy, master_seed=eval_seed,
-                     total_slots=cfg.eval_episodes * cfg.slots_per_episode,
-                     update_dual=False)
+    sim = Simulation(cfg, policy, eval_seed, cfg.eval_episodes)
     return [sim.run_episode() for _ in range(cfg.eval_episodes)]
 
 

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 _MAGIC = b"MLP1"
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8     # Adam's decays and offset
 
 
 @dataclass
@@ -138,8 +139,7 @@ class Adam:
     arrays; ``step`` updates the parameters in place.
     """
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self) -> None:
         self.t = 0
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
@@ -160,21 +160,21 @@ class Adam:
             self._scratch = np.empty_like(g)
         m, v, s = self.m, self.v, self._scratch
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         # each operation below is the in-place form of, with the same
         # rounding as, m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g, then
         # p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=s)
+        m *= BETA1
+        np.multiply(g, 1.0 - BETA1, out=s)
         m += s
-        v *= self.beta2
-        np.multiply(g, 1.0 - self.beta2, out=s)
+        v *= BETA2
+        np.multiply(g, 1.0 - BETA2, out=s)
         s *= g
         v += s
         np.divide(v, bc2, out=s)
         np.sqrt(s, out=s)
-        s += self.eps
+        s += EPS
         np.divide(m, bc1, out=g)
         g *= lr
         g /= s

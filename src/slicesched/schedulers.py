@@ -164,6 +164,7 @@ class Policy:
     """Common hook surface; learning agents override the learning hooks."""
 
     name = "policy"
+    training = True      # False freezes learning and the engine's dual
 
     def allocate(self, ctx: SchedulerContext) -> Allocation:
         raise NotImplementedError
@@ -178,7 +179,7 @@ class Policy:
         pass
 
     def set_training(self, training: bool) -> None:
-        pass
+        self.training = training
 
     def diagnostics(self) -> dict:
         """The current episode's learning diagnostics, name -> value."""
@@ -203,7 +204,7 @@ class ProportionalFairPolicy(Policy):
 
     name = "pf"
 
-    def __init__(self, num_users: int, ewma_factor: float = 0.1) -> None:
+    def __init__(self, num_users: int, ewma_factor: float) -> None:
         self.ewma_factor = ewma_factor
         self.ewma = np.full(num_users, 1.0)  # 1 bit/s floor avoids div by zero
 

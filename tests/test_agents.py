@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from slicesched.agents import (A2CAgent, ActionSpace, DqnAgent, a2c_grads,
-                               a2c_heads, a2c_net, decode_action,
+from slicesched.agents import (OBS_CLIP, A2CAgent, ActionSpace, DqnAgent,
+                               a2c_grads, a2c_heads, a2c_net, decode_action,
                                encode_observation, obs_length, reward,
                                step_cost)
 from slicesched.config import ScenarioConfig
@@ -69,7 +69,7 @@ def test_encode_clips_extremes():
     ctx.work = np.array([10**9, 0, 0, 0, 0, 0, 0])
     ctx.prev_drift_hrllc = -1e12
     obs = encode_observation(ctx, ctx_cfg)
-    assert obs.max() <= cfg.obs_clip and obs.min() >= -cfg.obs_clip
+    assert obs.max() <= OBS_CLIP and obs.min() >= -OBS_CLIP
 
 
 def test_decode_action_extreme_slices():

@@ -153,6 +153,20 @@ def test_invariant_violation_is_config_error(tmp_path, settings):
     assert not (tmp_path / "x").exists()
 
 
+def test_deleted_observation_scale_is_config_error(tmp_path):
+    # the scales are constants of the encoder, so no run can change the
+    # input format a checkpoint was trained on
+    ckpt = _train(tmp_path) / "checkpoint.bin"
+    assert main(["compare", "--policies", "a2c,rr", "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "x"), *TINY, "--set", "q_ref=1"]) == 2
+    assert not (tmp_path / "x").exists()
+    path = tmp_path / "scenario.txt"
+    path.write_text("episodes = 2\nobs_clip = 1000\n")
+    assert main(["compare", "--policies", "rr", "--config", str(path),
+                 "--out", str(tmp_path / "y")]) == 2
+    assert not (tmp_path / "y").exists()
+
+
 def test_unreadable_config_file_is_config_error(tmp_path):
     assert main(["train", "--config", str(tmp_path / "missing.txt"),
                  "--out", str(tmp_path / "x")]) == 2

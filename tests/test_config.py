@@ -6,6 +6,9 @@ from slicesched.config import (ConfigError, ScenarioConfig, ValidationError,
                                apply_overrides, config_to_text,
                                derive_prb_bandwidth, parse_config_text)
 
+# the observation scales, now constants of the encoder
+DELETED_KEYS = ("q_ref", "r_ref_mbps", "l_ref", "y_clip", "obs_clip")
+
 
 def test_defaults_are_valid():
     cfg = ScenarioConfig()
@@ -48,8 +51,9 @@ def test_parse_comments_blanks_and_dotted_keys():
 
 
 def test_parse_unknown_key_reports_line_number():
-    with pytest.raises(ConfigError, match="line 2"):
-        parse_config_text("num_prbs = 30\nnot_a_key = 1\n")
+    for key in ("not_a_key", *DELETED_KEYS):
+        with pytest.raises(ConfigError, match=f"line 2: unknown key '{key}'"):
+            parse_config_text(f"num_prbs = 30\n{key} = 1\n")
 
 
 def test_parse_repeated_key_reports_both_line_numbers():
@@ -96,7 +100,7 @@ def test_parse_tuple_fields():
     {"lambda_embb": float("nan")},
     {"lambda_embb": float("inf")},
     {"mmpp_alpha": float("nan")},
-    {"y_clip": float("nan")},
+    {"entropy_coef": float("nan")},
     {"dxi_values": (0.0, float("nan"), 1.0)},
     {"grad_clip": 0.0},                   # zeroes every update
     {"grad_clip": -1.0},                  # flips every clipped gradient
@@ -125,5 +129,7 @@ def test_apply_overrides():
 
 
 def test_apply_overrides_unknown_key():
-    with pytest.raises(ConfigError, match="unknown config key"):
-        apply_overrides(ScenarioConfig(), {"snr": "5"})
+    for key in ("snr", *DELETED_KEYS):
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            apply_overrides(ScenarioConfig(), {key: "5"})
+

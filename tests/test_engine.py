@@ -17,9 +17,9 @@ from slicesched.traffic import (DexterityProfile, MmppChain,
                                 effective_intensity, init_state_stationary)
 
 
-def _sim(cfg, policy_name="rr", seed=None, **kwargs):
-    policy = build_policy(policy_name, cfg, seed or cfg.master_seed)
-    return Simulation(cfg, policy, master_seed=seed, **kwargs)
+def _sim(cfg, policy_name="rr"):
+    policy = build_policy(policy_name, cfg, cfg.master_seed)
+    return Simulation(cfg, policy, cfg.master_seed, cfg.episodes)
 
 
 def test_build_policy_names():
@@ -129,6 +129,19 @@ def test_evaluation_freezes_dual(tiny_cfg):
     recs = run_evaluation(tiny_cfg.replace(eval_episodes=2), policy,
                           eval_seed=5)
     assert all(s.dual == 0.0 for r in recs for s in r.slots)
+
+
+def test_dual_steps_only_while_the_policy_trains(tiny_cfg):
+    duals = {}
+    for training in (True, False):
+        policy = RoundRobinPolicy()
+        policy.set_training(training)
+        sim = Simulation(tiny_cfg, policy, tiny_cfg.master_seed,
+                         tiny_cfg.episodes)
+        duals[training] = concat_slots(
+            [sim.run_episode() for _ in range(tiny_cfg.episodes)]).dual
+    assert np.any(duals[True] > 0.0)
+    assert np.all(duals[False] == 0.0)
 
 
 def test_dual_never_negative_and_updates_on_cadence(tiny_cfg):
@@ -323,7 +336,7 @@ def test_episode_world_matches_per_slot_draws(case):
     seed = 2024
     expected = per_slot_world(cfg, seed, cfg.episodes)
     policy = SeeingPolicy()
-    sim = Simulation(cfg, policy, master_seed=seed)
+    sim = Simulation(cfg, policy, seed, cfg.episodes)
     slots = concat_slots([sim.run_episode() for _ in range(cfg.episodes)])
     seen = {k: np.array(v) for k, v in policy.seen.items()}
     got = {"states": slots.mmpp_states, "dxi": slots.dxi,
