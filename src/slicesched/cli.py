@@ -171,6 +171,10 @@ def cmd_compare(args: argparse.Namespace, argv: list[str]) -> int:
 
 def _experiment_two_step(args, argv, cfg: ScenarioConfig) -> int:
     cfg = cfg.replace(dexterity_profile="two_step")
+    if cfg.episodes * cfg.slots_per_episode < 3:
+        raise ValidationError(
+            "two-step-dex needs episodes * slots_per_episode >= 3, so that "
+            "a window precedes the first change point")
     run = RunDir(args.out, f"two-step-dex-{cfg.master_seed}", cfg, argv)
     records, policy = run_training(cfg, "a2c")
     summary = step_response_summary(records, cfg)

@@ -186,6 +186,14 @@ def test_experiment_two_step(tmp_path):
     assert (out / "step_rate.svg").exists()
 
 
+def test_experiment_two_step_needs_three_slots(tmp_path):
+    # with fewer, the window before the first change point is empty
+    assert main(["experiment", "--name", "two-step-dex",
+                 "--out", str(tmp_path / "x"), "--set", "episodes=1",
+                 "--set", "slots_per_episode=2"]) == 2
+    assert not (tmp_path / "x").exists()
+
+
 def test_experiment_dex_sensitivity(tmp_path):
     out = tmp_path / "sens"
     code = main(["experiment", "--name", "dex-sensitivity", "--out", str(out),
