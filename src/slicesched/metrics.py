@@ -98,16 +98,12 @@ def compare_policies(records_by_policy: dict[str, list[EpisodeRecord]],
 def spearman_rank_correlation(x, y) -> float:
     """Rank correlation in [-1, 1] (average ranks on ties)."""
     def ranks(v: np.ndarray) -> np.ndarray:
-        order = np.argsort(v, kind="stable")
-        r = np.empty(len(v), dtype=float)
-        i = 0
-        while i < len(v):
-            j = i
-            while j + 1 < len(v) and v[order[j + 1]] == v[order[i]]:
-                j += 1
-            r[order[i:j + 1]] = (i + j) / 2.0
-            i = j + 1
-        return r
+        # a value's rank is the mean of the first and last sorted positions
+        # its ties span
+        _, inverse = np.unique(v, return_inverse=True)
+        counts = np.bincount(inverse)
+        last = np.cumsum(counts) - 1
+        return ((last - counts + 1 + last) / 2.0)[inverse]
 
     rx, ry = ranks(np.asarray(x, float)), ranks(np.asarray(y, float))
     rx -= rx.mean()

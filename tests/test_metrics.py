@@ -122,6 +122,39 @@ def test_spearman_tie_handling():
     assert r == pytest.approx(1.0)
 
 
+def _loop_ranks(v):
+    """Average ranks by walking each tie group of the sorted values."""
+    order = np.argsort(v, kind="stable")
+    r = np.empty(len(v), dtype=float)
+    i = 0
+    while i < len(v):
+        j = i
+        while j + 1 < len(v) and v[order[j + 1]] == v[order[i]]:
+            j += 1
+        r[order[i:j + 1]] = (i + j) / 2.0
+        i = j + 1
+    return r
+
+
+def _loop_spearman(x, y):
+    rx, ry = _loop_ranks(np.asarray(x, float)), _loop_ranks(np.asarray(y, float))
+    rx -= rx.mean()
+    ry -= ry.mean()
+    denom = np.sqrt((rx * rx).sum() * (ry * ry).sum())
+    return float((rx * ry).sum() / denom) if denom > 0 else 0.0
+
+
+def test_spearman_matches_tie_loop_oracle():
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        n = int(rng.integers(1, 12))
+        # few distinct values give many ties; continuous draws give none
+        draw = ((lambda: rng.integers(0, 4, n)) if rng.random() < 0.5
+                else (lambda: rng.normal(size=n)))
+        x, y = draw(), draw()
+        assert spearman_rank_correlation(x, y) == _loop_spearman(x, y)
+
+
 def test_dexterity_sensitivity_table():
     cfg = ScenarioConfig().replace(episodes=2, slots_per_episode=30,
                                    dexterity_profile="per_user",
