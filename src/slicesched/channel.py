@@ -9,7 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import ScenarioConfig, derive_prb_bandwidth
+from .config import ScenarioConfig
+
+
+def derive_prb_bandwidth(cfg: ScenarioConfig) -> float:
+    """PRB width in Hz: total bandwidth split evenly over the PRB grid."""
+    return cfg.total_bandwidth_hz / cfg.num_prbs
 
 
 def draw_channel(cfg: ScenarioConfig, rng: np.random.Generator, slots: int) -> np.ndarray:

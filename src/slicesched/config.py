@@ -105,11 +105,6 @@ class ScenarioConfig:
         return dataclasses.replace(self, **kwargs)
 
 
-def derive_prb_bandwidth(cfg: ScenarioConfig) -> float:
-    """PRB width in Hz: total bandwidth split evenly over the PRB grid."""
-    return cfg.total_bandwidth_hz / cfg.num_prbs
-
-
 def _positive(cfg: ScenarioConfig, *names: str) -> None:
     for n in names:
         if not getattr(cfg, n) > 0:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from slicesched.channel import all_user_rates, draw_channel, rate_matrix
-from slicesched.config import ScenarioConfig, derive_prb_bandwidth
+from slicesched.channel import (all_user_rates, derive_prb_bandwidth,
+                                draw_channel, rate_matrix)
+from slicesched.config import ScenarioConfig
 from slicesched.engine import CHANNEL, stream
 from slicesched.schedulers import Allocation
 

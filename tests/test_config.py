@@ -1,10 +1,14 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
+import slicesched
+from slicesched.channel import derive_prb_bandwidth
 from slicesched.config import (ConfigError, ScenarioConfig, ValidationError,
                                apply_overrides, config_to_text,
-                               derive_prb_bandwidth, parse_config_text)
+                               parse_config_text)
 
 # the observation scales, now constants of the encoder
 DELETED_KEYS = ("q_ref", "r_ref_mbps", "l_ref", "y_clip", "obs_clip")
@@ -133,3 +137,13 @@ def test_apply_overrides_unknown_key():
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             apply_overrides(ScenarioConfig(), {key: "5"})
 
+
+def test_every_field_is_read_outside_config():
+    # a key that no module reads would be a knob that changes nothing
+    package = Path(slicesched.__file__).parent
+    read = {node.attr for path in package.glob("*.py") if path.name != "config.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)}
+    unread = [f.name for f in dataclasses.fields(ScenarioConfig)
+              if f.name not in read]
+    assert unread == []

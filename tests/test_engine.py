@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from slicesched import engine
-from slicesched.config import (ScenarioConfig, ValidationError,
-                               derive_prb_bandwidth)
+from slicesched.channel import derive_prb_bandwidth
+from slicesched.config import ScenarioConfig, ValidationError
 from slicesched.engine import (CHAIN_INIT, CHANNEL, TRAFFIC_EMBB,
                                TRAFFIC_HRLLC, Simulation, build_policy,
                                concat_slots, export_diagnostics_csv,
