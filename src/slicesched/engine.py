@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+
 import numpy as np
 
 from .agents import A2CAgent, DqnAgent, reward as compute_reward, step_cost
