@@ -15,13 +15,14 @@ from pathlib import Path
 
 from . import __version__
 from .config import (ConfigError, ScenarioConfig, ValidationError,
-                     apply_overrides, config_to_text, load_config)
+                     config_to_text, load_config_values, parse_overrides)
 from .engine import (AGENT_NAMES, POLICY_NAMES, EpisodeRecord, build_policy,
                      concat_slots, export_diagnostics_csv, export_trace_csv,
                      run_evaluation, run_training, step_response_summary)
 from .metrics import (compare_policies, dexterity_sensitivity, moving_average,
                       summarize)
 from .svgplot import ChartSpec, Series, render_svg
+from .traffic import DexterityProfile
 
 
 class UsageError(Exception):
@@ -33,15 +34,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_cfg(args: argparse.Namespace) -> ScenarioConfig:
-    cfg = load_config(args.config) if args.config else ScenarioConfig()
+def _load_cfg(args: argparse.Namespace, preset: dict) -> ScenarioConfig:
+    """Defaults, then ``preset``, ``--config`` and ``--set`` on top; validated once."""
+    values = dict(preset)
+    if args.config:
+        values.update(load_config_values(args.config))
     overrides = {}
     for item in args.set or []:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value
-    return apply_overrides(cfg, overrides) if overrides else cfg
+    values.update(parse_overrides(overrides))
+    return ScenarioConfig(**values)
 
 
 class RunDir:
@@ -103,7 +108,7 @@ def _write_training_figures(run: RunDir, records: list[EpisodeRecord],
 
 
 def cmd_train(args: argparse.Namespace, argv: list[str]) -> int:
-    cfg = _load_cfg(args)
+    cfg = _load_cfg(args, {})
     run = RunDir(args.out, f"train-{args.agent}-{cfg.master_seed}", cfg, argv)
     records, policy = run_training(cfg, args.agent)
     policy.save(run.file("checkpoint.bin"))
@@ -115,7 +120,7 @@ def cmd_train(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def cmd_compare(args: argparse.Namespace, argv: list[str]) -> int:
-    cfg = _load_cfg(args)
+    cfg = _load_cfg(args, {})
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     if not policies:
         raise UsageError(f"--policies names no policy; choose from {POLICY_NAMES}")
@@ -170,7 +175,6 @@ def cmd_compare(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _experiment_two_step(args, argv, cfg: ScenarioConfig) -> int:
-    cfg = cfg.replace(dexterity_profile="two_step")
     if cfg.episodes * cfg.slots_per_episode < 3:
         raise ValidationError(
             "two-step-dex needs episodes * slots_per_episode >= 3, so that "
@@ -182,13 +186,13 @@ def _experiment_two_step(args, argv, cfg: ScenarioConfig) -> int:
                                                     sort_keys=True) + "\n")
     export_trace_csv(records, cfg, run.file("trace.csv"))
     _write_training_figures(run, records, cfg)
-    user = cfg.num_embb + cfg.dxi_step_user
     slots = concat_slots(records)
+    stepped = DexterityProfile(cfg, len(slots)).stepped_user
     step = max(len(slots) // 2000, 1)          # decimate for plotting
     times = [float(t) for t in range(0, len(slots), step)]  # from slot 0
     slots = slots[::step]
-    mbps = (slots.rates[:, user] / 1e6).tolist()
-    dxi = slots.dxi[:, cfg.dxi_step_user].tolist()
+    mbps = (slots.rates[:, cfg.num_embb + stepped] / 1e6).tolist()
+    dxi = slots.dxi[:, stepped].tolist()
     run.write_text("step_rate.svg", render_svg(ChartSpec(
         kind="line", title="Stepped user: achieved rate and DXI",
         series=(Series("rate (Mbit/s)", tuple(zip(times, mbps))),
@@ -199,9 +203,6 @@ def _experiment_two_step(args, argv, cfg: ScenarioConfig) -> int:
 
 
 def _experiment_dex_sensitivity(args, argv, cfg: ScenarioConfig) -> int:
-    cfg = cfg.replace(num_hrllc=5, dexterity_profile="per_user",
-                      dxi_values=(0.0, 2.5, 5.0, 7.5, 10.0),
-                      lambda_embb=min(cfg.lambda_embb, 1.0))
     run = RunDir(args.out, f"dex-sensitivity-{cfg.master_seed}", cfg, argv)
     records, _ = run_training(cfg, "a2c")
     final = records[len(records) // 2:]  # steady-state half
@@ -248,15 +249,20 @@ def _experiment_drl_compare(args, argv, cfg: ScenarioConfig) -> int:
     return 0
 
 
+# name -> (runner, its scenario beneath the user's --config and --set)
 EXPERIMENTS = {
-    "two-step-dex": _experiment_two_step,
-    "dex-sensitivity": _experiment_dex_sensitivity,
-    "drl-compare": _experiment_drl_compare,
+    "two-step-dex": (_experiment_two_step, {      # user 0 steps 0 -> 5 -> 0
+        "dxi_levels": (0.0, 2.5, 2.5), "dxi_middle": (5.0, 2.5, 2.5)}),
+    "dex-sensitivity": (_experiment_dex_sensitivity, {
+        "num_hrllc": 5, "dxi_levels": (0.0, 2.5, 5.0, 7.5, 10.0),
+        "lambda_embb": 1.0}),
+    "drl-compare": (_experiment_drl_compare, {}),
 }
 
 
 def cmd_experiment(args: argparse.Namespace, argv: list[str]) -> int:
-    return EXPERIMENTS[args.name](args, argv, _load_cfg(args))
+    run, preset = EXPERIMENTS[args.name]
+    return run(args, argv, _load_cfg(args, preset))
 
 
 def build_parser() -> _Parser:

@@ -18,8 +18,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
-DEXTERITY_PROFILES = ("constant", "two_step", "per_user")
-
 
 class ConfigError(ValueError):
     """Raised on config parse failures (carries the offending line number)."""
@@ -53,13 +51,9 @@ class ScenarioConfig:
     beta_dex: float = 0.2            # packets/slot intensity drop per unit DXI
     lambda_embb: float = 3.0         # packets/slot per eMBB user
 
-    # --- dexterity schedule ---
-    dexterity_profile: str = "constant"
-    dxi_level: float = 2.5           # constant profile level (all users)
-    dxi_low: float = 0.0             # two-step: level outside the middle third
-    dxi_high: float = 5.0            # two-step: level during the middle third
-    dxi_step_user: int = 0           # two-step applies to this HRLLC user
-    dxi_values: tuple[float, ...] = (0.0, 2.5, 5.0, 7.5, 10.0)  # per_user
+    # --- dexterity schedule: one level, or one per HRLLC user ---
+    dxi_levels: tuple[float, ...] = (2.5,)   # outside the run's middle third
+    dxi_middle: tuple[float, ...] = ()       # during it; empty: no step
 
     # --- control objective ---
     eps_cost: float = 1e-6
@@ -139,8 +133,7 @@ def validate(cfg: ScenarioConfig) -> None:
         "dqn_target_sync", "dqn_eps_decay_slots",
     )
     _nonneg(cfg, "mmpp_alpha", "mmpp_beta", "lambda_slow", "lambda_burst",
-            "beta_dex", "lambda_embb", "entropy_coef", "master_seed",
-            "dxi_level", "dxi_low", "dxi_high")
+            "beta_dex", "lambda_embb", "entropy_coef", "master_seed")
     if cfg.dqn_replay_capacity < cfg.dqn_batch_size:
         raise ValidationError(
             f"dqn_replay_capacity ({cfg.dqn_replay_capacity}) must be >= "
@@ -163,19 +156,15 @@ def validate(cfg: ScenarioConfig) -> None:
     if not cfg.d_proc_s < cfg.d_max_s:
         raise ValidationError(
             f"d_proc_s ({cfg.d_proc_s}) must be below d_max_s ({cfg.d_max_s})")
-    if cfg.dexterity_profile not in DEXTERITY_PROFILES:
+    if not (len(cfg.dxi_levels) in (1, cfg.num_hrllc)
+            and len(cfg.dxi_middle) in (0, 1, cfg.num_hrllc)):
         raise ValidationError(
-            f"dexterity_profile must be one of {DEXTERITY_PROFILES}, got {cfg.dexterity_profile!r}")
-    if cfg.dexterity_profile == "per_user" and len(cfg.dxi_values) != cfg.num_hrllc:
-        raise ValidationError(
-            f"dxi_values must list one level per HRLLC user "
-            f"({cfg.num_hrllc}), got {len(cfg.dxi_values)}")
-    if cfg.dexterity_profile == "two_step" and not (0 <= cfg.dxi_step_user < cfg.num_hrllc):
-        raise ValidationError(f"dxi_step_user out of range: {cfg.dxi_step_user}")
+            f"dxi_levels and a non-empty dxi_middle need one level or one per "
+            f"HRLLC user ({cfg.num_hrllc}), got {cfg.dxi_levels}, {cfg.dxi_middle}")
+    if any(v < 0 for v in cfg.dxi_levels + cfg.dxi_middle):
+        raise ValidationError("dxi_levels and dxi_middle must be non-negative")
     if not 0.0 < cfg.pf_ewma <= 1.0:
         raise ValidationError(f"pf_ewma must be in (0,1], got {cfg.pf_ewma}")
-    if any(v < 0 for v in cfg.dxi_values):
-        raise ValidationError("dxi_values must be non-negative")
     if any(h <= 0 for h in cfg.trunk_hidden):
         raise ValidationError("trunk_hidden sizes must be positive")
     if not 0.0 <= cfg.dqn_eps_end <= cfg.dqn_eps_start <= 1.0:
@@ -193,16 +182,14 @@ def _parse_value(name: str, raw: str) -> Any:
             return int(raw)
         if ftype == "float":
             return float(raw)
-        if ftype.startswith("tuple[float"):
-            return tuple(float(p) for p in raw.split(",") if p.strip())
-        if ftype.startswith("tuple[int"):
-            return tuple(int(p) for p in raw.split(",") if p.strip())
-        return raw  # str fields
+        item = float if ftype.startswith("tuple[float") else int
+        return tuple(item(p) for p in raw.split(",") if p.strip())
     except ValueError as exc:
         raise ConfigError(f"bad value for {name!r}: {exc}") from exc
 
 
-def parse_config_text(text: str) -> ScenarioConfig:
+def parse_config_values(text: str) -> dict[str, Any]:
+    """The values a config text sets, by field name, not yet validated."""
     values: dict[str, Any] = {}
     set_on: dict[str, int] = {}      # key -> line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -223,17 +210,22 @@ def parse_config_text(text: str) -> ScenarioConfig:
             values[key] = _parse_value(key, raw)
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
-    return ScenarioConfig(**values)
+    return values
 
 
-def load_config(path: str | Path) -> ScenarioConfig:
-    """Load a key=value config file, fill defaults, validate all invariants."""
+def parse_config_text(text: str) -> ScenarioConfig:
+    """The defaults with the text's values on top, validated."""
+    return ScenarioConfig(**parse_config_values(text))
+
+
+def load_config_values(path: str | Path) -> dict[str, Any]:
+    """The values a key=value config file sets, not yet validated."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise ConfigError(f"cannot read config file {str(path)!r}: {reason}") from exc
-    return parse_config_text(text)
+    return parse_config_values(text)
 
 
 def _format_value(value: Any) -> str:
@@ -251,12 +243,12 @@ def config_to_text(cfg: ScenarioConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def apply_overrides(cfg: ScenarioConfig, overrides: dict[str, str]) -> ScenarioConfig:
-    """Apply CLI --set key=value overrides on top of a loaded config."""
+def parse_overrides(overrides: dict[str, str]) -> dict[str, Any]:
+    """The values of CLI --set key=value overrides, not yet validated."""
     values: dict[str, Any] = {}
     for key, raw in overrides.items():
         name = key.strip().split(".")[-1]
         if name not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         values[name] = _parse_value(name, raw)
-    return cfg.replace(**values)
+    return values

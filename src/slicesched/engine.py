@@ -242,12 +242,12 @@ def run_evaluation(cfg: ScenarioConfig, policy: Policy, eval_seed: int
 def step_response_summary(records: list[EpisodeRecord], cfg: ScenarioConfig
                           ) -> dict:
     """Pre/post statistics around the two dexterity change points for the
-    stepped user: mean arrivals, PRBs and achieved rate per window.  The
-    change points are those of a profile over the records' own slots."""
+    profile's ``stepped_user``: mean arrivals, PRBs and achieved rate per
+    window.  The profile spans the records' own slots."""
     slots = concat_slots(records)
     total = len(slots)
     profile = DexterityProfile(cfg, total)
-    user = cfg.dxi_step_user
+    user = profile.stepped_user
     col = cfg.num_embb + user
     w = max(total // 10, 1)
 

@@ -91,20 +91,19 @@ def sample_embb_arrivals(lam: float, rng: np.random.Generator, slots: int) -> np
 
 class DexterityProfile:
     """Per-HRLLC-user DXI schedule over a global slot horizon: each user has
-    one level outside the middle third of the horizon and one inside it."""
+    one level outside the middle third of the horizon (``dxi_levels``) and
+    one inside it (``dxi_middle``, or the same level when that is empty)."""
 
     def __init__(self, cfg: ScenarioConfig, total_slots: int):
         # two-step change points at thirds of the run
         self.step_a = total_slots // 3
         self.step_b = (2 * total_slots) // 3
-        outer = (list(cfg.dxi_values) if cfg.dexterity_profile == "per_user"
-                 else [cfg.dxi_level] * cfg.num_hrllc)
-        inner = list(outer)
-        if cfg.dexterity_profile == "two_step":  # stepped user: low, high, low
-            outer[cfg.dxi_step_user] = cfg.dxi_low
-            inner[cfg.dxi_step_user] = cfg.dxi_high
-        self._outer = np.array(outer, dtype=float)
-        self._inner = np.array(inner, dtype=float)
+        # a one-value tuple applies to every user
+        self._outer = np.full(cfg.num_hrllc, cfg.dxi_levels, dtype=float)
+        self._inner = np.full(cfg.num_hrllc, cfg.dxi_middle or cfg.dxi_levels,
+                              dtype=float)
+        # the first user whose two levels differ, or user 0 if none does
+        self.stepped_user = int(np.argmax(self._outer != self._inner))
 
     def vector(self, slots: np.ndarray) -> np.ndarray:
         """The users' levels, one new row per global slot index in ``slots``."""

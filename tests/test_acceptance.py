@@ -261,13 +261,13 @@ def test_criterion_6_reliability(default_a2c):
 
 def test_criterion_7_step_response():
     # fast-switching chain so each pre/post window sees both traffic states
-    cfg = ScenarioConfig().replace(dexterity_profile="two_step",
+    cfg = ScenarioConfig().replace(dxi_levels=(0.0, 2.5, 2.5),
+                                   dxi_middle=(5.0, 2.5, 2.5),
                                    mmpp_alpha=200.0, mmpp_beta=200.0,
-                                   beta_dex=0.4, dxi_low=0.0, dxi_high=5.0,
-                                   episodes=150)
+                                   beta_dex=0.4, episodes=150)
     records, _ = run_training(cfg, "a2c")
     s = step_response_summary(records, cfg)
-    expected = cfg.beta_dex * (cfg.dxi_high - cfg.dxi_low)
+    expected = cfg.beta_dex * (cfg.dxi_middle[0] - cfg.dxi_levels[0])
     da = (s["after_step_a"]["mean_arrivals"]
           - s["before_step_a"]["mean_arrivals"])
     db = (s["after_step_b"]["mean_arrivals"]
@@ -286,8 +286,8 @@ def test_criterion_7_step_response():
 # --- criterion 8: dexterity sensitivity ------------------------------------
 
 def test_criterion_8_dexterity_sensitivity():
-    cfg = ScenarioConfig().replace(num_hrllc=5, dexterity_profile="per_user",
-                                   dxi_values=(0.0, 2.5, 5.0, 7.5, 10.0),
+    cfg = ScenarioConfig().replace(num_hrllc=5,
+                                   dxi_levels=(0.0, 2.5, 5.0, 7.5, 10.0),
                                    lambda_embb=1.0, episodes=240)
     records, _ = run_training(cfg, "a2c")
     table = dexterity_sensitivity(records[len(records) // 2:], cfg)

@@ -136,7 +136,7 @@ def test_invalid_config_value_is_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("setting", ["beta_dex=nan", "total_bandwidth_hz=inf",
-                                     "dxi_values=0,nan,1"])
+                                     "dxi_levels=0,nan,1"])
 def test_non_finite_config_value_is_config_error(tmp_path, setting):
     assert main(["compare", "--policies", "rr", "--out", str(tmp_path / "x"),
                  *TINY, "--set", setting]) == 2
@@ -206,6 +206,37 @@ def test_experiment_dex_sensitivity(tmp_path):
     assert lines[-1].startswith("# rank_correlation_dxi_prbs,")
     # the scenario pins five HRLLC users at spread-out dexterity levels
     assert "num_hrllc = 5" in (out / "config.txt").read_text()
+
+
+@pytest.mark.parametrize("name", ["two-step-dex", "dex-sensitivity"])
+def test_experiment_preset_levels_must_match_user_count(tmp_path, name):
+    # the preset's dxi_levels name 3 or 5 users, not the 2 asked for
+    assert main(["experiment", "--name", name, "--out", str(tmp_path / "x"),
+                 *TINY, "--set", "num_hrllc=2"]) == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_experiment_user_keys_override_preset(tmp_path):
+    # the same keys through --set and through --config give the same run,
+    # and config.txt records them: lambda_embb is no longer clamped to 1.0
+    keys = {"num_hrllc": "2", "dxi_levels": "1.0,2.0", "lambda_embb": "3.0"}
+    sets = [arg for k, v in keys.items() for arg in ("--set", f"{k}={v}")]
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+    outs = [tmp_path / "set", tmp_path / "file"]
+    assert main(["experiment", "--name", "dex-sensitivity",
+                 "--out", str(outs[0]), *TINY, *sets]) == 0
+    assert main(["experiment", "--name", "dex-sensitivity", "--config",
+                 str(scenario), "--out", str(outs[1]), *TINY]) == 0
+    for out in outs:
+        config = (out / "config.txt").read_text()
+        for k, v in keys.items():
+            assert f"{k} = {v}\n" in config
+        lines = (out / "sensitivity.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:-1]] == [
+            ["0", "1.0"], ["1", "2.0"]]
+    for name in ("config.txt", "sensitivity.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_experiment_drl_compare(tmp_path):

@@ -7,11 +7,14 @@ import pytest
 import slicesched
 from slicesched.channel import derive_prb_bandwidth
 from slicesched.config import (ConfigError, ScenarioConfig, ValidationError,
-                               apply_overrides, config_to_text,
-                               parse_config_text)
+                               config_to_text, parse_config_text,
+                               parse_config_values, parse_overrides)
 
-# the observation scales, now constants of the encoder
-DELETED_KEYS = ("q_ref", "r_ref_mbps", "l_ref", "y_clip", "obs_clip")
+# the observation scales, now constants of the encoder, and the three
+# dexterity schedules, now the one dxi_levels / dxi_middle pair
+DELETED_KEYS = ("q_ref", "r_ref_mbps", "l_ref", "y_clip", "obs_clip",
+                "dexterity_profile", "dxi_level", "dxi_low", "dxi_high",
+                "dxi_step_user", "dxi_values")
 
 
 def test_defaults_are_valid():
@@ -79,9 +82,9 @@ def test_parse_missing_equals_rejected():
 
 
 def test_parse_tuple_fields():
-    cfg = parse_config_text("trunk_hidden = 32, 16\ndxi_values = 1,2,3\n")
+    cfg = parse_config_text("trunk_hidden = 32, 16\ndxi_levels = 1,2,3\n")
     assert cfg.trunk_hidden == (32, 16)
-    assert cfg.dxi_values == (1.0, 2.0, 3.0)
+    assert cfg.dxi_levels == (1.0, 2.0, 3.0)
 
 
 @pytest.mark.parametrize("overrides", [
@@ -90,9 +93,9 @@ def test_parse_tuple_fields():
     {"chi_h": 1.5},
     {"gamma": 0.0},
     {"d_proc_s": 0.05},                   # processing above the deadline
-    {"dexterity_profile": "sinusoid"},
-    {"dexterity_profile": "per_user", "dxi_values": (1.0,)},
-    {"dexterity_profile": "two_step", "dxi_step_user": 9},
+    {"dxi_levels": (1.0, 2.0)},           # neither one level nor one per user
+    {"dxi_middle": (1.0, 2.0)},
+    {"dxi_levels": ()},                   # only dxi_middle may be empty
     {"beta_dex": float("nan")},           # a nan passes ordered comparisons
     {"total_bandwidth_hz": float("inf")},
     {"pf_ewma": 0.0},
@@ -100,17 +103,20 @@ def test_parse_tuple_fields():
     {"episodes": 0},
     {"dqn_eps_end": 0.5, "dqn_eps_start": 0.1},
     {"trunk_hidden": (64, 0)},
-    {"dxi_level": float("nan")},
+    {"dxi_levels": (float("nan"),)},
     {"lambda_embb": float("nan")},
     {"lambda_embb": float("inf")},
     {"mmpp_alpha": float("nan")},
     {"entropy_coef": float("nan")},
-    {"dxi_values": (0.0, float("nan"), 1.0)},
+    {"dxi_levels": (0.0, float("nan"), 1.0)},
     {"grad_clip": 0.0},                   # zeroes every update
     {"grad_clip": -1.0},                  # flips every clipped gradient
     {"reward_scale": 0.0},
     {"reward_scale": -1.0},               # the learner would maximise cost
     {"mmpp_alpha": 0.0, "mmpp_beta": 0.0},   # no stationary distribution
+    {"dxi_levels": (-1.0,)},
+    {"dxi_middle": (0.0, -1.0, 0.0)},
+    {"num_hrllc": 2, "dxi_levels": (0.0, 1.0, 2.0)},
 ])
 def test_invariant_violations_rejected(overrides):
     with pytest.raises(ValidationError):
@@ -126,16 +132,25 @@ def test_replay_smaller_than_batch_rejected():
 
 
 def test_apply_overrides():
-    cfg = apply_overrides(ScenarioConfig(),
-                          {"mean_snr_linear": "5", "traffic.lambda_slow": "1"})
-    assert cfg.mean_snr_linear == 5.0
-    assert cfg.lambda_slow == 1.0
+    values = parse_overrides({"mean_snr_linear": "5", "traffic.lambda_slow": "1",
+                              "dxi_middle": ""})
+    assert values == {"mean_snr_linear": 5.0, "lambda_slow": 1.0,
+                      "dxi_middle": ()}
 
 
 def test_apply_overrides_unknown_key():
     for key in ("snr", *DELETED_KEYS):
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
-            apply_overrides(ScenarioConfig(), {key: "5"})
+            parse_overrides({key: "5"})
+
+
+def test_config_values_hold_only_the_keys_set():
+    # a caller layers them over the defaults, so an unset key stays unset;
+    # they are validated only together, once every layer is applied
+    assert parse_config_values("num_hrllc = 2\n# dxi\n") == {"num_hrllc": 2}
+    layered = {**parse_config_values("num_hrllc = 2\n"),
+               **parse_overrides({"dxi_levels": "1,2"})}
+    assert ScenarioConfig(**layered).dxi_levels == (1.0, 2.0)
 
 
 def test_every_field_is_read_outside_config():

@@ -33,7 +33,7 @@ def test_build_policy_names():
 def test_zero_arrival_fixed_point():
     # Clamp all arrival intensities to zero: backlogs stay empty, drift zero.
     cfg = ScenarioConfig().replace(lambda_embb=0.0, beta_dex=10.0,
-                                   dxi_level=100.0, episodes=1,
+                                   dxi_levels=(100.0,), episodes=1,
                                    slots_per_episode=40)
     rec = _sim(cfg).run_episode()
     for s in rec.slots:
@@ -237,16 +237,17 @@ def test_step_response_null_experiment():
 def test_step_response_on_evaluation_records():
     # The change points are those of the records' own horizon: 3 evaluation
     # episodes of 50 slots step at slots 50 and 100, whatever cfg.episodes.
-    cfg = ScenarioConfig().replace(dexterity_profile="two_step", episodes=30,
+    cfg = ScenarioConfig().replace(dxi_levels=(0.0, 2.5, 2.5),
+                                   dxi_middle=(5.0, 2.5, 2.5), episodes=30,
                                    slots_per_episode=50, eval_episodes=3)
     records = run_evaluation(cfg, build_policy("rr", cfg, 1), eval_seed=7)
     summary = step_response_summary(records, cfg)
     assert (summary["step_a_slot"], summary["step_b_slot"]) == (50, 100)
     assert summary["window_slots"] == 15
-    for name, dxi in (("before_step_a", cfg.dxi_low),
-                      ("after_step_a", cfg.dxi_high),
-                      ("before_step_b", cfg.dxi_high),
-                      ("after_step_b", cfg.dxi_low)):
+    for name, dxi in (("before_step_a", cfg.dxi_levels[0]),
+                      ("after_step_a", cfg.dxi_middle[0]),
+                      ("before_step_b", cfg.dxi_middle[0]),
+                      ("after_step_b", cfg.dxi_levels[0])):
         stats = summary[name]
         assert stats["mean_dxi"] == dxi
         assert all(np.isfinite(v) for v in stats.values())
@@ -320,9 +321,9 @@ class SeeingPolicy(RoundRobinPolicy):
 WORLD_CASES = {
     "defaults": {},
     # horizon 100: the DXI steps at slots 33 and 66, inside episodes 1 and 2
-    "two-step": {"dexterity_profile": "two_step"},
+    "two-step": {"dxi_levels": (0.0, 2.5, 2.5), "dxi_middle": (5.0, 2.5, 2.5)},
     # slow-state intensity clamped to 0 while the chain keeps stepping
-    "clamped": {"beta_dex": 1.0, "dxi_level": 2.0, "mmpp_alpha": 200.0,
+    "clamped": {"beta_dex": 1.0, "dxi_levels": (2.0,), "mmpp_alpha": 200.0,
                 "mmpp_beta": 200.0},
     "no-embb-traffic": {"lambda_embb": 0.0},
     "one-hrllc": {"num_hrllc": 1},

@@ -157,8 +157,7 @@ def test_spearman_matches_tie_loop_oracle():
 
 def test_dexterity_sensitivity_table():
     cfg = ScenarioConfig().replace(episodes=2, slots_per_episode=30,
-                                   dexterity_profile="per_user",
-                                   dxi_values=(9.0, 0.0, 4.0))
+                                   dxi_levels=(9.0, 0.0, 4.0))
     records, _ = run_training(cfg, "rr")
     table = dexterity_sensitivity(records, cfg)
     dxis = [row["dxi"] for row in table["rows"]]
