@@ -136,6 +136,8 @@ def cmd_compare(args: argparse.Namespace, argv: list[str]) -> int:
     if learned and not args.checkpoint:
         raise ValidationError(
             f"policy {learned[0]!r} needs --checkpoint with trained parameters")
+    if args.checkpoint and not learned:
+        raise UsageError("--checkpoint needs a learned policy in --policies")
     eval_seed = args.eval_seed if args.eval_seed is not None \
         else cfg.master_seed + 1
     if eval_seed < 0:

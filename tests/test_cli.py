@@ -86,6 +86,14 @@ def test_compare_learned_policy_requires_checkpoint(tmp_path):
     assert code == 2
 
 
+def test_checkpoint_without_learned_policy_is_usage_error(tmp_path):
+    # rejected before the run directory is made, not silently ignored
+    assert main(["compare", "--policies", "rr,pf", "--checkpoint",
+                 str(tmp_path / "missing.bin"), "--out", str(tmp_path / "x"),
+                 *TINY]) == 1
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("problem", ["wrong-kind", "corrupt", "missing"])
 def test_compare_unloadable_checkpoint_leaves_no_run_dir(tmp_path, problem):
     ckpt = tmp_path / "checkpoint.bin"
