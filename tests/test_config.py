@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import re
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,15 @@ def test_config_values_hold_only_the_keys_set():
     layered = {**parse_config_values("num_hrllc = 2\n"),
                **parse_overrides({"dxi_levels": "1,2"})}
     assert ScenarioConfig(**layered).dxi_levels == (1.0, 2.0)
+
+
+def test_readme_scenario_examples_parse():
+    # a README example that names a deleted key would fail here
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", text, flags=re.DOTALL)
+    assert blocks
+    for block in blocks:
+        parse_config_text(block)
 
 
 def test_every_field_is_read_outside_config():
