@@ -1,8 +1,9 @@
 """Learning schedulers: observation encoding, the factorized discrete action
 space, the drift-plus-penalty reward, and the actor-critic / DQN agents.
 
-Action factorization: one categorical head picks the HRLLC slice size
-k_h in {n_h, ..., K - n_e}; the other picks the eMBB intra-slice template
+Action factorization: an action is two indices.  One categorical head picks
+the slice-size index, and the HRLLC slice holds k_h = n_h + index PRBs, in
+{n_h, ..., K - n_e}; the other picks the eMBB intra-slice template
 (uniform, backlog-proportional, channel-greedy).  Per-user division inside
 each slice is deterministic (largest-remainder by backlog+arrival weight for
 HRLLC), which keeps the action space small while letting per-user PRB shares
@@ -11,7 +12,6 @@ track task-driven demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,31 +23,6 @@ from .schedulers import (Allocation, Policy, SchedulerContext,
                          intra_slice_divide, materialize_assignment)
 
 TEMPLATES = ("uniform", "backlog", "channel")
-
-
-@dataclass(frozen=True)
-class ActionSpace:
-    kh_options: tuple[int, ...]
-
-    @classmethod
-    def from_config(cls, cfg: ScenarioConfig) -> "ActionSpace":
-        return cls(kh_options=tuple(range(cfg.num_hrllc,
-                                          cfg.num_prbs - cfg.num_embb + 1)))
-
-    @property
-    def n_kh(self) -> int:
-        return len(self.kh_options)
-
-    @property
-    def n_templates(self) -> int:
-        return len(TEMPLATES)
-
-    @property
-    def n_joint(self) -> int:
-        return self.n_kh * self.n_templates
-
-    def split_index(self, joint: int) -> tuple[int, int]:
-        return divmod(joint, self.n_templates)
 
 
 def obs_length(cfg: ScenarioConfig) -> int:
@@ -87,10 +62,11 @@ def encode_observation(ctx: SchedulerContext, cfg: ScenarioConfig) -> np.ndarray
     return np.clip(feats, -OBS_CLIP, OBS_CLIP)
 
 
-def decode_action(space: ActionSpace, kh_idx: int, template_idx: int,
+def decode_action(kh_idx: int, template_idx: int,
                   ctx: SchedulerContext) -> Allocation:
-    """Expand a (slice size, template) pair into a full feasible Allocation."""
-    k_h = space.kh_options[kh_idx]
+    """Expand a (slice-size index, template index) pair into a feasible
+    Allocation whose HRLLC slice holds ``k_h = n_h + kh_idx`` PRBs."""
+    k_h = ctx.num_users - ctx.num_embb + kh_idx
     template = TEMPLATES[template_idx]
     n_e, work = ctx.num_embb, ctx.work
     counts_h = intra_slice_divide(k_h, work[n_e:])
@@ -102,8 +78,7 @@ def decode_action(space: ActionSpace, kh_idx: int, template_idx: int,
         weights_e = ctx.gain_sq[:n_e].mean(axis=1)
     counts_e = intra_slice_divide(ctx.num_prbs - k_h, weights_e)
     counts = np.concatenate([counts_e, counts_h])
-    assignment = materialize_assignment(counts, ctx.gain_sq)
-    return Allocation(counts=counts, assignment=assignment)
+    return Allocation(materialize_assignment(counts, ctx.gain_sq))
 
 
 def step_cost(rates_hrllc: np.ndarray, rates_embb: np.ndarray, eps: float) -> float:
@@ -128,11 +103,11 @@ def trunk_mlp(cfg: ScenarioConfig, obs_dim: int, out_dim: int,
     return Mlp([obs_dim, *cfg.trunk_hidden, out_dim], rng)
 
 
-def a2c_net(cfg: ScenarioConfig, obs_dim: int, space: ActionSpace,
+def a2c_net(cfg: ScenarioConfig, obs_dim: int, n_kh: int,
             rng: np.random.Generator) -> Mlp:
     """Actor-critic net on one trunk.  Output columns: the ``n_kh`` slice-size
     logits, then the template logits, then the state value."""
-    return trunk_mlp(cfg, obs_dim, space.n_kh + space.n_templates + 1, rng)
+    return trunk_mlp(cfg, obs_dim, n_kh + len(TEMPLATES) + 1, rng)
 
 
 def a2c_heads(net: Mlp, n_kh: int, obs: np.ndarray
@@ -216,7 +191,8 @@ class Learner(Policy):
     def __init__(self, cfg: ScenarioConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.rng = rng
-        self.space = ActionSpace.from_config(cfg)
+        # HRLLC slice sizes n_h .. K - n_e, one per slice-size index
+        self.n_kh = cfg.num_prbs - cfg.num_users + 1
         self.obs_dim = obs_length(cfg)
         # [obs, action, scaled reward, ...]
         self._pending: Optional[list] = None
@@ -290,13 +266,13 @@ class A2CAgent(Learner):
 
     def __init__(self, cfg: ScenarioConfig, rng: np.random.Generator):
         super().__init__(cfg, rng)
-        self.net = a2c_net(cfg, self.obs_dim, self.space, rng)
+        self.net = a2c_net(cfg, self.obs_dim, self.n_kh, rng)
         self.opt_actor = Adam()
         self.opt_critic = Adam()
 
     def allocate(self, ctx: SchedulerContext) -> Allocation:
         obs = self._observe(ctx)
-        heads = a2c_heads(self.net, self.space.n_kh, obs)
+        heads = a2c_heads(self.net, self.n_kh, obs)
         logits_h, logits_e = heads[:2]
         if self.training:
             a_h = softmax_categorical(logits_h, self.rng)
@@ -307,7 +283,7 @@ class A2CAgent(Learner):
         # no update runs between here and _learn, so the heads are still
         # current there
         self._pending = [obs, (a_h, a_e), 0.0, heads]
-        return decode_action(self.space, a_h, a_e, ctx)
+        return decode_action(a_h, a_e, ctx)
 
     def _learn(self, next_obs: Optional[np.ndarray]) -> None:
         _, actions, rew, heads = self._pending
@@ -324,7 +300,7 @@ class A2CAgent(Learner):
     def _layout(self) -> dict:
         # "shared" marks the one-trunk layout; checkpoints of the former
         # separate actor and critic nets carry false
-        return {"shared": True, "obs_dim": self.obs_dim, "n_kh": self.space.n_kh}
+        return {"shared": True, "obs_dim": self.obs_dim, "n_kh": self.n_kh}
 
     def _check_layout(self, meta: dict) -> None:
         if meta.get("shared") is not True:
@@ -341,8 +317,10 @@ class DqnAgent(Learner):
 
     def __init__(self, cfg: ScenarioConfig, rng: np.random.Generator):
         super().__init__(cfg, rng)
-        self.net = trunk_mlp(cfg, self.obs_dim, self.space.n_joint, rng)
-        self.target = trunk_mlp(cfg, self.obs_dim, self.space.n_joint, rng)
+        # joint index = kh_idx * len(TEMPLATES) + template_idx
+        self.n_joint = self.n_kh * len(TEMPLATES)
+        self.net = trunk_mlp(cfg, self.obs_dim, self.n_joint, rng)
+        self.target = trunk_mlp(cfg, self.obs_dim, self.n_joint, rng)
         self._sync_target()
         self.opt = Adam()
         # replay ring: row (head + i) % capacity holds the i-th oldest of the
@@ -370,15 +348,14 @@ class DqnAgent(Learner):
     def allocate(self, ctx: SchedulerContext) -> Allocation:
         obs = self._observe(ctx)
         if self.training and self.rng.random() < self.epsilon:
-            joint = int(self.rng.integers(self.space.n_joint))
+            joint = int(self.rng.integers(self.n_joint))
         else:
             q, _ = self.net.forward(obs)
             joint = int(np.argmax(q[0]))
         if self.training:
             self.steps += 1
         self._pending = [obs, joint, 0.0]
-        kh_idx, t_idx = self.space.split_index(joint)
-        return decode_action(self.space, kh_idx, t_idx, ctx)
+        return decode_action(*divmod(joint, len(TEMPLATES)), ctx)
 
     def _learn(self, next_obs: Optional[np.ndarray]) -> None:
         """Store the transition in the replay ring, then update once the
@@ -420,7 +397,7 @@ class DqnAgent(Learner):
             self._sync_target()
 
     def _layout(self) -> dict:
-        return {"obs_dim": self.obs_dim, "n_joint": self.space.n_joint}
+        return {"obs_dim": self.obs_dim, "n_joint": self.n_joint}
 
     def load(self, path) -> None:
         super().load(path)

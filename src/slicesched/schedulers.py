@@ -1,9 +1,9 @@
 """Allocation contract plus the Round-Robin / Proportional-Fair baselines.
 
-Every scheduling decision is an ``Allocation``: an integer PRB count per
-user summing exactly to K, with every user holding at least one PRB, and a
-materialized PRB -> user assignment consistent with the counts.  All ties
-anywhere are broken by the lowest index so seed replays are exact.
+Every scheduling decision is an ``Allocation``: the PRB -> user assignment
+of all K PRBs, in which every user holds at least one PRB.  Per-user PRB
+counts are derived from it.  All ties anywhere are broken by the lowest
+index so seed replays are exact.
 """
 
 from __future__ import annotations
@@ -17,21 +17,22 @@ from .channel import all_user_rates
 
 @dataclass(frozen=True)
 class Allocation:
-    counts: np.ndarray       # (U,) integer PRBs per user, each >= 1, sums to K
     assignment: np.ndarray   # (K,) user index owning each PRB
 
+    @property
+    def counts(self) -> np.ndarray:
+        """(U,) PRBs per user, for an assignment that uses every user."""
+        return np.bincount(self.assignment)
+
     def validate(self, num_prbs: int, num_users: int) -> None:
-        if self.counts.shape != (num_users,):
-            raise AssertionError("counts has wrong shape")
         if self.assignment.shape != (num_prbs,):
             raise AssertionError("assignment has wrong shape")
-        if int(self.counts.sum()) != num_prbs:
-            raise AssertionError(f"counts sum {self.counts.sum()} != K={num_prbs}")
-        if np.any(self.counts < 1):
+        counts = self.counts
+        if counts.shape != (num_users,):
+            raise AssertionError(f"assignment names users 0..{len(counts) - 1}, "
+                                 f"not 0..{num_users - 1}")
+        if np.any(counts < 1):
             raise AssertionError("every user must hold at least one PRB")
-        realized = np.bincount(self.assignment, minlength=num_users)
-        if not np.array_equal(realized, self.counts):
-            raise AssertionError("assignment inconsistent with counts")
 
 
 @dataclass
@@ -65,9 +66,7 @@ def round_robin(ctx: SchedulerContext, cursor: int) -> tuple[Allocation, int]:
     """
     num_users, num_prbs = ctx.num_users, ctx.num_prbs
     assignment = np.array([(cursor + j) % num_users for j in range(num_prbs)])
-    counts = np.bincount(assignment, minlength=num_users)
-    return (Allocation(counts=counts, assignment=assignment),
-            (cursor + num_prbs) % num_users)
+    return Allocation(assignment), (cursor + num_prbs) % num_users
 
 
 def proportional_fair(ctx: SchedulerContext, ewma: np.ndarray) -> Allocation:
@@ -91,7 +90,7 @@ def proportional_fair(ctx: SchedulerContext, ewma: np.ndarray) -> Allocation:
             assignment[worst] = user
             counts[donor] -= 1
             counts[user] += 1
-    return Allocation(counts=counts, assignment=assignment)
+    return Allocation(assignment)
 
 
 def intra_slice_divide(slice_prbs: int, weights: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from slicesched.agents import ActionSpace, a2c_grads, a2c_heads, a2c_net
+from slicesched.agents import a2c_grads, a2c_heads, a2c_net
 from slicesched.cli import main as cli_main
 from slicesched.config import ScenarioConfig
 from slicesched.constraint import DualVariable, surrogate_y
@@ -105,20 +105,20 @@ def test_criterion_1_gradient_oracle():
     # composite actor-critic loss on the one actor-critic net
     cfg = ScenarioConfig().replace(num_embb=1, num_hrllc=1, num_prbs=4,
                                    trunk_hidden=(6,))
-    space = ActionSpace.from_config(cfg)
+    n_kh = 3          # k_h in {1, 2, 3}
     for trial in range(4):
-        net = a2c_net(cfg, 5, space, rng)
+        net = a2c_net(cfg, 5, n_kh, rng)
         obs, nxt = rng.normal(size=5), rng.normal(size=5)
         actions, rew, gamma, beta = (1, 2), 0.7, 0.99, 0.01
 
         def value(x):
-            return a2c_heads(net, space.n_kh, x)[2]
+            return a2c_heads(net, n_kh, x)[2]
 
         delta = rew + gamma * value(nxt) - value(obs)
         target = rew + gamma * value(nxt)
 
         def actor_loss():
-            lh, le, _, _ = a2c_heads(net, space.n_kh, obs)
+            lh, le, _, _ = a2c_heads(net, n_kh, obs)
             ph, pe = softmax(lh), softmax(le)
             ent = (-np.sum(ph * np.log(ph + 1e-300))
                    - np.sum(pe * np.log(pe + 1e-300)))
@@ -130,7 +130,7 @@ def test_criterion_1_gradient_oracle():
             d = target - value(obs)
             return float(d * d)
 
-        ga, gc, _ = a2c_grads(net, a2c_heads(net, space.n_kh, obs), actions,
+        ga, gc, _ = a2c_grads(net, a2c_heads(net, n_kh, obs), actions,
                               rew, nxt, gamma, beta)
         for loss, analytic in ((actor_loss, ga), (critic_loss, gc)):
             fa = np.concatenate([g.ravel() for g in analytic])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slicesched.agents import (OBS_CLIP, A2CAgent, ActionSpace, DqnAgent,
+from slicesched.agents import (OBS_CLIP, TEMPLATES, A2CAgent, DqnAgent,
                                a2c_grads, a2c_heads, a2c_net, decode_action,
                                encode_observation, obs_length, reward,
                                step_cost)
@@ -11,18 +11,25 @@ from conftest import make_context
 
 
 def test_action_space_defaults():
-    space = ActionSpace.from_config(ScenarioConfig())
-    assert space.kh_options == tuple(range(3, 22))
-    assert space.n_kh == 19
-    assert space.n_templates == 3
-    assert space.n_joint == 57
+    cfg = ScenarioConfig()
+    assert A2CAgent(cfg, np.random.default_rng(0)).n_kh == 19
+    assert DqnAgent(cfg, np.random.default_rng(0)).n_joint == 57
+    assert len(TEMPLATES) == 3
 
 
 def test_action_space_index_round_trip():
-    space = ActionSpace.from_config(ScenarioConfig())
+    cfg = ScenarioConfig()
+    agent = DqnAgent(cfg, np.random.default_rng(0))
+    agent.set_training(False)    # epsilon path disabled
+    ctx = make_context(np.random.default_rng(1))
     # joint indices run over templates fastest, then PRB splits
-    assert [space.split_index(joint) for joint in range(space.n_joint)] == [
-        (kh, t) for kh in range(space.n_kh) for t in range(space.n_templates)]
+    for joint in range(agent.n_joint):
+        params = [np.zeros_like(p) for p in agent.net.params]
+        params[-1][joint] = 100.0
+        agent.net.set_params(params)
+        expected = decode_action(joint // 3, joint % 3, ctx)
+        assert np.array_equal(agent.allocate(ctx).assignment,
+                              expected.assignment)
 
 
 def test_obs_length_formula():
@@ -74,26 +81,23 @@ def test_encode_clips_extremes():
 
 def test_decode_action_extreme_slices():
     cfg = ScenarioConfig()
-    space = ActionSpace.from_config(cfg)
     ctx = make_context(np.random.default_rng(1))
-    low = decode_action(space, 0, 0, ctx)            # k_h = 3
+    low = decode_action(0, 0, ctx)            # k_h = 3
     assert low.counts[cfg.num_embb:].tolist() == [1, 1, 1]
-    high = decode_action(space, space.n_kh - 1, 0, ctx)  # k_h = 21
+    high = decode_action(18, 0, ctx)          # k_h = 21
     assert high.counts[:cfg.num_embb].tolist() == [1, 1, 1, 1]
 
 
 def test_decode_action_exhaustive_feasibility():
     cfg = ScenarioConfig()
-    space = ActionSpace.from_config(cfg)
     rng = np.random.default_rng(2)
     for trial in range(5):
         ctx = make_context(rng)
-        for kh_idx in range(space.n_kh):
-            for t_idx in range(space.n_templates):
-                alloc = decode_action(space, kh_idx, t_idx, ctx)
+        for kh_idx in range(19):
+            for t_idx in range(3):
+                alloc = decode_action(kh_idx, t_idx, ctx)
                 alloc.validate(cfg.num_prbs, cfg.num_users)
-                assert alloc.counts[cfg.num_embb:].sum() == \
-                    space.kh_options[kh_idx]
+                assert alloc.counts[cfg.num_embb:].sum() == 3 + kh_idx
 
 
 def test_step_cost_reference():
@@ -129,23 +133,23 @@ def test_a2c_gradients_match_finite_differences():
     bootstrapped target and advantage held constant (semi-gradient)."""
     cfg = ScenarioConfig().replace(num_embb=1, num_hrllc=1, num_prbs=4,
                                    trunk_hidden=(6,))
-    space = ActionSpace.from_config(cfg)
+    n_kh = 3          # k_h in {1, 2, 3}
     obs_dim = 5
     rng = np.random.default_rng(5)
-    net = a2c_net(cfg, obs_dim, space, rng)
+    net = a2c_net(cfg, obs_dim, n_kh, rng)
     obs = rng.normal(size=obs_dim)
     next_obs = rng.normal(size=obs_dim)
     actions = (1, 2)
     rew, gamma, beta = 0.7, 0.99, 0.01
 
     def value(x):
-        return a2c_heads(net, space.n_kh, x)[2]
+        return a2c_heads(net, n_kh, x)[2]
 
     delta = rew + gamma * value(next_obs) - value(obs)
     target = rew + gamma * value(next_obs)
 
     def actor_loss():
-        lh, le, _, _ = a2c_heads(net, space.n_kh, obs)
+        lh, le, _, _ = a2c_heads(net, n_kh, obs)
         ph, pe = softmax(lh), softmax(le)
         ent = (-np.sum(ph * np.log(ph + 1e-300))
                - np.sum(pe * np.log(pe + 1e-300)))
@@ -157,7 +161,7 @@ def test_a2c_gradients_match_finite_differences():
         d = target - value(obs)
         return float(d * d)
 
-    grads_a, grads_c, diag = a2c_grads(net, a2c_heads(net, space.n_kh, obs),
+    grads_a, grads_c, diag = a2c_grads(net, a2c_heads(net, n_kh, obs),
                                        actions, rew, next_obs, gamma, beta)
     assert diag["delta"] == pytest.approx(delta)
 
@@ -188,10 +192,10 @@ def test_a2c_gradients_match_finite_differences():
 def test_a2c_grads_terminal_delta():
     cfg = ScenarioConfig().replace(num_embb=1, num_hrllc=1, num_prbs=4,
                                    trunk_hidden=(6,))
-    space = ActionSpace.from_config(cfg)
-    net = a2c_net(cfg, 5, space, np.random.default_rng(6))
+    n_kh = 3          # k_h in {1, 2, 3}
+    net = a2c_net(cfg, 5, n_kh, np.random.default_rng(6))
     net.set_params([np.zeros_like(p) for p in net.params])
-    heads = a2c_heads(net, space.n_kh, np.zeros(5))
+    heads = a2c_heads(net, n_kh, np.zeros(5))
     _, _, diag = a2c_grads(net, heads, (0, 0), 1.0, None, 0.99, 0.0)
     assert diag["delta"] == pytest.approx(1.0)   # V(s)=0, terminal bootstrap 0
 
@@ -222,7 +226,7 @@ def test_a2c_checkpoint_split_nets_rejected(tmp_path):
     path = tmp_path / "a2c.bin"
     save_arrays(path, agent.net.params,
                 {"kind": "a2c", "shared": False, "obs_dim": agent.obs_dim,
-                 "n_kh": agent.space.n_kh})
+                 "n_kh": agent.n_kh})
     with pytest.raises(ValueError, match="separate actor and critic"):
         agent.load(path)
 
@@ -269,6 +273,4 @@ def test_dqn_greedy_action_follows_q_values():
     agent.net.set_params(params)
     ctx = make_context(np.random.default_rng(17))
     alloc = agent.allocate(ctx)
-    kh_idx, t_idx = agent.space.split_index(joint)
-    expected = agent.space.kh_options[kh_idx]
-    assert alloc.counts[cfg.num_embb:].sum() == expected
+    assert alloc.counts[cfg.num_embb:].sum() == cfg.num_hrllc + joint // 3

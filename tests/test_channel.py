@@ -69,8 +69,7 @@ def test_rate_matrix_matches_scalar_rate():
 
 def test_user_rate_empty_and_additive():
     gain_sq = np.array([[1.0, 1.0, 3.0], [0.5, 0.2, 0.1]])
-    alloc = Allocation(counts=np.array([3, 0]),
-                       assignment=np.array([0, 0, 0]))
+    alloc = Allocation(np.array([0, 0, 0]))
     assert user_rate(gain_sq, alloc, 1) == 0.0
     expected = 4e5 * (2 * np.log2(1 + 10.0) + np.log2(1 + 30.0))
     assert user_rate(gain_sq, alloc, 0) == pytest.approx(expected)
@@ -81,8 +80,7 @@ def test_total_rate_partition_identity():
     for _ in range(50):
         gains = rng.exponential(1.0, size=(5, 8))
         assignment = rng.integers(0, 5, size=8)
-        counts = np.bincount(assignment, minlength=5)
-        alloc = Allocation(counts=counts, assignment=assignment)
+        alloc = Allocation(assignment)
         total_by_user = sum(user_rate(gains, alloc, u) for u in range(5))
         mat = rate_matrix(CFG, gains)
         total_by_prb = sum(mat[assignment[j], j] for j in range(8))

@@ -9,20 +9,17 @@ from conftest import make_context
 
 
 def test_allocation_validate_accepts_consistent():
-    alloc = Allocation(counts=np.array([2, 1]), assignment=np.array([0, 1, 0]))
+    alloc = Allocation(np.array([0, 1, 0]))
+    assert alloc.counts.tolist() == [2, 1]
     alloc.validate(3, 2)
 
 
-@pytest.mark.parametrize("counts,assignment", [
-    ([2, 2], [0, 1, 0]),           # counts do not sum to K
-    ([3, 0], [0, 0, 0]),           # user without a PRB
-    ([2, 1], [0, 0, 0]),           # assignment inconsistent with counts
-])
-def test_allocation_validate_rejects(counts, assignment):
-    alloc = Allocation(counts=np.array(counts),
-                       assignment=np.array(assignment))
+@pytest.mark.parametrize("assignment", [[0, 1], [0, 0, 0], [0, 1, 2]],
+                         ids=["wrong-length", "user-without-prb",
+                              "user-index-out-of-range"])
+def test_allocation_validate_rejects(assignment):
     with pytest.raises(AssertionError):
-        alloc.validate(3, 2)
+        Allocation(np.array(assignment)).validate(3, 2)
 
 
 def test_round_robin_even_split():
