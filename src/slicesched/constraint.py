@@ -35,8 +35,8 @@ def surrogate_y(arrivals: float, service: float, packet_bits: int,
 class DualVariable:
     """Projected-ascent Lagrange multiplier; never negative."""
 
-    value: float = 0.0
-    step: float = 0.01
+    value: float
+    step: float
 
     def __post_init__(self) -> None:
         if self.step <= 0:

@@ -74,8 +74,17 @@ def render_svg(spec: ChartSpec) -> str:
     if spec.title:
         parts.append(f'<text x="{WIDTH // 2}" y="20" text-anchor="middle" '
                      f'font-size="14">{spec.title}</text>')
-    for tx in _ticks(x0, x1):
-        px = sx(tx)
+    if spec.kind == "bar":
+        # bars stand in groups by point index: one tick per group, at the
+        # centre of its bars, labelled with the group's x value
+        groups = spec.series[0].points
+        slot_w = pw / len(groups)
+        center = slot_w / (len(spec.series) + 1) * (len(spec.series) + 0.9) / 2
+        x_ticks = [(MARGIN_L + bi * slot_w + center, x)
+                   for bi, (x, _) in enumerate(groups)]
+    else:
+        x_ticks = [(sx(tx), tx) for tx in _ticks(x0, x1)]
+    for px, tx in x_ticks:
         parts.append(f'<line x1="{_fmt(px)}" y1="{MARGIN_T + ph}" '
                      f'x2="{_fmt(px)}" y2="{MARGIN_T + ph + 5}" stroke="#333"/>')
         parts.append(f'<text x="{_fmt(px)}" y="{MARGIN_T + ph + 18}" '

@@ -5,17 +5,25 @@ checks that each one still resolves, so that renaming or moving a wrapped
 function fails here rather than in a benchmark run.  It also checks the
 work counters (``COUNTERS``): each one counts at a traced span and reads
 only positional arguments that the wrapped functions have, since a counter
-that reads a missing argument fails only in a traced run.
+that reads a missing argument fails only in a traced run.  Last, it runs
+the worker itself on tiny commands, since its output checks read results
+of the library (the run's config and dual, the episode records, the
+summary) that no name lookup covers.
 """
 
 import ast
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
+ROOT = Path(__file__).resolve().parent.parent
+WORKER = ROOT / "perfbench" / "worker.py"
 NAMES = ("TRACED", "POLICY_ALLOCATE", "COUNTERS")
 
 
@@ -82,3 +90,26 @@ def test_benchmark_counter_reads_wrapped_arguments(span, indices):
         positional = kinds.count(inspect.Parameter.POSITIONAL_ONLY) + \
             kinds.count(inspect.Parameter.POSITIONAL_OR_KEYWORD)
         assert max(indices, default=-1) < positional, (target, indices)
+
+
+@pytest.mark.parametrize("command, episodes_key", [
+    (["train", "--agent", "a2c"], "episodes"),
+    (["train", "--agent", "dqn"], "episodes"),
+    (["compare", "--policies", "pf"], "eval_episodes"),
+], ids=["a2c-train", "dqn-train", "pf-eval"])
+def test_benchmark_worker_runs_clean(tmp_path, command, episodes_key):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    results = {}
+    for mode in ("plain", "trace"):
+        work = tmp_path / mode
+        work.mkdir()
+        proc = subprocess.run(
+            [sys.executable, str(WORKER), "--mode", mode, "--dir", str(work),
+             "--episodes", "2", "--", *command, "--set", "master_seed=5",
+             "--set", f"{episodes_key}=2", "--set", "slots_per_episode=20"],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+        result = json.loads((work / "result.json").read_text())
+        assert proc.returncode == 0, result["errors"] or proc.stderr
+        assert result["errors"] == []
+        results[mode] = result
+    assert results["plain"]["digests"] == results["trace"]["digests"]

@@ -2,7 +2,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from slicesched.svgplot import ChartSpec, Series, render_svg
+from slicesched.svgplot import (HEIGHT, MARGIN_B, MARGIN_R, WIDTH,
+                                ChartSpec, Series, render_svg)
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -65,6 +66,28 @@ def test_bar_chart_counts_rectangles():
     rects = list(root.iter(f"{SVG}rect"))
     # frame + 6 bars + 2 legend swatches
     assert len(rects) == 1 + 6 + 2
+
+
+def test_bar_ticks_label_each_group_under_its_bars():
+    xs = (0.0, 1.0, 1.5, 2.0, 10.0)      # unevenly spaced group values
+    spec = ChartSpec(kind="bar", series=tuple(
+        Series(name, tuple((x, float(i + j)) for j, x in enumerate(xs)))
+        for i, name in enumerate(("a", "b", "c"))))
+    root = ET.fromstring(render_svg(spec))
+    bars = [el for el in root.iter(f"{SVG}rect")
+            if float(el.get("x")) < WIDTH - MARGIN_R
+            and el.get("fill") != "none"]
+    assert len(bars) == 3 * len(xs)
+    axis_y = str(HEIGHT - MARGIN_B + 18)
+    ticks = [el for el in root.iter(f"{SVG}text") if el.get("y") == axis_y]
+    assert [el.text for el in ticks] == ["0", "1", "1.5", "2", "10"]
+    for group, tick in enumerate(ticks):
+        # series-major order: bars group, n + group, 2n + group
+        own = bars[group::len(xs)]
+        left = min(float(el.get("x")) for el in own)
+        right = max(float(el.get("x")) + float(el.get("width")) for el in own)
+        assert float(tick.get("x")) == pytest.approx((left + right) / 2,
+                                                     abs=1e-3)
 
 
 def test_invalid_specs_rejected():
