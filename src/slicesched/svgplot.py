@@ -75,11 +75,13 @@ def render_svg(spec: ChartSpec) -> str:
         parts.append(f'<text x="{WIDTH // 2}" y="20" text-anchor="middle" '
                      f'font-size="14">{spec.title}</text>')
     if spec.kind == "bar":
-        # bars stand in groups by point index: one tick per group, at the
-        # centre of its bars, labelled with the group's x value
+        # bars stand in groups by point index, not at their x value: one tick
+        # per group, labelled with its x value, at the centre of its bars
+        # (series si spans (si + 0.5) to (si + 1.4) bar widths into the slot)
         groups = spec.series[0].points
         slot_w = pw / len(groups)
-        center = slot_w / (len(spec.series) + 1) * (len(spec.series) + 0.9) / 2
+        bar_w = slot_w / (len(spec.series) + 1)
+        center = bar_w * (len(spec.series) + 0.9) / 2
         x_ticks = [(MARGIN_L + bi * slot_w + center, x)
                    for bi, (x, _) in enumerate(groups)]
     else:
