@@ -16,6 +16,7 @@ import hashlib
 import pytest
 
 from slicesched.cli import main
+from slicesched.config import ScenarioConfig
 from slicesched.engine import (export_diagnostics_csv, export_trace_csv,
                                run_training)
 from slicesched.metrics import summarize
@@ -82,6 +83,46 @@ def test_golden_digests(case, tiny_cfg, tmp_path):
     got = _digests(tiny_cfg.replace(**overrides), agent, tmp_path)
     assert got == GOLDEN[case]
 
+
+# One full-size episode per case, in training mode so that the dual moves:
+# the slot table's raw bytes and the return.  The tiny runs above never have
+# 8 or more users, where NumPy's pairwise float sums part from a left-to-right
+# sum, and seldom reach PF's feasibility repair; 9 + 9 users on 30 PRBs do
+# both (PF repairs in 199 of its 200 slots there, and in 59 at the defaults).
+LARGE = {"num_embb": 9, "num_hrllc": 9, "num_prbs": 30}
+
+EPISODE_CASES = {
+    "rr-default": ("rr", {}),
+    "pf-default": ("pf", {}),
+    "pf-9x9-30prb": ("pf", LARGE),
+    "a2c-9x9-30prb": ("a2c", LARGE),
+}
+
+EPISODE_GOLDEN = {
+    "rr-default": (
+        "726e773d492d6646b830c5db5a9d06e617113d2107dfb2654f31506fd8f27c31",
+        "-245150.9514574562"),
+    "pf-default": (
+        "520361bfc392dfc8baa3a3288a05312ec59035b6d5910cf34c4d80e277df2f31",
+        "-31827.05504372516"),
+    "pf-9x9-30prb": (
+        "b5c20e07fd05dd5d6eb4f6aec7e79c4f630945561c6873a137f9988c882cebf7",
+        "-2538375.90511084"),
+    "a2c-9x9-30prb": (
+        "3e65095b251ee08b4ad7cef5d90c147b7c7cc140179d9f030898c715f4e6a496",
+        "-1588951.7843619175"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EPISODE_CASES))
+def test_golden_episode(case):
+    agent, overrides = EPISODE_CASES[case]
+    cfg = ScenarioConfig().replace(episodes=1, **overrides)
+    (record,), policy = run_training(cfg, agent)
+    assert policy.training and len(record.slots) == 200
+    got = (hashlib.sha256(record.slots.tobytes()).hexdigest(),
+           repr(record.episodic_return))
+    assert got == EPISODE_GOLDEN[case]
 
 # The CLI's summary-derived outputs: figures and tables computed from the
 # episode records by metrics.summarize, compare_policies,
