@@ -84,9 +84,11 @@ def decode_action(kh_idx: int, template_idx: int,
 def step_cost(rates_hrllc: np.ndarray, rates_embb: np.ndarray, eps: float) -> float:
     """Inverse-square rate cost; rates enter in Mbit/s so the cost has a
     usable dynamic range against the drift term."""
-    rh = np.asarray(rates_hrllc, dtype=float) / 1e6
-    re = np.asarray(rates_embb, dtype=float) / 1e6
-    return float(np.sum(1.0 / (rh * rh + eps)) + np.sum(1.0 / (re * re + eps)))
+    # elementwise on Python floats; each slice summed in np.sum's order
+    terms = np.array([1.0 / ((r / 1e6) * (r / 1e6) + eps)
+                      for r in (*rates_hrllc, *rates_embb)])
+    n_h = len(rates_hrllc)
+    return float(np.add.reduce(terms[:n_h]) + np.add.reduce(terms[n_h:]))
 
 
 def reward(drift: float, cost: float, v: float, dual: float, y: float) -> float:

@@ -160,6 +160,9 @@ class Simulation:
         episode = self._episode
         self.policy.begin_episode()
         slots = np.recarray(cfg.slots_per_episode, dtype=slot_dtype(cfg))
+        slots.mmpp_states, slots.dxi, slots.arrivals = states, dxi, arrivals
+        # a view of the fields after the world's three, written slot by slot
+        outcome = slots.view(np.ndarray)[list(slots.dtype.names[3:])]
         ep_return = 0.0
 
         for i in range(cfg.slots_per_episode):
@@ -171,7 +174,7 @@ class Simulation:
                 prev_drift_embb=prev_drift_e, prev_drift_hrllc=prev_drift_h,
                 prev_y=prev_y)
             alloc = self.policy.allocate(ctx)
-            alloc.validate(cfg.num_prbs, cfg.num_users)
+            counts = alloc.validate(cfg.num_prbs, cfg.num_users)
             # (7) achieved rates and whole-packet service
             rates = all_user_rates(ctx.rate_matrix, alloc.assignment)
             served = service_capacity(rates, cfg.slot_duration_s,
@@ -181,12 +184,13 @@ class Simulation:
             backlogs = work - departures
             # (9) drift, cost, violation signal, reward
             lyap.advance(backlogs, n_e)
-            cost = step_cost(rates[n_e:], rates[:n_e], cfg.eps_cost)
+            rates_l = rates.tolist()
+            cost = step_cost(rates_l[n_e:], rates_l[:n_e], cfg.eps_cost)
             y_users = [surrogate_y(a, s, cfg.packet_size_bits, cfg.d_max_s,
                                    cfg.d_proc_s, cfg.chi_h,
                                    cfg.surrogate_exp_cap)
                        for a, s in zip(arr_h[i], served[n_e:].tolist())]
-            y_mean = float(np.mean(y_users))
+            y_mean = float(np.add.reduce(y_users) / len(y_users))  # = np.mean
             # The surrogate equals chi_h at arrival/service balance, so the
             # penalty and the dual ascend on the excess over that neutral
             # level: positive only when arrivals genuinely outpace service.
@@ -200,9 +204,8 @@ class Simulation:
             self.policy.observe_reward(rew)
 
             ep_return += rew
-            slots[i] = (states[i], dxi[i], arrivals[i], alloc.counts,
-                        rates, departures, backlogs, lyap.drift_embb,
-                        lyap.drift_hrllc, cost, y_mean, self.dual.value, rew)
+            outcome[i] = (counts, rates, departures, backlogs, lyap.drift_embb,
+                          lyap.drift_hrllc, cost, y_mean, self.dual.value, rew)
             prev_rates = rates
             prev_drift_e, prev_drift_h = lyap.drift_embb, lyap.drift_hrllc
             prev_y = y_mean

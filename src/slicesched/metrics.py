@@ -32,14 +32,6 @@ def moving_average(series, window: int) -> np.ndarray:
     return (cum - before) / counts
 
 
-def windowed_slope(series, window: int) -> np.ndarray:
-    """Per-position slope over a trailing window: (x[i] - x[i-w]) / w."""
-    x = np.asarray(series, dtype=float)
-    if x.size <= window:
-        raise ValueError("series shorter than window")
-    return (x[window:] - x[:-window]) / window
-
-
 @dataclass
 class RunSummary:
     returns: np.ndarray            # per-episode raw returns

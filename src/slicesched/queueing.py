@@ -9,6 +9,7 @@ arrival and departure curves; nothing reads eMBB delays.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -18,11 +19,14 @@ import numpy as np
 def service_capacity(rates_bits_per_s, slot_s: float, packet_bits: int) -> np.ndarray:
     """Whole packets deliverable in one slot at each rate (floored)."""
     rates = np.asarray(rates_bits_per_s, dtype=float)
+    flat = rates.ravel().tolist()
     # the negated test also rejects NaN rates
-    if not np.all((rates >= 0) & (rates < np.inf)) or slot_s < 0 or packet_bits <= 0:
+    if not all(0.0 <= r < math.inf for r in flat) or slot_s < 0 or packet_bits <= 0:
         raise ValueError("rates must be finite and >= 0, durations >= 0, "
                          "packet size > 0")
-    return (rates * slot_s // packet_bits).astype(np.int64)
+    # Python's float floor division is NumPy's, one rate at a time
+    return np.array([int(r * slot_s // packet_bits) for r in flat],
+                    dtype=np.int64).reshape(rates.shape)
 
 
 @dataclass
@@ -96,10 +100,10 @@ class LyapunovState:
         """Move to the new backlog state, eMBB users first on the one user
         axis; returns the total one-step drift.  Each slice's energy is half
         its sum of squared backlogs."""
-        b = np.asarray(backlogs, dtype=float)
-        e, h = b[:num_embb], b[num_embb:]
-        new_e = 0.5 * float(np.dot(e, e))
-        new_h = 0.5 * float(np.dot(h, h))
+        b = np.asarray(backlogs).tolist()
+        # integer squares sum exactly in any order
+        new_e = 0.5 * float(sum([x * x for x in b[:num_embb]]))
+        new_h = 0.5 * float(sum([x * x for x in b[num_embb:]]))
         self.drift_embb = new_e - self.value_embb
         self.drift_hrllc = new_h - self.value_hrllc
         self.value_embb = new_e

@@ -8,6 +8,7 @@ index so seed replays are exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,15 +25,17 @@ class Allocation:
         """(U,) PRBs per user, for an assignment that uses every user."""
         return np.bincount(self.assignment)
 
-    def validate(self, num_prbs: int, num_users: int) -> None:
+    def validate(self, num_prbs: int, num_users: int) -> np.ndarray:
+        """Check the assignment; returns its (U,) counts."""
         if self.assignment.shape != (num_prbs,):
             raise AssertionError("assignment has wrong shape")
         counts = self.counts
         if counts.shape != (num_users,):
             raise AssertionError(f"assignment names users 0..{len(counts) - 1}, "
                                  f"not 0..{num_users - 1}")
-        if np.any(counts < 1):
+        if 0 in counts.tolist():         # bincount counts are >= 0
             raise AssertionError("every user must hold at least one PRB")
+        return counts
 
 
 @dataclass
@@ -65,7 +68,7 @@ def round_robin(ctx: SchedulerContext, cursor: int) -> tuple[Allocation, int]:
     advanced cursor for the next slot.
     """
     num_users, num_prbs = ctx.num_users, ctx.num_prbs
-    assignment = np.array([(cursor + j) % num_users for j in range(num_prbs)])
+    assignment = np.arange(cursor, cursor + num_prbs) % num_users
     return Allocation(assignment), (cursor + num_prbs) % num_users
 
 
@@ -76,17 +79,16 @@ def proportional_fair(ctx: SchedulerContext, ewma: np.ndarray) -> Allocation:
     the donor's worst-gain PRB from the currently most-loaded user to each
     empty user.
     """
-    if ewma is None or np.any(ewma <= 0):
+    if ewma is None or any(w <= 0 for w in ewma.tolist()):
         raise ValueError("EWMA throughputs must be initialized > 0")
-    num_users = ctx.num_users
     metric = ctx.rate_matrix / ewma[:, None]
-    assignment = np.argmax(metric, axis=0)   # ties go to the lowest index
-    counts = np.bincount(assignment, minlength=num_users)
-    for user in range(num_users):
+    assignment = metric.argmax(axis=0)      # ties go to the lowest index
+    counts = np.bincount(assignment, minlength=ctx.num_users).tolist()
+    for user in range(len(counts)):
         while counts[user] == 0:
-            donor = int(np.argmax(counts))
+            donor = counts.index(max(counts))     # the first most-loaded user
             donor_prbs = np.flatnonzero(assignment == donor)
-            worst = donor_prbs[int(np.argmin(ctx.rate_matrix[donor, donor_prbs]))]
+            worst = donor_prbs[ctx.rate_matrix[donor, donor_prbs].argmin()]
             assignment[worst] = user
             counts[donor] -= 1
             counts[user] += 1
@@ -96,32 +98,29 @@ def proportional_fair(ctx: SchedulerContext, ewma: np.ndarray) -> Allocation:
 def intra_slice_divide(slice_prbs: int, weights: np.ndarray) -> np.ndarray:
     """One PRB each, then largest-remainder apportionment of the rest by weight.
 
-    ``weights`` holds one entry per user of the slice.  All-zero weights
-    degrade to a uniform split with remainders going to the lowest indices.
+    ``weights`` holds one finite entry >= 0 per user of the slice.  All-zero
+    weights degrade to a uniform split with remainders going to the lowest
+    indices.
     """
     weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 1 or np.any(weights < 0):
-        raise ValueError("weights must be non-negative, one per user")
-    num_users = len(weights)
+    w = weights.tolist()
+    # the negated test also rejects NaN weights
+    if weights.ndim != 1 or not all(0.0 <= x < math.inf for x in w):
+        raise ValueError("weights must be finite and >= 0, one per user")
+    num_users = len(w)
     if slice_prbs < num_users:
         raise ValueError(f"slice needs >= {num_users} PRBs, got {slice_prbs}")
-    counts = np.ones(num_users, dtype=int)
     extra = slice_prbs - num_users
-    if extra == 0:
-        return counts
-    total = weights.sum()
-    shares = (np.full(num_users, 1.0 / num_users) if total == 0
-              else weights / total)
-    quota = shares * extra
-    base = np.floor(quota).astype(int)
-    counts += base
-    remainder = extra - int(base.sum())
+    total = float(np.add.reduce(w))          # NumPy's summation order
+    quota = [(1.0 / num_users if total == 0 else x / total) * extra for x in w]
+    counts = [1 + math.floor(q) for q in quota]
+    remainder = slice_prbs - sum(counts)
     if remainder > 0:
-        frac = quota - base
-        # largest remainder first; ties to the lowest index (stable mergesort)
-        order = np.argsort(-frac, kind="stable")
-        counts[order[:remainder]] += 1
-    return counts
+        # largest remainder first; ties to the lowest index (stable sort)
+        frac = [q - math.floor(q) for q in quota]
+        for u in sorted(range(num_users), key=lambda v: -frac[v])[:remainder]:
+            counts[u] += 1
+    return np.array(counts)
 
 
 def materialize_assignment(counts: np.ndarray, gain_sq: np.ndarray) -> np.ndarray:

@@ -27,12 +27,6 @@ def stationary_probs(alpha: float, beta: float) -> tuple[float, float]:
     return beta / (alpha + beta), alpha / (alpha + beta)
 
 
-def mean_rate(alpha: float, beta: float, lam1: float, lam2: float) -> float:
-    """Long-run mean arrival intensity pi1*lam1 + pi2*lam2 (packets/slot)."""
-    pi1, pi2 = stationary_probs(alpha, beta)
-    return pi1 * lam1 + pi2 * lam2
-
-
 def effective_intensity(lam_state: float, beta_dex: float, dxi: float) -> float:
     """Task-coupled intensity, clamped at zero (a Poisson mean cannot be negative)."""
     return max(lam_state - beta_dex * dxi, 0.0)

@@ -5,6 +5,21 @@ import pytest
 
 from slicesched.config import ScenarioConfig
 from slicesched.schedulers import SchedulerContext
+from slicesched.traffic import stationary_probs
+
+
+def mean_rate(alpha: float, beta: float, lam1: float, lam2: float) -> float:
+    """Long-run mean arrival intensity pi1*lam1 + pi2*lam2 (packets/slot)."""
+    pi1, pi2 = stationary_probs(alpha, beta)
+    return pi1 * lam1 + pi2 * lam2
+
+
+def windowed_slope(series, window: int) -> np.ndarray:
+    """Per-position slope over a trailing window: (x[i] - x[i-w]) / w."""
+    x = np.asarray(series, dtype=float)
+    if x.size <= window:
+        raise ValueError("series shorter than window")
+    return (x[window:] - x[:-window]) / window
 
 
 def make_context(rng: np.random.Generator, num_embb: int = 4,

@@ -18,10 +18,10 @@ from slicesched.constraint import DualVariable, surrogate_y
 from slicesched.engine import (build_policy, run_evaluation, run_training,
                                step_response_summary)
 from slicesched.metrics import (dexterity_sensitivity, moving_average,
-                                spearman_rank_correlation, summarize,
-                                windowed_slope)
+                                spearman_rank_correlation, summarize)
 from slicesched.net import Mlp, softmax
-from slicesched.traffic import MmppChain, mean_rate, sample_hrllc_arrivals
+from slicesched.traffic import MmppChain, sample_hrllc_arrivals
+from conftest import mean_rate, windowed_slope
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> bool:

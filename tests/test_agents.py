@@ -115,6 +115,25 @@ def test_step_cost_monotone():
         assert step_cost(bumped[:2], bumped[2:], 1e-6) < base
 
 
+def _step_cost_oracle(rates_hrllc, rates_embb, eps):
+    """The NumPy body that ``step_cost`` replaced."""
+    rh = np.asarray(rates_hrllc, dtype=float) / 1e6
+    re = np.asarray(rates_embb, dtype=float) / 1e6
+    return float(np.sum(1.0 / (rh * rh + eps)) + np.sum(1.0 / (re * re + eps)))
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-12, 0.37])
+def test_step_cost_matches_numpy_oracle(eps):
+    rng = np.random.default_rng(15)
+    for _ in range(5000):
+        n_h, n_e = rng.integers(1, 13, 2)
+        rates = rng.uniform(0.0, 3e7, n_h + n_e)
+        rates[rng.random(rates.size) < 0.1] = 0.0    # users left unserved
+        got = step_cost(rates[:n_h], rates[n_h:], eps)
+        assert type(got) is float
+        assert got == _step_cost_oracle(rates[:n_h], rates[n_h:], eps)
+
+
 def test_reward_reference():
     assert reward(-4.5, 1.25, 1.0, 0.0, 0.5) == pytest.approx(3.25)
     # inactive constraint: negative violation contributes nothing

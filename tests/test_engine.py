@@ -4,6 +4,7 @@ import pytest
 from slicesched import engine
 from slicesched.channel import derive_prb_bandwidth
 from slicesched.config import ScenarioConfig, ValidationError
+from slicesched.constraint import surrogate_y
 from slicesched.engine import (CHAIN_INIT, CHANNEL, TRAFFIC_EMBB,
                                TRAFFIC_HRLLC, Simulation, build_policy,
                                concat_slots, export_diagnostics_csv,
@@ -188,6 +189,25 @@ def test_episode_slot_table(tiny_cfg):
     assert not {"episode", "slot", "served"} & set(fields)
     assert not [n for n in fields if n.endswith(("_embb", "_hrllc"))
                 and fields[n][0].shape]
+
+
+@pytest.mark.parametrize("policy_name, overrides", [
+    ("rr", {}), ("pf", {"num_embb": 9, "num_hrllc": 9, "num_prbs": 30})])
+def test_slot_violation_signal_is_numpy_mean(policy_name, overrides):
+    """Each row's ``y_mean`` equals ``np.mean`` of the per-user surrogates,
+    also with 9 HRLLC users, where NumPy sums pairwise."""
+    cfg = ScenarioConfig().replace(episodes=1, slots_per_episode=40,
+                                   **overrides)
+    slots = _sim(cfg, policy_name).run_episode().slots
+    n_e = cfg.num_embb
+    served = service_capacity(slots.rates, cfg.slot_duration_s,
+                              cfg.packet_size_bits)
+    for row, served_row in zip(slots, served):
+        y_users = [surrogate_y(a, s, cfg.packet_size_bits, cfg.d_max_s,
+                               cfg.d_proc_s, cfg.chi_h, cfg.surrogate_exp_cap)
+                   for a, s in zip(row.arrivals[n_e:].tolist(),
+                                   served_row[n_e:].tolist())]
+        assert row.y_mean == float(np.mean(y_users))
 
 
 def test_slot_rows_match_trace_csv_rates(tmp_path, tiny_cfg):

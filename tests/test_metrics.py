@@ -6,7 +6,8 @@ from slicesched.constraint import reliability
 from slicesched.engine import run_training
 from slicesched.metrics import (compare_policies, dexterity_sensitivity,
                                 moving_average, spearman_rank_correlation,
-                                summarize, windowed_slope)
+                                summarize)
+from conftest import windowed_slope
 
 
 def test_moving_average_reference_points():

@@ -12,6 +12,35 @@ def test_service_capacity_reference_points():
     assert service_capacity(1000.0, 1.0, 1000) == 1
 
 
+def _service_capacity_oracle(rates_bits_per_s, slot_s, packet_bits):
+    """The NumPy body that ``service_capacity`` replaced."""
+    rates = np.asarray(rates_bits_per_s, dtype=float)
+    if not np.all((rates >= 0) & (rates < np.inf)) or slot_s < 0 or packet_bits <= 0:
+        raise ValueError("rates must be finite and >= 0, durations >= 0, "
+                         "packet size > 0")
+    return (rates * slot_s // packet_bits).astype(np.int64)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (12,), (3, 4), (200, 18)])
+def test_service_capacity_matches_numpy_oracle(shape):
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        rates = rng.uniform(0.0, 3e7, shape)
+        got = service_capacity(rates, 1e-3, 1000)
+        want = _service_capacity_oracle(rates, 1e-3, 1000)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        for bad in (-1.0, -1e-300, np.nan, np.inf, -np.inf):
+            if rates.size:
+                broken = rates.copy()
+                broken.flat[rng.integers(rates.size)] = bad
+                for fn in (service_capacity, _service_capacity_oracle):
+                    with pytest.raises(ValueError):
+                        fn(broken, 1e-3, 1000)
+    for fn in (service_capacity, _service_capacity_oracle):
+        assert fn(-0.0, 1e-3, 1000) == 0
+
+
 def test_service_capacity_rejects_bad_inputs():
     with pytest.raises(ValueError):
         service_capacity(-1.0, 1e-3, 1000)
@@ -221,6 +250,32 @@ def test_lyapunov_drift():
     assert (st.drift_embb, st.drift_hrllc) == (-8.0, 3.5)
     assert st.drift_embb + st.drift_hrllc == st.drift
     assert st.advance(np.array([0, 4, 0]), 1) == 0.0
+
+
+def _advance_oracle(state, backlogs, num_embb):
+    """The NumPy body that ``LyapunovState.advance`` replaced."""
+    b = np.asarray(backlogs, dtype=float)
+    e, h = b[:num_embb], b[num_embb:]
+    new_e = 0.5 * float(np.dot(e, e))
+    new_h = 0.5 * float(np.dot(h, h))
+    state.drift_embb = new_e - state.value_embb
+    state.drift_hrllc = new_h - state.value_hrllc
+    state.value_embb = new_e
+    state.value_hrllc = new_h
+    return state.drift
+
+
+def test_lyapunov_advance_matches_numpy_oracle():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        users = int(rng.integers(1, 25))
+        num_embb = int(rng.integers(0, users + 1))
+        got, want = LyapunovState(), LyapunovState()
+        for high in (10, 10_000, 10**7, 10, 0):
+            backlogs = rng.integers(0, high + 1, users)
+            assert got.advance(backlogs, num_embb) == _advance_oracle(
+                want, backlogs, num_embb)
+            assert got == want
 
 
 def test_lyapunov_incremental_matches_recompute():

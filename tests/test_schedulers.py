@@ -14,9 +14,23 @@ def test_allocation_validate_accepts_consistent():
     alloc.validate(3, 2)
 
 
-@pytest.mark.parametrize("assignment", [[0, 1], [0, 0, 0], [0, 1, 2]],
+def test_allocation_validate_returns_bincount():
+    rng = np.random.default_rng(13)
+    for _ in range(2000):
+        users = int(rng.integers(1, 13))
+        prbs = users + int(rng.integers(0, 25))
+        assignment = np.concatenate([np.arange(users),
+                                     rng.integers(0, users, prbs - users)])
+        alloc = Allocation(rng.permutation(assignment))
+        got = alloc.validate(prbs, users)
+        want = np.bincount(alloc.assignment)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("assignment", [[0, 1], [0, 0, 0], [0, 1, 2],
+                                        [1, 1, 1]],
                          ids=["wrong-length", "user-without-prb",
-                              "user-index-out-of-range"])
+                              "user-index-out-of-range", "user-0-without-prb"])
 def test_allocation_validate_rejects(assignment):
     with pytest.raises(AssertionError):
         Allocation(np.array(assignment)).validate(3, 2)
@@ -141,8 +155,52 @@ def test_intra_slice_divide_largest_remainder():
 def test_intra_slice_divide_errors():
     with pytest.raises(ValueError):
         intra_slice_divide(2, np.ones(3))
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            intra_slice_divide(4, np.array([1.0, bad]))
     with pytest.raises(ValueError):
-        intra_slice_divide(4, np.array([1.0, -1.0]))
+        intra_slice_divide(4, np.ones((2, 2)))
+
+
+def _divide_oracle(slice_prbs, weights):
+    """The NumPy body that ``intra_slice_divide`` replaced."""
+    weights = np.asarray(weights, dtype=float)
+    num_users = len(weights)
+    counts = np.ones(num_users, dtype=int)
+    extra = slice_prbs - num_users
+    if extra == 0:
+        return counts
+    total = weights.sum()
+    shares = (np.full(num_users, 1.0 / num_users) if total == 0
+              else weights / total)
+    quota = shares * extra
+    base = np.floor(quota).astype(int)
+    counts += base
+    remainder = extra - int(base.sum())
+    if remainder > 0:
+        frac = quota - base
+        order = np.argsort(-frac, kind="stable")
+        counts[order[:remainder]] += 1
+    return counts
+
+
+@pytest.mark.parametrize("kind", ["uniform", "zero", "integer", "gain_mean"])
+def test_intra_slice_divide_matches_numpy_oracle(kind):
+    rng = np.random.default_rng(14)
+    for _ in range(5000):
+        users = int(rng.integers(1, 13))
+        prbs = users + int(rng.integers(0, 30))
+        if kind == "uniform":
+            weights = rng.uniform(0.0, 5.0, users)
+        elif kind == "zero":
+            weights = np.zeros(users)
+        elif kind == "integer":          # work counts: many ties and zeros
+            weights = rng.integers(0, 4, users) * rng.integers(0, 50)
+        else:                            # the channel template's weights
+            weights = rng.exponential(1.0, (users, prbs)).mean(axis=1)
+        got = intra_slice_divide(prbs, weights)
+        want = _divide_oracle(prbs, weights)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 def test_intra_slice_divide_conserves_total():

@@ -4,9 +4,9 @@ import pytest
 from slicesched.config import ScenarioConfig
 from slicesched.traffic import (DegenerateChainError, DexterityProfile,
                                 MmppChain, effective_intensity,
-                                init_state_stationary, mean_rate,
-                                sample_embb_arrivals, sample_hrllc_arrivals,
-                                stationary_probs)
+                                init_state_stationary, sample_embb_arrivals,
+                                sample_hrllc_arrivals, stationary_probs)
+from conftest import mean_rate
 
 
 def test_stationary_probs_symmetric():
