@@ -24,8 +24,9 @@ def service_capacity(rates_bits_per_s, slot_s: float, packet_bits: int) -> np.nd
     if not all(0.0 <= r < math.inf for r in flat) or slot_s < 0 or packet_bits <= 0:
         raise ValueError("rates must be finite and >= 0, durations >= 0, "
                          "packet size > 0")
-    # Python's float floor division is NumPy's, one rate at a time
-    return np.array([int(r * slot_s // packet_bits) for r in flat],
+    # Python's float floor division is NumPy's, one rate at a time; the
+    # whole floats it leaves cast to int64 exactly
+    return np.array([r * slot_s // packet_bits for r in flat],
                     dtype=np.int64).reshape(rates.shape)
 
 
