@@ -124,6 +124,7 @@ def test_golden_episode(case):
            repr(record.episodic_return))
     assert got == EPISODE_GOLDEN[case]
 
+
 # The CLI's summary-derived outputs: figures and tables computed from the
 # episode records by metrics.summarize, compare_policies,
 # dexterity_sensitivity and step_response_summary.  Forty slots per episode

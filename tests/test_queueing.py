@@ -31,12 +31,11 @@ def test_service_capacity_matches_numpy_oracle(shape):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
         for bad in (-1.0, -1e-300, np.nan, np.inf, -np.inf):
-            if rates.size:
-                broken = rates.copy()
-                broken.flat[rng.integers(rates.size)] = bad
-                for fn in (service_capacity, _service_capacity_oracle):
-                    with pytest.raises(ValueError):
-                        fn(broken, 1e-3, 1000)
+            broken = rates.copy()
+            broken.flat[rng.integers(rates.size)] = bad
+            for fn in (service_capacity, _service_capacity_oracle):
+                with pytest.raises(ValueError):
+                    fn(broken, 1e-3, 1000)
     for fn in (service_capacity, _service_capacity_oracle):
         assert fn(-0.0, 1e-3, 1000) == 0
 
