@@ -179,7 +179,7 @@ class Learner(Policy):
     """A policy that learns from one-step transitions (s, a, r, s').
 
     ``allocate`` opens the slot's transition in ``_pending``: the
-    observation and the action first, then ``observe_reward`` fills in the
+    observation and the action first, then ``observe`` fills in the
     scaled reward.  The next slot's observation, or ``None`` at the end of
     an episode, completes it, and ``_learn(next_obs)`` learns from it.
     It learns only while ``training`` (the flag ``Policy`` keeps), and
@@ -218,7 +218,7 @@ class Learner(Policy):
             self._sums[name] += values[name]
         self._updates += 1
 
-    def _observe(self, ctx: SchedulerContext) -> np.ndarray:
+    def _observation(self, ctx: SchedulerContext) -> np.ndarray:
         """This slot's observation, after learning from the transition it
         completes."""
         obs = encode_observation(ctx, self.cfg)
@@ -226,9 +226,9 @@ class Learner(Policy):
             self._learn(obs)
         return obs
 
-    def observe_reward(self, rew: float) -> None:
+    def observe(self, rates: np.ndarray, reward: float) -> None:
         if self._pending is not None:
-            self._pending[2] = rew * self.cfg.reward_scale
+            self._pending[2] = reward * self.cfg.reward_scale
 
     def end_episode(self) -> None:
         if self.training and self._pending is not None:
@@ -273,7 +273,7 @@ class A2CAgent(Learner):
         self.opt_critic = Adam()
 
     def allocate(self, ctx: SchedulerContext) -> Allocation:
-        obs = self._observe(ctx)
+        obs = self._observation(ctx)
         heads = a2c_heads(self.net, self.n_kh, obs)
         logits_h, logits_e = heads[:2]
         if self.training:
@@ -348,7 +348,7 @@ class DqnAgent(Learner):
         return cfg.dqn_eps_start + frac * (cfg.dqn_eps_end - cfg.dqn_eps_start)
 
     def allocate(self, ctx: SchedulerContext) -> Allocation:
-        obs = self._observe(ctx)
+        obs = self._observation(ctx)
         if self.training and self.rng.random() < self.epsilon:
             joint = int(self.rng.integers(self.n_joint))
         else:

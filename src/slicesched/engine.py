@@ -7,8 +7,9 @@ and per-PRB rates.  Each slot reads its row and runs (4-6) build the
 context and let the policy allocate, (7) rates and packet service, (8)
 queue update, (9) Lyapunov drift, cost, violation surrogate and reward,
 (10) dual ascent on this slot's violation while the policy trains, (11)
-the reward to the policy.  Observations use the previous slot's rates,
-drifts and violation signal; this slot's do not exist before the action.
+the slot's achieved rates and reward to the policy's ``observe``.
+Observations use the previous slot's rates, drifts and violation signal;
+this slot's do not exist before the action.
 
 A learner's update for slot t needs slot t+1's observation, so it runs
 inside slot t+1's ``allocate``, once that observation is encoded; the last
@@ -134,16 +135,16 @@ class Simulation:
         cfg, n_s = self.cfg, self.cfg.slots_per_episode
         alpha, beta = cfg.mmpp_alpha, cfg.mmpp_beta
         dxi = self.dex_profile.vector(self._episode * n_s + np.arange(n_s))
-        hrllc = []              # per user, per slot: (chain state, arrivals)
+        hrllc = []              # per user, per slot: chain state, arrivals
         for u, rng in enumerate(self.rng_hrllc):
             # the chain step and the Poisson draw share the user's stream
             state = init_state_stationary(alpha, beta, self.rng_chain_init)
             chain = MmppChain(alpha, beta, (cfg.lambda_slow, cfg.lambda_burst),
                               cfg.slot_duration_s, state)
-            hrllc.append([(chain.step(rng),
-                           sample_hrllc_arrivals(chain, cfg.beta_dex, level, rng))
-                          for level in dxi[:, u].tolist()])
-        states, arr_h = np.array(hrllc, dtype=np.int64).T
+            for level in dxi[:, u].tolist():
+                hrllc += (chain.step(rng),
+                          sample_hrllc_arrivals(chain, cfg.beta_dex, level, rng))
+        states, arr_h = np.array(hrllc, dtype=np.int64).reshape(-1, n_s, 2).T
         arrivals = np.column_stack([*(sample_embb_arrivals(cfg.lambda_embb, rng, n_s)
                                       for rng in self.rng_embb), arr_h])
         gain_sq = draw_channel(cfg, self.rng_channel, n_s)
@@ -200,8 +201,8 @@ class Simulation:
             # (10) dual ascent
             if self.policy.training:
                 self.dual.update(violation)
-            # (11) the reward for the policy's next update
-            self.policy.observe_reward(rew)
+            # (11) the slot's outcome for the policy
+            self.policy.observe(rates, rew)
 
             ep_return += rew
             outcome[i] = (counts, rates, departures, backlogs, lyap.drift_embb,

@@ -119,8 +119,8 @@ def softmax_categorical(logits: np.ndarray, rng: np.random.Generator) -> int:
     probs = softmax(logits)
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
-    idx = int(np.searchsorted(cdf, rng.random(), side="right"))
-    return min(idx, len(probs) - 1)
+    # rng.random() < 1.0 == cdf[-1], so the index is at most len(probs) - 1
+    return int(np.searchsorted(cdf, rng.random(), side="right"))
 
 
 def clip_grads(grads: list[np.ndarray], max_norm: float) -> list[np.ndarray]:

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import all_user_rates
-
 
 @dataclass(frozen=True)
 class Allocation:
@@ -170,8 +168,8 @@ class Policy:
     def begin_episode(self) -> None:
         pass
 
-    def observe_reward(self, reward: float) -> None:
-        pass
+    def observe(self, rates: np.ndarray, reward: float) -> None:
+        """The slot's achieved rates and reward, as the engine records them."""
 
     def end_episode(self) -> None:
         pass
@@ -207,8 +205,8 @@ class ProportionalFairPolicy(Policy):
         self.ewma = np.full(num_users, 1.0)  # 1 bit/s floor avoids div by zero
 
     def allocate(self, ctx: SchedulerContext) -> Allocation:
-        alloc = proportional_fair(ctx, self.ewma)
-        achieved = all_user_rates(ctx.rate_matrix, alloc.assignment)
-        self.ewma = (1.0 - self.ewma_factor) * self.ewma + self.ewma_factor * achieved
+        return proportional_fair(ctx, self.ewma)
+
+    def observe(self, rates: np.ndarray, reward: float) -> None:
+        self.ewma = (1.0 - self.ewma_factor) * self.ewma + self.ewma_factor * rates
         np.maximum(self.ewma, 1.0, out=self.ewma)
-        return alloc

@@ -8,7 +8,7 @@ only positional arguments that the wrapped functions have, since a counter
 that reads a missing argument fails only in a traced run.  Last, it runs
 the worker itself on tiny commands, since its output checks read results
 of the library (the run's config and dual, the episode records, the
-summary) that no name lookup covers.
+summary) that no name lookup covers, and reads one of its work counters.
 """
 
 import ast
@@ -113,3 +113,6 @@ def test_benchmark_worker_runs_clean(tmp_path, command, episodes_key):
         assert result["errors"] == []
         results[mode] = result
     assert results["plain"]["digests"] == results["trace"]["digests"]
+    # the engine computes each slot's achieved rates once, for every policy
+    layers = results["trace"]["layers"]
+    assert layers["channel.all_user_rates.calls_per_slot"] == 1.0

@@ -395,3 +395,27 @@ def test_world_is_drawn_once_per_episode(monkeypatch, tiny_cfg):
                      "sample_embb_arrivals": n_ep * tiny_cfg.num_embb,
                      "sample_hrllc_arrivals": n_ep * n_s * tiny_cfg.num_hrllc}
     assert not hasattr(sim, "chains")
+
+
+@pytest.mark.parametrize("policy_name", ["pf", "a2c"])
+def test_policy_observes_each_slot_as_recorded(policy_name):
+    cfg = ScenarioConfig()
+    sim = _sim(cfg, policy_name)
+    policy, calls = sim.policy, []
+    allocate, observe = policy.allocate, policy.observe
+
+    def recording_allocate(ctx):
+        calls.append(("allocate",))
+        return allocate(ctx)
+
+    def recording_observe(rates, reward):
+        calls.append(("observe", rates.tobytes(), np.float64(reward).tobytes()))
+        observe(rates, reward)
+
+    policy.allocate, policy.observe = recording_allocate, recording_observe
+    slots = sim.run_episode().slots
+    assert len(calls) == 2 * cfg.slots_per_episode
+    for i, row in enumerate(slots):
+        assert calls[2 * i] == ("allocate",)
+        assert calls[2 * i + 1] == ("observe", row.rates.tobytes(),
+                                    row.reward.tobytes())

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from slicesched.channel import all_user_rates
 from slicesched.schedulers import (Allocation, ProportionalFairPolicy,
                                    RoundRobinPolicy, intra_slice_divide,
                                    materialize_assignment, proportional_fair,
@@ -296,6 +297,7 @@ def test_pf_policy_achieved_rates_accumulate_in_prb_order():
         ctx = make_context(rng)
         before = policy.ewma.copy()
         alloc = policy.allocate(ctx)
+        policy.observe(all_user_rates(ctx.rate_matrix, alloc.assignment), 0.0)
         achieved = np.zeros(ctx.num_users)
         for j, u in enumerate(alloc.assignment):
             achieved[u] += ctx.rate_matrix[u, j]
@@ -316,6 +318,12 @@ def test_pf_policy_updates_ewma():
     rng = np.random.default_rng(10)
     policy = ProportionalFairPolicy(num_users=7, ewma_factor=0.1)
     before = policy.ewma.copy()
-    policy.allocate(make_context(rng))
+    ctx = make_context(rng)
+    alloc = policy.allocate(ctx)
+    assert np.array_equal(policy.ewma, before)      # only observe moves it
+    rates = all_user_rates(ctx.rate_matrix, alloc.assignment)
+    rates[0] = 0.0                     # decays below the 1 bit/s floor
+    policy.observe(rates, 0.0)
     assert not np.array_equal(policy.ewma, before)
     assert np.all(policy.ewma >= 1.0)
+    assert policy.ewma[0] == 1.0
