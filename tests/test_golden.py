@@ -148,6 +148,7 @@ CLI_GOLDEN = {
     },
     "dex-sensitivity": {
         "sensitivity.csv": "ab1c8eba0e0a38af3de1469213dbdb58c60f8a0f723644986d1b45bc009b0871",
+        "sensitivity.svg": "8e6e4e60f1afc667c90fcf7c36a05c324e21cdd389615550aea6226e4059b2fd",
     },
     "train": {
         "return_curve.svg": "6f49e378021ea0677c0800bf62eb23558a495765187b09b75b1294f6cbdeb5f1",
