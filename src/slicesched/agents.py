@@ -81,11 +81,14 @@ def decode_action(kh_idx: int, template_idx: int,
     return Allocation(materialize_assignment(counts, ctx.gain_sq))
 
 
-def step_cost(rates_hrllc: np.ndarray, rates_embb: np.ndarray, eps: float) -> float:
+EPS_COST = 1e-6     # keeps step_cost finite at a zero rate
+
+
+def step_cost(rates_hrllc: np.ndarray, rates_embb: np.ndarray) -> float:
     """Inverse-square rate cost; rates enter in Mbit/s so the cost has a
     usable dynamic range against the drift term."""
     # elementwise on Python floats; each slice summed in np.sum's order
-    terms = np.array([1.0 / ((r / 1e6) * (r / 1e6) + eps)
+    terms = np.array([1.0 / ((r / 1e6) * (r / 1e6) + EPS_COST)
                       for r in (*rates_hrllc, *rates_embb)])
     n_h = len(rates_hrllc)
     return float(np.add.reduce(terms[:n_h]) + np.add.reduce(terms[n_h:]))
@@ -240,23 +243,16 @@ class Learner(Policy):
         raise NotImplementedError
 
     # --- checkpointing ---
-    def _layout(self) -> dict:
-        """Checkpoint metadata besides the kind: the shapes of ``self.net``."""
-        raise NotImplementedError
-
-    def _check_layout(self, meta: dict) -> None:
-        if any(meta.get(key) != value for key, value in self._layout().items()):
-            raise ValueError("checkpoint does not match this scenario's shapes")
-
     def save(self, path) -> None:
-        save_arrays(path, self.net.params, {"kind": self.name, **self._layout()})
+        save_arrays(path, self.net.params, {"kind": self.name})
 
     def load(self, path) -> None:
+        """Load a checkpoint of this kind; the array shapes must be this
+        net's, which rejects another scenario's or net layout's."""
         arrays, meta = load_arrays(path)
         if meta.get("kind") != self.name:
             raise ValueError(f"checkpoint kind {meta.get('kind')!r} "
                              f"is not {self.name!r}")
-        self._check_layout(meta)
         self.net.set_params(arrays)
 
 
@@ -298,17 +294,6 @@ class A2CAgent(Learner):
         self.opt_actor.step([self.net.flat], grads_a, self.cfg.lr_actor)
         self.opt_critic.step([self.net.flat], grads_c, self.cfg.lr_critic)
         self._tally(diag)
-
-    def _layout(self) -> dict:
-        # "shared" marks the one-trunk layout; checkpoints of the former
-        # separate actor and critic nets carry false
-        return {"shared": True, "obs_dim": self.obs_dim, "n_kh": self.n_kh}
-
-    def _check_layout(self, meta: dict) -> None:
-        if meta.get("shared") is not True:
-            raise ValueError("checkpoint holds separate actor and critic nets; "
-                             "only the one-trunk a2c net can be loaded")
-        super()._check_layout(meta)
 
 
 class DqnAgent(Learner):
@@ -397,9 +382,6 @@ class DqnAgent(Learner):
         self._tally({"td_loss": float(np.mean(err * err))})
         if self.updates % cfg.dqn_target_sync == 0:
             self._sync_target()
-
-    def _layout(self) -> dict:
-        return {"obs_dim": self.obs_dim, "n_joint": self.n_joint}
 
     def load(self, path) -> None:
         super().load(path)

@@ -19,8 +19,8 @@ from .config import (ConfigError, ScenarioConfig, ValidationError,
 from .engine import (AGENT_NAMES, POLICY_NAMES, EpisodeRecord, build_policy,
                      concat_slots, export_diagnostics_csv, export_trace_csv,
                      run_evaluation, run_training, step_response_summary)
-from .metrics import (compare_policies, dexterity_sensitivity, moving_average,
-                      summarize)
+from .metrics import (SMOOTH_WINDOW, compare_policies, dexterity_sensitivity,
+                      moving_average, summarize)
 from .svgplot import ChartSpec, Series, render_svg
 from .traffic import DexterityProfile
 
@@ -237,7 +237,7 @@ def _experiment_drl_compare(args, argv, cfg: ScenarioConfig) -> int:
     for kind in AGENT_NAMES:
         records, _ = run_training(cfg, kind)
         curves[kind] = moving_average(
-            [r.episodic_return for r in records], cfg.smooth_window)
+            [r.episodic_return for r in records], SMOOTH_WINDOW)
         export_diagnostics_csv(records, run.file(f"{kind}_training.csv"))
     run.write_text("drl_returns.svg", render_svg(ChartSpec(
         kind="line", title="Smoothed episodic return",

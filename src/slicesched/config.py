@@ -56,10 +56,8 @@ class ScenarioConfig:
     dxi_middle: tuple[float, ...] = ()       # during it; empty: no step
 
     # --- control objective ---
-    eps_cost: float = 1e-6
     lyapunov_v: float = 1.0
     dual_step: float = 0.01
-    surrogate_exp_cap: float = 50.0
 
     # --- learning ---
     gamma: float = 0.99
@@ -82,7 +80,6 @@ class ScenarioConfig:
 
     # --- baselines / metrics ---
     pf_ewma: float = 0.1
-    smooth_window: int = 10
     eval_episodes: int = 20
 
     # --- misc ---
@@ -126,9 +123,8 @@ def validate(cfg: ScenarioConfig) -> None:
     _positive(
         cfg, "total_bandwidth_hz", "num_prbs", "num_embb", "num_hrllc",
         "slot_duration_s", "packet_size_bits", "mean_snr_linear", "d_max_s",
-        "d_proc_s", "eps_cost", "lyapunov_v", "dual_step", "lr_actor",
-        "lr_critic", "episodes", "slots_per_episode", "grad_clip",
-        "reward_scale", "surrogate_exp_cap", "smooth_window",
+        "d_proc_s", "lyapunov_v", "dual_step", "lr_actor", "lr_critic",
+        "episodes", "slots_per_episode", "grad_clip", "reward_scale",
         "eval_episodes", "dqn_replay_capacity", "dqn_batch_size",
         "dqn_target_sync", "dqn_eps_decay_slots",
     )

@@ -16,18 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 
+EXP_CAP = 50.0      # the surrogate's exponent is capped here
+
+
 def surrogate_y(arrivals: float, service: float, packet_bits: int,
-                d_max_s: float, d_proc_s: float, chi_h: float,
-                exp_cap: float = 50.0) -> float:
+                d_max_s: float, d_proc_s: float, chi_h: float) -> float:
     """Exponential delay-violation surrogate for one user and slot.
 
     ``arrivals`` and ``service`` are packet counts for the slot; the exponent
-    is capped before exponentiation to avoid overflow.
+    is capped at ``EXP_CAP`` before exponentiation to avoid overflow.
     """
     if not d_max_s > d_proc_s:
         raise ValueError("d_max_s must exceed d_proc_s")
     exponent = ((arrivals - service) / packet_bits) * (d_max_s - d_proc_s)
-    exponent = min(exponent, exp_cap)
+    exponent = min(exponent, EXP_CAP)
     return math.exp(exponent) - (1.0 - chi_h)
 
 

@@ -156,8 +156,8 @@ class Simulation:
         arr_h = arrivals[:, n_e:].tolist()
         lyap = LyapunovState()
         backlogs = np.zeros(cfg.num_users, dtype=int)
-        prev_rates = np.zeros(cfg.num_users)
-        prev_drift_e = prev_drift_h = prev_y = 0.0
+        # the previous slot's rates and violation signal, read by the context
+        rates, y_mean = np.zeros(cfg.num_users), 0.0
         episode = self._episode
         self.policy.begin_episode()
         slots = np.recarray(cfg.slots_per_episode, dtype=slot_dtype(cfg))
@@ -171,9 +171,9 @@ class Simulation:
             work = backlogs + arrivals[i]
             ctx = SchedulerContext(
                 num_embb=n_e, work=work, gain_sq=gain_sq[i],
-                rate_matrix=prb_rates[i], dxi=dxi[i], prev_rates=prev_rates,
-                prev_drift_embb=prev_drift_e, prev_drift_hrllc=prev_drift_h,
-                prev_y=prev_y)
+                rate_matrix=prb_rates[i], dxi=dxi[i], prev_rates=rates,
+                prev_drift_embb=lyap.drift_embb,
+                prev_drift_hrllc=lyap.drift_hrllc, prev_y=y_mean)
             alloc = self.policy.allocate(ctx)
             counts = alloc.validate(cfg.num_prbs, cfg.num_users)
             # (7) achieved rates and whole-packet service
@@ -186,10 +186,9 @@ class Simulation:
             # (9) drift, cost, violation signal, reward
             lyap.advance(backlogs, n_e)
             rates_l = rates.tolist()
-            cost = step_cost(rates_l[n_e:], rates_l[:n_e], cfg.eps_cost)
+            cost = step_cost(rates_l[n_e:], rates_l[:n_e])
             y_users = [surrogate_y(a, s, cfg.packet_size_bits, cfg.d_max_s,
-                                   cfg.d_proc_s, cfg.chi_h,
-                                   cfg.surrogate_exp_cap)
+                                   cfg.d_proc_s, cfg.chi_h)
                        for a, s in zip(arr_h[i], served[n_e:].tolist())]
             y_mean = float(np.add.reduce(y_users) / len(y_users))  # = np.mean
             # The surrogate equals chi_h at arrival/service balance, so the
@@ -207,9 +206,6 @@ class Simulation:
             ep_return += rew
             outcome[i] = (counts, rates, departures, backlogs, lyap.drift_embb,
                           lyap.drift_hrllc, cost, y_mean, self.dual.value, rew)
-            prev_rates = rates
-            prev_drift_e, prev_drift_h = lyap.drift_embb, lyap.drift_hrllc
-            prev_y = y_mean
 
         self.policy.end_episode()
         audit_conservation(slots)

@@ -16,6 +16,8 @@ from .constraint import delay_cdf, reliability
 from .engine import EpisodeRecord, concat_slots
 from .queueing import hrllc_delays
 
+SMOOTH_WINDOW = 10      # episodes in a smoothed return curve's trailing mean
+
 
 def moving_average(series, window: int) -> np.ndarray:
     """Trailing mean; the first k points average only the first k samples."""
@@ -56,7 +58,7 @@ def summarize(records: list[EpisodeRecord], cfg: ScenarioConfig) -> RunSummary:
     rel = reliability(delays, cfg.d_max_s) if delays.size else float("nan")
     return RunSummary(
         returns=returns,
-        returns_smoothed=moving_average(returns, cfg.smooth_window),
+        returns_smoothed=moving_average(returns, SMOOTH_WINDOW),
         mean_queue_embb=np.array(
             [r.slots.backlogs[:, :n_e].sum(axis=1).mean() for r in records]),
         mean_queue_hrllc=np.array(

@@ -6,8 +6,8 @@ from logits, and a versioned binary checkpoint format.
 
 Checkpoint layout (little-endian):
     magic   4 bytes  b"MLP1"
-    meta    u32 length + UTF-8 JSON (the caller's dict: the agent kind and
-            its shape keys)
+    meta    u32 length + UTF-8 JSON (the caller's dict: the agent kind; the
+            shapes are the arrays' own)
     arrays  for each parameter array: u32 ndim, u32 dims..., float64 data
     crc32   u32 over everything after the magic
 """
@@ -126,7 +126,7 @@ def softmax_categorical(logits: np.ndarray, rng: np.random.Generator) -> int:
 def clip_grads(grads: list[np.ndarray], max_norm: float) -> list[np.ndarray]:
     """Scale the whole gradient list so its global L2 norm is <= max_norm."""
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
-    if total <= max_norm or total == 0.0:
+    if total <= max_norm:
         return grads
     scale = max_norm / total
     return [g * scale for g in grads]

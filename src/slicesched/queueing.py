@@ -90,10 +90,6 @@ class LyapunovState:
     drift_hrllc: float = 0.0
 
     @property
-    def value(self) -> float:
-        return self.value_embb + self.value_hrllc
-
-    @property
     def drift(self) -> float:
         return self.drift_embb + self.drift_hrllc
 

@@ -116,7 +116,6 @@ def render_svg(spec: ChartSpec) -> str:
                      f'x2="{MARGIN_L + pw}" y2="{_fmt(py)}" stroke="#555" '
                      'stroke-dasharray="6,4" class="ref-h"/>')
 
-    bar_groups = len(spec.series)
     for si, series in enumerate(spec.series):
         color = PALETTE[si % len(PALETTE)]
         pts = list(series.points)
@@ -142,10 +141,7 @@ def render_svg(spec: ChartSpec) -> str:
                              f'r="3" fill="{color}" class="marker"/>')
             parts.append(f'<polyline points="{" ".join(coords)}" fill="none" '
                          f'stroke="{color}" stroke-width="1.5"/>')
-        else:  # bar
-            n = len(pts)
-            slot_w = pw / n
-            bar_w = slot_w / (bar_groups + 1)
+        else:  # bar: slot_w and bar_w as for the ticks
             for bi, (x, y) in enumerate(pts):
                 bx = MARGIN_L + bi * slot_w + (si + 0.5) * bar_w
                 by = sy(y)

@@ -17,8 +17,9 @@ from slicesched.config import ScenarioConfig
 from slicesched.constraint import DualVariable, surrogate_y
 from slicesched.engine import (build_policy, run_evaluation, run_training,
                                step_response_summary)
-from slicesched.metrics import (dexterity_sensitivity, moving_average,
-                                spearman_rank_correlation, summarize)
+from slicesched.metrics import (SMOOTH_WINDOW, dexterity_sensitivity,
+                                moving_average, spearman_rank_correlation,
+                                summarize)
 from slicesched.net import Mlp, softmax
 from slicesched.traffic import MmppChain, sample_hrllc_arrivals
 from conftest import mean_rate, windowed_slope
@@ -46,8 +47,8 @@ def default_dqn():
     return cfg, records, policy
 
 
-def _final_first_means(records, cfg):
-    sm = moving_average([r.episodic_return for r in records], cfg.smooth_window)
+def _final_first_means(records):
+    sm = moving_average([r.episodic_return for r in records], SMOOTH_WINDOW)
     k = max(len(sm) // 10, 1)
     return float(sm[:k].mean()), float(sm[-k:].mean()), sm
 
@@ -202,7 +203,7 @@ def test_criterion_3_feasibility(default_a2c, default_dqn):
 
 def test_criterion_4_learning_progress(default_a2c):
     cfg, records, _, elapsed = default_a2c
-    first, final, sm = _final_first_means(records, cfg)
+    first, final, sm = _final_first_means(records)
     ratio = _plateau_ratio(sm)
     ok = final > first and ratio < 0.1 and elapsed < 600.0
     assert _report(4, "learning progress", ok,
@@ -306,8 +307,8 @@ def test_criterion_8_dexterity_sensitivity():
 def test_criterion_9_drl_comparison(default_a2c, default_dqn):
     cfg, a2c_records, _, _ = default_a2c
     _, dqn_records, _ = default_dqn
-    _, a2c_final, _ = _final_first_means(a2c_records, cfg)
-    dqn_first, dqn_final, dqn_sm = _final_first_means(dqn_records, cfg)
+    _, a2c_final, _ = _final_first_means(a2c_records)
+    dqn_first, dqn_final, dqn_sm = _final_first_means(dqn_records)
     dqn_ratio = _plateau_ratio(dqn_sm)
     dqn_plateau_fails = not (dqn_final > dqn_first and dqn_ratio < 0.1)
     ok = a2c_final > dqn_final or dqn_plateau_fails

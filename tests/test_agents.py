@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from slicesched.agents import (OBS_CLIP, TEMPLATES, A2CAgent, DqnAgent,
-                               a2c_grads, a2c_heads, a2c_net, decode_action,
-                               encode_observation, obs_length, reward,
-                               step_cost)
+from slicesched.agents import (EPS_COST, OBS_CLIP, TEMPLATES, A2CAgent,
+                               DqnAgent, a2c_grads, a2c_heads, a2c_net,
+                               decode_action, encode_observation, obs_length,
+                               reward, step_cost, trunk_mlp)
 from slicesched.config import ScenarioConfig
 from slicesched.net import save_arrays, softmax
 from conftest import make_context
@@ -101,37 +101,37 @@ def test_decode_action_exhaustive_feasibility():
 
 
 def test_step_cost_reference():
-    assert step_cost([1e6], [2e6], eps=1e-12) == pytest.approx(1.25, rel=1e-6)
-    assert step_cost([0.0], [0.0], eps=1e-6) == pytest.approx(2e6)
+    assert step_cost([1e6], [2e6]) == pytest.approx(1.25, rel=1e-6)
+    assert step_cost([0.0], [0.0]) == pytest.approx(2.0 / EPS_COST)
 
 
 def test_step_cost_monotone():
     rng = np.random.default_rng(3)
     for _ in range(100):
         r = rng.uniform(0.5e6, 5e6, 4)
-        base = step_cost(r[:2], r[2:], 1e-6)
+        base = step_cost(r[:2], r[2:])
         bumped = r.copy()
         bumped[1] *= 1.5
-        assert step_cost(bumped[:2], bumped[2:], 1e-6) < base
+        assert step_cost(bumped[:2], bumped[2:]) < base
 
 
-def _step_cost_oracle(rates_hrllc, rates_embb, eps):
+def _step_cost_oracle(rates_hrllc, rates_embb):
     """The NumPy body that ``step_cost`` replaced."""
     rh = np.asarray(rates_hrllc, dtype=float) / 1e6
     re = np.asarray(rates_embb, dtype=float) / 1e6
-    return float(np.sum(1.0 / (rh * rh + eps)) + np.sum(1.0 / (re * re + eps)))
+    return float(np.sum(1.0 / (rh * rh + EPS_COST))
+                 + np.sum(1.0 / (re * re + EPS_COST)))
 
 
-@pytest.mark.parametrize("eps", [1e-6, 1e-12, 0.37])
-def test_step_cost_matches_numpy_oracle(eps):
+def test_step_cost_matches_numpy_oracle():
     rng = np.random.default_rng(15)
     for _ in range(5000):
         n_h, n_e = rng.integers(1, 13, 2)
         rates = rng.uniform(0.0, 3e7, n_h + n_e)
         rates[rng.random(rates.size) < 0.1] = 0.0    # users left unserved
-        got = step_cost(rates[:n_h], rates[n_h:], eps)
+        got = step_cost(rates[:n_h], rates[n_h:])
         assert type(got) is float
-        assert got == _step_cost_oracle(rates[:n_h], rates[n_h:], eps)
+        assert got == _step_cost_oracle(rates[:n_h], rates[n_h:])
 
 
 def test_reward_reference():
@@ -240,14 +240,41 @@ def test_a2c_checkpoint_round_trip(tmp_path):
         assert np.array_equal(a, b)
 
 
-def test_a2c_checkpoint_split_nets_rejected(tmp_path):
-    agent = A2CAgent(ScenarioConfig(), np.random.default_rng(18))
-    path = tmp_path / "a2c.bin"
+@pytest.mark.parametrize("kind", ["a2c", "dqn"])
+def test_checkpoint_in_older_format_loads_bit_exactly(kind, tmp_path):
+    """Checkpoints that also record their shapes in the metadata (and, for
+    a2c, the one-trunk flag) load: extra metadata keys are ignored."""
+    cfg = ScenarioConfig()
+    agent = {"a2c": A2CAgent, "dqn": DqnAgent}[kind](cfg, np.random.default_rng(19))
+    shapes = ({"shared": True, "n_kh": agent.n_kh} if kind == "a2c"
+              else {"n_joint": agent.n_joint})
+    path = tmp_path / f"{kind}.bin"
     save_arrays(path, agent.net.params,
+                {"kind": kind, "obs_dim": agent.obs_dim, **shapes})
+    other = type(agent)(cfg, np.random.default_rng(20))
+    other.load(path)
+    for a, b in zip(agent.net.params, other.net.params):
+        assert a.tobytes() == b.tobytes()
+    if kind == "dqn":
+        assert other.target.flat.tobytes() == agent.net.flat.tobytes()
+
+
+def test_a2c_checkpoint_split_nets_rejected(tmp_path):
+    """The former a2c layout: an actor net with the logit heads and a critic
+    net with the value, each on its own trunk."""
+    cfg = ScenarioConfig()
+    agent = A2CAgent(cfg, np.random.default_rng(18))
+    rng = np.random.default_rng(21)
+    actor = trunk_mlp(cfg, agent.obs_dim, agent.n_kh + len(TEMPLATES), rng)
+    critic = trunk_mlp(cfg, agent.obs_dim, 1, rng)
+    path = tmp_path / "a2c.bin"
+    save_arrays(path, actor.params + critic.params,
                 {"kind": "a2c", "shared": False, "obs_dim": agent.obs_dim,
                  "n_kh": agent.n_kh})
-    with pytest.raises(ValueError, match="separate actor and critic"):
+    before = agent.net.flat.copy()
+    with pytest.raises(ValueError, match="parameter shapes .* do not match net"):
         agent.load(path)
+    assert np.array_equal(agent.net.flat, before)
 
 
 def test_a2c_checkpoint_scenario_mismatch(tmp_path):
@@ -255,7 +282,7 @@ def test_a2c_checkpoint_scenario_mismatch(tmp_path):
     path = tmp_path / "a2c.bin"
     agent.save(path)
     smaller = ScenarioConfig().replace(num_embb=2)
-    with pytest.raises(ValueError, match="scenario"):
+    with pytest.raises(ValueError, match="parameter shapes .* do not match net"):
         A2CAgent(smaller, np.random.default_rng(12)).load(path)
 
 

@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
+from slicesched.agents import TEMPLATES, A2CAgent, trunk_mlp
 from slicesched.cli import main
+from slicesched.config import ScenarioConfig
+from slicesched.net import save_arrays
 
 TINY = ["--set", "episodes=2", "--set", "slots_per_episode=20",
         "--set", "eval_episodes=2"]
@@ -94,15 +98,36 @@ def test_checkpoint_without_learned_policy_is_usage_error(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("problem", ["wrong-kind", "corrupt", "missing"])
+def _split_nets_checkpoint(path):
+    """An a2c checkpoint of the former layout: separate actor and critic
+    nets, each on its own trunk."""
+    cfg = ScenarioConfig()
+    agent = A2CAgent(cfg, np.random.default_rng(0))
+    actor = trunk_mlp(cfg, agent.obs_dim, agent.n_kh + len(TEMPLATES),
+                      np.random.default_rng(1))
+    critic = trunk_mlp(cfg, agent.obs_dim, 1, np.random.default_rng(2))
+    save_arrays(path, actor.params + critic.params,
+                {"kind": "a2c", "shared": False, "obs_dim": agent.obs_dim,
+                 "n_kh": agent.n_kh})
+
+
+@pytest.mark.parametrize("problem", ["wrong-kind", "corrupt", "missing",
+                                     "other-scenario", "split-nets"])
 def test_compare_unloadable_checkpoint_leaves_no_run_dir(tmp_path, problem):
     ckpt = tmp_path / "checkpoint.bin"
+    learned = "dqn"
     if problem == "wrong-kind":
         ckpt = _train(tmp_path) / "checkpoint.bin"    # an a2c checkpoint
     elif problem == "corrupt":
         ckpt.write_bytes(b"not a checkpoint")
-    assert main(["compare", "--policies", "rr,dqn", "--checkpoint", str(ckpt),
-                 "--out", str(tmp_path / "x"), *TINY]) == 3
+    elif problem == "other-scenario":
+        learned = "a2c"
+        ckpt = _train(tmp_path, extra=("--set", "num_embb=2")) / "checkpoint.bin"
+    elif problem == "split-nets":
+        learned = "a2c"
+        _split_nets_checkpoint(ckpt)
+    assert main(["compare", "--policies", f"rr,{learned}", "--checkpoint",
+                 str(ckpt), "--out", str(tmp_path / "x"), *TINY]) == 3
     assert not (tmp_path / "x").exists()
 
 
@@ -171,6 +196,20 @@ def test_deleted_observation_scale_is_config_error(tmp_path):
     path = tmp_path / "scenario.txt"
     path.write_text("episodes = 2\nobs_clip = 1000\n")
     assert main(["compare", "--policies", "rr", "--config", str(path),
+                 "--out", str(tmp_path / "y")]) == 2
+    assert not (tmp_path / "y").exists()
+
+
+@pytest.mark.parametrize("key", ["eps_cost", "surrogate_exp_cap",
+                                 "smooth_window"])
+def test_deleted_constant_is_config_error(tmp_path, key):
+    # constants beside their one reader now, no longer settings
+    assert main(["train", "--out", str(tmp_path / "x"), *TINY,
+                 "--set", f"{key}=1"]) == 2
+    assert not (tmp_path / "x").exists()
+    path = tmp_path / "scenario.txt"
+    path.write_text(f"episodes = 2\n{key} = 1\n")
+    assert main(["train", "--config", str(path),
                  "--out", str(tmp_path / "y")]) == 2
     assert not (tmp_path / "y").exists()
 

@@ -15,7 +15,8 @@ from slicesched.config import (ConfigError, ScenarioConfig, ValidationError,
 # dexterity schedules, now the one dxi_levels / dxi_middle pair
 DELETED_KEYS = ("q_ref", "r_ref_mbps", "l_ref", "y_clip", "obs_clip",
                 "dexterity_profile", "dxi_level", "dxi_low", "dxi_high",
-                "dxi_step_user", "dxi_values")
+                "dxi_step_user", "dxi_values", "eps_cost", "surrogate_exp_cap",
+                "smooth_window")
 
 
 def test_defaults_are_valid():

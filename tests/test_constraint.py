@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from slicesched.constraint import (DualVariable, EmptySampleError,
+from slicesched.constraint import (EXP_CAP, DualVariable, EmptySampleError,
                                    delay_cdf, reliability, surrogate_y)
 
 
@@ -24,8 +24,8 @@ def test_surrogate_large_service_limit():
 
 
 def test_surrogate_exponent_cap():
-    y = surrogate_y(10**12, 0, 1, 1.0 + 5e-3, 5e-3, 0.98, exp_cap=50.0)
-    assert y == pytest.approx(math.exp(50.0) - 0.02)
+    y = surrogate_y(10**12, 0, 1, 1.0 + 5e-3, 5e-3, 0.98)
+    assert y == pytest.approx(math.exp(EXP_CAP) - 0.02)
     assert math.isfinite(y)
 
 

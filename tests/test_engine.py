@@ -204,7 +204,7 @@ def test_slot_violation_signal_is_numpy_mean(policy_name, overrides):
                               cfg.packet_size_bits)
     for row, served_row in zip(slots, served):
         y_users = [surrogate_y(a, s, cfg.packet_size_bits, cfg.d_max_s,
-                               cfg.d_proc_s, cfg.chi_h, cfg.surrogate_exp_cap)
+                               cfg.d_proc_s, cfg.chi_h)
                    for a, s in zip(row.arrivals[n_e:].tolist(),
                                    served_row[n_e:].tolist())]
         assert row.y_mean == float(np.mean(y_users))

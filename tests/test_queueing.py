@@ -233,9 +233,10 @@ def _energy(f, g) -> float:
 def test_lyapunov_state_value_reference():
     st = LyapunovState()
     st.advance(np.array([4, 3, 0]), 1)               # eMBB [4], HRLLC [3, 0]
-    assert (st.value_embb, st.value_hrllc, st.value) == (8.0, 4.5, 12.5)
+    assert (st.value_embb, st.value_hrllc) == (8.0, 4.5)
+    assert st.value_embb + st.value_hrllc == 12.5
     st.advance(np.zeros(3, dtype=int), 1)
-    assert st.value == 0.0
+    assert st.value_embb + st.value_hrllc == 0.0
     st.advance(np.ones(7), 0)                        # no eMBB users
     assert (st.value_embb, st.value_hrllc) == (0.0, 3.5)
 
@@ -243,7 +244,7 @@ def test_lyapunov_state_value_reference():
 def test_lyapunov_drift():
     st = LyapunovState()
     st.advance(np.array([4, 3, 0]), 1)               # L = 12.5
-    assert st.value == 12.5
+    assert st.value_embb + st.value_hrllc == 12.5
     drift = st.advance(np.array([0, 4, 0]), 1)       # L = 8.0
     assert drift == -4.5
     assert (st.drift_embb, st.drift_hrllc) == (-8.0, 3.5)
@@ -286,7 +287,7 @@ def test_lyapunov_incremental_matches_recompute():
         e, h = backlogs[:4], backlogs[4:]
         st.advance(backlogs, 4)
         assert st.value_embb == _energy(e, []) and st.value_hrllc == _energy([], h)
-        assert st.value == _energy(e, h)
+        assert st.value_embb + st.value_hrllc == _energy(e, h)
         assert st.drift_embb == _energy(e, []) - prev_e
         assert st.drift_hrllc == _energy([], h) - prev_h
         prev_e, prev_h = _energy(e, []), _energy([], h)
