@@ -37,13 +37,13 @@ GOLDEN = {
     "a2c-shared": {
         "trace.csv": "595c7eed311008c04625dc3b481625b8902f4343be6ea7ca9623532a5dab8447",
         "training.csv": "bb92aff4a72cacb58b1071c6a605a848d11edac30183afaed4fbddfd5d6e87a9",
-        "checkpoint.bin": "d9dcc0108cd26f779cd09c09bf29ea1ae0174403cbde76dfb0fe5acd06e282c0",
+        "checkpoint.bin": "3ae7a85fa9319976a392eaecc885afbd8827132991052595c5698ea39dad7ae7",
         "delays_s": "9965605ec287c04cda7bed88c0322356261cd3c4fbad853f1c2d36f61607b703",
     },
     "dqn": {
         "trace.csv": "7920ad64295563f39ad8babda841dcd594e808ed6f6a7e4894dee51bdf9d3131",
         "training.csv": "b5c5a718e0f99428b3be0d6951502d275bfb8ad07f9b3d572721b3231f0d41bc",
-        "checkpoint.bin": "b47393399b98d7b9772e346f94ad338257d3aed98148cb20f202dfeb5b899ba9",
+        "checkpoint.bin": "9eca3a152f8b8a2270cd60c301933aea11b3e386a69ed18f073c5c6d769b512f",
         "delays_s": "cd1cd75771c53fe3642a84991af94e72ff9934284e9d0d2c1ff5060c895bffc1",
     },
     "pf": {
