@@ -247,8 +247,8 @@ class Learner(Policy):
         save_arrays(path, self.net.params, {"kind": self.name})
 
     def load(self, path) -> None:
-        """Load a checkpoint of this kind; the array shapes must be this
-        net's, which rejects another scenario's or net layout's."""
+        """Load a checkpoint of this kind; ``set_params`` rejects arrays of
+        any other shapes, such as another scenario's net."""
         arrays, meta = load_arrays(path)
         if meta.get("kind") != self.name:
             raise ValueError(f"checkpoint kind {meta.get('kind')!r} "

@@ -156,7 +156,8 @@ class Simulation:
         arr_h = arrivals[:, n_e:].tolist()
         lyap = LyapunovState()
         backlogs = np.zeros(cfg.num_users, dtype=int)
-        # the previous slot's rates and violation signal, read by the context
+        # the context reads the previous slot's rates, drifts and violation
+        # signal from these and lyap, all zero before the first slot
         rates, y_mean = np.zeros(cfg.num_users), 0.0
         episode = self._episode
         self.policy.begin_episode()

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from slicesched.agents import TEMPLATES, trunk_mlp
 from slicesched.config import ScenarioConfig
+from slicesched.net import save_arrays
 from slicesched.schedulers import SchedulerContext
 from slicesched.traffic import stationary_probs
 
@@ -20,6 +22,18 @@ def windowed_slope(series, window: int) -> np.ndarray:
     if x.size <= window:
         raise ValueError("series shorter than window")
     return (x[window:] - x[:-window]) / window
+
+
+def save_split_a2c_checkpoint(path, agent) -> None:
+    """An a2c checkpoint of the former layout, with its metadata: an actor
+    net with the logit heads and a critic net with the value, each on its
+    own trunk."""
+    rng = np.random.default_rng(21)
+    actor = trunk_mlp(agent.cfg, agent.obs_dim, agent.n_kh + len(TEMPLATES), rng)
+    critic = trunk_mlp(agent.cfg, agent.obs_dim, 1, rng)
+    save_arrays(path, actor.params + critic.params,
+                {"kind": "a2c", "shared": False, "obs_dim": agent.obs_dim,
+                 "n_kh": agent.n_kh})
 
 
 def make_context(rng: np.random.Generator, num_embb: int = 4,

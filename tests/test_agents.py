@@ -4,10 +4,10 @@ import pytest
 from slicesched.agents import (EPS_COST, OBS_CLIP, TEMPLATES, A2CAgent,
                                DqnAgent, a2c_grads, a2c_heads, a2c_net,
                                decode_action, encode_observation, obs_length,
-                               reward, step_cost, trunk_mlp)
+                               reward, step_cost)
 from slicesched.config import ScenarioConfig
 from slicesched.net import save_arrays, softmax
-from conftest import make_context
+from conftest import make_context, save_split_a2c_checkpoint
 
 
 def test_action_space_defaults():
@@ -260,17 +260,9 @@ def test_checkpoint_in_older_format_loads_bit_exactly(kind, tmp_path):
 
 
 def test_a2c_checkpoint_split_nets_rejected(tmp_path):
-    """The former a2c layout: an actor net with the logit heads and a critic
-    net with the value, each on its own trunk."""
-    cfg = ScenarioConfig()
-    agent = A2CAgent(cfg, np.random.default_rng(18))
-    rng = np.random.default_rng(21)
-    actor = trunk_mlp(cfg, agent.obs_dim, agent.n_kh + len(TEMPLATES), rng)
-    critic = trunk_mlp(cfg, agent.obs_dim, 1, rng)
+    agent = A2CAgent(ScenarioConfig(), np.random.default_rng(18))
     path = tmp_path / "a2c.bin"
-    save_arrays(path, actor.params + critic.params,
-                {"kind": "a2c", "shared": False, "obs_dim": agent.obs_dim,
-                 "n_kh": agent.n_kh})
+    save_split_a2c_checkpoint(path, agent)
     before = agent.net.flat.copy()
     with pytest.raises(ValueError, match="parameter shapes .* do not match net"):
         agent.load(path)

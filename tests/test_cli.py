@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from slicesched.agents import TEMPLATES, A2CAgent, trunk_mlp
+from slicesched.agents import A2CAgent
 from slicesched.cli import main
 from slicesched.config import ScenarioConfig
-from slicesched.net import save_arrays
+from conftest import save_split_a2c_checkpoint
 
 TINY = ["--set", "episodes=2", "--set", "slots_per_episode=20",
         "--set", "eval_episodes=2"]
@@ -98,19 +98,6 @@ def test_checkpoint_without_learned_policy_is_usage_error(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
-def _split_nets_checkpoint(path):
-    """An a2c checkpoint of the former layout: separate actor and critic
-    nets, each on its own trunk."""
-    cfg = ScenarioConfig()
-    agent = A2CAgent(cfg, np.random.default_rng(0))
-    actor = trunk_mlp(cfg, agent.obs_dim, agent.n_kh + len(TEMPLATES),
-                      np.random.default_rng(1))
-    critic = trunk_mlp(cfg, agent.obs_dim, 1, np.random.default_rng(2))
-    save_arrays(path, actor.params + critic.params,
-                {"kind": "a2c", "shared": False, "obs_dim": agent.obs_dim,
-                 "n_kh": agent.n_kh})
-
-
 @pytest.mark.parametrize("problem", ["wrong-kind", "corrupt", "missing",
                                      "other-scenario", "split-nets"])
 def test_compare_unloadable_checkpoint_leaves_no_run_dir(tmp_path, problem):
@@ -125,7 +112,8 @@ def test_compare_unloadable_checkpoint_leaves_no_run_dir(tmp_path, problem):
         ckpt = _train(tmp_path, extra=("--set", "num_embb=2")) / "checkpoint.bin"
     elif problem == "split-nets":
         learned = "a2c"
-        _split_nets_checkpoint(ckpt)
+        save_split_a2c_checkpoint(
+            ckpt, A2CAgent(ScenarioConfig(), np.random.default_rng(0)))
     assert main(["compare", "--policies", f"rr,{learned}", "--checkpoint",
                  str(ckpt), "--out", str(tmp_path / "x"), *TINY]) == 3
     assert not (tmp_path / "x").exists()
