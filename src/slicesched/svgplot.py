@@ -34,6 +34,8 @@ class ChartSpec:
             raise ValueError(f"unknown chart kind {self.kind!r}")
         if not self.series or any(not s.points for s in self.series):
             raise ValueError("chart needs at least one non-empty series")
+        if self.kind == "bar" and len({len(s.points) for s in self.series}) > 1:
+            raise ValueError("bar series need one point per group each")
 
 
 def _fmt(v: float) -> str:

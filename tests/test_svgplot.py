@@ -97,6 +97,9 @@ def test_invalid_specs_rejected():
         ChartSpec(kind="line", series=())
     with pytest.raises(ValueError):
         ChartSpec(kind="line", series=(Series("a", ()),))
+    with pytest.raises(ValueError, match="one point per group"):
+        ChartSpec(kind="bar", series=(Series("a", ((0, 1), (1, 2))),
+                                      Series("b", ((0, 1),))))
 
 
 def test_degenerate_range_still_renders():
