@@ -127,7 +127,7 @@ def test_golden_episode(case):
 
 # The CLI's summary-derived outputs: figures and tables computed from the
 # episode records by metrics.summarize, compare_policies,
-# dexterity_sensitivity and step_response_summary.  Forty slots per episode
+# dexterity_sensitivity, step_response_summary and moving_average.  Forty slots per episode
 # make every per-episode and per-window mean long enough (>= 8 terms) for
 # NumPy's unrolled pairwise summation to differ from a plain running sum.
 CLI_TINY = ["--set", "episodes=4", "--set", "slots_per_episode=40",
@@ -138,6 +138,7 @@ CLI_CASES = {
     "compare": ["compare", "--policies", "a2c,rr,pf"],
     "two-step-dex": ["experiment", "--name", "two-step-dex"],
     "dex-sensitivity": ["experiment", "--name", "dex-sensitivity"],
+    "drl-compare": ["experiment", "--name", "drl-compare"],
 }
 
 CLI_GOLDEN = {
@@ -149,6 +150,12 @@ CLI_GOLDEN = {
     "dex-sensitivity": {
         "sensitivity.csv": "ab1c8eba0e0a38af3de1469213dbdb58c60f8a0f723644986d1b45bc009b0871",
         "sensitivity.svg": "8e6e4e60f1afc667c90fcf7c36a05c324e21cdd389615550aea6226e4059b2fd",
+    },
+    "drl-compare": {
+        "drl_returns.csv": "05d6d42af2cbd936c3a804fbf0eef32a186cd3b81a4f18b8bc02bab513df1dbf",
+        "drl_returns.svg": "ac183a03184b530da6ed01e60626b4739d8cfb32b9df3c4450dc2013a3dcda6f",
+        "a2c_training.csv": "ca303d7d210a5e6884fae761aa7a2e1bee42a51ec684345b9ea950a0293deda3",
+        "dqn_training.csv": "d806b86b09054d9b01ec2a78aaa70a07167bc64b14c36d1e2028d7328b44147d",
     },
     "train": {
         "return_curve.svg": "6f49e378021ea0677c0800bf62eb23558a495765187b09b75b1294f6cbdeb5f1",
