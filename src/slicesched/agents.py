@@ -20,7 +20,7 @@ from .config import ScenarioConfig
 from .net import (Adam, ForwardTrace, Mlp, clip_grads, load_arrays, save_arrays,
                   softmax, softmax_categorical)
 from .schedulers import (Allocation, Policy, SchedulerContext,
-                         intra_slice_divide, materialize_assignment)
+                         intra_slice_divide, materialize_assignment, slot_dtype)
 
 TEMPLATES = ("uniform", "backlog", "channel")
 
@@ -36,27 +36,30 @@ Q_REF, R_REF_BPS, L_REF = 100.0, 20e6, 500.0    # packets, bits/s, drift
 Y_CLIP, OBS_CLIP = 5.0, 10.0     # clips: violation signal, every feature
 
 
-def encode_observation(ctx: SchedulerContext, cfg: ScenarioConfig) -> np.ndarray:
+def encode_observation(ctx: SchedulerContext, prev: np.void,
+                       cfg: ScenarioConfig) -> np.ndarray:
     """Normalized feature vector, eMBB block then HRLLC block.
 
     Queue features are the slot's work, arrivals included (they are
     eligible for same-slot service, so they are part of the workload the
     action must cover).  Rates, drifts and the violation signal come from
-    the previous slot: this slot's do not exist until after the action.
+    ``prev``, the previous slot's row of the slot table: this slot's do not
+    exist until after the action.
     """
     n_e = cfg.num_embb
     queue = ctx.work / Q_REF
     mean_gain = ctx.gain_sq.mean(axis=1)
+    rates = prev["rates"] / R_REF_BPS
     feats = np.concatenate([
         queue[:n_e],
         mean_gain[:n_e],
-        ctx.prev_rates[:n_e] / R_REF_BPS,
-        [ctx.prev_drift_embb / L_REF],
+        rates[:n_e],
+        [prev["drift_embb"] / L_REF],
         queue[n_e:],
         mean_gain[n_e:],
-        ctx.prev_rates[n_e:] / R_REF_BPS,
-        [ctx.prev_drift_hrllc / L_REF],
-        [np.clip(ctx.prev_y, -1.0, Y_CLIP)],
+        rates[n_e:],
+        [prev["drift_hrllc"] / L_REF],
+        [np.clip(prev["y_mean"], -1.0, Y_CLIP)],
         ctx.dxi,
     ])
     return np.clip(feats, -OBS_CLIP, OBS_CLIP)
@@ -183,8 +186,10 @@ class Learner(Policy):
 
     ``allocate`` opens the slot's transition in ``_pending``: the
     observation and the action first, then ``observe`` fills in the
-    scaled reward.  The next slot's observation, or ``None`` at the end of
-    an episode, completes it, and ``_learn(next_obs)`` learns from it.
+    scaled reward from the slot's row and keeps the row, in ``_prev``, for
+    the next observation (a zero row before an episode's first slot).  The
+    next slot's observation, or ``None`` at the end of an episode,
+    completes the transition, and ``_learn(next_obs)`` learns from it.
     It learns only while ``training`` (the flag ``Policy`` keeps), and
     ``set_training`` also drops the open transition.  Subclasses own one
     net, ``self.net``, which is what a checkpoint holds.
@@ -208,6 +213,7 @@ class Learner(Policy):
         self._pending = None
 
     def begin_episode(self) -> None:
+        self._prev = np.zeros((), slot_dtype(self.cfg))[()]
         self._sums = dict.fromkeys(self.diagnostic_names, 0.0)
         self._updates = 0
 
@@ -224,14 +230,15 @@ class Learner(Policy):
     def _observation(self, ctx: SchedulerContext) -> np.ndarray:
         """This slot's observation, after learning from the transition it
         completes."""
-        obs = encode_observation(ctx, self.cfg)
+        obs = encode_observation(ctx, self._prev, self.cfg)
         if self.training and self._pending is not None:
             self._learn(obs)
         return obs
 
-    def observe(self, rates: np.ndarray, reward: float) -> None:
+    def observe(self, row: np.void) -> None:
+        self._prev = row
         if self._pending is not None:
-            self._pending[2] = reward * self.cfg.reward_scale
+            self._pending[2] = row["reward"] * self.cfg.reward_scale
 
     def end_episode(self) -> None:
         if self.training and self._pending is not None:

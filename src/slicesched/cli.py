@@ -18,7 +18,8 @@ from .config import (ConfigError, ScenarioConfig, ValidationError,
                      config_to_text, load_config_values, parse_overrides)
 from .engine import (AGENT_NAMES, POLICY_NAMES, EpisodeRecord, build_policy,
                      concat_slots, export_diagnostics_csv, export_trace_csv,
-                     run_evaluation, run_training, step_response_summary)
+                     run_evaluation, run_training, step_response_summary,
+                     write_csv)
 from .metrics import (SMOOTH_WINDOW, compare_policies, dexterity_sensitivity,
                       moving_average, summarize)
 from .svgplot import ChartSpec, Series, render_svg
@@ -150,19 +151,11 @@ def cmd_compare(args: argparse.Namespace, argv: list[str]) -> int:
     records_by_policy = {name: run_evaluation(cfg, policy, eval_seed)
                          for name, policy in built.items()}
     table = compare_policies(records_by_policy, cfg)
-
-    lines = ["policy,reliability_at_dmax"]
-    for name in policies:
-        lines.append(f"{name},{table['reliability'][name]!r}")
-    run.write_text("reliability.csv", "\n".join(lines) + "\n")
-
-    header = "episode," + ",".join(policies)
-    rows = [header]
-    n_eps = len(next(iter(records_by_policy.values())))
-    for e in range(n_eps):
-        rows.append(",".join([str(e)] + [repr(float(table["returns"][p][e]))
-                                         for p in policies]))
-    run.write_text("returns.csv", "\n".join(rows) + "\n")
+    write_csv(run.file("reliability.csv"), ["policy", "reliability_at_dmax"],
+              [policies, [table["reliability"][p] for p in policies]])
+    write_csv(run.file("returns.csv"), ["episode", *policies],
+              [range(cfg.eval_episodes),
+               *(table["returns"][p] for p in policies)])
 
     cdf_series = tuple(
         Series(label=name, points=tuple(table["cdf"][name]))
@@ -209,15 +202,11 @@ def _experiment_dex_sensitivity(args, argv, cfg: ScenarioConfig) -> int:
     records, _ = run_training(cfg, "a2c")
     final = records[len(records) // 2:]  # steady-state half
     table = dexterity_sensitivity(final, cfg)
-    lines = ["user,dxi,mean_arrivals,mean_departures,mean_prbs"]
-    for row in table["rows"]:
-        lines.append(",".join([str(row["user"])] +
-                              [repr(row[k]) for k in
-                               ("dxi", "mean_arrivals", "mean_departures",
-                                "mean_prbs")]))
-    lines.append(f"# rank_correlation_dxi_prbs,"
-                 f"{table['rank_correlation_dxi_prbs']!r}")
-    run.write_text("sensitivity.csv", "\n".join(lines) + "\n")
+    keys = ["user", "dxi", "mean_arrivals", "mean_departures", "mean_prbs"]
+    write_csv(run.file("sensitivity.csv"), keys,
+              [[row[k] for row in table["rows"]] for k in keys],
+              [["# rank_correlation_dxi_prbs"],
+               [table["rank_correlation_dxi_prbs"]]])
     run.write_text("sensitivity.svg", render_svg(ChartSpec(
         kind="bar", title="Per-user arrivals / departures / PRBs vs DXI",
         series=(Series("arrivals", tuple((r["dxi"], r["mean_arrivals"])
@@ -243,10 +232,8 @@ def _experiment_drl_compare(args, argv, cfg: ScenarioConfig) -> int:
         kind="line", title="Smoothed episodic return",
         series=tuple(_series(curves[k], k.upper()) for k in AGENT_NAMES),
         x_label="episode", y_label="return")))
-    rows = [",".join(["episode", *AGENT_NAMES])] + [
-        ",".join([str(i), *(repr(float(v)) for v in values)])
-        for i, values in enumerate(zip(*(curves[k] for k in AGENT_NAMES)))]
-    run.write_text("drl_returns.csv", "\n".join(rows) + "\n")
+    write_csv(run.file("drl_returns.csv"), ["episode", *AGENT_NAMES],
+              [range(cfg.episodes), *(curves[k] for k in AGENT_NAMES)])
     run.finalize()
     return 0
 

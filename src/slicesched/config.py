@@ -209,11 +209,6 @@ def parse_config_values(text: str) -> dict[str, Any]:
     return values
 
 
-def parse_config_text(text: str) -> ScenarioConfig:
-    """The defaults with the text's values on top, validated."""
-    return ScenarioConfig(**parse_config_values(text))
-
-
 def load_config_values(path: str | Path) -> dict[str, Any]:
     """The values a key=value config file sets, not yet validated."""
     try:
@@ -233,7 +228,8 @@ def _format_value(value: Any) -> str:
 
 
 def config_to_text(cfg: ScenarioConfig) -> str:
-    """Serialize so that parse_config_text(config_to_text(cfg)) == cfg."""
+    """Serialize so that the values parsed back from the text, with
+    ``parse_config_values``, rebuild ``cfg``."""
     lines = [f"{f.name} = {_format_value(getattr(cfg, f.name))}"
              for f in fields(ScenarioConfig)]
     return "\n".join(lines) + "\n"

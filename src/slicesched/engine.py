@@ -7,9 +7,10 @@ and per-PRB rates.  Each slot reads its row and runs (4-6) build the
 context and let the policy allocate, (7) rates and packet service, (8)
 queue update, (9) Lyapunov drift, cost, violation surrogate and reward,
 (10) dual ascent on this slot's violation while the policy trains, (11)
-the slot's achieved rates and reward to the policy's ``observe``.
-Observations use the previous slot's rates, drifts and violation signal;
-this slot's do not exist before the action.
+the slot's recorded row to the policy's ``observe``.  The context holds
+only the decision's inputs; a learner keeps the row it last observed for
+the previous slot's rates, drifts and violation signal, since this slot's
+do not exist before the action.
 
 A learner's update for slot t needs slot t+1's observation, so it runs
 inside slot t+1's ``allocate``, once that observation is encoded; the last
@@ -35,7 +36,7 @@ from .config import ScenarioConfig
 from .constraint import DualVariable, surrogate_y
 from .queueing import LyapunovState, audit_conservation, service_capacity
 from .schedulers import (Policy, ProportionalFairPolicy, RoundRobinPolicy,
-                         SchedulerContext)
+                         SchedulerContext, slot_dtype)
 from .traffic import (DexterityProfile, MmppChain, init_state_stationary,
                       sample_embb_arrivals, sample_hrllc_arrivals)
 
@@ -62,27 +63,6 @@ def stream(master_seed: int, *key: int) -> np.random.Generator:
 _LEARNERS = {agent.name: agent for agent in (A2CAgent, DqnAgent)}
 AGENT_NAMES = tuple(_LEARNERS)            # the learned policies: a2c, dqn
 POLICY_NAMES = AGENT_NAMES + ("rr", "pf")
-
-
-def slot_dtype(cfg: ScenarioConfig) -> np.dtype:
-    """One row of an episode's slot table: what one slot did, with the
-    queues as they stand after it."""
-    n_h, n_u = (cfg.num_hrllc,), (cfg.num_users,)
-    return np.dtype([
-        ("mmpp_states", np.int64, n_h),
-        ("dxi", np.float64, n_h),
-        ("arrivals", np.int64, n_u),           # eMBB users first
-        ("counts", np.int64, n_u),             # allocated PRBs
-        ("rates", np.float64, n_u),            # achieved bits/s
-        ("departures", np.int64, n_u),         # actual departures
-        ("backlogs", np.int64, n_u),           # after the slot
-        ("drift_embb", np.float64),
-        ("drift_hrllc", np.float64),
-        ("cost", np.float64),
-        ("y_mean", np.float64),
-        ("dual", np.float64),
-        ("reward", np.float64),
-    ])
 
 
 @dataclass
@@ -156,9 +136,6 @@ class Simulation:
         arr_h = arrivals[:, n_e:].tolist()
         lyap = LyapunovState()
         backlogs = np.zeros(cfg.num_users, dtype=int)
-        # the context reads the previous slot's rates, drifts and violation
-        # signal from these and lyap, all zero before the first slot
-        rates, y_mean = np.zeros(cfg.num_users), 0.0
         episode = self._episode
         self.policy.begin_episode()
         slots = np.recarray(cfg.slots_per_episode, dtype=slot_dtype(cfg))
@@ -170,11 +147,8 @@ class Simulation:
         for i in range(cfg.slots_per_episode):
             # (4-6) context, decision
             work = backlogs + arrivals[i]
-            ctx = SchedulerContext(
-                num_embb=n_e, work=work, gain_sq=gain_sq[i],
-                rate_matrix=prb_rates[i], dxi=dxi[i], prev_rates=rates,
-                prev_drift_embb=lyap.drift_embb,
-                prev_drift_hrllc=lyap.drift_hrllc, prev_y=y_mean)
+            ctx = SchedulerContext(num_embb=n_e, work=work, gain_sq=gain_sq[i],
+                                   rate_matrix=prb_rates[i], dxi=dxi[i])
             alloc = self.policy.allocate(ctx)
             counts = alloc.validate(cfg.num_prbs, cfg.num_users)
             # (7) achieved rates and whole-packet service
@@ -201,12 +175,11 @@ class Simulation:
             # (10) dual ascent
             if self.policy.training:
                 self.dual.update(violation)
-            # (11) the slot's outcome for the policy
-            self.policy.observe(rates, rew)
-
             ep_return += rew
             outcome[i] = (counts, rates, departures, backlogs, lyap.drift_embb,
                           lyap.drift_hrllc, cost, y_mean, self.dual.value, rew)
+            # (11) the slot's recorded row for the policy
+            self.policy.observe(outcome[i])
 
         self.policy.end_episode()
         audit_conservation(slots)
@@ -286,20 +259,30 @@ def trace_columns(cfg: ScenarioConfig) -> list[str]:
     return cols
 
 
+def write_csv(path: str | Path, header: list[str], *chunks) -> None:
+    """Write the ``header`` line, then each chunk's rows.  A chunk is a
+    sequence of equal-length columns; a value is written as ``str`` of its
+    Python form (``tolist``), so a float is its shortest round-trip repr.
+    Each chunk becomes text only when its turn comes."""
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        for columns in chunks:
+            text = [map(str, np.asarray(c).tolist()) for c in columns]
+            f.writelines(",".join(row) + "\n" for row in zip(*text, strict=True))
+
+
 def export_trace_csv(records: list[EpisodeRecord], cfg: ScenarioConfig,
                      path: str | Path) -> None:
-    """One CSV per run with a stable column order for downstream plotting."""
-    lines = [",".join(trace_columns(cfg))]
-    for rec in records:
+    """One CSV per run with a stable column order for downstream plotting,
+    written one episode at a time."""
+    def columns(rec: EpisodeRecord) -> list[np.ndarray]:
         s, n = rec.slots, len(rec.slots)
-        columns = [np.full(n, rec.episode), rec.episode * n + np.arange(n),
-                   *s.backlogs.T, *s.counts.T, *s.rates.T, s.drift_embb,
-                   s.drift_hrllc, s.cost, s.y_mean, s.dual, s.reward,
-                   *s.dxi.T, *s.mmpp_states.T]
-        # one .tolist() per column; str of a Python float is its repr
-        text = [list(map(str, c.tolist())) for c in columns]
-        lines.extend(",".join(row) for row in zip(*text))
-    Path(path).write_text("\n".join(lines) + "\n")
+        return [np.full(n, rec.episode), rec.episode * n + np.arange(n),
+                *s.backlogs.T, *s.counts.T, *s.rates.T, s.drift_embb,
+                s.drift_hrllc, s.cost, s.y_mean, s.dual, s.reward, *s.dxi.T,
+                *s.mmpp_states.T]
+
+    write_csv(path, trace_columns(cfg), *map(columns, records))
 
 
 def export_diagnostics_csv(records: list[EpisodeRecord],
@@ -307,9 +290,6 @@ def export_diagnostics_csv(records: list[EpisodeRecord],
     """One row per episode: ``episode,return``, then the record's
     diagnostics in their order (the policy's, then ``dual``)."""
     names = list(records[0].diagnostics) if records else []
-    lines = [",".join(["episode", "return", *names])]
-    for rec in records:
-        values = [rec.episodic_return, *(rec.diagnostics[n] for n in names)]
-        lines.append(",".join([str(rec.episode),
-                               *(repr(float(v)) for v in values)]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, ["episode", "return", *names],
+              [[r.episode for r in records], [r.episodic_return for r in records],
+               *([r.diagnostics[n] for r in records] for n in names)])

@@ -44,9 +44,6 @@ class RunSummary:
     mean_drift_hrllc: np.ndarray
     delays_s: np.ndarray           # pooled per-packet HRLLC delays
     reliability_at_dmax: float
-    mean_prbs_per_user: np.ndarray     # (U,) over all slots, eMBB first
-    mean_arrivals: np.ndarray          # (U,) packets/slot
-    mean_departures: np.ndarray        # (U,) packets/slot
 
 
 def summarize(records: list[EpisodeRecord], cfg: ScenarioConfig) -> RunSummary:
@@ -54,7 +51,6 @@ def summarize(records: list[EpisodeRecord], cfg: ScenarioConfig) -> RunSummary:
     n_e = cfg.num_embb
     delays = np.concatenate([hrllc_delays(r.slots, n_e, cfg.slot_duration_s,
                                           cfg.d_proc_s) for r in records])
-    slots = concat_slots(records)
     rel = reliability(delays, cfg.d_max_s) if delays.size else float("nan")
     return RunSummary(
         returns=returns,
@@ -66,10 +62,7 @@ def summarize(records: list[EpisodeRecord], cfg: ScenarioConfig) -> RunSummary:
         mean_drift_embb=np.array([r.slots.drift_embb.mean() for r in records]),
         mean_drift_hrllc=np.array(
             [r.slots.drift_hrllc.mean() for r in records]),
-        delays_s=delays, reliability_at_dmax=rel,
-        mean_prbs_per_user=slots.counts.mean(axis=0),
-        mean_arrivals=slots.arrivals.mean(axis=0),
-        mean_departures=slots.departures.mean(axis=0))
+        delays_s=delays, reliability_at_dmax=rel)
 
 
 def compare_policies(records_by_policy: dict[str, list[EpisodeRecord]],
@@ -109,19 +102,16 @@ def spearman_rank_correlation(x, y) -> float:
 def dexterity_sensitivity(records: list[EpisodeRecord], cfg: ScenarioConfig
                           ) -> dict:
     """Per-HRLLC-user steady-state table sorted by DXI, with the rank
-    correlation between DXI and mean allocated PRBs."""
-    summ = summarize(records, cfg)
-    dxi = concat_slots(records).dxi.mean(axis=0)
-    n_e = cfg.num_embb
-    rows = []
-    for u in range(cfg.num_hrllc):
-        rows.append({
-            "user": u,
-            "dxi": float(dxi[u]),
-            "mean_arrivals": float(summ.mean_arrivals[n_e + u]),
-            "mean_departures": float(summ.mean_departures[n_e + u]),
-            "mean_prbs": float(summ.mean_prbs_per_user[n_e + u]),
-        })
+    correlation between DXI and mean allocated PRBs; every mean is over the
+    records' slots."""
+    slots = concat_slots(records)
+    dxi = slots.dxi.mean(axis=0).tolist()
+    arrivals, departures, prbs = (
+        column[:, cfg.num_embb:].mean(axis=0).tolist()
+        for column in (slots.arrivals, slots.departures, slots.counts))
+    rows = [{"user": u, "dxi": dxi[u], "mean_arrivals": arrivals[u],
+             "mean_departures": departures[u], "mean_prbs": prbs[u]}
+            for u in range(cfg.num_hrllc)]
     rows.sort(key=lambda r: r["dxi"])
     corr = spearman_rank_correlation([r["dxi"] for r in rows],
                                      [r["mean_prbs"] for r in rows])

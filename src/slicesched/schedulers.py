@@ -1,9 +1,11 @@
-"""Allocation contract plus the Round-Robin / Proportional-Fair baselines.
+"""The policy contract plus the Round-Robin / Proportional-Fair baselines.
 
-Every scheduling decision is an ``Allocation``: the PRB -> user assignment
-of all K PRBs, in which every user holds at least one PRB.  Per-user PRB
-counts are derived from it.  All ties anywhere are broken by the lowest
-index so seed replays are exact.
+A policy decides from a ``SchedulerContext``, the slot's decision inputs,
+and then observes the slot's row of the slot table (``slot_dtype``).  Every
+scheduling decision is an ``Allocation``: the PRB -> user assignment of all
+K PRBs, in which every user holds at least one PRB.  Per-user PRB counts
+are derived from it.  All ties anywhere are broken by the lowest index so
+seed replays are exact.
 """
 
 from __future__ import annotations
@@ -12,6 +14,29 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .config import ScenarioConfig
+
+
+def slot_dtype(cfg: ScenarioConfig) -> np.dtype:
+    """One row of an episode's slot table: what one slot did, with the
+    queues as they stand after it."""
+    n_h, n_u = (cfg.num_hrllc,), (cfg.num_users,)
+    return np.dtype([
+        ("mmpp_states", np.int64, n_h),
+        ("dxi", np.float64, n_h),
+        ("arrivals", np.int64, n_u),           # eMBB users first
+        ("counts", np.int64, n_u),             # allocated PRBs
+        ("rates", np.float64, n_u),            # achieved bits/s
+        ("departures", np.int64, n_u),         # actual departures
+        ("backlogs", np.int64, n_u),           # after the slot
+        ("drift_embb", np.float64),
+        ("drift_hrllc", np.float64),
+        ("cost", np.float64),
+        ("y_mean", np.float64),
+        ("dual", np.float64),
+        ("reward", np.float64),
+    ])
 
 
 @dataclass(frozen=True)
@@ -38,17 +63,13 @@ class Allocation:
 
 @dataclass
 class SchedulerContext:
-    """Uniform input surface: every policy sees identical information."""
+    """A slot's decision inputs: every policy sees identical information."""
 
     num_embb: int                  # users 0..num_embb-1 are eMBB, then HRLLC
     work: np.ndarray               # (U,) backlog at slot start + arrivals
     gain_sq: np.ndarray            # (U, K)
     rate_matrix: np.ndarray        # (U, K) achievable bits/s per PRB
     dxi: np.ndarray                # (n_h,)
-    prev_rates: np.ndarray         # (U,) previous-slot achieved bits/s
-    prev_drift_embb: float
-    prev_drift_hrllc: float
-    prev_y: float
 
     @property
     def num_users(self) -> int:
@@ -168,8 +189,8 @@ class Policy:
     def begin_episode(self) -> None:
         pass
 
-    def observe(self, rates: np.ndarray, reward: float) -> None:
-        """The slot's achieved rates and reward, as the engine records them."""
+    def observe(self, row: np.void) -> None:
+        """The slot's row of the slot table (``slot_dtype``), as recorded."""
 
     def end_episode(self) -> None:
         pass
@@ -207,6 +228,7 @@ class ProportionalFairPolicy(Policy):
     def allocate(self, ctx: SchedulerContext) -> Allocation:
         return proportional_fair(ctx, self.ewma)
 
-    def observe(self, rates: np.ndarray, reward: float) -> None:
-        self.ewma = (1.0 - self.ewma_factor) * self.ewma + self.ewma_factor * rates
+    def observe(self, row: np.void) -> None:
+        self.ewma = ((1.0 - self.ewma_factor) * self.ewma
+                     + self.ewma_factor * row["rates"])
         np.maximum(self.ewma, 1.0, out=self.ewma)

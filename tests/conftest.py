@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from slicesched.agents import TEMPLATES, trunk_mlp
-from slicesched.config import ScenarioConfig
+from slicesched.config import ScenarioConfig, parse_config_values
 from slicesched.net import save_arrays
-from slicesched.schedulers import SchedulerContext
+from slicesched.schedulers import SchedulerContext, slot_dtype
 from slicesched.traffic import stationary_probs
 
 
@@ -14,6 +14,11 @@ def mean_rate(alpha: float, beta: float, lam1: float, lam2: float) -> float:
     """Long-run mean arrival intensity pi1*lam1 + pi2*lam2 (packets/slot)."""
     pi1, pi2 = stationary_probs(alpha, beta)
     return pi1 * lam1 + pi2 * lam2
+
+
+def parse_config_text(text: str) -> ScenarioConfig:
+    """The defaults with the text's values on top, validated."""
+    return ScenarioConfig(**parse_config_values(text))
 
 
 def windowed_slope(series, window: int) -> np.ndarray:
@@ -50,11 +55,15 @@ def make_context(rng: np.random.Generator, num_embb: int = 4,
         gain_sq=gain_sq,
         rate_matrix=rates,
         dxi=rng.uniform(0.0, 10.0, num_hrllc),
-        prev_rates=rng.uniform(0.0, 1e7, num_users),
-        prev_drift_embb=float(rng.normal()),
-        prev_drift_hrllc=float(rng.normal()),
-        prev_y=float(rng.normal()),
     )
+
+
+def slot_row(cfg: ScenarioConfig, **fields) -> np.void:
+    """A row of ``cfg``'s slot table: zero but for ``fields``."""
+    row = np.zeros((), slot_dtype(cfg))[()]
+    for name, value in fields.items():
+        row[name] = value
+    return row
 
 
 @pytest.fixture

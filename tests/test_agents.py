@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from slicesched.agents import (EPS_COST, OBS_CLIP, TEMPLATES, A2CAgent,
-                               DqnAgent, a2c_grads, a2c_heads, a2c_net,
-                               decode_action, encode_observation, obs_length,
-                               reward, step_cost)
+from slicesched import agents
+from slicesched.agents import (EPS_COST, L_REF, OBS_CLIP, R_REF_BPS, TEMPLATES,
+                               Y_CLIP, A2CAgent, DqnAgent, a2c_grads,
+                               a2c_heads, a2c_net, decode_action,
+                               encode_observation, obs_length, reward,
+                               step_cost)
 from slicesched.config import ScenarioConfig
+from slicesched.engine import Simulation
 from slicesched.net import save_arrays, softmax
-from conftest import make_context, save_split_a2c_checkpoint
+from conftest import make_context, save_split_a2c_checkpoint, slot_row
 
 
 def test_action_space_defaults():
@@ -46,15 +49,13 @@ def _empty_context(cfg):
                        cfg.num_prbs)
     ctx.work = np.zeros(cfg.num_users, dtype=int)
     ctx.gain_sq = np.zeros((cfg.num_users, cfg.num_prbs))
-    ctx.prev_rates = np.zeros(cfg.num_users)
-    ctx.prev_drift_embb = ctx.prev_drift_hrllc = ctx.prev_y = 0.0
     ctx.dxi = np.array([1.0, 2.0, 3.0])
     return ctx
 
 
 def test_encode_empty_system_is_zero_except_dxi():
     cfg = ScenarioConfig()
-    obs = encode_observation(_empty_context(cfg), cfg)
+    obs = encode_observation(_empty_context(cfg), slot_row(cfg), cfg)
     assert obs.shape == (obs_length(cfg),)
     assert np.array_equal(obs[-cfg.num_hrllc:], [1.0, 2.0, 3.0])
     assert np.all(obs[:-cfg.num_hrllc] == 0.0)
@@ -64,19 +65,50 @@ def test_encode_queue_features_scale_linearly():
     cfg = ScenarioConfig()
     ctx = _empty_context(cfg)
     ctx.work = np.array([10, 0, 0, 0, 0, 0, 0])
-    one = encode_observation(ctx, cfg)
+    one = encode_observation(ctx, slot_row(cfg), cfg)
     ctx.work = np.array([20, 0, 0, 0, 0, 0, 0])
-    two = encode_observation(ctx, cfg)
+    two = encode_observation(ctx, slot_row(cfg), cfg)
     assert two[0] == pytest.approx(2 * one[0])
 
 
 def test_encode_clips_extremes():
     cfg = ScenarioConfig()
-    ctx = _empty_context(ctx_cfg := cfg)
+    ctx = _empty_context(cfg)
     ctx.work = np.array([10**9, 0, 0, 0, 0, 0, 0])
-    ctx.prev_drift_hrllc = -1e12
-    obs = encode_observation(ctx, ctx_cfg)
+    obs = encode_observation(ctx, slot_row(cfg, drift_hrllc=-1e12), cfg)
     assert obs.max() <= OBS_CLIP and obs.min() >= -OBS_CLIP
+
+
+def test_learner_encodes_the_previous_row(monkeypatch):
+    """Each slot's observation encodes the row the learner last observed:
+    zeros at an episode's first slot, then row i - 1's rates, drifts and
+    violation signal."""
+    cfg = ScenarioConfig().replace(slots_per_episode=6)
+    agent = A2CAgent(cfg, np.random.default_rng(3))
+    observations = []
+
+    def recording_encode(*args):
+        observations.append(encode_observation(*args))
+        return observations[-1]
+
+    monkeypatch.setattr(agents, "encode_observation", recording_encode)
+    sim = Simulation(cfg, agent, seed=4, episodes=2)
+    slots = np.concatenate([sim.run_episode().slots for _ in range(2)])
+    assert len(observations) == len(slots)
+    n_e, n_h = cfg.num_embb, cfg.num_hrllc
+    h = 3 * n_e + 1                       # start of the HRLLC block
+    for t, obs in enumerate(observations):
+        first = t % cfg.slots_per_episode == 0
+        prev = slot_row(cfg) if first else slots[t - 1]
+        want = np.clip([*prev["rates"][:n_e] / R_REF_BPS,
+                        prev["drift_embb"] / L_REF,
+                        *prev["rates"][n_e:] / R_REF_BPS,
+                        prev["drift_hrllc"] / L_REF,
+                        np.clip(prev["y_mean"], -1.0, Y_CLIP)],
+                       -OBS_CLIP, OBS_CLIP)
+        got = np.r_[obs[2 * n_e:h], obs[h + 2 * n_h:h + 3 * n_h + 2]]
+        assert got.tobytes() == want.tobytes(), t
+        assert first or np.any(got != 0.0)
 
 
 def test_decode_action_extreme_slices():

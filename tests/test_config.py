@@ -8,8 +8,9 @@ import pytest
 import slicesched
 from slicesched.channel import derive_prb_bandwidth
 from slicesched.config import (ConfigError, ScenarioConfig, ValidationError,
-                               config_to_text, parse_config_text,
-                               parse_config_values, parse_overrides)
+                               config_to_text, parse_config_values,
+                               parse_overrides)
+from conftest import parse_config_text
 
 # the observation scales, now constants of the encoder, and the three
 # dexterity schedules, now the one dxi_levels / dxi_middle pair

@@ -9,11 +9,11 @@ from slicesched.engine import (CHAIN_INIT, CHANNEL, TRAFFIC_EMBB,
                                TRAFFIC_HRLLC, Simulation, build_policy,
                                concat_slots, export_diagnostics_csv,
                                export_trace_csv, run_evaluation, run_training,
-                               slot_dtype, step_response_summary, stream,
-                               trace_columns, POLICY_NAMES)
+                               step_response_summary, stream, trace_columns,
+                               write_csv, POLICY_NAMES)
 from slicesched.metrics import summarize
 from slicesched.queueing import service_capacity
-from slicesched.schedulers import RoundRobinPolicy
+from slicesched.schedulers import RoundRobinPolicy, slot_dtype
 from slicesched.traffic import (DexterityProfile, MmppChain,
                                 effective_intensity, init_state_stationary)
 
@@ -167,6 +167,32 @@ def test_trace_csv_round(tmp_path, tiny_cfg):
     assert len(lines) == 1 + expected_rows
     export_trace_csv(records, tiny_cfg, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("chunks, body", [
+    # floats in their shortest round-trip form, up to 17 significant digits
+    ([[[0.1 + 0.2, 1 / 3], np.array([2**0.5, 1e-310])]],
+     "0.30000000000000004,1.4142135623730951\n0.3333333333333333,1e-310\n"),
+    ([[[float("nan"), -0.0, float("-inf")]]], "nan\n-0.0\n-inf\n"),
+    ([[range(3), [7, -2**40, 0]]], "0,7\n1,-1099511627776\n2,0\n"),
+    ([[["pf", "# rank_correlation"], ["a2c", ""]]],
+     "pf,a2c\n# rank_correlation,\n"),
+    # NumPy scalars print as the Python value they convert to
+    ([[[np.float32(0.1)], [np.int64(7)], [np.float64(0.1)], [np.bool_(1)]]],
+     "0.10000000149011612,7,0.1,True\n"),
+    ([[[1, 2], [3.5, 4.5]], [], [[5], ["x"]]], "1,3.5\n2,4.5\n5,x\n"),
+    ([], ""),
+], ids=["float-digits", "nan-signed-zero", "ints", "strings", "numpy-scalars",
+        "chunks", "no-chunks"])
+def test_write_csv(tmp_path, chunks, body):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b"], *chunks)
+    assert path.read_text() == "a,b\n" + body
+
+
+def test_write_csv_rejects_unequal_columns(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 2], [3]])
 
 
 def test_episode_slot_table(tiny_cfg):
@@ -405,17 +431,20 @@ def test_policy_observes_each_slot_as_recorded(policy_name):
     allocate, observe = policy.allocate, policy.observe
 
     def recording_allocate(ctx):
-        calls.append(("allocate",))
+        calls.append("allocate")
         return allocate(ctx)
 
-    def recording_observe(rates, reward):
-        calls.append(("observe", rates.tobytes(), np.float64(reward).tobytes()))
-        observe(rates, reward)
+    def recording_observe(row):
+        # the row's bytes as observe gets them, field by field
+        calls.append({name: row[name].tobytes() for name in row.dtype.names})
+        observe(row)
 
     policy.allocate, policy.observe = recording_allocate, recording_observe
     slots = sim.run_episode().slots
     assert len(calls) == 2 * cfg.slots_per_episode
     for i, row in enumerate(slots):
-        assert calls[2 * i] == ("allocate",)
-        assert calls[2 * i + 1] == ("observe", row.rates.tobytes(),
-                                    row.reward.tobytes())
+        assert calls[2 * i] == "allocate"
+        seen = calls[2 * i + 1]
+        assert {"rates", "reward", "drift_embb", "drift_hrllc",
+                "y_mean"} <= set(seen)
+        assert seen == {name: row[name].tobytes() for name in seen}

@@ -1,18 +1,25 @@
-"""Every name a ``slicesched`` module imports is used in that module.
+"""Every name a ``slicesched`` module imports is used in that module, and
+every name a module defines at module level is read somewhere in the
+package.
 
 ``__future__`` imports and the package ``__init__.py`` (which re-exports)
-are exempt.  Names inside string annotations count as uses.
+are exempt from the first check.  Names inside string annotations count as
+uses.  A definition that only the benchmark reads counts as read when
+``perfbench/worker.py`` names it as a wrapped target; one that only tests
+read belongs in the tests.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import slicesched
 
-MODULES = sorted(p for p in Path(slicesched.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted(Path(slicesched.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -37,14 +44,19 @@ def _annotations(tree: ast.Module):
             yield node.annotation
 
 
-def _used(tree: ast.Module) -> set[str]:
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+def _string_annotation_names(tree: ast.Module) -> set[str]:
+    names = set()
     for ann in _annotations(tree):
         for node in ast.walk(ann):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 expr = ast.parse(node.value, mode="eval")   # "ScenarioConfig"
-                used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
-    return used
+                names.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    return names
+
+
+def _used(tree: ast.Module) -> set[str]:
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | _string_annotation_names(tree))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
@@ -55,3 +67,42 @@ def test_no_unused_imports(path):
               for name, line in sorted(_imported(tree).items())
               if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _defined(tree: ast.Module) -> dict[str, int]:
+    """Names bound by the module's top-level statements, to their lines."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        names[name.id] = node.lineno
+    return names
+
+
+def _read(tree: ast.Module) -> set[str]:
+    """Names the module loads, or imports from another package module."""
+    return ({n.id for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {alias.name for n in ast.walk(tree)
+               if isinstance(n, ast.ImportFrom) for alias in n.names}
+            | _string_annotation_names(tree))
+
+
+# every name the package reads, and every definition the benchmark wraps:
+# "slicesched.queueing:UserQueue.update" names UserQueue
+READ = set().union(*(_read(ast.parse(p.read_text())) for p in PACKAGE),
+                   re.findall(r"slicesched\.\w+:(\w+)", WORKER.read_text()))
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.stem)
+def test_every_module_level_name_is_read(path):
+    unread = [f"{name} (line {line})" for name, line in
+              sorted(_defined(ast.parse(path.read_text())).items())
+              if name not in READ]
+    assert not unread, (f"{path.name} defines names that nothing in the "
+                        f"package reads: {unread}")

@@ -3,7 +3,7 @@ import pytest
 
 from slicesched.config import ScenarioConfig
 from slicesched.constraint import reliability
-from slicesched.engine import run_training
+from slicesched.engine import concat_slots, run_training
 from slicesched.metrics import (compare_policies, dexterity_sensitivity,
                                 moving_average, spearman_rank_correlation,
                                 summarize)
@@ -77,8 +77,6 @@ def test_summarize_shapes():
     assert summ.returns.shape == (3,)
     assert summ.returns_smoothed.shape == (3,)
     assert summ.mean_queue_embb.shape == (3,)
-    assert summ.mean_prbs_per_user.shape == (cfg.num_users,)
-    assert summ.mean_prbs_per_user.sum() == pytest.approx(cfg.num_prbs)
     if summ.delays_s.size:
         assert 0.0 <= summ.reliability_at_dmax <= 1.0
 
@@ -168,3 +166,13 @@ def test_dexterity_sensitivity_table():
     for row in table["rows"]:
         assert row["mean_prbs"] >= 1.0
         assert row["mean_arrivals"] >= 0.0
+    # the HRLLC users' mean PRBs plus the eMBB users' fill the grid
+    slots = concat_slots(records)
+    embb = slots.counts[:, :cfg.num_embb].mean(axis=0).sum()
+    assert embb + sum(r["mean_prbs"] for r in table["rows"]) == pytest.approx(
+        cfg.num_prbs)
+    for u, row in enumerate(sorted(table["rows"], key=lambda r: r["user"])):
+        col = cfg.num_embb + u
+        assert row["mean_arrivals"] == slots.arrivals[:, col].mean()
+        assert row["mean_departures"] == slots.departures[:, col].mean()
+        assert row["mean_prbs"] == slots.counts[:, col].mean()

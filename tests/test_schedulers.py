@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from slicesched.channel import all_user_rates
+from slicesched.config import ScenarioConfig
 from slicesched.schedulers import (Allocation, ProportionalFairPolicy,
                                    RoundRobinPolicy, intra_slice_divide,
                                    materialize_assignment, proportional_fair,
                                    round_robin)
-from conftest import make_context
+from conftest import make_context, slot_row
 
 
 def test_allocation_validate_accepts_consistent():
@@ -297,7 +298,8 @@ def test_pf_policy_achieved_rates_accumulate_in_prb_order():
         ctx = make_context(rng)
         before = policy.ewma.copy()
         alloc = policy.allocate(ctx)
-        policy.observe(all_user_rates(ctx.rate_matrix, alloc.assignment), 0.0)
+        policy.observe(slot_row(ScenarioConfig(), rates=all_user_rates(
+            ctx.rate_matrix, alloc.assignment)))
         achieved = np.zeros(ctx.num_users)
         for j, u in enumerate(alloc.assignment):
             achieved[u] += ctx.rate_matrix[u, j]
@@ -323,7 +325,7 @@ def test_pf_policy_updates_ewma():
     assert np.array_equal(policy.ewma, before)      # only observe moves it
     rates = all_user_rates(ctx.rate_matrix, alloc.assignment)
     rates[0] = 0.0                     # decays below the 1 bit/s floor
-    policy.observe(rates, 0.0)
+    policy.observe(slot_row(ScenarioConfig(), rates=rates))
     assert not np.array_equal(policy.ewma, before)
     assert np.all(policy.ewma >= 1.0)
     assert policy.ewma[0] == 1.0
