@@ -261,9 +261,10 @@ def trace_columns(cfg: ScenarioConfig) -> list[str]:
 
 def write_csv(path: str | Path, header: list[str], *chunks) -> None:
     """Write the ``header`` line, then each chunk's rows.  A chunk is a
-    sequence of equal-length columns; a value is written as ``str`` of its
-    Python form (``tolist``), so a float is its shortest round-trip repr.
-    Each chunk becomes text only when its turn comes."""
+    sequence of equal-length columns, each converted as one NumPy array; a
+    value is written as ``str`` of its Python form (``tolist``), so a float
+    is its shortest round-trip repr.  Each chunk becomes text only when its
+    turn comes, so a run's trace is never held as text all at once."""
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
         for columns in chunks:
