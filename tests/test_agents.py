@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -344,3 +346,60 @@ def test_dqn_greedy_action_follows_q_values():
     ctx = make_context(np.random.default_rng(17))
     alloc = agent.allocate(ctx)
     assert alloc.counts[cfg.num_embb:].sum() == cfg.num_hrllc + joint // 3
+
+
+class _RecordingRng:
+    """A generator that keeps the indices each ``choice`` call returns."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.picks = []
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def choice(self, *args, **kwargs):
+        idx = self._rng.choice(*args, **kwargs)
+        self.picks.append(idx)
+        return idx
+
+
+def test_dqn_replay_ring_samples_the_kept_transitions():
+    """Replay index i is the i-th oldest of the last ``capacity`` stored
+    transitions, across two wraps of the ring and an episode boundary."""
+    cap = 5
+    cfg = ScenarioConfig().replace(dqn_replay_capacity=cap, dqn_batch_size=2)
+    agent = DqnAgent(cfg, np.random.default_rng(18))
+    agent.rng = rng = _RecordingRng(agent.rng)
+    kept = deque(maxlen=cap)        # the oracle: the last cap observations
+    expected, fed = [], []
+    learn, forward = agent._learn, agent.net.forward
+
+    def recording_learn(next_obs):
+        kept.append(agent._pending[0].copy())
+        picked = len(rng.picks)
+        learn(next_obs)
+        for idx in rng.picks[picked:]:
+            expected.append(np.array([kept[i] for i in idx]))
+
+    def recording_forward(x):
+        if np.ndim(x) == 2:         # a replay batch, not a decision
+            fed.append(np.array(x))
+        return forward(x)
+
+    agent._learn = recording_learn
+    agent.net.forward = recording_forward
+    ctx_rng = np.random.default_rng(19)
+    stored = 0
+    for episode in range(2):
+        agent.begin_episode()
+        for slot in range(7):
+            agent.allocate(make_context(ctx_rng))
+            agent.observe(slot_row(cfg, reward=-float(slot)))
+        agent.end_episode()
+        stored += 7
+    assert stored >= 13 > 2 * cap
+    # an update follows every store once the ring holds a batch
+    assert agent.updates == len(expected) == len(fed) == stored - 1
+    for want, got in zip(expected, fed):
+        assert got.tobytes() == want.tobytes()

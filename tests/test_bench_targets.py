@@ -20,7 +20,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from slicesched.agents import a2c_net, obs_length
+from slicesched.config import ScenarioConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKER = ROOT / "perfbench" / "worker.py"
@@ -116,3 +120,11 @@ def test_benchmark_worker_runs_clean(tmp_path, command, episodes_key):
     # the engine computes each slot's achieved rates once, for every policy
     layers = results["trace"]["layers"]
     assert layers["channel.all_user_rates.calls_per_slot"] == 1.0
+    if command[-1] == "a2c":
+        # both of A2C's optimizers step every parameter of its one net
+        # each slot: 2 x 7 447 floats at the default sizes
+        cfg = ScenarioConfig()
+        net = a2c_net(cfg, obs_length(cfg), cfg.num_prbs - cfg.num_users + 1,
+                      np.random.default_rng(0))
+        assert layers["net.Adam.step.floats_per_slot"] == 2 * net.flat.size \
+            == 14_894
