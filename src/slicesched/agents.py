@@ -17,8 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .config import ScenarioConfig
-from .net import (Adam, ForwardTrace, Mlp, clip_grads, load_arrays, save_arrays,
-                  softmax, softmax_categorical)
+from .net import (Adam, Mlp, clip_grads, load_arrays, save_arrays, softmax,
+                  softmax_categorical)
 from .schedulers import (Allocation, Policy, SchedulerContext,
                          intra_slice_divide, materialize_assignment, slot_dtype)
 
@@ -119,7 +119,7 @@ def a2c_net(cfg: ScenarioConfig, obs_dim: int, n_kh: int,
 
 
 def a2c_heads(net: Mlp, n_kh: int, obs: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray, float, ForwardTrace]:
+              ) -> tuple[np.ndarray, np.ndarray, float, list]:
     """(logits_h, logits_e, value, trace) for a single observation."""
     out, trace = net.forward(obs)
     row = out[0]
@@ -192,7 +192,8 @@ class Learner(Policy):
     completes the transition, and ``_learn(next_obs)`` learns from it.
     It learns only while ``training`` (the flag ``Policy`` keeps), and
     ``set_training`` also drops the open transition.  Subclasses own one
-    net, ``self.net``, which is what a checkpoint holds.
+    net, ``self.net``, which is what a checkpoint holds, and a ``name``,
+    the checkpoint's kind.
     """
 
     # per-update quantities whose episode means diagnostics() reports
@@ -272,8 +273,8 @@ class A2CAgent(Learner):
     def __init__(self, cfg: ScenarioConfig, rng: np.random.Generator):
         super().__init__(cfg, rng)
         self.net = a2c_net(cfg, self.obs_dim, self.n_kh, rng)
-        self.opt_actor = Adam()
-        self.opt_critic = Adam()
+        self.opt_actor = Adam(self.net.flat)
+        self.opt_critic = Adam(self.net.flat)
 
     def allocate(self, ctx: SchedulerContext) -> Allocation:
         obs = self._observation(ctx)
@@ -298,8 +299,8 @@ class A2CAgent(Learner):
         grads_a = clip_grads(grads_a, self.cfg.grad_clip)
         grads_c = clip_grads(grads_c, self.cfg.grad_clip)
         # both optimizers step the whole net, one after the other
-        self.opt_actor.step([self.net.flat], grads_a, self.cfg.lr_actor)
-        self.opt_critic.step([self.net.flat], grads_c, self.cfg.lr_critic)
+        self.opt_actor.step(grads_a, self.cfg.lr_actor)
+        self.opt_critic.step(grads_c, self.cfg.lr_critic)
         self._tally(diag)
 
 
@@ -316,17 +317,16 @@ class DqnAgent(Learner):
         self.net = trunk_mlp(cfg, self.obs_dim, self.n_joint, rng)
         self.target = trunk_mlp(cfg, self.obs_dim, self.n_joint, rng)
         self._sync_target()
-        self.opt = Adam()
-        # replay ring: row (head + i) % capacity holds the i-th oldest of the
-        # `stored` transitions
+        self.opt = Adam(self.net.flat)
+        # replay ring: the count-th transition stored goes to row
+        # count % capacity, so the ring keeps the last `capacity` of them
         cap = cfg.dqn_replay_capacity
         self.replay_obs = np.empty((cap, self.obs_dim))
         self.replay_next = np.empty((cap, self.obs_dim))
         self.replay_act = np.empty(cap, dtype=int)
         self.replay_rew = np.empty(cap)
         self.replay_done = np.empty(cap)
-        self.stored = 0
-        self.head = 0
+        self.count = 0
         self.steps = 0
         self.updates = 0
 
@@ -355,25 +355,24 @@ class DqnAgent(Learner):
         """Store the transition in the replay ring, then update once the
         ring holds a batch."""
         obs, joint, rew = self._pending
-        cap = len(self.replay_act)
-        row = (self.head + self.stored) % cap
-        if self.stored == cap:
-            self.head = (self.head + 1) % cap   # overwrite the oldest
-        else:
-            self.stored += 1
+        row = self.count % len(self.replay_act)
+        self.count += 1
         self.replay_obs[row] = obs
         self.replay_next[row] = obs if next_obs is None else next_obs
         self.replay_act[row] = joint
         self.replay_rew[row] = rew
         self.replay_done[row] = next_obs is None
-        if self.stored >= self.cfg.dqn_batch_size:
+        if self.count >= self.cfg.dqn_batch_size:
             self._update()
 
     def _update(self) -> None:
         cfg = self.cfg
         batch = cfg.dqn_batch_size
-        idx = self.rng.choice(self.stored, size=batch, replace=False)
-        rows = (self.head + idx) % len(self.replay_act)
+        cap = len(self.replay_act)
+        # of the `stored` kept transitions, age i is in row count - stored + i
+        stored = min(self.count, cap)
+        idx = self.rng.choice(stored, size=batch, replace=False)
+        rows = (self.count - stored + idx) % cap
         acts = self.replay_act[rows]
         q, trace = self.net.forward(self.replay_obs[rows])
         q_next, _ = self.target.forward(self.replay_next[rows])
@@ -384,7 +383,7 @@ class DqnAgent(Learner):
         dout = np.zeros_like(q)
         dout[np.arange(batch), acts] = 2.0 * err / batch
         grads = clip_grads(self.net.backward(trace, dout), cfg.grad_clip)
-        self.opt.step([self.net.flat], grads, cfg.lr_critic)
+        self.opt.step(grads, cfg.lr_critic)
         self.updates += 1
         self._tally({"td_loss": float(np.mean(err * err))})
         if self.updates % cfg.dqn_target_sync == 0:

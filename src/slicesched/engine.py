@@ -25,7 +25,7 @@ HRLLC packet delays are derived from the episode's slot table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +70,7 @@ class EpisodeRecord:
     episode: int
     slots: np.recarray            # one row per slot, dtype slot_dtype(cfg)
     episodic_return: float
-    diagnostics: dict = field(default_factory=dict)   # the policy's, then dual
+    diagnostics: dict             # the policy's, then dual
 
 
 def concat_slots(records: list[EpisodeRecord]) -> np.recarray:

@@ -17,19 +17,12 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 _MAGIC = b"MLP1"
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8     # Adam's decays and offset
-
-
-@dataclass
-class ForwardTrace:
-    x: np.ndarray                 # (N, d_in)
-    post: list                    # per-layer outputs, the net's output last
 
 
 class Mlp:
@@ -74,29 +67,31 @@ class Mlp:
         for p, a in zip(params, arrays):
             p[...] = a
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The (N, d_out) output and its trace ``[x, h1, ..., out]``: each
+        layer's input, then the output."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.sizes[0]:
             raise ValueError(f"input width {x.shape[1]} != {self.sizes[0]}")
-        post = []
+        trace = [x]
         h = x
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             h = np.tanh(h @ w + b)
-            post.append(h)
+            trace.append(h)
         h = h @ self.weights[-1] + self.biases[-1]
-        post.append(h)
-        return h, ForwardTrace(x=x, post=post)
+        trace.append(h)
+        return h, trace
 
-    def backward(self, trace: ForwardTrace, dout: np.ndarray) -> list[np.ndarray]:
+    def backward(self, trace: list[np.ndarray], dout: np.ndarray) -> list[np.ndarray]:
         """Exact gradients (summed over the batch) for the scalar loss whose
         output gradient is ``dout``; returned in ``params`` order."""
         dout = np.atleast_2d(np.asarray(dout, dtype=float))
-        if dout.shape != trace.post[-1].shape:
+        if dout.shape != trace[-1].shape:
             raise ValueError("output gradient shape mismatch")
         grads: list[np.ndarray] = [None] * (2 * len(self.weights))
         delta = dout                  # the output layer is linear
         for layer in reversed(range(len(self.weights))):
-            inp = trace.x if layer == 0 else trace.post[layer - 1]
+            inp = trace[layer]
             grads[2 * layer] = inp.T @ delta
             grads[2 * layer + 1] = delta.sum(axis=0)
             if layer > 0:             # back through the tanh that made inp
@@ -133,38 +128,29 @@ def clip_grads(grads: list[np.ndarray], max_norm: float) -> list[np.ndarray]:
 
 
 class Adam:
-    """Adaptive-moment optimizer with bias correction.
+    """Adaptive-moment optimizer with bias correction over one flat float64
+    buffer, such as an ``Mlp.flat``, which ``step`` updates in place."""
 
-    The moments are flat buffers over the concatenation of all parameter
-    arrays; ``step`` updates the parameters in place.
-    """
-
-    def __init__(self) -> None:
+    def __init__(self, flat: np.ndarray) -> None:
+        self.flat = flat
         self.t = 0
-        self.m: np.ndarray | None = None
-        self.v: np.ndarray | None = None
-        self._scratch: np.ndarray | None = None
+        self.m = np.zeros_like(flat)
+        self.v = np.zeros_like(flat)
+        self._scratch = np.empty_like(flat)
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray],
-             lr: float) -> list[np.ndarray]:
-        """Update the C-contiguous arrays ``params`` in place (pass an
-        ``Mlp.flat`` as a one-element list to step a whole net at once) and
-        return them.  ``grads`` may be split differently from ``params`` as
-        long as both cover the same floats in the same order."""
+    def step(self, grads: list[np.ndarray], lr: float) -> None:
+        """One update from ``grads``, which cover the buffer's floats in
+        order (``Mlp.backward``'s list for the net that owns the buffer)."""
         g = np.concatenate([a.ravel() for a in grads])
         if not np.isfinite(g).all():
             raise FloatingPointError("non-finite gradient; step rejected")
-        if self.m is None:
-            self.m = np.zeros_like(g)
-            self.v = np.zeros_like(g)
-            self._scratch = np.empty_like(g)
         m, v, s = self.m, self.v, self._scratch
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
         # each operation below is the in-place form of, with the same
         # rounding as, m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g, then
-        # p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
+        # flat -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
         m *= BETA1
         np.multiply(g, 1.0 - BETA1, out=s)
         m += s
@@ -178,14 +164,7 @@ class Adam:
         np.divide(m, bc1, out=g)
         g *= lr
         g /= s
-        off = 0
-        for p in params:
-            if not p.flags.c_contiguous:
-                raise ValueError("Adam updates C-contiguous arrays in place")
-            flat = p.reshape(-1)
-            flat -= g[off:off + flat.size]
-            off += flat.size
-        return params
+        self.flat -= g
 
 
 def save_arrays(path: str | Path, arrays: list[np.ndarray], meta: dict) -> None:

@@ -93,10 +93,10 @@ class LyapunovState:
     def drift(self) -> float:
         return self.drift_embb + self.drift_hrllc
 
-    def advance(self, backlogs: np.ndarray, num_embb: int) -> float:
+    def advance(self, backlogs: np.ndarray, num_embb: int) -> None:
         """Move to the new backlog state, eMBB users first on the one user
-        axis; returns the total one-step drift.  Each slice's energy is half
-        its sum of squared backlogs."""
+        axis, and set the slices' one-step drifts.  Each slice's energy is
+        half its sum of squared backlogs."""
         b = np.asarray(backlogs).tolist()
         # integer squares sum exactly in any order
         new_e = 0.5 * float(sum([x * x for x in b[:num_embb]]))
@@ -105,4 +105,3 @@ class LyapunovState:
         self.drift_hrllc = new_h - self.value_hrllc
         self.value_embb = new_e
         self.value_hrllc = new_h
-        return self.drift

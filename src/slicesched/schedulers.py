@@ -180,7 +180,6 @@ def materialize_assignment(counts: np.ndarray, gain_sq: np.ndarray) -> np.ndarra
 class Policy:
     """Common hook surface; learning agents override the learning hooks."""
 
-    name = "policy"
     training = True      # False freezes learning and the engine's dual
 
     def allocate(self, ctx: SchedulerContext) -> Allocation:
@@ -206,8 +205,6 @@ class Policy:
 class RoundRobinPolicy(Policy):
     """Channel-agnostic cyclic sharing with a persistent cursor."""
 
-    name = "rr"
-
     def __init__(self) -> None:
         self.cursor = 0
 
@@ -218,8 +215,6 @@ class RoundRobinPolicy(Policy):
 
 class ProportionalFairPolicy(Policy):
     """PF priority rule over all users with an EWMA throughput tracker."""
-
-    name = "pf"
 
     def __init__(self, num_users: int, ewma_factor: float) -> None:
         self.ewma_factor = ewma_factor

@@ -153,6 +153,11 @@ def test_mlp_bit_exact_against_dispatch_oracle(hidden, batch):
         out, trace = net.forward(x)
         want, want_trace = _dispatch_forward(net, activations, x)
         assert out.tobytes() == want.tobytes()
+        # the trace is each layer's input, then the output
+        x_2d, _, post = want_trace
+        assert len(trace) == len(sizes) and trace[-1] is out
+        assert [a.tobytes() for a in trace] == \
+            [a.tobytes() for a in (x_2d, *post)]
         got = net.backward(trace, dout)
         expected = _dispatch_backward(net, activations, want_trace, dout)
         assert len(got) == len(expected)
@@ -200,34 +205,35 @@ def test_clip_grads():
 
 
 def test_adam_zero_gradient_is_noop():
-    opt = Adam()
-    params = [np.array([1.0, 2.0])]
-    before = params[0].copy()
-    out = opt.step(params, [np.zeros(2)], lr=0.1)
-    assert out[0] is params[0]                   # updated in place
-    assert np.array_equal(params[0], before)
+    flat = np.array([1.0, 2.0])
+    opt = Adam(flat)
+    opt.step([np.zeros(2)], lr=0.1)
+    assert opt.flat is flat                      # stepped in place
+    assert np.array_equal(flat, [1.0, 2.0])
 
 
 def test_adam_first_step_magnitude():
     # With bias correction the very first step has magnitude ~ lr.
-    opt = Adam()
-    out = opt.step([np.array([0.0])], [np.array([3.7])], lr=0.01)
-    assert abs(out[0][0]) == pytest.approx(0.01, rel=1e-6)
+    flat = np.zeros(1)
+    Adam(flat).step([np.array([3.7])], lr=0.01)
+    assert abs(flat[0]) == pytest.approx(0.01, rel=1e-6)
 
 
 def test_adam_rejects_nonfinite_gradient():
+    flat = np.zeros(2)
     with pytest.raises(FloatingPointError):
-        Adam().step([np.zeros(1)], [np.array([np.nan])], lr=0.1)
+        Adam(flat).step([np.array([0.0, np.nan])], lr=0.1)
+    assert np.array_equal(flat, [0.0, 0.0])
 
 
 def test_adam_deterministic():
     def run():
         rng = np.random.default_rng(3)
-        opt = Adam()
-        params = [rng.normal(size=(2, 2))]
+        flat = rng.normal(size=4)
+        opt = Adam(flat)
         for _ in range(50):
-            params = opt.step(params, [rng.normal(size=(2, 2))], lr=1e-3)
-        return params[0]
+            opt.step([rng.normal(size=(2, 2))], lr=1e-3)
+        return flat
     assert np.array_equal(run(), run())
 
 
@@ -257,28 +263,22 @@ class _AllocatingAdam:
         return out
 
 
-@pytest.mark.parametrize("flat", [False, True])
-def test_adam_bit_exact_against_allocating_oracle(flat):
-    """50 steps on a net's parameter list, stepped array by array or as the
-    net's flat buffer, match the allocating optimizer bit for bit."""
+def test_adam_bit_exact_against_allocating_oracle():
+    """50 steps of a net's flat buffer from gradients in ``params`` order
+    match the allocating optimizer, stepped array by array, bit for bit."""
     rng = np.random.default_rng(5)
     net = Mlp([4, 6, 5, 3], rng)
     expected = [p.copy() for p in net.params]
-    oracle, opt = _AllocatingAdam(), Adam()
+    oracle, opt = _AllocatingAdam(), Adam(net.flat)
     for t in range(50):
         grads = [rng.normal(scale=10.0 ** rng.integers(-3, 3), size=p.shape)
                  for p in expected]
         if t % 7 == 0:
             grads[1][:] = 0.0
         expected = oracle.step(expected, grads, lr=1e-3)
-        opt.step([net.flat] if flat else net.params, grads, lr=1e-3)
+        opt.step(grads, lr=1e-3)
         for got, want in zip(net.params, expected):
             assert got.tobytes() == want.tobytes()
-
-
-def test_adam_rejects_noncontiguous_parameters():
-    with pytest.raises(ValueError):
-        Adam().step([np.zeros((3, 2)).T], [np.zeros((2, 3))], lr=0.1)
 
 
 def test_mlp_params_are_views_of_flat_buffer():
