@@ -185,11 +185,11 @@ class Learner(Policy):
     """A policy that learns from one-step transitions (s, a, r, s').
 
     ``allocate`` opens the slot's transition in ``_pending``: the
-    observation and the action first, then ``observe`` fills in the
-    scaled reward from the slot's row and keeps the row, in ``_prev``, for
-    the next observation (a zero row before an episode's first slot).  The
-    next slot's observation, or ``None`` at the end of an episode,
-    completes the transition, and ``_learn(next_obs)`` learns from it.
+    observation and the action.  ``observe`` keeps the slot's row, in
+    ``_prev``, for the next observation (a zero row before an episode's
+    first slot) and for the transition's reward, ``_reward()``.  The next
+    slot's observation, or ``None`` at the end of an episode, completes the
+    transition, and ``_learn(next_obs)`` learns from it.
     It learns only while ``training`` (the flag ``Policy`` keeps), and
     ``set_training`` also drops the open transition.  Subclasses own one
     net, ``self.net``, which is what a checkpoint holds, and a ``name``,
@@ -205,7 +205,7 @@ class Learner(Policy):
         # HRLLC slice sizes n_h .. K - n_e, one per slice-size index
         self.n_kh = cfg.num_prbs - cfg.num_users + 1
         self.obs_dim = obs_length(cfg)
-        # [obs, action, scaled reward, ...]
+        # [obs, action, ...]
         self._pending: Optional[list] = None
         self.begin_episode()
 
@@ -238,8 +238,10 @@ class Learner(Policy):
 
     def observe(self, row: np.void) -> None:
         self._prev = row
-        if self._pending is not None:
-            self._pending[2] = row["reward"] * self.cfg.reward_scale
+
+    def _reward(self) -> float:
+        """The open transition's scaled reward, from the row it observed."""
+        return self._prev["reward"] * self.cfg.reward_scale
 
     def end_episode(self) -> None:
         if self.training and self._pending is not None:
@@ -288,13 +290,13 @@ class A2CAgent(Learner):
             a_e = int(np.argmax(logits_e))
         # no update runs between here and _learn, so the heads are still
         # current there
-        self._pending = [obs, (a_h, a_e), 0.0, heads]
+        self._pending = [obs, (a_h, a_e), heads]
         return decode_action(a_h, a_e, ctx)
 
     def _learn(self, next_obs: Optional[np.ndarray]) -> None:
-        _, actions, rew, heads = self._pending
+        _, actions, heads = self._pending
         grads_a, grads_c, diag = a2c_grads(
-            self.net, heads, actions, rew, next_obs, self.cfg.gamma,
+            self.net, heads, actions, self._reward(), next_obs, self.cfg.gamma,
             self.cfg.entropy_coef)
         grads_a = clip_grads(grads_a, self.cfg.grad_clip)
         grads_c = clip_grads(grads_c, self.cfg.grad_clip)
@@ -348,19 +350,19 @@ class DqnAgent(Learner):
             joint = int(np.argmax(q[0]))
         if self.training:
             self.steps += 1
-        self._pending = [obs, joint, 0.0]
+        self._pending = [obs, joint]
         return decode_action(*divmod(joint, len(TEMPLATES)), ctx)
 
     def _learn(self, next_obs: Optional[np.ndarray]) -> None:
         """Store the transition in the replay ring, then update once the
         ring holds a batch."""
-        obs, joint, rew = self._pending
+        obs, joint = self._pending
         row = self.count % len(self.replay_act)
         self.count += 1
         self.replay_obs[row] = obs
         self.replay_next[row] = obs if next_obs is None else next_obs
         self.replay_act[row] = joint
-        self.replay_rew[row] = rew
+        self.replay_rew[row] = self._reward()
         self.replay_done[row] = next_obs is None
         if self.count >= self.cfg.dqn_batch_size:
             self._update()

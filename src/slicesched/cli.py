@@ -20,8 +20,7 @@ from .engine import (AGENT_NAMES, POLICY_NAMES, EpisodeRecord, build_policy,
                      concat_slots, export_diagnostics_csv, export_trace_csv,
                      run_evaluation, run_training, step_response_summary,
                      write_csv)
-from .metrics import (SMOOTH_WINDOW, compare_policies, dexterity_sensitivity,
-                      moving_average, summarize)
+from .metrics import compare_policies, dexterity_sensitivity, episode_series
 from .svgplot import ChartSpec, Series, render_svg
 from .traffic import DexterityProfile
 
@@ -40,13 +39,11 @@ def _load_cfg(args: argparse.Namespace, preset: dict) -> ScenarioConfig:
     values = dict(preset)
     if args.config:
         values.update(load_config_values(args.config))
-    overrides = {}
     for item in args.set or []:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        overrides[key.strip()] = value
-    values.update(parse_overrides(overrides))
+    values.update(parse_overrides([item.split("=", 1)
+                                   for item in args.set or []]))
     return ScenarioConfig(**values)
 
 
@@ -90,21 +87,21 @@ def _series(ys, label: str) -> Series:
 
 def _write_training_figures(run: RunDir, records: list[EpisodeRecord],
                             cfg: ScenarioConfig) -> None:
-    summ = summarize(records, cfg)
+    curves = episode_series(records, cfg)
     run.write_text("return_curve.svg", render_svg(ChartSpec(
         kind="line", title="Episodic return",
-        series=(_series(summ.returns, "raw"),
-                _series(summ.returns_smoothed, "smoothed")),
+        series=(_series(curves["returns"], "raw"),
+                _series(curves["returns_smoothed"], "smoothed")),
         x_label="episode", y_label="return")))
     run.write_text("queues.svg", render_svg(ChartSpec(
         kind="line", title="Mean queue backlog per episode",
-        series=(_series(summ.mean_queue_embb, "eMBB"),
-                _series(summ.mean_queue_hrllc, "HRLLC")),
+        series=(_series(curves["mean_queue_embb"], "eMBB"),
+                _series(curves["mean_queue_hrllc"], "HRLLC")),
         x_label="episode", y_label="packets")))
     run.write_text("drift.svg", render_svg(ChartSpec(
         kind="line", title="Mean per-slice drift per episode",
-        series=(_series(summ.mean_drift_embb, "eMBB"),
-                _series(summ.mean_drift_hrllc, "HRLLC")),
+        series=(_series(curves["mean_drift_embb"], "eMBB"),
+                _series(curves["mean_drift_hrllc"], "HRLLC")),
         x_label="episode", y_label="drift")))
 
 
@@ -225,8 +222,7 @@ def _experiment_drl_compare(args, argv, cfg: ScenarioConfig) -> int:
     curves = {}
     for kind in AGENT_NAMES:
         records, _ = run_training(cfg, kind)
-        curves[kind] = moving_average(
-            [r.episodic_return for r in records], SMOOTH_WINDOW)
+        curves[kind] = episode_series(records, cfg)["returns_smoothed"]
         export_diagnostics_csv(records, run.file(f"{kind}_training.csv"))
     run.write_text("drl_returns.svg", render_svg(ChartSpec(
         kind="line", title="Smoothed episodic return",

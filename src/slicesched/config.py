@@ -6,8 +6,9 @@ accepted and mapped to the flat field name after the last dot, so files can
 be organized into visual sections without a nested format.  A key may be set
 once per file, dotted or not.
 
-Every field is overridable from the CLI via ``--set key=value``.  Values are
-parsed by the declared field type; tuples are comma-separated.
+Every field is overridable from the CLI via ``--set key=value``, with the
+same keys; the last setting of a field wins.  Values are parsed by the
+declared field type; tuples are comma-separated.
 """
 
 from __future__ import annotations
@@ -170,16 +171,20 @@ def validate(cfg: ScenarioConfig) -> None:
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 
 
-def _parse_value(name: str, raw: str) -> Any:
+def _setting(key: str, raw: str) -> tuple[str, Any]:
+    """The field a ``key = raw`` setting names and the value it parses to."""
+    name = key.strip().split(".")[-1]
+    if name not in _FIELD_TYPES:
+        raise ConfigError(f"unknown key {key.strip()!r}")
     ftype = _FIELD_TYPES[name]
     raw = raw.strip()
     try:
         if ftype == "int":
-            return int(raw)
+            return name, int(raw)
         if ftype == "float":
-            return float(raw)
+            return name, float(raw)
         item = float if ftype.startswith("tuple[float") else int
-        return tuple(item(p) for p in raw.split(",") if p.strip())
+        return name, tuple(item(p) for p in raw.split(",") if p.strip())
     except ValueError as exc:
         raise ConfigError(f"bad value for {name!r}: {exc}") from exc
 
@@ -194,18 +199,15 @@ def parse_config_values(text: str) -> dict[str, Any]:
             continue
         if "=" not in body:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, raw = body.split("=", 1)
-        key = key.strip().split(".")[-1]  # dotted section prefix is cosmetic
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in set_on:
-            raise ConfigError(f"line {lineno}: key {key!r} already set on "
-                              f"line {set_on[key]}")
-        set_on[key] = lineno
         try:
-            values[key] = _parse_value(key, raw)
+            name, value = _setting(*body.split("=", 1))
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
+        if name in set_on:
+            raise ConfigError(f"line {lineno}: key {name!r} already set on "
+                              f"line {set_on[name]}")
+        set_on[name] = lineno
+        values[name] = value
     return values
 
 
@@ -235,12 +237,8 @@ def config_to_text(cfg: ScenarioConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_overrides(overrides: dict[str, str]) -> dict[str, Any]:
-    """The values of CLI --set key=value overrides, not yet validated."""
-    values: dict[str, Any] = {}
-    for key, raw in overrides.items():
-        name = key.strip().split(".")[-1]
-        if name not in _FIELD_TYPES:
-            raise ConfigError(f"unknown config key {key!r}")
-        values[name] = _parse_value(name, raw)
-    return values
+def parse_overrides(items: list[tuple[str, str]]) -> dict[str, Any]:
+    """The values of CLI ``--set key=value`` overrides, given as (key, value)
+    pairs in order, so the last setting of a field wins; not yet
+    validated."""
+    return dict(_setting(key, raw) for key, raw in items)

@@ -69,8 +69,12 @@ POLICY_NAMES = AGENT_NAMES + ("rr", "pf")
 class EpisodeRecord:
     episode: int
     slots: np.recarray            # one row per slot, dtype slot_dtype(cfg)
-    episodic_return: float
-    diagnostics: dict             # the policy's, then dual
+    diagnostics: dict             # the policy's
+
+    @property
+    def episodic_return(self) -> float:
+        """The slot rewards summed left to right."""
+        return sum(self.slots.reward.tolist())
 
 
 def concat_slots(records: list[EpisodeRecord]) -> np.recarray:
@@ -136,13 +140,11 @@ class Simulation:
         arr_h = arrivals[:, n_e:].tolist()
         lyap = LyapunovState()
         backlogs = np.zeros(cfg.num_users, dtype=int)
-        episode = self._episode
         self.policy.begin_episode()
         slots = np.recarray(cfg.slots_per_episode, dtype=slot_dtype(cfg))
         slots.mmpp_states, slots.dxi, slots.arrivals = states, dxi, arrivals
         # a view of the fields after the world's three, written slot by slot
         outcome = slots.view(np.ndarray)[list(slots.dtype.names[3:])]
-        ep_return = 0.0
 
         for i in range(cfg.slots_per_episode):
             # (4-6) context, decision
@@ -175,7 +177,6 @@ class Simulation:
             # (10) dual ascent
             if self.policy.training:
                 self.dual.update(violation)
-            ep_return += rew
             outcome[i] = (counts, rates, departures, backlogs, lyap.drift_embb,
                           lyap.drift_hrllc, cost, y_mean, self.dual.value, rew)
             # (11) the slot's recorded row for the policy
@@ -183,11 +184,9 @@ class Simulation:
 
         self.policy.end_episode()
         audit_conservation(slots)
+        record = EpisodeRecord(self._episode, slots, self.policy.diagnostics())
         self._episode += 1
-        return EpisodeRecord(episode=episode, slots=slots,
-                             episodic_return=ep_return,
-                             diagnostics={**self.policy.diagnostics(),
-                                          "dual": self.dual.value})
+        return record
 
 
 def run_training(cfg: ScenarioConfig, agent_kind: str
@@ -247,18 +246,6 @@ def step_response_summary(records: list[EpisodeRecord], cfg: ScenarioConfig
 
 # --- CSV export -------------------------------------------------------------
 
-def trace_columns(cfg: ScenarioConfig) -> list[str]:
-    cols = ["episode", "slot"]
-    cols += [f"G_{i}" for i in range(cfg.num_embb)]
-    cols += [f"F_{i}" for i in range(cfg.num_hrllc)]
-    cols += [f"a_{i}" for i in range(cfg.num_users)]
-    cols += [f"r_{i}" for i in range(cfg.num_users)]
-    cols += ["drift_embb", "drift_hrllc", "cost", "y", "dual", "reward"]
-    cols += [f"dxi_{i}" for i in range(cfg.num_hrllc)]
-    cols += [f"mmpp_{i}" for i in range(cfg.num_hrllc)]
-    return cols
-
-
 def write_csv(path: str | Path, header: list[str], *chunks) -> None:
     """Write the ``header`` line, then each chunk's rows.  A chunk is a
     sequence of equal-length columns, each converted as one NumPy array; a
@@ -276,21 +263,30 @@ def export_trace_csv(records: list[EpisodeRecord], cfg: ScenarioConfig,
                      path: str | Path) -> None:
     """One CSV per run with a stable column order for downstream plotting,
     written one episode at a time."""
-    def columns(rec: EpisodeRecord) -> list[np.ndarray]:
-        s, n = rec.slots, len(rec.slots)
-        return [np.full(n, rec.episode), rec.episode * n + np.arange(n),
-                *s.backlogs.T, *s.counts.T, *s.rates.T, s.drift_embb,
-                s.drift_hrllc, s.cost, s.y_mean, s.dual, s.reward, *s.dxi.T,
-                *s.mmpp_states.T]
+    def named(prefix: str, block: np.ndarray) -> dict:
+        return {f"{prefix}_{i}": c for i, c in enumerate(block.T)}
 
-    write_csv(path, trace_columns(cfg), *map(columns, records))
+    def columns(rec: EpisodeRecord) -> dict[str, np.ndarray]:
+        s, n, n_e = rec.slots, len(rec.slots), cfg.num_embb
+        return {"episode": np.full(n, rec.episode),
+                "slot": rec.episode * n + np.arange(n),
+                **named("G", s.backlogs[:, :n_e]),
+                **named("F", s.backlogs[:, n_e:]), **named("a", s.counts),
+                **named("r", s.rates), "drift_embb": s.drift_embb,
+                "drift_hrllc": s.drift_hrllc, "cost": s.cost, "y": s.y_mean,
+                "dual": s.dual, "reward": s.reward, **named("dxi", s.dxi),
+                **named("mmpp", s.mmpp_states)}
+
+    tables = [columns(rec) for rec in records]
+    write_csv(path, list(tables[0]), *(t.values() for t in tables))
 
 
 def export_diagnostics_csv(records: list[EpisodeRecord],
                            path: str | Path) -> None:
     """One row per episode: ``episode,return``, then the record's
-    diagnostics in their order (the policy's, then ``dual``)."""
+    diagnostics in their order, then the dual at the episode's end."""
     names = list(records[0].diagnostics) if records else []
-    write_csv(path, ["episode", "return", *names],
+    write_csv(path, ["episode", "return", *names, "dual"],
               [[r.episode for r in records], [r.episodic_return for r in records],
-               *([r.diagnostics[n] for r in records] for n in names)])
+               *([r.diagnostics[n] for r in records] for n in names),
+               [r.slots.dual[-1] for r in records]])

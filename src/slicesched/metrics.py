@@ -46,23 +46,30 @@ class RunSummary:
     reliability_at_dmax: float
 
 
-def summarize(records: list[EpisodeRecord], cfg: ScenarioConfig) -> RunSummary:
+def episode_series(records: list[EpisodeRecord], cfg: ScenarioConfig
+                   ) -> dict[str, np.ndarray]:
+    """The per-episode curves of a summary, by field name."""
     returns = np.array([r.episodic_return for r in records])
     n_e = cfg.num_embb
-    delays = np.concatenate([hrllc_delays(r.slots, n_e, cfg.slot_duration_s,
-                                          cfg.d_proc_s) for r in records])
-    rel = reliability(delays, cfg.d_max_s) if delays.size else float("nan")
-    return RunSummary(
-        returns=returns,
-        returns_smoothed=moving_average(returns, SMOOTH_WINDOW),
-        mean_queue_embb=np.array(
+    return {
+        "returns": returns,
+        "returns_smoothed": moving_average(returns, SMOOTH_WINDOW),
+        "mean_queue_embb": np.array(
             [r.slots.backlogs[:, :n_e].sum(axis=1).mean() for r in records]),
-        mean_queue_hrllc=np.array(
+        "mean_queue_hrllc": np.array(
             [r.slots.backlogs[:, n_e:].sum(axis=1).mean() for r in records]),
-        mean_drift_embb=np.array([r.slots.drift_embb.mean() for r in records]),
-        mean_drift_hrllc=np.array(
-            [r.slots.drift_hrllc.mean() for r in records]),
-        delays_s=delays, reliability_at_dmax=rel)
+        "mean_drift_embb": np.array([r.slots.drift_embb.mean() for r in records]),
+        "mean_drift_hrllc": np.array(
+            [r.slots.drift_hrllc.mean() for r in records])}
+
+
+def summarize(records: list[EpisodeRecord], cfg: ScenarioConfig) -> RunSummary:
+    delays = np.concatenate([hrllc_delays(r.slots, cfg.num_embb,
+                                          cfg.slot_duration_s, cfg.d_proc_s)
+                             for r in records])
+    rel = reliability(delays, cfg.d_max_s) if delays.size else float("nan")
+    return RunSummary(**episode_series(records, cfg), delays_s=delays,
+                      reliability_at_dmax=rel)
 
 
 def compare_policies(records_by_policy: dict[str, list[EpisodeRecord]],

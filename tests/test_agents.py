@@ -84,18 +84,26 @@ def test_encode_clips_extremes():
 def test_learner_encodes_the_previous_row(monkeypatch):
     """Each slot's observation encodes the row the learner last observed:
     zeros at an episode's first slot, then row i - 1's rates, drifts and
-    violation signal."""
+    violation signal.  Each update learns from its own slot's row: its
+    ``reward`` times ``reward_scale``, the value the DQN ring stores too."""
     cfg = ScenarioConfig().replace(slots_per_episode=6)
     agent = A2CAgent(cfg, np.random.default_rng(3))
-    observations = []
+    observations, learned = [], []
 
     def recording_encode(*args):
         observations.append(encode_observation(*args))
         return observations[-1]
 
+    def recording_grads(net, heads, actions, rew, *args):
+        learned.append(rew)
+        return a2c_grads(net, heads, actions, rew, *args)
+
     monkeypatch.setattr(agents, "encode_observation", recording_encode)
+    monkeypatch.setattr(agents, "a2c_grads", recording_grads)
     sim = Simulation(cfg, agent, seed=4, episodes=2)
     slots = np.concatenate([sim.run_episode().slots for _ in range(2)])
+    assert np.any(slots["reward"] != 0.0)
+    assert learned == (slots["reward"] * cfg.reward_scale).tolist()
     assert len(observations) == len(slots)
     n_e, n_h = cfg.num_embb, cfg.num_hrllc
     h = 3 * n_e + 1                       # start of the HRLLC block
@@ -372,13 +380,16 @@ def test_dqn_replay_ring_samples_the_kept_transitions():
     agent = DqnAgent(cfg, np.random.default_rng(18))
     agent.rng = rng = _RecordingRng(agent.rng)
     kept = deque(maxlen=cap)        # the oracle: the last cap observations
-    expected, fed = [], []
+    expected, fed, rows = [], [], []
     learn, forward = agent._learn, agent.net.forward
 
     def recording_learn(next_obs):
         kept.append(agent._pending[0].copy())
         picked = len(rng.picks)
         learn(next_obs)
+        # the transition's reward: its slot row's, the last one observed
+        assert agent.replay_rew[(agent.count - 1) % cap] == \
+            rows[-1]["reward"] * cfg.reward_scale
         for idx in rng.picks[picked:]:
             expected.append(np.array([kept[i] for i in idx]))
 
@@ -395,7 +406,8 @@ def test_dqn_replay_ring_samples_the_kept_transitions():
         agent.begin_episode()
         for slot in range(7):
             agent.allocate(make_context(ctx_rng))
-            agent.observe(slot_row(cfg, reward=-float(slot)))
+            rows.append(slot_row(cfg, reward=-float(slot)))
+            agent.observe(rows[-1])
         agent.end_episode()
         stored += 7
     assert stored >= 13 > 2 * cap

@@ -294,7 +294,12 @@ def test_repeated_config_file_key_is_config_error(tmp_path):
 
 
 def test_repeated_set_keeps_the_last(tmp_path):
-    out = tmp_path / "x"
-    assert main(["train", "--out", str(out), *TINY, "--set", "d_max_s=0.05",
-                 "--set", "traffic.d_max_s=0.03"]) == 0
-    assert "d_max_s = 0.03" in (out / "config.txt").read_text()
+    # the last setting in argv order, whatever each one's spelling
+    for name, sets, last in (
+            ("two", ["d_max_s=0.05", "traffic.d_max_s=0.03"], "0.03"),
+            ("three", ["d_max_s=0.05", "traffic.d_max_s=0.03", "d_max_s=0.04"],
+             "0.04")):
+        out = tmp_path / name
+        assert main(["train", "--out", str(out), *TINY,
+                     *(arg for s in sets for arg in ("--set", s))]) == 0
+        assert f"d_max_s = {last}\n" in (out / "config.txt").read_text()

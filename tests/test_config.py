@@ -135,16 +135,20 @@ def test_replay_smaller_than_batch_rejected():
 
 
 def test_apply_overrides():
-    values = parse_overrides({"mean_snr_linear": "5", "traffic.lambda_slow": "1",
-                              "dxi_middle": ""})
-    assert values == {"mean_snr_linear": 5.0, "lambda_slow": 1.0,
+    # applied in order: the last setting of a field wins, whatever its
+    # spelling
+    values = parse_overrides([("mean_snr_linear", "5"),
+                              ("traffic.lambda_slow", "1"), ("dxi_middle", ""),
+                              ("lambda_slow", "3"), ("traffic.lambda_slow", "2")])
+    assert values == {"mean_snr_linear": 5.0, "lambda_slow": 2.0,
                       "dxi_middle": ()}
 
 
 def test_apply_overrides_unknown_key():
-    for key in ("snr", *DELETED_KEYS):
-        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
-            parse_overrides({key: "5"})
+    # the config file's message, without its line number
+    for key in ("snr", "traffic.snr", *DELETED_KEYS):
+        with pytest.raises(ConfigError, match=f"^unknown key '{key}'$"):
+            parse_overrides([(key, "5")])
 
 
 def test_config_values_hold_only_the_keys_set():
@@ -152,7 +156,7 @@ def test_config_values_hold_only_the_keys_set():
     # they are validated only together, once every layer is applied
     assert parse_config_values("num_hrllc = 2\n# dxi\n") == {"num_hrllc": 2}
     layered = {**parse_config_values("num_hrllc = 2\n"),
-               **parse_overrides({"dxi_levels": "1,2"})}
+               **parse_overrides([("dxi_levels", "1,2")])}
     assert ScenarioConfig(**layered).dxi_levels == (1.0, 2.0)
 
 

@@ -9,8 +9,8 @@ from slicesched.engine import (CHAIN_INIT, CHANNEL, TRAFFIC_EMBB,
                                TRAFFIC_HRLLC, Simulation, build_policy,
                                concat_slots, export_diagnostics_csv,
                                export_trace_csv, run_evaluation, run_training,
-                               step_response_summary, stream, trace_columns,
-                               write_csv, POLICY_NAMES)
+                               step_response_summary, stream, write_csv,
+                               POLICY_NAMES)
 from slicesched.metrics import summarize
 from slicesched.queueing import service_capacity
 from slicesched.schedulers import RoundRobinPolicy, slot_dtype
@@ -162,7 +162,13 @@ def test_trace_csv_round(tmp_path, tiny_cfg):
     path = tmp_path / "trace.csv"
     export_trace_csv(records, tiny_cfg, path)
     lines = path.read_text().splitlines()
-    assert lines[0].split(",") == trace_columns(tiny_cfg)
+    n_e, n_h, n_u = tiny_cfg.num_embb, tiny_cfg.num_hrllc, tiny_cfg.num_users
+    assert lines[0].split(",") == [
+        "episode", "slot", *(f"G_{i}" for i in range(n_e)),
+        *(f"F_{i}" for i in range(n_h)), *(f"a_{i}" for i in range(n_u)),
+        *(f"r_{i}" for i in range(n_u)), "drift_embb", "drift_hrllc", "cost",
+        "y", "dual", "reward", *(f"dxi_{i}" for i in range(n_h)),
+        *(f"mmpp_{i}" for i in range(n_h))]
     expected_rows = sum(len(r.slots) for r in records)
     assert len(lines) == 1 + expected_rows
     export_trace_csv(records, tiny_cfg, tmp_path / "again.csv")
@@ -251,7 +257,8 @@ def test_slot_rows_match_trace_csv_rates(tmp_path, tiny_cfg):
 
 
 def test_diagnostics_csv_schemas(tmp_path, tiny_cfg):
-    # each policy names its own diagnostics; the engine adds the dual
+    # each policy names its own diagnostics; the episode's final dual ends
+    # the row
     headers = {"a2c": "episode,return,actor_loss,critic_loss,entropy,dual",
                "dqn": "episode,return,td_loss,dual",
                "rr": "episode,return,dual"}
@@ -264,6 +271,26 @@ def test_diagnostics_csv_schemas(tmp_path, tiny_cfg):
         assert len(lines) == 1 + tiny_cfg.episodes
         assert all(len(line.split(",")) == header.count(",") + 1
                    for line in lines[1:])
+
+
+@pytest.mark.parametrize("policy_name", POLICY_NAMES)
+def test_training_csv_derives_from_trace_csv(tmp_path, tiny_cfg, policy_name):
+    """Each training.csv row's return is the in-order sum of its episode's
+    trace rewards and its dual the episode's last trace dual, both exactly
+    as written."""
+    records, _ = run_training(tiny_cfg, policy_name)
+    export_trace_csv(records, tiny_cfg, tmp_path / "trace.csv")
+    export_diagnostics_csv(records, tmp_path / "training.csv")
+    head, *trace = [line.split(",") for line in
+                    (tmp_path / "trace.csv").read_text().splitlines()]
+    names, *rows = [line.split(",") for line in
+                    (tmp_path / "training.csv").read_text().splitlines()]
+    assert len(rows) == tiny_cfg.episodes
+    for row in rows:
+        episode = [t for t in trace if t[head.index("episode")] == row[0]]
+        rewards = [float(t[head.index("reward")]) for t in episode]
+        assert row[names.index("return")] == str(sum(rewards))
+        assert row[names.index("dual")] == episode[-1][head.index("dual")]
 
 
 def test_step_response_null_experiment():
