@@ -125,6 +125,31 @@ def test_golden_episode(case):
     assert got == EPISODE_GOLDEN[case]
 
 
+# The benchmark's training runs at their own shape: the default scenario
+# (batch 64 for dqn, clip 5, tanh trunk of the default widths), here two
+# 200-slot episodes.  The slot tables' bytes and the checkpoint.  A2C's Adam
+# takes 400 steps, past t = 356 where 1 - 0.9**t rounds to 1.0; DQN's 337.
+LEARNER_GOLDEN = {
+    "a2c": ("5fb87e5db9c43a6cf22119375f0b822cd863a7934e67388a4400fffd1ffe7635",
+            "8731583f8997af6bd5c9c833b9562d9be2bb97a32f943a09c0a8ef6fe7e7ddf7"),
+    "dqn": ("f80f97fef956574725f67f16819d5e71c5c3387a566388e0a0fa9f6f74915887",
+            "cd008b2059cd1333433b5942464f460959443fd6faadd32c5fcdfe0e2a1efbdd"),
+}
+
+
+@pytest.mark.parametrize("agent", sorted(LEARNER_GOLDEN))
+def test_golden_default_learner(agent, tmp_path):
+    records, policy = run_training(ScenarioConfig().replace(episodes=2), agent)
+    assert [len(r.slots) for r in records] == [200, 200]
+    slots = hashlib.sha256()
+    for record in records:
+        slots.update(record.slots.tobytes())
+    policy.save(tmp_path / "checkpoint.bin")
+    got = (slots.hexdigest(),
+           hashlib.sha256((tmp_path / "checkpoint.bin").read_bytes()).hexdigest())
+    assert got == LEARNER_GOLDEN[agent]
+
+
 # The CLI's summary-derived outputs: figures and tables computed from the
 # episode records by metrics.summarize, compare_policies,
 # dexterity_sensitivity, step_response_summary and moving_average.  Forty slots per episode
