@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .config import ScenarioConfig
-from .net import (Adam, Mlp, clip_grads, load_arrays, save_arrays, softmax,
+from .net import (Adam, Mlp, clip_grads, load_arrays, save_arrays,
                   softmax_categorical)
 from .schedulers import (Allocation, Policy, SchedulerContext,
                          intra_slice_divide, materialize_assignment, slot_dtype)
@@ -47,22 +47,24 @@ def encode_observation(ctx: SchedulerContext, prev: np.void,
     exist until after the action.
     """
     n_e = cfg.num_embb
-    queue = ctx.work / Q_REF
-    mean_gain = ctx.gain_sq.mean(axis=1)
-    rates = prev["rates"] / R_REF_BPS
-    feats = np.concatenate([
-        queue[:n_e],
-        mean_gain[:n_e],
-        rates[:n_e],
-        [prev["drift_embb"] / L_REF],
-        queue[n_e:],
-        mean_gain[n_e:],
-        rates[n_e:],
-        [prev["drift_hrllc"] / L_REF],
-        [np.clip(prev["y_mean"], -1.0, Y_CLIP)],
-        ctx.dxi,
+    # the IEEE divisions and clips of the NumPy forms, on Python floats
+    queue = [w / Q_REF for w in ctx.work.tolist()]
+    mean_gain = ctx.mean_gain.tolist()
+    rates = [r / R_REF_BPS for r in prev["rates"].tolist()]
+    obs = np.array([
+        *queue[:n_e],
+        *mean_gain[:n_e],
+        *rates[:n_e],
+        prev["drift_embb"] / L_REF,
+        *queue[n_e:],
+        *mean_gain[n_e:],
+        *rates[n_e:],
+        prev["drift_hrllc"] / L_REF,
+        min(max(prev["y_mean"], -1.0), Y_CLIP),
+        *ctx.dxi.tolist(),
     ])
-    return np.clip(feats, -OBS_CLIP, OBS_CLIP)
+    # np.clip's NaN-propagating bounds, in place
+    return np.minimum(np.maximum(obs, -OBS_CLIP, out=obs), OBS_CLIP, out=obs)
 
 
 def decode_action(kh_idx: int, template_idx: int,
@@ -71,17 +73,16 @@ def decode_action(kh_idx: int, template_idx: int,
     Allocation whose HRLLC slice holds ``k_h = n_h + kh_idx`` PRBs."""
     k_h = ctx.num_users - ctx.num_embb + kh_idx
     template = TEMPLATES[template_idx]
-    n_e, work = ctx.num_embb, ctx.work
+    n_e, work = ctx.num_embb, ctx.work.tolist()
     counts_h = intra_slice_divide(k_h, work[n_e:])
     if template == "uniform":
-        weights_e = np.zeros(n_e)
+        weights_e = [0.0] * n_e
     elif template == "backlog":
-        weights_e = work[:n_e].astype(float)
+        weights_e = work[:n_e]
     else:                                    # "channel"
-        weights_e = ctx.gain_sq[:n_e].mean(axis=1)
+        weights_e = ctx.mean_gain[:n_e]
     counts_e = intra_slice_divide(ctx.num_prbs - k_h, weights_e)
-    counts = np.concatenate([counts_e, counts_h])
-    return Allocation(materialize_assignment(counts, ctx.gain_sq))
+    return Allocation(materialize_assignment(counts_e + counts_h, ctx.gain_sq))
 
 
 EPS_COST = 1e-6     # keeps step_cost finite at a zero rate
@@ -126,59 +127,51 @@ def a2c_heads(net: Mlp, n_kh: int, obs: np.ndarray
     return row[:n_kh], row[n_kh:-1], float(row[-1]), trace
 
 
-def _entropy_grad(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """d(entropy)/d(logits) for a softmax categorical, with the
-    log-probabilities and the entropy it is computed from."""
-    logp = np.log(probs + 1e-300)
-    entropy = -float(np.sum(probs * logp))
-    return -probs * (logp + entropy), logp, entropy
+def a2c_grads(net: Mlp, decision: tuple, actions: tuple[int, int], rew: float,
+              next_obs: Optional[np.ndarray], gamma: float, entropy_coef: float,
+              grads: tuple[list, list]) -> dict:
+    """One transition's actor and critic gradients, both backpropagated
+    through the one trace of ``net`` and written into ``grads``, the actor's
+    then the critic's ``net.views`` of a gradient row; returns diagnostics.
 
-
-def a2c_grads(net: Mlp, heads: tuple, actions: tuple[int, int], rew: float,
-              next_obs: Optional[np.ndarray], gamma: float, entropy_coef: float
-              ) -> tuple[list, list, dict]:
-    """One-transition actor and critic gradients plus diagnostics, both
-    backpropagated through the one trace of ``net``.
-
-    ``heads`` is ``a2c_heads(net, n_kh, obs)`` for the transition's
-    observation under the current parameters.  The bootstrapped target and
-    the advantage are treated as constants (semi-gradient TD); terminal
-    transitions bootstrap with zero.
+    ``decision`` is (probs, value, trace) of the transition's observation
+    under the current parameters: both heads' softmax probabilities in one
+    row (slice size, then template), the state value and the forward trace.
+    The bootstrapped target and the advantage are treated as constants
+    (semi-gradient TD); terminal transitions bootstrap with zero.
     """
-    logits_h, logits_e, value, trace = heads
+    probs, value, trace = decision
     v_next = 0.0
     if next_obs is not None:
         v_next = float(net.forward(next_obs)[0][0, -1])
     target = rew + gamma * v_next
     delta = target - value
 
-    probs_h = softmax(logits_h)
-    probs_e = softmax(logits_e)
+    n_kh = len(probs) - len(TEMPLATES)
     a_h, a_e = actions
-    one_h = np.zeros_like(probs_h)
-    one_h[a_h] = 1.0
-    one_e = np.zeros_like(probs_e)
-    one_e[a_e] = 1.0
+    one = np.zeros_like(probs)
+    one[[a_h, n_kh + a_e]] = 1.0
+    # each head's entropy H = -sum(p log p) and its logit gradient
+    # -p (log p + H), the heads' sums taken over their own slices
+    logp = np.log(probs + 1e-300)
+    plogp = probs * logp
+    ent_h = -float(np.add.reduce(plogp[:n_kh]))
+    ent_e = -float(np.add.reduce(plogp[n_kh:]))
+    dent = -probs * (logp + np.array([ent_h] * n_kh + [ent_e] * len(TEMPLATES)))
     # actor loss: -delta*(log pi_h + log pi_e) - beta*(H_h + H_e)
-    dent_h, logp_h, ent_h = _entropy_grad(probs_h)
-    dent_e, logp_e, ent_e = _entropy_grad(probs_e)
-    dl_h = -delta * (one_h - probs_h) - entropy_coef * dent_h
-    dl_e = -delta * (one_e - probs_e) - entropy_coef * dent_e
-    dvalue = -2.0 * delta  # critic loss: delta^2
-
-    diag = {
+    # critic loss: delta^2, on the output's last column
+    dout = np.zeros((2, len(probs) + 1))
+    dout[0, :-1] = -delta * (one - probs) - entropy_coef * dent
+    dout[1, -1] = -2.0 * delta
+    net.backward(trace, dout[:1], grads[0])
+    net.backward(trace, dout[1:], grads[1])
+    return {
         "delta": delta,
         "critic_loss": delta * delta,
-        "actor_loss": (-delta * (logp_h[a_h] + logp_e[a_e])
+        "actor_loss": (-delta * (logp[a_h] + logp[n_kh + a_e])
                        - entropy_coef * (ent_h + ent_e)),
         "entropy": ent_h + ent_e,
     }
-
-    dout_actor = np.concatenate([dl_h, dl_e, [0.0]])[None, :]
-    dout_critic = np.zeros_like(dout_actor)
-    dout_critic[0, -1] = dvalue
-    return (net.backward(trace, dout_actor),
-            net.backward(trace, dout_critic), diag)
 
 
 class Learner(Policy):
@@ -275,34 +268,35 @@ class A2CAgent(Learner):
     def __init__(self, cfg: ScenarioConfig, rng: np.random.Generator):
         super().__init__(cfg, rng)
         self.net = a2c_net(cfg, self.obs_dim, self.n_kh, rng)
-        self.opt_actor = Adam(self.net.flat)
-        self.opt_critic = Adam(self.net.flat)
+        # the actor's gradient row, then the critic's; each steps the whole
+        # net with moments of its own, the actor's first
+        self.grads = np.zeros((2, self.net.flat.size))
+        self._grad_views = tuple(self.net.views(row) for row in self.grads)
+        self.opt = Adam(self.net.flat, (cfg.lr_actor, cfg.lr_critic))
 
     def allocate(self, ctx: SchedulerContext) -> Allocation:
         obs = self._observation(ctx)
-        heads = a2c_heads(self.net, self.n_kh, obs)
-        logits_h, logits_e = heads[:2]
+        logits_h, logits_e, value, trace = a2c_heads(self.net, self.n_kh, obs)
+        probs = None
         if self.training:
-            a_h = softmax_categorical(logits_h, self.rng)
-            a_e = softmax_categorical(logits_e, self.rng)
+            a_h, probs_h = softmax_categorical(logits_h, self.rng)
+            a_e, probs_e = softmax_categorical(logits_e, self.rng)
+            probs = np.concatenate((probs_h, probs_e))
         else:
             a_h = int(np.argmax(logits_h))
             a_e = int(np.argmax(logits_e))
-        # no update runs between here and _learn, so the heads are still
+        # no update runs between here and _learn, so the decision is still
         # current there
-        self._pending = [obs, (a_h, a_e), heads]
+        self._pending = [obs, (a_h, a_e), (probs, value, trace)]
         return decode_action(a_h, a_e, ctx)
 
     def _learn(self, next_obs: Optional[np.ndarray]) -> None:
-        _, actions, heads = self._pending
-        grads_a, grads_c, diag = a2c_grads(
-            self.net, heads, actions, self._reward(), next_obs, self.cfg.gamma,
-            self.cfg.entropy_coef)
-        grads_a = clip_grads(grads_a, self.cfg.grad_clip)
-        grads_c = clip_grads(grads_c, self.cfg.grad_clip)
-        # both optimizers step the whole net, one after the other
-        self.opt_actor.step(grads_a, self.cfg.lr_actor)
-        self.opt_critic.step(grads_c, self.cfg.lr_critic)
+        _, actions, decision = self._pending
+        diag = a2c_grads(self.net, decision, actions, self._reward(), next_obs,
+                         self.cfg.gamma, self.cfg.entropy_coef,
+                         self._grad_views)
+        self.opt.step(clip_grads(self.grads, self.cfg.grad_clip,
+                                 self.net.splits))
         self._tally(diag)
 
 
@@ -319,7 +313,9 @@ class DqnAgent(Learner):
         self.net = trunk_mlp(cfg, self.obs_dim, self.n_joint, rng)
         self.target = trunk_mlp(cfg, self.obs_dim, self.n_joint, rng)
         self._sync_target()
-        self.opt = Adam(self.net.flat)
+        self.grads = np.zeros((1, self.net.flat.size))
+        self._grad_views = self.net.views(self.grads[0])
+        self.opt = Adam(self.net.flat, (cfg.lr_critic,))
         # replay ring: the count-th transition stored goes to row
         # count % capacity, so the ring keeps the last `capacity` of them
         cap = cfg.dqn_replay_capacity
@@ -384,8 +380,8 @@ class DqnAgent(Learner):
         err = chosen - targets
         dout = np.zeros_like(q)
         dout[np.arange(batch), acts] = 2.0 * err / batch
-        grads = clip_grads(self.net.backward(trace, dout), cfg.grad_clip)
-        self.opt.step(grads, cfg.lr_critic)
+        self.net.backward(trace, dout, self._grad_views)
+        self.opt.step(clip_grads(self.grads, cfg.grad_clip, self.net.splits))
         self.updates += 1
         self._tally({"td_loss": float(np.mean(err * err))})
         if self.updates % cfg.dqn_target_sync == 0:

@@ -4,6 +4,12 @@ Batched forward/backward over float64 arrays, an adaptive-moment optimizer
 with bias correction, global-norm gradient clipping, categorical sampling
 from logits, and a versioned binary checkpoint format.
 
+A learner keeps its gradients in one ``(R, P)`` float64 buffer of R rows
+laid out like the net's ``flat`` buffer of P parameters (A2C: the actor's
+row, then the critic's; DQN: one row).  ``Mlp.backward`` writes a row
+through ``Mlp.views``, ``clip_grads`` bounds each row's norm and ``Adam``
+steps ``flat`` by every row in turn, each with moments of its own.
+
 Checkpoint layout (little-endian):
     magic   4 bytes  b"MLP1"
     meta    u32 length + UTF-8 JSON (the caller's dict: the agent kind; the
@@ -15,8 +21,11 @@ Checkpoint layout (little-endian):
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
+from bisect import bisect_right
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -38,17 +47,24 @@ class Mlp:
     def __init__(self, sizes: list[int], rng: np.random.Generator):
         self.sizes = list(sizes)
         pairs = list(zip(sizes[:-1], sizes[1:]))
-        self.flat = np.zeros(sum(d_in * d_out + d_out for d_in, d_out in pairs))
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        off = 0
-        for d_in, d_out in pairs:
-            w = self.flat[off:off + d_in * d_out].reshape(d_in, d_out)
-            off += d_in * d_out
-            self.biases.append(self.flat[off:off + d_out])
-            off += d_out
+        # where each parameter array starts in ``flat``, then its end
+        self.splits = [0, *accumulate(n for d_in, d_out in pairs
+                                      for n in (d_in * d_out, d_out))]
+        self.flat = np.zeros(self.splits[-1])
+        params = self.views(self.flat)
+        self.weights: list[np.ndarray] = params[0::2]
+        self.biases: list[np.ndarray] = params[1::2]
+        for w, (d_in, d_out) in zip(self.weights, pairs):
             w[...] = rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_in, d_out))
-            self.weights.append(w)
+
+    def views(self, buf: np.ndarray) -> list[np.ndarray]:
+        """Arrays in ``params`` order that view ``buf``, a 1-D buffer laid
+        out like ``flat``; for a row of a gradient buffer, what
+        ``backward`` writes into."""
+        shapes = [shape for d_in, d_out in zip(self.sizes, self.sizes[1:])
+                  for shape in ((d_in, d_out), (d_out,))]
+        return [buf[lo:hi].reshape(shape) for lo, hi, shape
+                in zip(self.splits, self.splits[1:], shapes)]
 
     @property
     def params(self) -> list[np.ndarray]:
@@ -82,75 +98,91 @@ class Mlp:
         trace.append(h)
         return h, trace
 
-    def backward(self, trace: list[np.ndarray], dout: np.ndarray) -> list[np.ndarray]:
-        """Exact gradients (summed over the batch) for the scalar loss whose
-        output gradient is ``dout``; returned in ``params`` order."""
+    def backward(self, trace: list[np.ndarray], dout: np.ndarray,
+                 grads: list[np.ndarray]) -> None:
+        """Write the exact gradients (summed over the batch) of the scalar
+        loss whose output gradient is ``dout`` into ``grads``, arrays in
+        ``params`` order such as ``views`` of a gradient row."""
         dout = np.atleast_2d(np.asarray(dout, dtype=float))
         if dout.shape != trace[-1].shape:
             raise ValueError("output gradient shape mismatch")
-        grads: list[np.ndarray] = [None] * (2 * len(self.weights))
         delta = dout                  # the output layer is linear
         for layer in reversed(range(len(self.weights))):
             inp = trace[layer]
-            grads[2 * layer] = inp.T @ delta
-            grads[2 * layer + 1] = delta.sum(axis=0)
+            np.matmul(inp.T, delta, out=grads[2 * layer])
+            np.add.reduce(delta, axis=0, out=grads[2 * layer + 1])
             if layer > 0:             # back through the tanh that made inp
                 delta = (delta @ self.weights[layer].T) * (1.0 - inp * inp)
-        return grads
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Shift-invariant softmax over the last axis."""
-    z = logits - np.max(logits, axis=-1, keepdims=True)
+    # the reductions of np.max and ndarray.sum, called directly
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
-def softmax_categorical(logits: np.ndarray, rng: np.random.Generator) -> int:
-    """Sample an index of softmax(logits) by inverse CDF."""
+def softmax_categorical(logits: np.ndarray, rng: np.random.Generator
+                        ) -> tuple[int, np.ndarray]:
+    """Sample an index of softmax(logits) by inverse CDF; returns it and
+    the probabilities."""
     logits = np.asarray(logits, dtype=float).ravel()
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise ValueError("logits must be finite")
     probs = softmax(logits)
-    cdf = np.cumsum(probs)
+    # the running sums of np.cumsum, and np.searchsorted(side="right")
+    cdf = list(accumulate(probs.tolist()))
     cdf[-1] = 1.0
     # rng.random() < 1.0 == cdf[-1], so the index is at most len(probs) - 1
-    return int(np.searchsorted(cdf, rng.random(), side="right"))
+    return bisect_right(cdf, rng.random()), probs
 
 
-def clip_grads(grads: list[np.ndarray], max_norm: float) -> list[np.ndarray]:
-    """Scale the whole gradient list so its global L2 norm is <= max_norm."""
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
-    if total <= max_norm:
+def clip_grads(grads: np.ndarray, max_norm: float, splits: list[int]
+               ) -> np.ndarray:
+    """Bound each row of the ``(R, P)`` gradient buffer ``grads`` to an L2
+    norm of ``max_norm``.  ``splits`` are the net's parameter array bounds
+    (``Mlp.splits``): each array's squares are summed on their own, then
+    the sums in order.  Returns ``grads`` itself when no row is over the
+    bound; else a scaled copy, whose rows within it are multiplied by 1.0."""
+    sq = np.square(grads)                    # g * g
+    per_array = [np.add.reduce(sq[:, lo:hi], axis=1).tolist()
+                 for lo, hi in zip(splits, splits[1:])]
+    totals = [math.sqrt(sum(row)) for row in zip(*per_array)]
+    if all(total <= max_norm for total in totals):
         return grads
-    scale = max_norm / total
-    return [g * scale for g in grads]
+    scale = [1.0 if total <= max_norm else max_norm / total for total in totals]
+    return grads * np.array(scale)[:, None]
 
 
 class Adam:
     """Adaptive-moment optimizer with bias correction over one flat float64
-    buffer, such as an ``Mlp.flat``, which ``step`` updates in place."""
+    buffer, such as an ``Mlp.flat``, which ``step`` updates in place.
 
-    def __init__(self, flat: np.ndarray) -> None:
+    It keeps one row of moments per learning rate in ``lrs``, all on one
+    step count: R optimizers of the same buffer, stepped together."""
+
+    def __init__(self, flat: np.ndarray, lrs: tuple[float, ...]) -> None:
         self.flat = flat
         self.t = 0
-        self.m = np.zeros_like(flat)
-        self.v = np.zeros_like(flat)
-        self._scratch = np.empty_like(flat)
+        self.lrs = np.array(lrs, dtype=float)[:, None]
+        self.m = np.zeros((len(lrs), flat.size))
+        self.v = np.zeros_like(self.m)
+        self._scratch = np.empty_like(self.m)
 
-    def step(self, grads: list[np.ndarray], lr: float) -> None:
-        """One update from ``grads``, which cover the buffer's floats in
-        order (``Mlp.backward``'s list for the net that owns the buffer)."""
-        g = np.concatenate([a.ravel() for a in grads])
-        if not np.isfinite(g).all():
+    def step(self, grads: np.ndarray) -> None:
+        """One update from ``grads``, one row per row of moments; each row
+        covers the buffer's floats in order.  ``grads`` is overwritten.
+        A non-finite gradient rejects the whole step."""
+        if not np.isfinite(grads).all():
             raise FloatingPointError("non-finite gradient; step rejected")
-        m, v, s = self.m, self.v, self._scratch
+        m, v, s, g = self.m, self.v, self._scratch, grads
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
         # each operation below is the in-place form of, with the same
         # rounding as, m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g, then
-        # flat -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
+        # flat -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps), row by row
         m *= BETA1
         np.multiply(g, 1.0 - BETA1, out=s)
         m += s
@@ -161,10 +193,14 @@ class Adam:
         np.divide(v, bc2, out=s)
         np.sqrt(s, out=s)
         s += EPS
-        np.divide(m, bc1, out=g)
-        g *= lr
+        if bc1 == 1.0:                   # from t = 356 on; m / 1.0 == m
+            np.multiply(m, self.lrs, out=g)
+        else:
+            np.divide(m, bc1, out=g)
+            g *= self.lrs
         g /= s
-        self.flat -= g
+        for row in g:
+            self.flat -= row
 
 
 def save_arrays(path: str | Path, arrays: list[np.ndarray], meta: dict) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,6 +80,11 @@ class SchedulerContext:
     def num_prbs(self) -> int:
         return self.gain_sq.shape[1]
 
+    @cached_property
+    def mean_gain(self) -> np.ndarray:
+        """(U,) each user's mean gain over the PRBs, computed once."""
+        return np.add.reduce(self.gain_sq, axis=1) / self.num_prbs  # = mean
+
 
 def round_robin(ctx: SchedulerContext, cursor: int) -> tuple[Allocation, int]:
     """Deal PRBs cyclically from the cursor; counts differ by at most one.
@@ -114,12 +120,13 @@ def proportional_fair(ctx: SchedulerContext, ewma: np.ndarray) -> Allocation:
     return Allocation(assignment)
 
 
-def intra_slice_divide(slice_prbs: int, weights: np.ndarray) -> np.ndarray:
-    """One PRB each, then largest-remainder apportionment of the rest by weight.
+def intra_slice_divide(slice_prbs: int, weights) -> list[int]:
+    """One PRB each, then largest-remainder apportionment of the rest by
+    weight; returns the slice's per-user PRB counts.
 
-    ``weights`` holds one finite entry >= 0 per user of the slice.  All-zero
-    weights degrade to a uniform split with remainders going to the lowest
-    indices.
+    ``weights`` (an array or a list) holds one finite entry >= 0 per user of
+    the slice.  All-zero weights degrade to a uniform split with remainders
+    going to the lowest indices.
     """
     weights = np.asarray(weights, dtype=float)
     w = weights.tolist()
@@ -130,7 +137,7 @@ def intra_slice_divide(slice_prbs: int, weights: np.ndarray) -> np.ndarray:
     if slice_prbs < num_users:
         raise ValueError(f"slice needs >= {num_users} PRBs, got {slice_prbs}")
     extra = slice_prbs - num_users
-    total = float(np.add.reduce(w))          # NumPy's summation order
+    total = float(np.add.reduce(weights))    # NumPy's summation order
     quota = [(1.0 / num_users if total == 0 else x / total) * extra for x in w]
     counts = [1 + math.floor(q) for q in quota]
     remainder = slice_prbs - sum(counts)
@@ -139,11 +146,11 @@ def intra_slice_divide(slice_prbs: int, weights: np.ndarray) -> np.ndarray:
         frac = [q - math.floor(q) for q in quota]
         for u in sorted(range(num_users), key=lambda v: -frac[v])[:remainder]:
             counts[u] += 1
-    return np.array(counts)
+    return counts
 
 
-def materialize_assignment(counts: np.ndarray, gain_sq: np.ndarray) -> np.ndarray:
-    """Turn per-user counts into a PRB -> user map.
+def materialize_assignment(counts, gain_sq: np.ndarray) -> np.ndarray:
+    """Turn per-user counts (an array or a list) into a PRB -> user map.
 
     Users draft PRBs one at a time in rounds.  Every round, each user with
     PRBs still to take drafts one, in descending remaining-count order (ties:
@@ -152,9 +159,9 @@ def materialize_assignment(counts: np.ndarray, gain_sq: np.ndarray) -> np.ndarra
     round, so the draft order is fixed by the initial counts.
     """
     num_users, num_prbs = gain_sq.shape
-    if int(np.sum(counts)) != num_prbs:
+    counts = [int(c) for c in counts]
+    if sum(counts) != num_prbs:
         raise ValueError("counts must sum to the PRB grid size")
-    counts = np.asarray(counts, dtype=int).tolist()
     if min(counts) < 0:
         raise ValueError("counts must be non-negative")
     # each user's PRBs best first, ties to the lowest PRB index

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from slicesched.agents import TEMPLATES, trunk_mlp
+from slicesched.agents import TEMPLATES, a2c_grads, a2c_heads, trunk_mlp
 from slicesched.config import ScenarioConfig, parse_config_values
-from slicesched.net import save_arrays
+from slicesched.net import save_arrays, softmax
 from slicesched.schedulers import SchedulerContext, slot_dtype
 from slicesched.traffic import stationary_probs
 
@@ -39,6 +39,18 @@ def save_split_a2c_checkpoint(path, agent) -> None:
     save_arrays(path, actor.params + critic.params,
                 {"kind": "a2c", "shared": False, "obs_dim": agent.obs_dim,
                  "n_kh": agent.n_kh})
+
+
+def a2c_grad_rows(net, n_kh, obs, actions, rew, next_obs, gamma, beta):
+    """``a2c_grads`` for the decision at ``obs`` under the current
+    parameters: the (2, P) actor and critic gradient rows, and the
+    diagnostics."""
+    logits_h, logits_e, value, trace = a2c_heads(net, n_kh, obs)
+    probs = np.concatenate([softmax(logits_h), softmax(logits_e)])
+    grads = np.full((2, net.flat.size), np.nan)
+    diag = a2c_grads(net, (probs, value, trace), actions, rew, next_obs,
+                     gamma, beta, tuple(net.views(row) for row in grads))
+    return grads, diag
 
 
 def make_context(rng: np.random.Generator, num_embb: int = 4,

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from slicesched.agents import a2c_grads, a2c_heads, a2c_net
+from slicesched.agents import a2c_heads, a2c_net
 from slicesched.cli import main as cli_main
 from slicesched.config import ScenarioConfig
 from slicesched.constraint import DualVariable, surrogate_y
@@ -22,7 +22,7 @@ from slicesched.metrics import (SMOOTH_WINDOW, dexterity_sensitivity,
                                 summarize)
 from slicesched.net import Mlp, softmax
 from slicesched.traffic import MmppChain, sample_hrllc_arrivals
-from conftest import mean_rate, windowed_slope
+from conftest import a2c_grad_rows, mean_rate, windowed_slope
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> bool:
@@ -97,8 +97,8 @@ def test_criterion_1_gradient_oracle():
 
         out, trace = net.forward(x)
         dout = (1.0 - np.tanh(out) ** 2) * w
-        analytic = np.concatenate([g.ravel()
-                                   for g in net.backward(trace, dout)])
+        analytic = np.empty(net.flat.size)
+        net.backward(trace, dout, net.views(analytic))
         fd = numeric(net, scalar_loss)
         rel = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-4)
         worst = max(worst, float(rel.max()))
@@ -131,10 +131,9 @@ def test_criterion_1_gradient_oracle():
             d = target - value(obs)
             return float(d * d)
 
-        ga, gc, _ = a2c_grads(net, a2c_heads(net, n_kh, obs), actions,
-                              rew, nxt, gamma, beta)
-        for loss, analytic in ((actor_loss, ga), (critic_loss, gc)):
-            fa = np.concatenate([g.ravel() for g in analytic])
+        (ga, gc), _ = a2c_grad_rows(net, n_kh, obs, actions, rew, nxt,
+                                    gamma, beta)
+        for loss, fa in ((actor_loss, ga), (critic_loss, gc)):
             fd = numeric(net, loss)
             rel = np.abs(fa - fd) / np.maximum(np.abs(fd), 1e-4)
             worst = max(worst, float(rel.max()))

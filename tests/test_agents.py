@@ -1,3 +1,4 @@
+import copy
 from collections import deque
 
 import numpy as np
@@ -11,8 +12,9 @@ from slicesched.agents import (EPS_COST, L_REF, OBS_CLIP, R_REF_BPS, TEMPLATES,
                                step_cost)
 from slicesched.config import ScenarioConfig
 from slicesched.engine import Simulation
-from slicesched.net import save_arrays, softmax
-from conftest import make_context, save_split_a2c_checkpoint, slot_row
+from slicesched.net import Mlp, save_arrays, softmax
+from conftest import (a2c_grad_rows, make_context, save_split_a2c_checkpoint,
+                      slot_row)
 
 
 def test_action_space_defaults():
@@ -222,14 +224,14 @@ def test_a2c_gradients_match_finite_differences():
         d = target - value(obs)
         return float(d * d)
 
-    grads_a, grads_c, diag = a2c_grads(net, a2c_heads(net, n_kh, obs),
-                                       actions, rew, next_obs, gamma, beta)
+    (grads_a, grads_c), diag = a2c_grad_rows(net, n_kh, obs, actions, rew,
+                                             next_obs, gamma, beta)
     assert diag["delta"] == pytest.approx(delta)
 
     step = 1e-6
     for which, scalar_loss, analytic in (("actor", actor_loss, grads_a),
                                          ("critic", critic_loss, grads_c)):
-        flat_analytic = np.concatenate([g.ravel() for g in analytic])
+        flat_analytic = analytic
         numeric = []
         for arr in net.params:
             g = np.zeros_like(arr)
@@ -256,8 +258,8 @@ def test_a2c_grads_terminal_delta():
     n_kh = 3          # k_h in {1, 2, 3}
     net = a2c_net(cfg, 5, n_kh, np.random.default_rng(6))
     net.set_params([np.zeros_like(p) for p in net.params])
-    heads = a2c_heads(net, n_kh, np.zeros(5))
-    _, _, diag = a2c_grads(net, heads, (0, 0), 1.0, None, 0.99, 0.0)
+    _, diag = a2c_grad_rows(net, n_kh, np.zeros(5), (0, 0), 1.0, None, 0.99,
+                            0.0)
     assert diag["delta"] == pytest.approx(1.0)   # V(s)=0, terminal bootstrap 0
 
 
@@ -415,3 +417,168 @@ def test_dqn_replay_ring_samples_the_kept_transitions():
     assert agent.updates == len(expected) == len(fed) == stored - 1
     for want, got in zip(expected, fed):
         assert got.tobytes() == want.tobytes()
+
+
+# --- the learners against their list-based form -----------------------------
+# Before the learners kept their gradients in one buffer of rows, backward
+# returned a fresh array per parameter, each gradient list was clipped on its
+# own, and A2C stepped its net with two single-row optimizers, the actor's
+# first.  These are that code, kept as the oracle for the buffer form.
+
+def _list_backward(net, trace, dout):
+    dout = np.atleast_2d(np.asarray(dout, dtype=float))
+    grads = [None] * (2 * len(net.weights))
+    delta = dout
+    for layer in reversed(range(len(net.weights))):
+        inp = trace[layer]
+        grads[2 * layer] = inp.T @ delta
+        grads[2 * layer + 1] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ net.weights[layer].T) * (1.0 - inp * inp)
+    return grads
+
+
+def _list_clip(grads, max_norm):
+    """The clipped list and whether it was clipped."""
+    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    if total <= max_norm:
+        return grads, False
+    scale = max_norm / total
+    return [g * scale for g in grads], True
+
+
+class _RowAdam:
+    """A single-row optimizer over a flat buffer, stepped from a gradient
+    list: its float operations, on fresh arrays."""
+
+    def __init__(self, flat):
+        self.flat = flat
+        self.t = 0
+        self.m = np.zeros_like(flat)
+        self.v = np.zeros_like(flat)
+
+    def step(self, grads, lr):
+        g = np.concatenate([a.ravel() for a in grads])
+        self.t += 1
+        bc1 = 1.0 - 0.9 ** self.t
+        bc2 = 1.0 - 0.999 ** self.t
+        self.m = 0.9 * self.m + (1.0 - 0.9) * g
+        self.v = 0.999 * self.v + ((1.0 - 0.999) * g) * g
+        self.flat -= (lr * (self.m / bc1)) / (np.sqrt(self.v / bc2) + 1e-8)
+
+
+def _list_a2c_grads(net, n_kh, obs, actions, rew, next_obs, gamma, beta):
+    """Actor and critic gradient lists, each head's softmax recomputed from
+    the logits."""
+    logits_h, logits_e, value, trace = a2c_heads(net, n_kh, obs)
+    v_next = 0.0
+    if next_obs is not None:
+        v_next = float(net.forward(next_obs)[0][0, -1])
+    delta = rew + gamma * v_next - value
+    douts = []
+    for logits, a in zip((logits_h, logits_e), actions):
+        probs = softmax(logits)
+        one = np.zeros_like(probs)
+        one[a] = 1.0
+        logp = np.log(probs + 1e-300)
+        entropy = -float(np.sum(probs * logp))
+        douts.append(-delta * (one - probs) - beta * (-probs * (logp + entropy)))
+    dout_actor = np.concatenate([*douts, [0.0]])[None, :]
+    dout_critic = np.zeros_like(dout_actor)
+    dout_critic[0, -1] = -2.0 * delta
+    return (_list_backward(net, trace, dout_actor),
+            _list_backward(net, trace, dout_critic))
+
+
+def _oracle_net(net):
+    oracle = Mlp(net.sizes, np.random.default_rng(0))
+    oracle.flat[...] = net.flat
+    return oracle
+
+
+def _run(cfg, agent, episodes):
+    sim = Simulation(cfg, agent, seed=29, episodes=episodes)
+    for _ in range(episodes):
+        sim.run_episode()
+
+
+def test_a2c_learner_bit_exact_against_list_oracle():
+    """Over 450 A2C updates, three of them terminal, with each row clipped
+    in some updates and not in others, the net's buffer and both rows of
+    moments match the list form byte for byte after every update."""
+    cfg = ScenarioConfig().replace(slots_per_episode=150, grad_clip=3.0)
+    agent = A2CAgent(cfg, np.random.default_rng(31))
+    oracle = _oracle_net(agent.net)
+    opts = _RowAdam(oracle.flat), _RowAdam(oracle.flat)
+    learn = agent._learn
+    clipped, terminals = [], 0
+
+    def checked_learn(next_obs):
+        nonlocal terminals
+        obs, actions, _ = agent._pending
+        rows = _list_a2c_grads(oracle, agent.n_kh, obs, actions,
+                               agent._reward(), next_obs, cfg.gamma,
+                               cfg.entropy_coef)
+        was_clipped = []
+        for opt, grads, lr in zip(opts, rows, (cfg.lr_actor, cfg.lr_critic)):
+            grads, hit = _list_clip(grads, cfg.grad_clip)
+            opt.step(grads, lr)
+            was_clipped.append(hit)
+        clipped.append(was_clipped)
+        terminals += next_obs is None
+        learn(next_obs)
+        assert agent.net.flat.tobytes() == oracle.flat.tobytes()
+        assert agent.opt.t == opts[0].t
+        for r, opt in enumerate(opts):
+            assert agent.opt.m[r].tobytes() == opt.m.tobytes()
+            assert agent.opt.v[r].tobytes() == opt.v.tobytes()
+
+    agent._learn = checked_learn
+    _run(cfg, agent, 3)
+    assert len(clipped) == 450 and terminals == 3
+    for row in zip(*clipped):            # the actor's, then the critic's
+        assert set(row) == {True, False}
+
+
+def test_dqn_learner_bit_exact_against_list_oracle():
+    """Over 435 DQN updates, some of whose batches hold terminal
+    transitions, clipped in some updates and not in others, the net's buffer
+    and its moments match the list form byte for byte after every update."""
+    cfg = ScenarioConfig().replace(slots_per_episode=150, grad_clip=25.0,
+                                   dqn_batch_size=16)
+    agent = DqnAgent(cfg, np.random.default_rng(32))
+    oracle = _oracle_net(agent.net)
+    opt = _RowAdam(oracle.flat)
+    update = agent._update
+    clipped, terminal_batches = [], 0
+
+    def checked_update():
+        nonlocal terminal_batches
+        batch, cap = cfg.dqn_batch_size, len(agent.replay_act)
+        stored = min(agent.count, cap)
+        # the batch the update is about to draw, from a copy of its stream
+        idx = copy.deepcopy(agent.rng).choice(stored, size=batch, replace=False)
+        rows = (agent.count - stored + idx) % cap
+        acts = agent.replay_act[rows]
+        q, trace = oracle.forward(agent.replay_obs[rows])
+        q_next, _ = agent.target.forward(agent.replay_next[rows])
+        done = agent.replay_done[rows]
+        targets = agent.replay_rew[rows] + cfg.gamma * (1.0 - done) * q_next.max(axis=1)
+        err = q[np.arange(batch), acts] - targets
+        dout = np.zeros_like(q)
+        dout[np.arange(batch), acts] = 2.0 * err / batch
+        grads, hit = _list_clip(_list_backward(oracle, trace, dout),
+                                cfg.grad_clip)
+        opt.step(grads, cfg.lr_critic)
+        clipped.append(hit)
+        terminal_batches += bool(done.any())
+        update()
+        assert agent.net.flat.tobytes() == oracle.flat.tobytes()
+        assert agent.opt.t == opt.t
+        assert agent.opt.m[0].tobytes() == opt.m.tobytes()
+        assert agent.opt.v[0].tobytes() == opt.v.tobytes()
+
+    agent._update = checked_update
+    _run(cfg, agent, 3)
+    assert len(clipped) == 435 and set(clipped) == {True, False}
+    assert terminal_batches > 0

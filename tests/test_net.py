@@ -11,6 +11,13 @@ def _flat(arrays):
     return np.concatenate([a.ravel() for a in arrays])
 
 
+def _backward(net, trace, dout):
+    """``net.backward`` into a fresh NaN-filled gradient row, returned."""
+    row = np.full(net.flat.size, np.nan)
+    net.backward(trace, dout, net.views(row))
+    return row
+
+
 def _numeric_grad(net, x, loss_of_output, step=1e-5):
     """Central finite differences of loss(net(x)) over every parameter."""
     grads = []
@@ -60,8 +67,7 @@ def test_set_params_shape_check():
 def test_backward_zero_output_gradient():
     net = Mlp([3, 4, 2], np.random.default_rng(0))
     out, trace = net.forward(np.ones(3))
-    grads = net.backward(trace, np.zeros_like(out))
-    assert all(np.all(g == 0) for g in grads)
+    assert np.all(_backward(net, trace, np.zeros_like(out)) == 0)  # all written
 
 
 def test_backward_single_linear_neuron():
@@ -69,7 +75,7 @@ def test_backward_single_linear_neuron():
     net.set_params([np.array([[2.0], [3.0], [4.0]]), np.zeros(1)])
     x = np.array([0.5, -1.0, 2.0])
     _, trace = net.forward(x)
-    grads = net.backward(trace, np.array([[1.0]]))
+    grads = net.views(_backward(net, trace, np.array([[1.0]])))
     assert np.allclose(grads[0].ravel(), x)      # dy/dw = x
     assert np.allclose(grads[1], [1.0])          # dy/db = 1
 
@@ -90,7 +96,7 @@ def test_gradients_match_finite_differences():
 
         out, trace = net.forward(x)
         dout = (1.0 - np.tanh(out) ** 2) * w
-        analytic = _flat(net.backward(trace, dout))
+        analytic = _backward(net, trace, dout)
         numeric = _flat(_numeric_grad(net, x, loss_of_output))
         denom = np.maximum(np.abs(numeric), 1e-6)
         worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))
@@ -158,7 +164,7 @@ def test_mlp_bit_exact_against_dispatch_oracle(hidden, batch):
         assert len(trace) == len(sizes) and trace[-1] is out
         assert [a.tobytes() for a in trace] == \
             [a.tobytes() for a in (x_2d, *post)]
-        got = net.backward(trace, dout)
+        got = net.views(_backward(net, trace, dout))
         expected = _dispatch_backward(net, activations, want_trace, dout)
         assert len(got) == len(expected)
         for g, e in zip(got, expected):
@@ -184,7 +190,7 @@ def test_categorical_sampling_frequencies():
     counts = np.zeros(3)
     n = 100_000
     for _ in range(n):
-        counts[softmax_categorical(logits, rng)] += 1
+        counts[softmax_categorical(logits, rng)[0]] += 1
     assert np.all(np.abs(counts / n - expected) < 0.01)
 
 
@@ -193,21 +199,84 @@ def test_categorical_rejects_nonfinite():
         softmax_categorical(np.array([np.inf, 0.0]), np.random.default_rng(0))
 
 
+class _Uniform:
+    """A generator stand-in whose ``random()`` returns one given value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_sampler_matches_cumsum_searchsorted():
+    """The Python inverse CDF picks the index that ``np.cumsum`` and
+    ``np.searchsorted(side="right")`` pick, uniforms on a CDF entry
+    included, and draws one uniform per call."""
+    rng = np.random.default_rng(23)
+    mine, theirs = np.random.default_rng(24), np.random.default_rng(24)
+    on_entry = 0
+    for i in range(10_000):
+        n = (3, 19)[i % 2]
+        logits = rng.normal(scale=(0.1, 3.0, 40.0)[i % 3], size=n)
+        probs = softmax(logits)
+        cdf = np.cumsum(probs)
+        cdf[-1] = 1.0
+        if i % 4 < 2:                # a uniform that is a CDF entry
+            u = float(cdf[rng.integers(n - 1)])
+            got, got_probs = softmax_categorical(logits, _Uniform(u))
+            on_entry += 1
+        else:
+            got, got_probs = softmax_categorical(logits, mine)
+            u = theirs.random()
+        assert got == int(np.searchsorted(cdf, u, side="right"))
+        assert got_probs.tobytes() == probs.tobytes()
+    assert on_entry == 5_000
+    assert mine.bit_generator.state == theirs.bit_generator.state
+
+
+def _clip_oracle(grads, max_norm):
+    """``clip_grads`` on one gradient list, before the gradients moved into
+    a buffer of rows."""
+    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    if total <= max_norm:
+        return grads
+    scale = max_norm / total
+    return [g * scale for g in grads]
+
+
 def test_clip_grads():
-    grads = [np.array([3.0]), np.array([4.0])]      # global norm 5
-    same = clip_grads(grads, 10.0)
-    assert same is grads                         # unclipped: the input itself
-    assert same[0][0] == 3.0
-    clipped = clip_grads(grads, 1.0)
+    splits = [0, 1, 2]
+    grads = np.array([[3.0, 4.0], [0.3, 0.4]])      # row norms 5 and 0.5
+    assert clip_grads(grads, 10.0, splits) is grads  # unclipped: the input
+    clipped = clip_grads(grads, 1.0, splits)
     assert clipped is not grads
-    norm = np.sqrt(sum(float(np.sum(g * g)) for g in clipped))
-    assert norm == pytest.approx(1.0)
+    assert np.array_equal(grads, [[3.0, 4.0], [0.3, 0.4]])
+    assert np.linalg.norm(clipped[0]) == pytest.approx(1.0)
+    assert clipped[1].tobytes() == grads[1].tobytes()   # within the bound
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_clip_grads_bit_exact_against_per_array_oracle(rows):
+    """Each row is clipped as the per-array clip clips its gradient list,
+    byte for byte: arrays of up to 841 floats, where NumPy's pairwise sums
+    differ from running sums, and bounds on both sides of the norms."""
+    rng = np.random.default_rng(30 + rows)
+    for _ in range(200):
+        net = Mlp([int(rng.integers(1, 30)) for _ in range(3)], rng)
+        grads = rng.normal(scale=10.0 ** rng.integers(-3, 3),
+                           size=(rows, net.flat.size))
+        max_norm = float(np.linalg.norm(grads[0])) * rng.uniform(0.5, 1.5)
+        got = clip_grads(grads, max_norm, net.splits)
+        for row, got_row in zip(grads, got):
+            want = _flat(_clip_oracle(net.views(row), max_norm))
+            assert got_row.tobytes() == want.tobytes()
 
 
 def test_adam_zero_gradient_is_noop():
     flat = np.array([1.0, 2.0])
-    opt = Adam(flat)
-    opt.step([np.zeros(2)], lr=0.1)
+    opt = Adam(flat, (0.1,))
+    opt.step(np.zeros((1, 2)))
     assert opt.flat is flat                      # stepped in place
     assert np.array_equal(flat, [1.0, 2.0])
 
@@ -215,24 +284,40 @@ def test_adam_zero_gradient_is_noop():
 def test_adam_first_step_magnitude():
     # With bias correction the very first step has magnitude ~ lr.
     flat = np.zeros(1)
-    Adam(flat).step([np.array([3.7])], lr=0.01)
+    Adam(flat, (0.01,)).step(np.array([[3.7]]))
     assert abs(flat[0]) == pytest.approx(0.01, rel=1e-6)
 
 
 def test_adam_rejects_nonfinite_gradient():
     flat = np.zeros(2)
     with pytest.raises(FloatingPointError):
-        Adam(flat).step([np.array([0.0, np.nan])], lr=0.1)
+        Adam(flat, (0.1,)).step(np.array([[0.0, np.nan]]))
     assert np.array_equal(flat, [0.0, 0.0])
+
+
+def test_adam_nonfinite_critic_row_rejects_the_whole_step():
+    """A NaN in the second row leaves the buffer, both rows of moments and
+    the step count as they were: the first row is not applied either."""
+    rng = np.random.default_rng(8)
+    flat = rng.normal(size=6)
+    opt = Adam(flat, (0.1, 0.2))
+    opt.step(rng.normal(size=(2, 6)))
+    before = [a.tobytes() for a in (flat, opt.m, opt.v)]
+    grads = rng.normal(size=(2, 6))
+    grads[1, 4] = np.nan
+    with pytest.raises(FloatingPointError):
+        opt.step(grads)
+    assert [a.tobytes() for a in (flat, opt.m, opt.v)] == before
+    assert opt.t == 1
 
 
 def test_adam_deterministic():
     def run():
         rng = np.random.default_rng(3)
         flat = rng.normal(size=4)
-        opt = Adam(flat)
+        opt = Adam(flat, (1e-3,))
         for _ in range(50):
-            opt.step([rng.normal(size=(2, 2))], lr=1e-3)
+            opt.step(rng.normal(size=(1, 4)))
         return flat
     assert np.array_equal(run(), run())
 
@@ -264,21 +349,31 @@ class _AllocatingAdam:
 
 
 def test_adam_bit_exact_against_allocating_oracle():
-    """50 steps of a net's flat buffer from gradients in ``params`` order
-    match the allocating optimizer, stepped array by array, bit for bit."""
+    """400 steps of two rows of moments, each with its own learning rate,
+    match two allocating optimizers that step the net one after the other,
+    array by array, bit for bit: the parameters and both rows of moments.
+    The steps pass t = 356, from which 1 - 0.9**t is 1.0."""
     rng = np.random.default_rng(5)
     net = Mlp([4, 6, 5, 3], rng)
     expected = [p.copy() for p in net.params]
-    oracle, opt = _AllocatingAdam(), Adam(net.flat)
-    for t in range(50):
-        grads = [rng.normal(scale=10.0 ** rng.integers(-3, 3), size=p.shape)
-                 for p in expected]
-        if t % 7 == 0:
-            grads[1][:] = 0.0
-        expected = oracle.step(expected, grads, lr=1e-3)
-        opt.step(grads, lr=1e-3)
+    lrs = (1e-3, 3e-4)
+    oracles, opt = (_AllocatingAdam(), _AllocatingAdam()), Adam(net.flat, lrs)
+    for t in range(400):
+        rows = []
+        for oracle, lr in zip(oracles, lrs):
+            grads = [rng.normal(scale=10.0 ** rng.integers(-3, 3), size=p.shape)
+                     for p in expected]
+            if t % 7 == 0:
+                grads[1][:] = 0.0
+            expected = oracle.step(expected, grads, lr=lr)
+            rows.append(_flat(grads))
+        opt.step(np.array(rows))
+        assert opt.t == t + 1
         for got, want in zip(net.params, expected):
             assert got.tobytes() == want.tobytes()
+        for r, oracle in enumerate(oracles):
+            assert opt.m[r].tobytes() == _flat(oracle.m).tobytes()
+            assert opt.v[r].tobytes() == _flat(oracle.v).tobytes()
 
 
 def test_mlp_params_are_views_of_flat_buffer():
@@ -289,6 +384,11 @@ def test_mlp_params_are_views_of_flat_buffer():
     net.set_params([np.full(p.shape, float(i)) for i, p in enumerate(net.params)])
     assert np.all(net.biases[0] == 1.0) and np.all(net.weights[1] == 2.0)
     assert np.shares_memory(net.weights[1], net.flat)
+    # a gradient row is laid out the same way
+    assert net.splits == [0, 12, 16, 24, 26]
+    row = np.arange(float(net.flat.size))
+    assert [v.shape for v in net.views(row)] == [p.shape for p in net.params]
+    assert np.array_equal(_flat(net.views(row)), row)
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -148,10 +148,10 @@ def test_proportional_fair_matches_oracle(case):
 
 
 def test_intra_slice_divide_largest_remainder():
-    assert intra_slice_divide(3, np.array([10.0, 0.0])).tolist() == [2, 1]
-    assert intra_slice_divide(6, np.ones(3)).tolist() == [2, 2, 2]
+    assert intra_slice_divide(3, np.array([10.0, 0.0])) == [2, 1]
+    assert intra_slice_divide(6, [1.0, 1.0, 1.0]) == [2, 2, 2]
     # all-zero weights: uniform with the remainder at the lowest indices
-    assert intra_slice_divide(8, np.zeros(3)).tolist() == [3, 3, 2]
+    assert intra_slice_divide(8, np.zeros(3)) == [3, 3, 2]
 
 
 def test_intra_slice_divide_errors():
@@ -202,7 +202,7 @@ def test_intra_slice_divide_matches_numpy_oracle(kind):
             weights = rng.exponential(1.0, (users, prbs)).mean(axis=1)
         got = intra_slice_divide(prbs, weights)
         want = _divide_oracle(prbs, weights)
-        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert all(type(c) is int for c in got) and got == want.tolist()
 
 
 def test_intra_slice_divide_conserves_total():
@@ -211,7 +211,7 @@ def test_intra_slice_divide_conserves_total():
         users = int(rng.integers(1, 6))
         prbs = users + int(rng.integers(0, 10))
         counts = intra_slice_divide(prbs, rng.uniform(0, 5, users))
-        assert counts.sum() == prbs and np.all(counts >= 1)
+        assert sum(counts) == prbs and min(counts) >= 1
 
 
 def test_materialize_single_user():
