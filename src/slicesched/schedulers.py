@@ -120,13 +120,14 @@ def proportional_fair(ctx: SchedulerContext, ewma: np.ndarray) -> Allocation:
     return Allocation(assignment)
 
 
-def intra_slice_divide(slice_prbs: int, weights) -> list[int]:
+def intra_slice_divide(slice_prbs: int, weights: list[float] | np.ndarray
+                       ) -> list[int]:
     """One PRB each, then largest-remainder apportionment of the rest by
     weight; returns the slice's per-user PRB counts.
 
-    ``weights`` (an array or a list) holds one finite entry >= 0 per user of
-    the slice.  All-zero weights degrade to a uniform split with remainders
-    going to the lowest indices.
+    ``weights`` holds one finite entry >= 0 per user of the slice.  All-zero
+    weights degrade to a uniform split with remainders going to the lowest
+    indices.
     """
     weights = np.asarray(weights, dtype=float)
     w = weights.tolist()
@@ -149,8 +150,9 @@ def intra_slice_divide(slice_prbs: int, weights) -> list[int]:
     return counts
 
 
-def materialize_assignment(counts, gain_sq: np.ndarray) -> np.ndarray:
-    """Turn per-user counts (an array or a list) into a PRB -> user map.
+def materialize_assignment(counts: list[int] | np.ndarray,
+                           gain_sq: np.ndarray) -> np.ndarray:
+    """Turn per-user counts into a PRB -> user map.
 
     Users draft PRBs one at a time in rounds.  Every round, each user with
     PRBs still to take drafts one, in descending remaining-count order (ties:

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from slicesched import agents
-from slicesched.agents import (EPS_COST, L_REF, OBS_CLIP, R_REF_BPS, TEMPLATES,
-                               Y_CLIP, A2CAgent, DqnAgent, a2c_grads,
-                               a2c_heads, a2c_net, decode_action,
+from slicesched.agents import (EPS_COST, L_REF, OBS_CLIP, Q_REF, R_REF_BPS,
+                               TEMPLATES, Y_CLIP, A2CAgent, DqnAgent,
+                               a2c_grads, a2c_heads, a2c_net, decode_action,
                                encode_observation, obs_length, reward,
                                step_cost)
 from slicesched.config import ScenarioConfig
@@ -81,6 +81,37 @@ def test_encode_clips_extremes():
     ctx.work = np.array([10**9, 0, 0, 0, 0, 0, 0])
     obs = encode_observation(ctx, slot_row(cfg, drift_hrllc=-1e12), cfg)
     assert obs.max() <= OBS_CLIP and obs.min() >= -OBS_CLIP
+
+
+def _encode_oracle(ctx, prev, cfg):
+    """``encode_observation`` as one NumPy concatenate and clip."""
+    n_e = cfg.num_embb
+    queue = ctx.work / Q_REF
+    mean_gain = ctx.gain_sq.mean(axis=1)
+    rates = prev["rates"] / R_REF_BPS
+    feats = np.concatenate([
+        queue[:n_e], mean_gain[:n_e], rates[:n_e], [prev["drift_embb"] / L_REF],
+        queue[n_e:], mean_gain[n_e:], rates[n_e:], [prev["drift_hrllc"] / L_REF],
+        [np.clip(prev["y_mean"], -1.0, Y_CLIP)], ctx.dxi])
+    return np.clip(feats, -OBS_CLIP, OBS_CLIP)
+
+
+def test_encode_observation_matches_numpy_oracle():
+    """Byte for byte, clipped features, signed zeros and a NaN included."""
+    cfg = ScenarioConfig()
+    rng = np.random.default_rng(24)
+    for i in range(2000):
+        ctx = make_context(rng)
+        ctx.work = ctx.work * int(rng.choice([0, 1, 100]))
+        ctx.gain_sq = ctx.gain_sq * rng.choice([0.0, 1.0, 1e4])
+        prev = slot_row(cfg, rates=rng.exponential(1e7, cfg.num_users)
+                        * rng.choice([0.0, 1.0, 100.0]))
+        for name in ("drift_embb", "drift_hrllc", "y_mean"):
+            prev[name] = rng.choice([0.0, -0.0, np.nan, rng.normal(scale=5e3),
+                                     rng.normal(scale=2.0)])
+        want = _encode_oracle(ctx, prev, cfg)
+        got = encode_observation(ctx, prev, cfg)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), i
 
 
 def test_learner_encodes_the_previous_row(monkeypatch):
