@@ -24,8 +24,13 @@ def draw_channel(cfg: ScenarioConfig, rng: np.random.Generator, slots: int) -> n
 
 
 def rate_matrix(cfg: ScenarioConfig, gain_sq: np.ndarray) -> np.ndarray:
-    """Per-PRB achievable rates in bits/s, elementwise on the squared gains."""
-    return derive_prb_bandwidth(cfg) * np.log2(1.0 + cfg.mean_snr_linear * gain_sq)
+    """Per-PRB achievable rates in bits/s, elementwise on the squared gains:
+    bandwidth * log2(1 + snr * |h|^2), built in one buffer."""
+    rates = np.multiply(gain_sq, cfg.mean_snr_linear)
+    rates += 1.0
+    np.log2(rates, out=rates)
+    rates *= derive_prb_bandwidth(cfg)
+    return rates
 
 
 def all_user_rates(rates: np.ndarray, assignment: np.ndarray) -> np.ndarray:

@@ -16,13 +16,15 @@ from pathlib import Path
 from . import __version__
 from .config import (ConfigError, ScenarioConfig, ValidationError,
                      config_to_text, load_config_values, parse_overrides)
-from .engine import (AGENT_NAMES, POLICY_NAMES, EpisodeRecord, build_policy,
-                     concat_slots, export_diagnostics_csv, export_trace_csv,
-                     run_evaluation, run_training, step_response_summary,
-                     write_csv)
-from .metrics import compare_policies, dexterity_sensitivity, episode_series
+import numpy as np
+
+from .engine import (AGENT_NAMES, POLICY_NAMES, build_policy,
+                     export_diagnostics_csv, export_trace_csv, run_evaluation,
+                     run_training, step_response_summary, stepped_user_columns,
+                     trace_csv, training_row, write_csv)
+from .metrics import (DexteritySensitivity, EpisodeSeries, Summarizer,
+                      compare_policies)
 from .svgplot import ChartSpec, Series, render_svg
-from .traffic import DexterityProfile
 
 
 class UsageError(Exception):
@@ -85,9 +87,7 @@ def _series(ys, label: str) -> Series:
                                             for i, y in enumerate(ys)))
 
 
-def _write_training_figures(run: RunDir, records: list[EpisodeRecord],
-                            cfg: ScenarioConfig) -> None:
-    curves = episode_series(records, cfg)
+def _write_training_figures(run: RunDir, curves: dict) -> None:
     run.write_text("return_curve.svg", render_svg(ChartSpec(
         kind="line", title="Episodic return",
         series=(_series(curves["returns"], "raw"),
@@ -108,11 +108,16 @@ def _write_training_figures(run: RunDir, records: list[EpisodeRecord],
 def cmd_train(args: argparse.Namespace, argv: list[str]) -> int:
     cfg = _load_cfg(args, {})
     run = RunDir(args.out, f"train-{args.agent}-{cfg.master_seed}", cfg, argv)
-    records, policy = run_training(cfg, args.agent)
+    series, rows = EpisodeSeries(cfg), []
+    with trace_csv(run.file("trace.csv"), cfg) as trace:
+        def on_episode(record):
+            export_trace_csv(record, cfg, trace)
+            rows.append(training_row(record))
+            series.add(record)
+        policy = run_training(cfg, args.agent, on_episode)
     policy.save(run.file("checkpoint.bin"))
-    export_diagnostics_csv(records, run.file("training.csv"))
-    export_trace_csv(records, cfg, run.file("trace.csv"))
-    _write_training_figures(run, records, cfg)
+    export_diagnostics_csv(rows, run.file("training.csv"))
+    _write_training_figures(run, series.curves())
     run.finalize()
     return 0
 
@@ -145,9 +150,12 @@ def cmd_compare(args: argparse.Namespace, argv: list[str]) -> int:
     for name in learned:
         built[name].load(args.checkpoint)
     run = RunDir(args.out, f"compare-{cfg.master_seed}", cfg, argv)
-    records_by_policy = {name: run_evaluation(cfg, policy, eval_seed)
-                         for name, policy in built.items()}
-    table = compare_policies(records_by_policy, cfg)
+    summaries = {}
+    for name, policy in built.items():
+        summarizer = Summarizer(cfg)
+        run_evaluation(cfg, policy, eval_seed, summarizer.add)
+        summaries[name] = summarizer.summary()
+    table = compare_policies(summaries)
     write_csv(run.file("reliability.csv"), ["policy", "reliability_at_dmax"],
               [policies, [table["reliability"][p] for p in policies]])
     write_csv(run.file("returns.csv"), ["episode", *policies],
@@ -172,19 +180,23 @@ def _experiment_two_step(args, argv, cfg: ScenarioConfig) -> int:
             "two-step-dex needs episodes * slots_per_episode >= 3, so that "
             "a window precedes the first change point")
     run = RunDir(args.out, f"two-step-dex-{cfg.master_seed}", cfg, argv)
-    records, policy = run_training(cfg, "a2c")
-    summary = step_response_summary(records, cfg)
+    series, parts = EpisodeSeries(cfg), []
+    with trace_csv(run.file("trace.csv"), cfg) as trace:
+        def on_episode(record):
+            export_trace_csv(record, cfg, trace)
+            series.add(record)
+            parts.append(stepped_user_columns(record, cfg))
+        run_training(cfg, "a2c", on_episode)
+    stepped = np.concatenate(parts)
+    summary = step_response_summary(stepped, cfg)
     run.write_text("step_response.json", json.dumps(summary, indent=2,
                                                     sort_keys=True) + "\n")
-    export_trace_csv(records, cfg, run.file("trace.csv"))
-    _write_training_figures(run, records, cfg)
-    slots = concat_slots(records)
-    stepped = DexterityProfile(cfg, len(slots)).stepped_user
-    step = max(len(slots) // 2000, 1)          # decimate for plotting
-    times = [float(t) for t in range(0, len(slots), step)]  # from slot 0
-    slots = slots[::step]
-    mbps = (slots.rates[:, cfg.num_embb + stepped] / 1e6).tolist()
-    dxi = slots.dxi[:, stepped].tolist()
+    _write_training_figures(run, series.curves())
+    step = max(len(stepped) // 2000, 1)        # decimate for plotting
+    times = [float(t) for t in range(0, len(stepped), step)]  # from slot 0
+    stepped = stepped[::step]
+    mbps = (stepped["rates"] / 1e6).tolist()
+    dxi = stepped["dxi"].tolist()
     run.write_text("step_rate.svg", render_svg(ChartSpec(
         kind="line", title="Stepped user: achieved rate and DXI",
         series=(Series("rate (Mbit/s)", tuple(zip(times, mbps))),
@@ -196,9 +208,9 @@ def _experiment_two_step(args, argv, cfg: ScenarioConfig) -> int:
 
 def _experiment_dex_sensitivity(args, argv, cfg: ScenarioConfig) -> int:
     run = RunDir(args.out, f"dex-sensitivity-{cfg.master_seed}", cfg, argv)
-    records, _ = run_training(cfg, "a2c")
-    final = records[len(records) // 2:]  # steady-state half
-    table = dexterity_sensitivity(final, cfg)
+    steady = DexteritySensitivity(cfg, cfg.episodes // 2)  # the final half
+    run_training(cfg, "a2c", steady.add)
+    table = steady.table()
     keys = ["user", "dxi", "mean_arrivals", "mean_departures", "mean_prbs"]
     write_csv(run.file("sensitivity.csv"), keys,
               [[row[k] for row in table["rows"]] for k in keys],
@@ -221,9 +233,13 @@ def _experiment_drl_compare(args, argv, cfg: ScenarioConfig) -> int:
     run = RunDir(args.out, f"drl-compare-{cfg.master_seed}", cfg, argv)
     curves = {}
     for kind in AGENT_NAMES:
-        records, _ = run_training(cfg, kind)
-        curves[kind] = episode_series(records, cfg)["returns_smoothed"]
-        export_diagnostics_csv(records, run.file(f"{kind}_training.csv"))
+        series, rows = EpisodeSeries(cfg), []
+        def on_episode(record):
+            rows.append(training_row(record))
+            series.add(record)
+        run_training(cfg, kind, on_episode)
+        curves[kind] = series.curves()["returns_smoothed"]
+        export_diagnostics_csv(rows, run.file(f"{kind}_training.csv"))
     run.write_text("drl_returns.svg", render_svg(ChartSpec(
         kind="line", title="Smoothed episodic return",
         series=tuple(_series(curves[k], k.upper()) for k in AGENT_NAMES),

@@ -1,5 +1,6 @@
 """Delay-reliability machinery: the exponential violation surrogate, the
-non-negative dual multiplier, and empirical reliability statistics.
+non-negative dual multiplier, and empirical reliability statistics over a
+delay histogram: distinct delays and the number of packets at each.
 
 The surrogate maps per-slot arrival/service imbalance to a differentiable
 violation signal.  At perfect balance it equals the reliability target
@@ -61,20 +62,23 @@ class EmptySampleError(ValueError):
 _ON_TIME_RTOL = 1e-9
 
 
-def reliability(delays_s: np.ndarray | list[float], d_max_s: float) -> float:
-    """Fraction of delays within the deadline, up to float rounding."""
-    delays = np.asarray(delays_s, dtype=float)
-    if delays.size == 0:
+def reliability(delays_s, counts, d_max_s: float) -> float:
+    """Fraction of packets within the deadline, up to float rounding, from
+    distinct delays ``delays_s`` and the number of packets at each."""
+    counts = np.asarray(counts)
+    total = counts.sum()
+    if total == 0:
         raise EmptySampleError("no delay samples")
-    return float(np.mean(delays <= d_max_s * (1.0 + _ON_TIME_RTOL)))
+    on_time = np.asarray(delays_s, dtype=float) <= d_max_s * (1.0 + _ON_TIME_RTOL)
+    return float(counts[on_time].sum() / total)
 
 
-def delay_cdf(delays_s: np.ndarray | list[float]) -> list[tuple[float, float]]:
-    """Empirical CDF as (delay, cumulative fraction) pairs at distinct delays."""
-    delays = np.asarray(delays_s, dtype=float)
-    if delays.size == 0:
+def delay_cdf(delays_s, counts) -> list[tuple[float, float]]:
+    """Empirical CDF as (delay, cumulative fraction) pairs at the distinct
+    delays ``delays_s``, ascending, with ``counts`` packets at each."""
+    counts = np.asarray(counts)
+    total = counts.sum()
+    if total == 0:
         raise EmptySampleError("no delay samples")
-    values, counts = np.unique(delays, return_counts=True)
-    cum = np.cumsum(counts) / delays.size
-    return list(zip(values.tolist(), cum.tolist()))
-
+    cum = np.cumsum(counts) / total
+    return list(zip(np.asarray(delays_s, dtype=float).tolist(), cum.tolist()))

@@ -21,10 +21,15 @@ Episodes reset queues and build fresh chains in stationary states; learned
 parameters, the dual and any baseline scheduler state persist.  Queues are
 one backlog vector on the user axis; a row's global slot index and the
 HRLLC packet delays are derived from the episode's slot table.
+
+A run hands each finished episode's record to a callback and keeps none:
+the callback folds it into whatever outputs it feeds (a trace writer, a
+reducer of ``metrics``), so memory does not grow with the episode count.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,11 +80,6 @@ class EpisodeRecord:
     def episodic_return(self) -> float:
         """The slot rewards summed left to right."""
         return sum(self.slots.reward.tolist())
-
-
-def concat_slots(records: list[EpisodeRecord]) -> np.recarray:
-    """The slot tables of consecutive records as one table, in slot order."""
-    return np.concatenate([r.slots for r in records]).view(np.recarray)
 
 
 def build_policy(name: str, cfg: ScenarioConfig, master_seed: int) -> Policy:
@@ -189,19 +189,22 @@ class Simulation:
         return record
 
 
-def run_training(cfg: ScenarioConfig, agent_kind: str
-                 ) -> tuple[list[EpisodeRecord], Policy]:
-    """Train (or just run, for rr/pf) a policy for cfg.episodes episodes."""
+def run_training(cfg: ScenarioConfig, agent_kind: str,
+                 on_episode: Callable[[EpisodeRecord], None]) -> Policy:
+    """Train (or just run, for rr/pf) a policy for cfg.episodes episodes,
+    handing each finished episode's record to ``on_episode``."""
     policy = build_policy(agent_kind, cfg, cfg.master_seed)
     sim = Simulation(cfg, policy, cfg.master_seed, cfg.episodes)
-    records = [sim.run_episode() for _ in range(cfg.episodes)]
-    return records, policy
+    for _ in range(cfg.episodes):
+        on_episode(sim.run_episode())
+    return policy
 
 
-def run_evaluation(cfg: ScenarioConfig, policy: Policy, eval_seed: int
-                   ) -> list[EpisodeRecord]:
+def run_evaluation(cfg: ScenarioConfig, policy: Policy, eval_seed: int,
+                   on_episode: Callable[[EpisodeRecord], None]) -> None:
     """Frozen-policy rollout of cfg.eval_episodes episodes on a fresh world
-    seeded by eval_seed.
+    seeded by eval_seed, handing each finished episode's record to
+    ``on_episode``.
 
     Traffic and channel streams depend only on (eval_seed, user), so
     different policies evaluated with the same eval_seed face identical
@@ -209,28 +212,38 @@ def run_evaluation(cfg: ScenarioConfig, policy: Policy, eval_seed: int
     """
     policy.set_training(False)
     sim = Simulation(cfg, policy, eval_seed, cfg.eval_episodes)
-    return [sim.run_episode() for _ in range(cfg.eval_episodes)]
+    for _ in range(cfg.eval_episodes):
+        on_episode(sim.run_episode())
 
 
-def step_response_summary(records: list[EpisodeRecord], cfg: ScenarioConfig
-                          ) -> dict:
+def stepped_user_columns(record: EpisodeRecord, cfg: ScenarioConfig
+                         ) -> np.ndarray:
+    """What ``step_response_summary`` reads of an episode, a copy that
+    outlives its slot table: per slot, the dexterity profile's stepped
+    user's arrivals, PRB count, achieved rate and DXI."""
+    user = DexterityProfile(cfg, len(record.slots)).stepped_user
+    col, s = cfg.num_embb + user, record.slots
+    return np.rec.fromarrays(
+        [s.arrivals[:, col], s.counts[:, col], s.rates[:, col], s.dxi[:, user]],
+        names=["arrivals", "counts", "rates", "dxi"])
+
+
+def step_response_summary(columns: np.ndarray, cfg: ScenarioConfig) -> dict:
     """Pre/post statistics around the two dexterity change points for the
     profile's ``stepped_user``: mean arrivals, PRBs and achieved rate per
-    window.  The profile spans the records' own slots."""
-    slots = concat_slots(records)
-    total = len(slots)
+    window.  ``columns`` are consecutive episodes' ``stepped_user_columns``
+    in slot order, and the profile spans them."""
+    total = len(columns)
     profile = DexterityProfile(cfg, total)
-    user = profile.stepped_user
-    col = cfg.num_embb + user
     w = max(total // 10, 1)
 
     def window_stats(lo: int, hi: int) -> dict:
-        part = slots[max(lo, 0):min(hi, total)]
+        part = columns[max(lo, 0):min(hi, total)]
         return {
-            "mean_arrivals": float(np.mean(part.arrivals[:, col])),
-            "mean_prbs": float(np.mean(part.counts[:, col])),
-            "mean_rate_bps": float(np.mean(part.rates[:, col])),
-            "mean_dxi": float(np.mean(part.dxi[:, user])),
+            "mean_arrivals": float(np.mean(part["arrivals"])),
+            "mean_prbs": float(np.mean(part["counts"])),
+            "mean_rate_bps": float(np.mean(part["rates"])),
+            "mean_dxi": float(np.mean(part["dxi"])),
         }
 
     return {
@@ -246,47 +259,74 @@ def step_response_summary(records: list[EpisodeRecord], cfg: ScenarioConfig
 
 # --- CSV export -------------------------------------------------------------
 
+class CsvWriter:
+    """A CSV file written a chunk at a time: the ``header`` line, then each
+    chunk's rows.  A chunk is a sequence of equal-length columns, each
+    converted as one NumPy array; a value is written as ``str`` of its
+    Python form (``tolist``), so a float is its shortest round-trip repr.
+    Each chunk becomes text only when it is written, so a run's trace is
+    never held as text all at once."""
+
+    def __init__(self, path: str | Path, header: list[str]):
+        self._file = open(path, "w")
+        self._file.write(",".join(header) + "\n")
+
+    def write(self, columns) -> None:
+        text = [map(str, np.asarray(c).tolist()) for c in columns]
+        self._file.writelines(",".join(row) + "\n"
+                              for row in zip(*text, strict=True))
+
+    def __enter__(self) -> "CsvWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._file.close()
+
+
 def write_csv(path: str | Path, header: list[str], *chunks) -> None:
-    """Write the ``header`` line, then each chunk's rows.  A chunk is a
-    sequence of equal-length columns, each converted as one NumPy array; a
-    value is written as ``str`` of its Python form (``tolist``), so a float
-    is its shortest round-trip repr.  Each chunk becomes text only when its
-    turn comes, so a run's trace is never held as text all at once."""
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
+    """Write the ``header`` line, then each chunk's rows (``CsvWriter``)."""
+    with CsvWriter(path, header) as out:
         for columns in chunks:
-            text = [map(str, np.asarray(c).tolist()) for c in columns]
-            f.writelines(",".join(row) + "\n" for row in zip(*text, strict=True))
+            out.write(columns)
 
 
-def export_trace_csv(records: list[EpisodeRecord], cfg: ScenarioConfig,
-                     path: str | Path) -> None:
-    """One CSV per run with a stable column order for downstream plotting,
-    written one episode at a time."""
+def trace_columns(episode: int, slots: np.ndarray, cfg: ScenarioConfig
+                  ) -> dict[str, np.ndarray]:
+    """An episode's rows of a run's trace, by column, in the stable column
+    order that downstream plotting reads."""
     def named(prefix: str, block: np.ndarray) -> dict:
         return {f"{prefix}_{i}": c for i, c in enumerate(block.T)}
 
-    def columns(rec: EpisodeRecord) -> dict[str, np.ndarray]:
-        s, n, n_e = rec.slots, len(rec.slots), cfg.num_embb
-        return {"episode": np.full(n, rec.episode),
-                "slot": rec.episode * n + np.arange(n),
-                **named("G", s.backlogs[:, :n_e]),
-                **named("F", s.backlogs[:, n_e:]), **named("a", s.counts),
-                **named("r", s.rates), "drift_embb": s.drift_embb,
-                "drift_hrllc": s.drift_hrllc, "cost": s.cost, "y": s.y_mean,
-                "dual": s.dual, "reward": s.reward, **named("dxi", s.dxi),
-                **named("mmpp", s.mmpp_states)}
-
-    tables = [columns(rec) for rec in records]
-    write_csv(path, list(tables[0]), *(t.values() for t in tables))
+    s, n, n_e = slots, len(slots), cfg.num_embb
+    return {"episode": np.full(n, episode), "slot": episode * n + np.arange(n),
+            **named("G", s.backlogs[:, :n_e]), **named("F", s.backlogs[:, n_e:]),
+            **named("a", s.counts), **named("r", s.rates),
+            "drift_embb": s.drift_embb, "drift_hrllc": s.drift_hrllc,
+            "cost": s.cost, "y": s.y_mean, "dual": s.dual, "reward": s.reward,
+            **named("dxi", s.dxi), **named("mmpp", s.mmpp_states)}
 
 
-def export_diagnostics_csv(records: list[EpisodeRecord],
-                           path: str | Path) -> None:
-    """One row per episode: ``episode,return``, then the record's
-    diagnostics in their order, then the dual at the episode's end."""
-    names = list(records[0].diagnostics) if records else []
-    write_csv(path, ["episode", "return", *names, "dual"],
-              [[r.episode for r in records], [r.episodic_return for r in records],
-               *([r.diagnostics[n] for r in records] for n in names),
-               [r.slots.dual[-1] for r in records]])
+def trace_csv(path: str | Path, cfg: ScenarioConfig) -> CsvWriter:
+    """A run's trace CSV, open with its header, for ``export_trace_csv``."""
+    empty = np.recarray(0, dtype=slot_dtype(cfg))
+    return CsvWriter(path, list(trace_columns(0, empty, cfg)))
+
+
+def export_trace_csv(record: EpisodeRecord, cfg: ScenarioConfig,
+                     out: CsvWriter) -> None:
+    """Append one episode's rows to a run's trace (``trace_csv``)."""
+    out.write(trace_columns(record.episode, record.slots, cfg).values())
+
+
+def training_row(record: EpisodeRecord) -> dict:
+    """An episode's row of a run's training table: ``episode,return``, then
+    the record's diagnostics in their order, then the dual at the episode's
+    end."""
+    return {"episode": record.episode, "return": record.episodic_return,
+            **record.diagnostics, "dual": record.slots.dual[-1]}
+
+
+def export_diagnostics_csv(rows: list[dict], path: str | Path) -> None:
+    """One row per episode, each a ``training_row``."""
+    names = list(rows[0])
+    write_csv(path, names, [[row[n] for row in rows] for n in names])

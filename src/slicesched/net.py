@@ -190,8 +190,11 @@ class Adam:
         np.multiply(g, 1.0 - BETA2, out=s)
         s *= g
         v += s
-        np.divide(v, bc2, out=s)
-        np.sqrt(s, out=s)
+        if bc2 == 1.0:                   # from t = 37 412 on; v / 1.0 == v
+            np.sqrt(v, out=s)
+        else:
+            np.divide(v, bc2, out=s)
+            np.sqrt(s, out=s)
         s += EPS
         if bc1 == 1.0:                   # from t = 356 on; m / 1.0 == m
             np.multiply(m, self.lrs, out=g)

@@ -1,5 +1,6 @@
-"""Whole-packet service, the episode conservation audit, HRLLC packet delays
-from the slot table, and the quadratic Lyapunov energy of the backlogs.
+"""Whole-packet service, the episode conservation audit, HRLLC packet ages
+and delays from the slot table, and the quadratic Lyapunov energy of the
+backlogs.
 
 Arrivals of slot t are eligible for service in slot t (arrival and service
 terms share the slot index in the queue recursion).  Queues are FIFO, so a
@@ -32,7 +33,7 @@ def service_capacity(rates_bits_per_s, slot_s: float, packet_bits: int) -> np.nd
 
 @dataclass
 class UserQueue:
-    """One user's packets, oldest first: the FIFO hrllc_delays must match."""
+    """One user's packets, oldest first: the FIFO hrllc_age_counts must match."""
 
     fifo: deque = field(default_factory=deque)   # enqueue slot index per packet
 
@@ -57,27 +58,28 @@ def audit_conservation(slots: np.recarray) -> None:
                              f"backlogs {slots.backlogs[bad[0]].tolist()}")
 
 
-def packet_delays(stamps, slot, slot_s: float, d_proc_s: float) -> np.ndarray:
-    """Queueing plus processing delay per departed packet, elementwise."""
-    return (np.asarray(slot) - np.asarray(stamps)) * slot_s + d_proc_s
+def packet_delays(ages, slot_s: float, d_proc_s: float) -> np.ndarray:
+    """Queueing plus processing delay of packets that left ``ages`` slots
+    after the slot they arrived in, elementwise."""
+    return np.asarray(ages) * slot_s + d_proc_s
 
 
-def hrllc_delays(slots: np.recarray, num_embb: int, slot_s: float,
-                 d_proc_s: float) -> np.ndarray:
-    """One episode's HRLLC packet delays (users after the eMBB ones) in
-    departure order: by slot, then user, then FIFO position.  Packet j of a
-    user arrives in the first row whose cumulative arrivals exceed j and
-    leaves in the first whose cumulative departures exceed j."""
+def hrllc_age_counts(slots: np.recarray, num_embb: int) -> np.ndarray:
+    """One episode's HRLLC packets (users after the eMBB ones) counted by
+    age, departure row minus arrival row: entry a counts the packets that
+    left a slots after they arrived.  Packet j of a user arrives in the first
+    row whose cumulative arrivals exceed j and leaves in the first whose
+    cumulative departures exceed j; a packet still queued at the end has no
+    age."""
     arrived = np.cumsum(slots.arrivals[:, num_embb:], axis=0)
     departed = np.cumsum(slots.departures[:, num_embb:], axis=0)
-    came, left = [], []
+    counts = np.zeros(len(slots), dtype=np.int64)
     for a, d in zip(arrived.T, departed.T):
         j = np.arange(d[-1])
-        came.append(np.searchsorted(a, j, side="right"))
-        left.append(np.searchsorted(d, j, side="right"))
-    came, left = np.concatenate(came), np.concatenate(left)
-    order = np.argsort(left, kind="stable")
-    return packet_delays(came[order], left[order], slot_s, d_proc_s)
+        counts += np.bincount(np.searchsorted(d, j, side="right")
+                              - np.searchsorted(a, j, side="right"),
+                              minlength=len(slots))
+    return counts
 
 
 @dataclass

@@ -70,6 +70,39 @@ def make_context(rng: np.random.Generator, num_embb: int = 4,
     )
 
 
+def pooled_hrllc_delays(records, cfg: ScenarioConfig) -> np.ndarray:
+    """Reference for the delay histogram: every HRLLC packet delay of the
+    records as one float array, each episode's in departure order (by slot,
+    then user, then FIFO position), the episodes concatenated."""
+    delays = []
+    for record in records:
+        arrived = np.cumsum(record.slots.arrivals[:, cfg.num_embb:], axis=0)
+        departed = np.cumsum(record.slots.departures[:, cfg.num_embb:], axis=0)
+        came, left = [], []
+        for a, d in zip(arrived.T, departed.T):
+            j = np.arange(d[-1])
+            came.append(np.searchsorted(a, j, side="right"))
+            left.append(np.searchsorted(d, j, side="right"))
+        came, left = np.concatenate(came), np.concatenate(left)
+        order = np.argsort(left, kind="stable")
+        delays.append((left[order] - came[order]) * cfg.slot_duration_s
+                      + cfg.d_proc_s)
+    return np.concatenate(delays)
+
+
+def pooled_reliability(delays: np.ndarray, d_max_s: float) -> float:
+    """Reference: the share of pooled delays within the deadline (with the
+    relative tolerance ``constraint.reliability`` applies)."""
+    return float(np.mean(delays <= d_max_s * (1.0 + 1e-9)))
+
+
+def pooled_delay_cdf(delays: np.ndarray) -> list[tuple[float, float]]:
+    """Reference: the empirical CDF of pooled delays at their distinct
+    values."""
+    values, counts = np.unique(delays, return_counts=True)
+    return list(zip(values.tolist(), (np.cumsum(counts) / delays.size).tolist()))
+
+
 def slot_row(cfg: ScenarioConfig, **fields) -> np.void:
     """A row of ``cfg``'s slot table: zero but for ``fields``."""
     row = np.zeros((), slot_dtype(cfg))[()]

@@ -16,10 +16,10 @@ from slicesched.cli import main as cli_main
 from slicesched.config import ScenarioConfig
 from slicesched.constraint import DualVariable, surrogate_y
 from slicesched.engine import (build_policy, run_evaluation, run_training,
-                               step_response_summary)
-from slicesched.metrics import (SMOOTH_WINDOW, dexterity_sensitivity,
-                                moving_average, spearman_rank_correlation,
-                                summarize)
+                               step_response_summary, stepped_user_columns)
+from slicesched.metrics import (SMOOTH_WINDOW, DexteritySensitivity,
+                                Summarizer, moving_average,
+                                spearman_rank_correlation, summarize)
 from slicesched.net import Mlp, softmax
 from slicesched.traffic import MmppChain, sample_hrllc_arrivals
 from conftest import a2c_grad_rows, mean_rate, windowed_slope
@@ -36,14 +36,16 @@ def _report(num: int, name: str, ok: bool, detail: str) -> bool:
 def default_a2c():
     cfg = ScenarioConfig()
     t0 = time.time()
-    records, policy = run_training(cfg, "a2c")
+    records = []
+    policy = run_training(cfg, "a2c", records.append)
     return cfg, records, policy, time.time() - t0
 
 
 @pytest.fixture(scope="session")
 def default_dqn():
     cfg = ScenarioConfig()
-    records, policy = run_training(cfg, "dqn")
+    records = []
+    policy = run_training(cfg, "dqn", records.append)
     return cfg, records, policy
 
 
@@ -188,7 +190,8 @@ def test_criterion_3_feasibility(default_a2c, default_dqn):
     cfg, records, policy, _ = default_a2c
     _check_feasibility(records, cfg)
     _check_feasibility(default_dqn[1], cfg)
-    ev = run_evaluation(cfg, build_policy("rr", cfg, cfg.master_seed), 7)
+    ev = []
+    run_evaluation(cfg, build_policy("rr", cfg, cfg.master_seed), 7, ev.append)
     _check_feasibility(ev, cfg)
     n_slots = sum(len(r.slots) for r in records) \
         + sum(len(r.slots) for r in default_dqn[1]) \
@@ -245,8 +248,9 @@ def test_criterion_6_reliability(default_a2c):
         for name in ("a2c", "rr", "pf"):
             pol = policy if name == "a2c" else \
                 build_policy(name, cfg, cfg.master_seed)
-            ev = run_evaluation(cfg, pol, seed)
-            rels[name] = summarize(ev, cfg).reliability_at_dmax
+            summarizer = Summarizer(cfg)
+            run_evaluation(cfg, pol, seed, summarizer.add)
+            rels[name] = summarizer.summary().reliability_at_dmax
         good = (rels["a2c"] >= rels["rr"] and rels["a2c"] >= rels["pf"]
                 and rels["a2c"] >= 0.95)
         wins += good
@@ -265,8 +269,10 @@ def test_criterion_7_step_response():
                                    dxi_middle=(5.0, 2.5, 2.5),
                                    mmpp_alpha=200.0, mmpp_beta=200.0,
                                    beta_dex=0.4, episodes=150)
-    records, _ = run_training(cfg, "a2c")
-    s = step_response_summary(records, cfg)
+    parts = []
+    run_training(cfg, "a2c",
+                 lambda record: parts.append(stepped_user_columns(record, cfg)))
+    s = step_response_summary(np.concatenate(parts), cfg)
     expected = cfg.beta_dex * (cfg.dxi_middle[0] - cfg.dxi_levels[0])
     da = (s["after_step_a"]["mean_arrivals"]
           - s["before_step_a"]["mean_arrivals"])
@@ -289,8 +295,9 @@ def test_criterion_8_dexterity_sensitivity():
     cfg = ScenarioConfig().replace(num_hrllc=5,
                                    dxi_levels=(0.0, 2.5, 5.0, 7.5, 10.0),
                                    lambda_embb=1.0, episodes=240)
-    records, _ = run_training(cfg, "a2c")
-    table = dexterity_sensitivity(records[len(records) // 2:], cfg)
+    steady = DexteritySensitivity(cfg, cfg.episodes // 2)  # the final half
+    run_training(cfg, "a2c", steady.add)
+    table = steady.table()
     corr = table["rank_correlation_dxi_prbs"]
     ratios = [row["mean_departures"] / max(row["mean_arrivals"], 1e-9)
               for row in table["rows"]]

@@ -8,7 +8,8 @@ only positional arguments that the wrapped functions have, since a counter
 that reads a missing argument fails only in a traced run.  Last, it runs
 the worker itself on tiny commands, since its output checks read results
 of the library (the run's config and dual, the episode records, the
-summary) that no name lookup covers, and reads one of its work counters.
+summary) that no name lookup covers, and reads one of its work counters and
+the HRLLC delay statistics it reports.
 """
 
 import ast
@@ -25,6 +26,9 @@ import pytest
 
 from slicesched.agents import a2c_net, obs_length
 from slicesched.config import ScenarioConfig
+from slicesched.engine import build_policy, run_evaluation
+
+from conftest import pooled_hrllc_delays, pooled_reliability
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKER = ROOT / "perfbench" / "worker.py"
@@ -117,6 +121,22 @@ def test_benchmark_worker_runs_clean(tmp_path, command, episodes_key):
         assert result["errors"] == []
         results[mode] = result
     assert results["plain"]["digests"] == results["trace"]["digests"]
+    if command[0] == "compare":
+        # the delay statistics the benchmark reads, against the pooled
+        # reference on the same world (compare's eval seed is master_seed + 1)
+        cfg = ScenarioConfig().replace(master_seed=5, eval_episodes=2,
+                                       slots_per_episode=20)
+        records = []
+        run_evaluation(cfg, build_policy("pf", cfg, 6), 6, records.append)
+        pooled = pooled_hrllc_delays(records, cfg)
+        values, counts = np.unique(pooled, return_counts=True)
+        for result in results.values():
+            simulated = result["simulated"]
+            assert simulated["hrllc_delay_hist_s"] == [values.tolist(),
+                                                       counts.tolist()]
+            assert simulated["hrllc_reliability"] == pooled_reliability(
+                pooled, cfg.d_max_s)
+            assert simulated["hrllc_packets"] == pooled.size > 0
     # the engine computes each slot's achieved rates once, for every policy
     layers = results["trace"]["layers"]
     assert layers["channel.all_user_rates.calls_per_slot"] == 1.0

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,10 @@ from slicesched.config import ScenarioConfig, ValidationError
 from slicesched.constraint import surrogate_y
 from slicesched.engine import (CHAIN_INIT, CHANNEL, TRAFFIC_EMBB,
                                TRAFFIC_HRLLC, Simulation, build_policy,
-                               concat_slots, export_diagnostics_csv,
-                               export_trace_csv, run_evaluation, run_training,
-                               step_response_summary, stream, write_csv,
+                               export_diagnostics_csv, export_trace_csv,
+                               run_evaluation, run_training,
+                               step_response_summary, stepped_user_columns,
+                               stream, trace_csv, training_row, write_csv,
                                POLICY_NAMES)
 from slicesched.metrics import summarize
 from slicesched.queueing import service_capacity
@@ -21,6 +25,34 @@ from slicesched.traffic import (DexterityProfile, MmppChain,
 def _sim(cfg, policy_name="rr"):
     policy = build_policy(policy_name, cfg, cfg.master_seed)
     return Simulation(cfg, policy, cfg.master_seed, cfg.episodes)
+
+
+def _train(cfg, policy_name):
+    """The records of a training run, collected from its callback."""
+    records = []
+    run_training(cfg, policy_name, records.append)
+    return records
+
+
+def _evaluate(cfg, policy, eval_seed):
+    records = []
+    run_evaluation(cfg, policy, eval_seed, records.append)
+    return records
+
+
+def _concat(records):
+    """The slot tables of consecutive records as one table, in slot order."""
+    return np.concatenate([r.slots for r in records]).view(np.recarray)
+
+
+def _export(records, cfg, trace_path, training_path=None):
+    """A run's trace.csv, and its training.csv when a path is given."""
+    with trace_csv(trace_path, cfg) as trace:
+        for record in records:
+            export_trace_csv(record, cfg, trace)
+    if training_path is not None:
+        export_diagnostics_csv([training_row(r) for r in records],
+                               training_path)
 
 
 def test_build_policy_names():
@@ -74,7 +106,7 @@ def test_episode_reset_clears_queues(tiny_cfg):
 
 
 def test_queue_conservation_over_run(tiny_cfg):
-    records, _ = run_training(tiny_cfg, "rr")
+    records = _train(tiny_cfg, "rr")
     arrivals = sum(s.arrivals.sum() for r in records for s in r.slots)
     departures = sum(s.departures.sum() for r in records for s in r.slots)
     final = records[-1].slots[-1]
@@ -87,7 +119,7 @@ def test_queue_conservation_over_run(tiny_cfg):
 
 def test_allocation_feasibility_every_slot(tiny_cfg):
     for name in POLICY_NAMES:
-        records, _ = run_training(tiny_cfg, name)
+        records = _train(tiny_cfg, name)
         for r in records:
             for s in r.slots:
                 assert s.counts.sum() == tiny_cfg.num_prbs
@@ -95,8 +127,8 @@ def test_allocation_feasibility_every_slot(tiny_cfg):
 
 
 def test_training_replay_is_deterministic(tiny_cfg):
-    a, _ = run_training(tiny_cfg, "a2c")
-    b, _ = run_training(tiny_cfg, "a2c")
+    a = _train(tiny_cfg, "a2c")
+    b = _train(tiny_cfg, "a2c")
     assert [r.episodic_return for r in a] == [r.episodic_return for r in b]
     for ra, rb in zip(a, b):
         for sa, sb in zip(ra.slots, rb.slots):
@@ -106,9 +138,32 @@ def test_training_replay_is_deterministic(tiny_cfg):
 
 def test_single_episode_run():
     cfg = ScenarioConfig().replace(episodes=1, slots_per_episode=10)
-    records, _ = run_training(cfg, "rr")
+    records = _train(cfg, "rr")
     assert len(records) == 1
     assert len(records[0].slots) == 10
+
+
+def test_run_memory_does_not_grow_with_episodes():
+    """A run whose callback drops each record still holds, once it returns,
+    no more traced bytes after 200 episodes than after 20: nothing of a
+    finished episode outlives its callback."""
+    cfg = ScenarioConfig().replace(slots_per_episode=10)
+    # a first run allocates what the process keeps after any run
+    run_training(cfg.replace(episodes=1), "rr", lambda record: None)
+    held = {}
+    for episodes in (20, 200):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            policy = run_training(cfg.replace(episodes=episodes), "rr",
+                                  lambda record: None)
+            gc.collect()
+            held[episodes] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(policy, RoundRobinPolicy)
+    # a tenth of what the 180 more slot tables would hold if kept
+    assert held[200] - held[20] < 18 * 10 * slot_dtype(cfg).itemsize, held
 
 
 def test_world_randomness_identical_across_policies(tiny_cfg):
@@ -117,8 +172,8 @@ def test_world_randomness_identical_across_policies(tiny_cfg):
     recs = {}
     for name in ("rr", "pf"):
         policy = build_policy(name, tiny_cfg, 999)
-        recs[name] = run_evaluation(tiny_cfg.replace(eval_episodes=2),
-                                    policy, eval_seed=999)
+        recs[name] = _evaluate(tiny_cfg.replace(eval_episodes=2), policy,
+                               eval_seed=999)
     for ra, rb in zip(recs["rr"], recs["pf"]):
         for sa, sb in zip(ra.slots, rb.slots):
             assert np.array_equal(sa.arrivals, sb.arrivals)
@@ -127,8 +182,7 @@ def test_world_randomness_identical_across_policies(tiny_cfg):
 
 def test_evaluation_freezes_dual(tiny_cfg):
     policy = build_policy("rr", tiny_cfg, 5)
-    recs = run_evaluation(tiny_cfg.replace(eval_episodes=2), policy,
-                          eval_seed=5)
+    recs = _evaluate(tiny_cfg.replace(eval_episodes=2), policy, eval_seed=5)
     assert all(s.dual == 0.0 for r in recs for s in r.slots)
 
 
@@ -139,7 +193,7 @@ def test_dual_steps_only_while_the_policy_trains(tiny_cfg):
         policy.set_training(training)
         sim = Simulation(tiny_cfg, policy, tiny_cfg.master_seed,
                          tiny_cfg.episodes)
-        duals[training] = concat_slots(
+        duals[training] = _concat(
             [sim.run_episode() for _ in range(tiny_cfg.episodes)]).dual
     assert np.any(duals[True] > 0.0)
     assert np.all(duals[False] == 0.0)
@@ -147,8 +201,7 @@ def test_dual_steps_only_while_the_policy_trains(tiny_cfg):
 
 def test_dual_never_negative_and_updates_on_cadence(tiny_cfg):
     # the dual takes one projected ascent step on each slot's violation
-    records, _ = run_training(tiny_cfg, "rr")
-    slots = concat_slots(records)
+    slots = _concat(_train(tiny_cfg, "rr"))
     expected, dual = [], 0.0
     for y in slots.y_mean:
         dual += tiny_cfg.dual_step * max(y - tiny_cfg.chi_h, 0.0)
@@ -158,9 +211,9 @@ def test_dual_never_negative_and_updates_on_cadence(tiny_cfg):
 
 
 def test_trace_csv_round(tmp_path, tiny_cfg):
-    records, _ = run_training(tiny_cfg, "rr")
+    records = _train(tiny_cfg, "rr")
     path = tmp_path / "trace.csv"
-    export_trace_csv(records, tiny_cfg, path)
+    _export(records, tiny_cfg, path)
     lines = path.read_text().splitlines()
     n_e, n_h, n_u = tiny_cfg.num_embb, tiny_cfg.num_hrllc, tiny_cfg.num_users
     assert lines[0].split(",") == [
@@ -171,7 +224,7 @@ def test_trace_csv_round(tmp_path, tiny_cfg):
         *(f"mmpp_{i}" for i in range(n_h))]
     expected_rows = sum(len(r.slots) for r in records)
     assert len(lines) == 1 + expected_rows
-    export_trace_csv(records, tiny_cfg, tmp_path / "again.csv")
+    _export(records, tiny_cfg, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
@@ -202,7 +255,7 @@ def test_write_csv_rejects_unequal_columns(tmp_path):
 
 
 def test_episode_slot_table(tiny_cfg):
-    records, _ = run_training(tiny_cfg, "pf")
+    records = _train(tiny_cfg, "pf")
     for r in records:
         assert r.slots.dtype == slot_dtype(tiny_cfg)
         assert len(r.slots) == tiny_cfg.slots_per_episode
@@ -244,8 +297,8 @@ def test_slot_violation_signal_is_numpy_mean(policy_name, overrides):
 
 def test_slot_rows_match_trace_csv_rates(tmp_path, tiny_cfg):
     # rows are read one by one, as the benchmark's simulated outcomes read them
-    records, _ = run_training(tiny_cfg, "pf")
-    export_trace_csv(records, tiny_cfg, tmp_path / "trace.csv")
+    records = _train(tiny_cfg, "pf")
+    _export(records, tiny_cfg, tmp_path / "trace.csv")
     lines = (tmp_path / "trace.csv").read_text().splitlines()
     head = lines[0].split(",")
     cols = [head.index(f"r_{u}") for u in range(tiny_cfg.num_users)]
@@ -263,9 +316,9 @@ def test_diagnostics_csv_schemas(tmp_path, tiny_cfg):
                "dqn": "episode,return,td_loss,dual",
                "rr": "episode,return,dual"}
     for name, header in headers.items():
-        records, _ = run_training(tiny_cfg, name)
         path = tmp_path / f"{name}.csv"
-        export_diagnostics_csv(records, path)
+        export_diagnostics_csv([training_row(r) for r in _train(tiny_cfg, name)],
+                               path)
         lines = path.read_text().splitlines()
         assert lines[0] == header
         assert len(lines) == 1 + tiny_cfg.episodes
@@ -278,9 +331,8 @@ def test_training_csv_derives_from_trace_csv(tmp_path, tiny_cfg, policy_name):
     """Each training.csv row's return is the in-order sum of its episode's
     trace rewards and its dual the episode's last trace dual, both exactly
     as written."""
-    records, _ = run_training(tiny_cfg, policy_name)
-    export_trace_csv(records, tiny_cfg, tmp_path / "trace.csv")
-    export_diagnostics_csv(records, tmp_path / "training.csv")
+    _export(_train(tiny_cfg, policy_name), tiny_cfg, tmp_path / "trace.csv",
+            tmp_path / "training.csv")
     head, *trace = [line.split(",") for line in
                     (tmp_path / "trace.csv").read_text().splitlines()]
     names, *rows = [line.split(",") for line in
@@ -293,13 +345,16 @@ def test_training_csv_derives_from_trace_csv(tmp_path, tiny_cfg, policy_name):
         assert row[names.index("dual")] == episode[-1][head.index("dual")]
 
 
+def _stepped(records, cfg):
+    return np.concatenate([stepped_user_columns(r, cfg) for r in records])
+
+
 def test_step_response_null_experiment():
     # Constant dexterity: the windows around the change points must agree to
     # within traffic noise.
     cfg = ScenarioConfig().replace(episodes=20, slots_per_episode=50,
                                    mmpp_alpha=50.0, mmpp_beta=50.0)
-    records, _ = run_training(cfg, "rr")
-    summary = step_response_summary(records, cfg)
+    summary = step_response_summary(_stepped(_train(cfg, "rr"), cfg), cfg)
     da = (summary["after_step_a"]["mean_arrivals"]
           - summary["before_step_a"]["mean_arrivals"])
     assert abs(da) < 1.5
@@ -313,8 +368,8 @@ def test_step_response_on_evaluation_records():
     cfg = ScenarioConfig().replace(dxi_levels=(0.0, 2.5, 2.5),
                                    dxi_middle=(5.0, 2.5, 2.5), episodes=30,
                                    slots_per_episode=50, eval_episodes=3)
-    records = run_evaluation(cfg, build_policy("rr", cfg, 1), eval_seed=7)
-    summary = step_response_summary(records, cfg)
+    records = _evaluate(cfg, build_policy("rr", cfg, 1), eval_seed=7)
+    summary = step_response_summary(_stepped(records, cfg), cfg)
     assert (summary["step_a_slot"], summary["step_b_slot"]) == (50, 100)
     assert summary["window_slots"] == 15
     for name, dxi in (("before_step_a", cfg.dxi_levels[0]),
@@ -411,7 +466,7 @@ def test_episode_world_matches_per_slot_draws(case):
     expected = per_slot_world(cfg, seed, cfg.episodes)
     policy = SeeingPolicy()
     sim = Simulation(cfg, policy, seed, cfg.episodes)
-    slots = concat_slots([sim.run_episode() for _ in range(cfg.episodes)])
+    slots = _concat([sim.run_episode() for _ in range(cfg.episodes)])
     seen = {k: np.array(v) for k, v in policy.seen.items()}
     got = {"states": slots.mmpp_states, "dxi": slots.dxi,
            "arrivals": slots.arrivals, "gain_sq": seen["gain_sq"],

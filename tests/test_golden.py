@@ -8,7 +8,8 @@ that alters behaviour on purpose re-pins the digests and says why.
 The digests are of float64 results formatted with ``repr``, and of the raw
 bytes of the pooled HRLLC delays, which ``delay_cdf.svg`` shows only to six
 significant digits; they were recorded with Python 3.11 and NumPy 2.4 on
-x86-64.
+x86-64.  The pooled delays come from the reference in ``conftest``, which
+``tests/test_metrics.py`` checks the program's delay histogram against.
 """
 
 import hashlib
@@ -18,8 +19,9 @@ import pytest
 from slicesched.cli import main
 from slicesched.config import ScenarioConfig
 from slicesched.engine import (export_diagnostics_csv, export_trace_csv,
-                               run_training)
-from slicesched.metrics import summarize
+                               run_training, trace_csv, training_row)
+
+from conftest import pooled_hrllc_delays
 
 # dqn: a small batch, target sync and replay capacity so that updates,
 # target syncs and replay wrap-around all happen within 75 slots, and a
@@ -60,19 +62,23 @@ GOLDEN = {
 
 
 def _digests(cfg, agent, out_dir) -> dict:
-    records, policy = run_training(cfg, agent)
+    records = []
+    policy = run_training(cfg, agent, records.append)
     # the delay pin must also cover packets still queued when an episode ends
     assert any(r.slots.backlogs[-1, cfg.num_embb:].any() for r in records)
     files = {"trace.csv": out_dir / "trace.csv",
              "training.csv": out_dir / "training.csv"}
-    export_trace_csv(records, cfg, files["trace.csv"])
-    export_diagnostics_csv(records, files["training.csv"])
+    with trace_csv(files["trace.csv"], cfg) as trace:
+        for record in records:
+            export_trace_csv(record, cfg, trace)
+    export_diagnostics_csv([training_row(r) for r in records],
+                           files["training.csv"])
     if hasattr(policy, "save"):
         files["checkpoint.bin"] = out_dir / "checkpoint.bin"
         policy.save(files["checkpoint.bin"])
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
                for name, path in files.items()}
-    delays = summarize(records, cfg).delays_s
+    delays = pooled_hrllc_delays(records, cfg)
     digests["delays_s"] = hashlib.sha256(delays.tobytes()).hexdigest()
     return digests
 
@@ -118,7 +124,9 @@ EPISODE_GOLDEN = {
 def test_golden_episode(case):
     agent, overrides = EPISODE_CASES[case]
     cfg = ScenarioConfig().replace(episodes=1, **overrides)
-    (record,), policy = run_training(cfg, agent)
+    records = []
+    policy = run_training(cfg, agent, records.append)
+    (record,) = records
     assert policy.training and len(record.slots) == 200
     got = (hashlib.sha256(record.slots.tobytes()).hexdigest(),
            repr(record.episodic_return))
@@ -139,7 +147,9 @@ LEARNER_GOLDEN = {
 
 @pytest.mark.parametrize("agent", sorted(LEARNER_GOLDEN))
 def test_golden_default_learner(agent, tmp_path):
-    records, policy = run_training(ScenarioConfig().replace(episodes=2), agent)
+    records = []
+    policy = run_training(ScenarioConfig().replace(episodes=2), agent,
+                          records.append)
     assert [len(r.slots) for r in records] == [200, 200]
     slots = hashlib.sha256()
     for record in records:
@@ -151,8 +161,8 @@ def test_golden_default_learner(agent, tmp_path):
 
 
 # The CLI's summary-derived outputs: figures and tables computed from the
-# episode records by metrics.summarize, compare_policies,
-# dexterity_sensitivity, step_response_summary and moving_average.  Forty slots per episode
+# episode records by the reducers of metrics, compare_policies,
+# step_response_summary and moving_average.  Forty slots per episode
 # make every per-episode and per-window mean long enough (>= 8 terms) for
 # NumPy's unrolled pairwise summation to differ from a plain running sum.
 CLI_TINY = ["--set", "episodes=4", "--set", "slots_per_episode=40",

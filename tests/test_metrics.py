@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from slicesched.config import ScenarioConfig
-from slicesched.constraint import reliability
-from slicesched.engine import concat_slots, run_training
-from slicesched.metrics import (compare_policies, dexterity_sensitivity,
+from slicesched.constraint import delay_cdf, reliability
+from slicesched.engine import build_policy, run_evaluation, run_training
+from slicesched.metrics import (DexteritySensitivity, compare_policies,
                                 moving_average, spearman_rank_correlation,
                                 summarize)
-from conftest import windowed_slope
+from conftest import (pooled_delay_cdf, pooled_hrllc_delays,
+                      pooled_reliability, windowed_slope)
+from test_golden import CASES as GOLDEN_CASES
 
 
 def test_moving_average_reference_points():
@@ -67,7 +69,8 @@ def test_windowed_slope():
 
 def _tiny_records(name="rr", seed=None):
     cfg = ScenarioConfig().replace(episodes=3, slots_per_episode=25)
-    records, _ = run_training(cfg, name)
+    records = []
+    run_training(cfg, name, records.append)
     return records, cfg
 
 
@@ -83,7 +86,8 @@ def test_summarize_shapes():
 
 def test_compare_policies_self_comparison():
     records, cfg = _tiny_records()
-    table = compare_policies({"a": records, "b": records}, cfg)
+    summ = summarize(records, cfg)
+    table = compare_policies({"a": summ, "b": summ})
     assert np.array_equal(table["returns"]["a"], table["returns"]["b"])
     assert table["reliability"]["a"] == table["reliability"]["b"]
     assert table["cdf"]["a"] == table["cdf"]["b"]
@@ -92,17 +96,19 @@ def test_compare_policies_self_comparison():
 def test_compare_policies_mismatched_lengths():
     records, cfg = _tiny_records()
     with pytest.raises(ValueError, match="mismatched"):
-        compare_policies({"a": records, "b": records[:-1]}, cfg)
+        compare_policies({"a": summarize(records, cfg),
+                          "b": summarize(records[:-1], cfg)})
 
 
 def test_compare_policies_cdf_consistent_with_reliability():
     records, cfg = _tiny_records()
-    table = compare_policies({"rr": records}, cfg)
-    delays = summarize(records, cfg).delays_s
-    if delays.size:
+    summ = summarize(records, cfg)
+    table = compare_policies({"rr": summ})
+    if summ.delay_counts.size:
         at = max((f for d, f in table["cdf"]["rr"] if d <= cfg.d_max_s),
                  default=0.0)
-        assert at == pytest.approx(reliability(delays, cfg.d_max_s))
+        assert at == pytest.approx(reliability(
+            summ.delay_values, summ.delay_counts, cfg.d_max_s))
 
 
 def test_spearman_reference_values():
@@ -157,8 +163,9 @@ def test_spearman_matches_tie_loop_oracle():
 def test_dexterity_sensitivity_table():
     cfg = ScenarioConfig().replace(episodes=2, slots_per_episode=30,
                                    dxi_levels=(9.0, 0.0, 4.0))
-    records, _ = run_training(cfg, "rr")
-    table = dexterity_sensitivity(records, cfg)
+    records, steady = [], DexteritySensitivity(cfg, 0)
+    run_training(cfg, "rr", lambda r: (records.append(r), steady.add(r)))
+    table = steady.table()
     dxis = [row["dxi"] for row in table["rows"]]
     assert dxis == sorted(dxis)
     assert dxis == [0.0, 4.0, 9.0]
@@ -167,7 +174,7 @@ def test_dexterity_sensitivity_table():
         assert row["mean_prbs"] >= 1.0
         assert row["mean_arrivals"] >= 0.0
     # the HRLLC users' mean PRBs plus the eMBB users' fill the grid
-    slots = concat_slots(records)
+    slots = np.concatenate([r.slots for r in records]).view(np.recarray)
     embb = slots.counts[:, :cfg.num_embb].mean(axis=0).sum()
     assert embb + sum(r["mean_prbs"] for r in table["rows"]) == pytest.approx(
         cfg.num_prbs)
@@ -176,3 +183,56 @@ def test_dexterity_sensitivity_table():
         assert row["mean_arrivals"] == slots.arrivals[:, col].mean()
         assert row["mean_departures"] == slots.departures[:, col].mean()
         assert row["mean_prbs"] == slots.counts[:, col].mean()
+
+
+def _assert_summary_matches_pooled(records, cfg):
+    """The delay histogram against the pooled reference, byte for byte: the
+    reliability, the CDF pairs (also through ``compare_policies``) and the
+    sorted expansion."""
+    pooled = pooled_hrllc_delays(records, cfg)
+    summ = summarize(records, cfg)
+    assert summ.delays_s.dtype == pooled.dtype
+    assert summ.delays_s.tobytes() == np.sort(pooled).tobytes()
+    cdf = compare_policies({"p": summ})["cdf"]["p"]
+    if pooled.size:
+        want = pooled_reliability(pooled, cfg.d_max_s)
+        assert summ.reliability_at_dmax == want
+        assert reliability(summ.delay_values, summ.delay_counts,
+                           cfg.d_max_s) == want
+        assert cdf == pooled_delay_cdf(pooled)
+        assert delay_cdf(summ.delay_values, summ.delay_counts) == cdf
+    else:
+        assert np.isnan(summ.reliability_at_dmax) and cdf == []
+    return pooled.size
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_delay_histogram_matches_pooled_reference(case, tiny_cfg):
+    """On the golden configs, and with an episode inserted that has no HRLLC
+    departure while its packets stay queued (zero service)."""
+    agent, overrides = GOLDEN_CASES[case]
+    cfg = tiny_cfg.replace(**overrides)
+    records = []
+    run_training(cfg, agent, records.append)
+    assert any(r.slots.backlogs[-1, cfg.num_embb:].any() for r in records)
+    assert _assert_summary_matches_pooled(records, cfg) > 0
+    starved = []
+    run_training(cfg.replace(episodes=1, mean_snr_linear=1e-15), agent,
+                 starved.append)
+    (idle,) = starved
+    assert idle.slots.departures[:, cfg.num_embb:].sum() == 0
+    assert idle.slots.backlogs[-1, cfg.num_embb:].any()
+    assert _assert_summary_matches_pooled(records[:1] + starved + records[1:],
+                                          cfg) > 0
+    assert _assert_summary_matches_pooled(starved, cfg) == 0
+
+
+def test_delay_histogram_matches_pooled_reference_at_full_size():
+    """Full-size rr and pf evaluation episodes, whose overloaded HRLLC
+    queues give delays up to the episode length."""
+    cfg = ScenarioConfig().replace(eval_episodes=3, mmpp_alpha=20.0,
+                                   mmpp_beta=20.0)
+    for name in ("rr", "pf"):
+        records = []
+        run_evaluation(cfg, build_policy(name, cfg, 3), 3, records.append)
+        assert _assert_summary_matches_pooled(records, cfg) > 1000

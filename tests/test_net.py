@@ -376,6 +376,27 @@ def test_adam_bit_exact_against_allocating_oracle():
             assert opt.v[r].tobytes() == _flat(oracle.v).tobytes()
 
 
+def test_adam_bit_exact_against_allocating_oracle_past_bc2_rounding():
+    """A small buffer stepped 37 450 times matches the allocating optimizer
+    bit for bit, so the steps from t = 37 412 on, where 1 - 0.999**t is
+    1.0 and the division by it is skipped, are compared too."""
+    assert 1.0 - 0.999 ** 37_411 < 1.0 == 1.0 - 0.999 ** 37_412
+    rng = np.random.default_rng(6)
+    grads = rng.normal(size=(37_450, 1, 3)) * 10.0 ** rng.integers(-3, 3, (37_450, 1, 1))
+    grads[::7, :, 1] = 0.0
+    flat = rng.normal(size=3)
+    expected = [flat.copy()]
+    oracle, opt = _AllocatingAdam(), Adam(flat, (1e-3,))
+    for t, g in enumerate(grads, start=1):
+        expected = oracle.step(expected, [g[0]], lr=1e-3)
+        opt.step(g.copy())
+        if t >= 37_400 or t % 1000 == 0:
+            assert flat.tobytes() == expected[0].tobytes(), t
+            assert opt.m.tobytes() == oracle.m[0].tobytes(), t
+            assert opt.v.tobytes() == oracle.v[0].tobytes(), t
+    assert opt.t == 37_450
+
+
 def test_mlp_params_are_views_of_flat_buffer():
     net = Mlp([3, 4, 2], np.random.default_rng(0))
     assert net.flat.size == sum(p.size for p in net.params)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from slicesched.queueing import (LyapunovState, UserQueue, audit_conservation,
-                                 hrllc_delays, packet_delays, service_capacity)
+                                 hrllc_age_counts, packet_delays, service_capacity)
 
 
 def test_service_capacity_reference_points():
@@ -160,23 +160,23 @@ def test_queue_conservation_audit_detects_negative_backlog():
 
 def test_packet_delays_reference():
     # enqueued slot 3, dequeued slot 7, 1 ms slots, 5 ms processing -> 9 ms
-    assert packet_delays([3], 7, 1e-3, 5e-3).tolist() == [pytest.approx(9e-3)]
+    assert packet_delays([7 - 3], 1e-3, 5e-3).tolist() == [pytest.approx(9e-3)]
     # same-slot service -> processing delay only
-    assert packet_delays([4], 4, 1e-3, 5e-3).tolist() == [pytest.approx(5e-3)]
-    # elementwise over departure slots too
-    assert packet_delays(np.array([1, 2]), np.array([3, 2]), 1.0, 0.5).tolist() \
-        == [2.5, 0.5]
+    assert packet_delays([0], 1e-3, 5e-3).tolist() == [pytest.approx(5e-3)]
+    # elementwise
+    assert packet_delays(np.array([2, 0]), 1.0, 0.5).tolist() == [2.5, 0.5]
 
 
 def test_packet_delays_fifo_order():
-    delays = packet_delays([1, 2, 5], 5, 1e-3, 5e-3).tolist()
+    # packets enqueued in slots 1, 2 and 5 and all served in slot 5
+    delays = packet_delays(5 - np.array([1, 2, 5]), 1e-3, 5e-3).tolist()
     assert delays == sorted(delays, reverse=True)
 
 
 def _random_table(rng):
     """A random slot table for 0-2 eMBB and 1-5 HRLLC users under the backlog
-    recursion, and the HRLLC delays of a packet-level FIFO replay of it, in
-    departure order: by slot, then user, then FIFO position.
+    recursion, and the HRLLC packet ages (departure slot minus enqueue slot)
+    of a packet-level FIFO replay of it.
 
     Each user draws a regime: idle, light, loaded or overloaded arrivals,
     and service capacity from none to far above its work."""
@@ -184,12 +184,11 @@ def _random_table(rng):
     n_u, slots = n_e + n_h, int(rng.integers(1, 40))
     lam = rng.choice([0.0, 0.5, 2.0, 6.0], n_u)
     cap = rng.choice([0, 1, 3, 20], n_u)
-    slot_s, d_proc_s = rng.choice([1e-3, 0.5e-3, 1 / 3]), rng.choice([5e-3, 0.0, 0.1])
     table = np.recarray(slots, dtype=[("arrivals", np.int64, (n_u,)),
                                       ("departures", np.int64, (n_u,)),
                                       ("backlogs", np.int64, (n_u,))])
     fifos, backlogs = [UserQueue() for _ in range(n_h)], np.zeros(n_u, np.int64)
-    want, over_served = [np.zeros(0)], False
+    want, over_served = [], False
     for t in range(slots):
         arrivals = rng.poisson(lam)
         served = rng.integers(0, cap + 1)
@@ -199,27 +198,28 @@ def _random_table(rng):
         over_served |= bool(np.any(served[n_e:] > work[n_e:]))
         for u, q in enumerate(fifos):
             stamps = q.update(int(arrivals[n_e + u]), int(served[n_e + u]), t)
-            want.append(packet_delays(stamps, t, slot_s, d_proc_s))
+            want += [t - stamp for stamp in stamps]
         table[t] = (arrivals, departures, backlogs)
-    return (table, n_e, slot_s, d_proc_s, np.concatenate(want),
+    return (table, n_e, want,
             {"idle": bool(np.any(table.arrivals[:, n_e:].sum(axis=0) == 0)),
              "queued at end": bool(np.any(backlogs[n_e:])),
              "service above work": over_served})
 
 
 def test_hrllc_delays_match_fifo_replay():
-    """The delays derived from the slot table equal a packet-level FIFO
-    replay byte for byte and in the same order."""
+    """The packet ages counted from the slot table equal those of a
+    packet-level FIFO replay, age by age."""
     rng = np.random.default_rng(11)
     seen = {"idle": 0, "queued at end": 0, "service above work": 0}
     packets = 0
     for _ in range(1000):
-        table, n_e, slot_s, d_proc_s, want, cases = _random_table(rng)
+        table, n_e, want, cases = _random_table(rng)
         audit_conservation(table)
-        got = hrllc_delays(table, n_e, slot_s, d_proc_s)
-        assert got.dtype == np.float64
-        assert got.tobytes() == want.tobytes()
-        packets += got.size
+        got = hrllc_age_counts(table, n_e)
+        assert got.dtype == np.int64 and got.shape == (len(table),)
+        assert got.tobytes() == np.bincount(
+            want, minlength=len(table)).astype(np.int64).tobytes()
+        packets += int(got.sum())
         for name, hit in cases.items():
             seen[name] += hit
     assert packets > 10_000 and all(seen.values()), (packets, seen)
