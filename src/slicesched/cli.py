@@ -13,11 +13,11 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import (ConfigError, ScenarioConfig, ValidationError,
                      config_to_text, load_config_values, parse_overrides)
-import numpy as np
-
 from .engine import (AGENT_NAMES, POLICY_NAMES, build_policy,
                      export_diagnostics_csv, export_trace_csv, run_evaluation,
                      run_training, step_response_summary, stepped_user_columns,
