@@ -88,14 +88,18 @@ def decode_action(kh_idx: int, template_idx: int,
 EPS_COST = 1e-6     # keeps step_cost finite at a zero rate
 
 
-def step_cost(rates_hrllc: np.ndarray, rates_embb: np.ndarray) -> float:
+def step_cost(rates, num_embb: int) -> float | list[float]:
     """Inverse-square rate cost; rates enter in Mbit/s so the cost has a
-    usable dynamic range against the drift term."""
-    # elementwise on Python floats; each slice summed in np.sum's order
-    terms = np.array([1.0 / ((r / 1e6) * (r / 1e6) + EPS_COST)
-                      for r in (*rates_hrllc, *rates_embb)])
-    n_h = len(rates_hrllc)
-    return float(np.add.reduce(terms[:n_h]) + np.add.reduce(terms[n_h:]))
+    usable dynamic range against the drift term.  Users run along the last
+    axis, eMBB first: one slot's rates give its cost, a (slots, users)
+    block of rates the list of the slots' costs."""
+    terms = np.divide(rates, 1e6)
+    terms *= terms
+    terms += EPS_COST
+    np.divide(1.0, terms, out=terms)
+    # each slice summed in np.sum's order, HRLLC first
+    return (np.add.reduce(terms[..., num_embb:], -1)
+            + np.add.reduce(terms[..., :num_embb], -1)).tolist()
 
 
 def reward(drift: float, cost: float, v: float, dual: float, y: float) -> float:

@@ -12,6 +12,18 @@ only the decision's inputs; a learner keeps the row it last observed for
 the previous slot's rates, drifts and violation signal, since this slot's
 do not exist before the action.
 
+A policy that reads the queues (``Policy.reads_queues``: the learners)
+runs (4-11) slot by slot.  One that does not (rr, pf) runs an episode as
+two loops.  The first makes each slot's decision from a context without
+``work``, (4-6), records its counts and (7) its achieved rates, and (11)
+hands ``observe`` a row of just those two fields.  The second is one pass
+over the episode's table: (7) service over the (slots, users) rate block,
+(8) backlogs in Lindley's closed form and departures as min(work,
+service), (9) the slices' energies, drifts and cost over the block, with
+the forms the slot loop calls for one slot, then the violation surrogate,
+reward and (10) dual ascent slot by slot.  Both loops write the same
+table, byte for byte.
+
 A learner's update for slot t needs slot t+1's observation, so it runs
 inside slot t+1's ``allocate``, once that observation is encoded; the last
 slot's update runs in ``end_episode``.  The time of a learner's decision
@@ -39,7 +51,8 @@ from .agents import A2CAgent, DqnAgent, reward as compute_reward, step_cost
 from .channel import all_user_rates, draw_channel, rate_matrix
 from .config import ScenarioConfig
 from .constraint import DualVariable, surrogate_y
-from .queueing import LyapunovState, audit_conservation, service_capacity
+from .queueing import (LyapunovState, audit_conservation, lindley_backlogs,
+                       service_capacity, slice_energies)
 from .schedulers import (Policy, ProportionalFairPolicy, RoundRobinPolicy,
                          SchedulerContext, slot_dtype)
 from .traffic import (DexterityProfile, MmppChain, init_state_stationary,
@@ -135,22 +148,37 @@ class Simulation:
         return states, dxi, arrivals, gain_sq, rate_matrix(cfg, gain_sq)
 
     def run_episode(self) -> EpisodeRecord:
-        cfg, n_e = self.cfg, self.cfg.num_embb
+        cfg = self.cfg
         states, dxi, arrivals, gain_sq, prb_rates = self._draw_world()
-        arr_h = arrivals[:, n_e:].tolist()
-        lyap = LyapunovState()
-        backlogs = np.zeros(cfg.num_users, dtype=int)
         self.policy.begin_episode()
         slots = np.recarray(cfg.slots_per_episode, dtype=slot_dtype(cfg))
         slots.mmpp_states, slots.dxi, slots.arrivals = states, dxi, arrivals
+        if self.policy.reads_queues:
+            self._run_slots(slots, dxi, gain_sq, prb_rates)
+        else:
+            self._decide(slots, dxi, gain_sq, prb_rates)
+            self._account(slots)
+        self.policy.end_episode()
+        audit_conservation(slots)
+        record = EpisodeRecord(self._episode, slots, self.policy.diagnostics())
+        self._episode += 1
+        return record
+
+    def _run_slots(self, slots: np.recarray, dxi: np.ndarray,
+                   gain_sq: np.ndarray, prb_rates: np.ndarray) -> None:
+        """(4-11) slot by slot, for a policy that reads the queues."""
+        cfg, n_e = self.cfg, self.cfg.num_embb
+        lyap = LyapunovState()
+        backlogs = np.zeros(cfg.num_users, dtype=int)
+        arr_h = slots.arrivals[:, n_e:]
         # a view of the fields after the world's three, written slot by slot
         outcome = slots.view(np.ndarray)[list(slots.dtype.names[3:])]
-
-        for i in range(cfg.slots_per_episode):
+        for i, arrivals in enumerate(slots.arrivals):
             # (4-6) context, decision
-            work = backlogs + arrivals[i]
-            ctx = SchedulerContext(num_embb=n_e, work=work, gain_sq=gain_sq[i],
-                                   rate_matrix=prb_rates[i], dxi=dxi[i])
+            work = backlogs + arrivals
+            ctx = SchedulerContext(num_embb=n_e, gain_sq=gain_sq[i],
+                                   rate_matrix=prb_rates[i], dxi=dxi[i],
+                                   work=work)
             alloc = self.policy.allocate(ctx)
             counts = alloc.validate(cfg.num_prbs, cfg.num_users)
             # (7) achieved rates and whole-packet service
@@ -162,12 +190,8 @@ class Simulation:
             backlogs = work - departures
             # (9) drift, cost, violation signal, reward
             lyap.advance(backlogs, n_e)
-            rates_l = rates.tolist()
-            cost = step_cost(rates_l[n_e:], rates_l[:n_e])
-            y_users = [surrogate_y(a, s, cfg.packet_size_bits, cfg.d_max_s,
-                                   cfg.d_proc_s, cfg.chi_h)
-                       for a, s in zip(arr_h[i], served[n_e:].tolist())]
-            y_mean = float(np.add.reduce(y_users) / len(y_users))  # = np.mean
+            cost = step_cost(rates, n_e)
+            y_mean = float(mean_surrogate(cfg, arr_h[i], served[n_e:]))
             # The surrogate equals chi_h at arrival/service balance, so the
             # penalty and the dual ascend on the excess over that neutral
             # level: positive only when arrivals genuinely outpace service.
@@ -182,11 +206,69 @@ class Simulation:
             # (11) the slot's recorded row for the policy
             self.policy.observe(outcome[i])
 
-        self.policy.end_episode()
-        audit_conservation(slots)
-        record = EpisodeRecord(self._episode, slots, self.policy.diagnostics())
-        self._episode += 1
-        return record
+    def _decide(self, slots: np.recarray, dxi: np.ndarray,
+                gain_sq: np.ndarray, prb_rates: np.ndarray) -> None:
+        """(4-7) and (11) slot by slot, for a policy that does not read the
+        queues: its decision, then the slot's counts and rates, recorded and
+        observed."""
+        cfg = self.cfg
+        decided = slots.view(np.ndarray)[["counts", "rates"]]
+        for i in range(cfg.slots_per_episode):
+            ctx = SchedulerContext(num_embb=cfg.num_embb, gain_sq=gain_sq[i],
+                                   rate_matrix=prb_rates[i], dxi=dxi[i])
+            alloc = self.policy.allocate(ctx)
+            decided[i] = (alloc.validate(cfg.num_prbs, cfg.num_users),
+                          all_user_rates(ctx.rate_matrix, alloc.assignment))
+            self.policy.observe(decided[i])
+
+    def _account(self, slots: np.recarray) -> None:
+        """(7-10) of a whole episode whose counts and rates are recorded, in
+        one pass that writes what the slot loop would: service, queues,
+        drifts and cost over the (S, U) block, then the violation signal,
+        reward and dual slot by slot."""
+        cfg, n_e = self.cfg, self.cfg.num_embb
+        table = slots.view(np.ndarray)
+        arrivals, rates = table["arrivals"], table["rates"]
+        served = service_capacity(rates, cfg.slot_duration_s,
+                                  cfg.packet_size_bits)
+        backlogs = table["backlogs"]
+        backlogs[...] = lindley_backlogs(arrivals, served)
+        # each slot's work is its arrivals plus the backlog it starts with;
+        # departures come from it, not from the backlogs, so that
+        # audit_conservation checks the backlogs
+        work = arrivals.copy()
+        work[1:] += backlogs[:-1]
+        np.minimum(work, served, out=table["departures"])
+        drifts = [np.diff(energy, prepend=0.0)
+                  for energy in slice_energies(backlogs, n_e)]
+        table["drift_embb"], table["drift_hrllc"] = drifts
+        table["cost"] = step_cost(rates, n_e)
+        table["y_mean"] = mean_surrogate(cfg, arrivals[:, n_e:], served[:, n_e:])
+        rewards, duals = [], []
+        for drift, cost, y_mean in zip((drifts[0] + drifts[1]).tolist(),
+                                       table["cost"].tolist(),
+                                       table["y_mean"].tolist()):
+            violation = y_mean - cfg.chi_h
+            rewards.append(compute_reward(drift, cost, cfg.lyapunov_v,
+                                          self.dual.value, violation))
+            if self.policy.training:
+                self.dual.update(violation)
+            duals.append(self.dual.value)
+        table["reward"], table["dual"] = rewards, duals
+
+
+def mean_surrogate(cfg: ScenarioConfig, arrivals_h: np.ndarray,
+                   served_h: np.ndarray):
+    """``np.mean`` over the last axis (HRLLC users) of the users'
+    ``surrogate_y``: one slot's violation signal, or an array of them for a
+    (slots, users) block.  Each surrogate is taken one user and slot at a
+    time, since ``np.exp`` and the surrogate's ``math.exp`` can differ in
+    the last bit."""
+    y = [surrogate_y(a, s, cfg.packet_size_bits, cfg.d_max_s, cfg.d_proc_s,
+                     cfg.chi_h)
+         for a, s in zip(arrivals_h.ravel().tolist(), served_h.ravel().tolist())]
+    return (np.add.reduce(np.array(y).reshape(arrivals_h.shape), -1)
+            / arrivals_h.shape[-1])
 
 
 def run_training(cfg: ScenarioConfig, agent_kind: str,

@@ -1,6 +1,6 @@
-"""Whole-packet service, the episode conservation audit, HRLLC packet ages
-and delays from the slot table, and the quadratic Lyapunov energy of the
-backlogs.
+"""Whole-packet service, an episode's backlogs in Lindley's closed form,
+the episode conservation audit, HRLLC packet ages and delays from the slot
+table, and the quadratic Lyapunov energy of the backlogs.
 
 Arrivals of slot t are eligible for service in slot t (arrival and service
 terms share the slot index in the queue recursion).  Queues are FIFO, so a
@@ -47,6 +47,17 @@ class UserQueue:
         return [self.fifo.popleft() for _ in range(departures)]
 
 
+def lindley_backlogs(arrivals: np.ndarray, served: np.ndarray) -> np.ndarray:
+    """Backlogs after each slot of queues that start empty, slots on axis 0:
+    the recursion b_t = max(b_{t-1} + a_t - s_t, 0) in Lindley's closed
+    form, the running sum of a - s less its running minimum (with 0, the
+    empty start, among the terms)."""
+    backlogs = np.cumsum(np.subtract(arrivals, served), axis=0)
+    low = np.minimum.accumulate(backlogs, axis=0)
+    backlogs -= np.minimum(low, 0, out=low)
+    return backlogs
+
+
 def audit_conservation(slots: np.recarray) -> None:
     """Check an episode's slot table (queues start empty): in every row, each
     user's backlog equals its cumulative arrivals minus cumulative departures
@@ -82,6 +93,16 @@ def hrllc_age_counts(slots: np.recarray, num_embb: int) -> np.ndarray:
     return counts
 
 
+def slice_energies(backlogs, num_embb: int) -> tuple:
+    """Each slice's Lyapunov energy, half its sum of squared backlogs, over
+    the last axis (users, eMBB first): one pair of floats for one slot, or
+    one pair of per-slot arrays for a (slots, users) block."""
+    sq = np.square(backlogs)
+    # integer squares sum exactly in any order, and halve exactly
+    return (np.add.reduce(sq[..., :num_embb], -1) / 2,
+            np.add.reduce(sq[..., num_embb:], -1) / 2)
+
+
 @dataclass
 class LyapunovState:
     """Tracks L(t) and its per-slice split so drifts can be read per slot."""
@@ -99,10 +120,7 @@ class LyapunovState:
         """Move to the new backlog state, eMBB users first on the one user
         axis, and set the slices' one-step drifts.  Each slice's energy is
         half its sum of squared backlogs."""
-        b = np.asarray(backlogs).tolist()
-        # integer squares sum exactly in any order
-        new_e = 0.5 * float(sum([x * x for x in b[:num_embb]]))
-        new_h = 0.5 * float(sum([x * x for x in b[num_embb:]]))
+        new_e, new_h = map(float, slice_energies(backlogs, num_embb))
         self.drift_embb = new_e - self.value_embb
         self.drift_hrllc = new_h - self.value_hrllc
         self.value_embb = new_e

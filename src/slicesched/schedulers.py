@@ -1,7 +1,9 @@
 """The policy contract plus the Round-Robin / Proportional-Fair baselines.
 
 A policy decides from a ``SchedulerContext``, the slot's decision inputs,
-and then observes the slot's row of the slot table (``slot_dtype``).  Every
+and then observes the slot's row of the slot table (``slot_dtype``), or
+only its ``counts`` and ``rates`` for a policy that does not read the
+queues (``Policy.reads_queues``).  Every
 scheduling decision is an ``Allocation``: the PRB -> user assignment of all
 K PRBs, in which every user holds at least one PRB.  Per-user PRB counts
 are derived from it.  All ties anywhere are broken by the lowest index so
@@ -64,13 +66,15 @@ class Allocation:
 
 @dataclass
 class SchedulerContext:
-    """A slot's decision inputs: every policy sees identical information."""
+    """A slot's decision inputs.  ``work`` is given only to a policy that
+    reads the queues (``Policy.reads_queues``); the channel and DXI are
+    the same for every policy."""
 
     num_embb: int                  # users 0..num_embb-1 are eMBB, then HRLLC
-    work: np.ndarray               # (U,) backlog at slot start + arrivals
     gain_sq: np.ndarray            # (U, K)
     rate_matrix: np.ndarray        # (U, K) achievable bits/s per PRB
     dxi: np.ndarray                # (n_h,)
+    work: np.ndarray | None = None  # (U,) backlog at slot start + arrivals
 
     @property
     def num_users(self) -> int:
@@ -187,9 +191,17 @@ def materialize_assignment(counts: list[int] | np.ndarray,
 
 
 class Policy:
-    """Common hook surface; learning agents override the learning hooks."""
+    """Common hook surface; learning agents override the learning hooks.
+
+    A policy that reads the queues (``reads_queues``) decides from a
+    context with ``work`` and observes each slot's full row once the slot
+    is done.  One that does not decides from a context without ``work``
+    and observes a row of just the slot's ``counts`` and ``rates``, so the
+    engine can account for the queues of a whole episode after its
+    decisions."""
 
     training = True      # False freezes learning and the engine's dual
+    reads_queues = True  # False: decisions never read ``ctx.work``
 
     def allocate(self, ctx: SchedulerContext) -> Allocation:
         raise NotImplementedError
@@ -198,7 +210,9 @@ class Policy:
         pass
 
     def observe(self, row: np.void) -> None:
-        """The slot's row of the slot table (``slot_dtype``), as recorded."""
+        """The slot's row of the slot table (``slot_dtype``), as recorded:
+        all of it, or only ``counts`` and ``rates`` if not
+        ``reads_queues``."""
 
     def end_episode(self) -> None:
         pass
@@ -214,6 +228,8 @@ class Policy:
 class RoundRobinPolicy(Policy):
     """Channel-agnostic cyclic sharing with a persistent cursor."""
 
+    reads_queues = False
+
     def __init__(self) -> None:
         self.cursor = 0
 
@@ -224,6 +240,8 @@ class RoundRobinPolicy(Policy):
 
 class ProportionalFairPolicy(Policy):
     """PF priority rule over all users with an EWMA throughput tracker."""
+
+    reads_queues = False
 
     def __init__(self, num_users: int, ewma_factor: float) -> None:
         self.ewma_factor = ewma_factor

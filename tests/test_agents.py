@@ -176,18 +176,19 @@ def test_decode_action_exhaustive_feasibility():
 
 
 def test_step_cost_reference():
-    assert step_cost([1e6], [2e6]) == pytest.approx(1.25, rel=1e-6)
-    assert step_cost([0.0], [0.0]) == pytest.approx(2.0 / EPS_COST)
+    # eMBB users first: 1 Mbit/s HRLLC, 2 Mbit/s eMBB
+    assert step_cost([2e6, 1e6], 1) == pytest.approx(1.25, rel=1e-6)
+    assert step_cost([0.0, 0.0], 1) == pytest.approx(2.0 / EPS_COST)
 
 
 def test_step_cost_monotone():
     rng = np.random.default_rng(3)
     for _ in range(100):
         r = rng.uniform(0.5e6, 5e6, 4)
-        base = step_cost(r[:2], r[2:])
+        base = step_cost(r, 2)
         bumped = r.copy()
-        bumped[1] *= 1.5
-        assert step_cost(bumped[:2], bumped[2:]) < base
+        bumped[3] *= 1.5
+        assert step_cost(bumped, 2) < base
 
 
 def _step_cost_oracle(rates_hrllc, rates_embb):
@@ -204,9 +205,19 @@ def test_step_cost_matches_numpy_oracle():
         n_h, n_e = rng.integers(1, 13, 2)
         rates = rng.uniform(0.0, 3e7, n_h + n_e)
         rates[rng.random(rates.size) < 0.1] = 0.0    # users left unserved
-        got = step_cost(rates[:n_h], rates[n_h:])
+        got = step_cost(rates, n_e)
         assert type(got) is float
-        assert got == _step_cost_oracle(rates[:n_h], rates[n_h:])
+        assert got == _step_cost_oracle(rates[n_e:], rates[:n_e])
+
+
+def test_step_cost_of_a_block_matches_each_slot():
+    """A (slots, users) block of rates gives each slot's cost as the one-slot
+    call does, also with 9 users a slice, where NumPy sums pairwise."""
+    rng = np.random.default_rng(16)
+    for n_e, n_h in ((4, 3), (9, 9), (12, 1)):
+        rates = rng.uniform(0.0, 3e7, (50, n_e + n_h))
+        rates[rng.random(rates.shape) < 0.1] = 0.0
+        assert step_cost(rates, n_e) == [step_cost(r, n_e) for r in rates]
 
 
 def test_reward_reference():

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import tracemalloc
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from slicesched import engine
-from slicesched.channel import derive_prb_bandwidth
+from slicesched.channel import all_user_rates, derive_prb_bandwidth
 from slicesched.config import ScenarioConfig, ValidationError
 from slicesched.constraint import surrogate_y
 from slicesched.engine import (CHAIN_INIT, CHANNEL, TRAFFIC_EMBB,
@@ -16,10 +17,13 @@ from slicesched.engine import (CHAIN_INIT, CHANNEL, TRAFFIC_EMBB,
                                stream, trace_csv, training_row, write_csv,
                                POLICY_NAMES)
 from slicesched.metrics import summarize
-from slicesched.queueing import service_capacity
-from slicesched.schedulers import RoundRobinPolicy, slot_dtype
+from slicesched.queueing import lindley_backlogs, service_capacity
+from slicesched.schedulers import (ProportionalFairPolicy,
+                                   RoundRobinPolicy, slot_dtype)
 from slicesched.traffic import (DexterityProfile, MmppChain,
                                 effective_intensity, init_state_stationary)
+
+from conftest import make_context, slot_row
 
 
 def _sim(cfg, policy_name="rr"):
@@ -505,12 +509,17 @@ def test_world_is_drawn_once_per_episode(monkeypatch, tiny_cfg):
     assert not hasattr(sim, "chains")
 
 
-@pytest.mark.parametrize("policy_name", ["pf", "a2c"])
+@pytest.mark.parametrize("policy_name", POLICY_NAMES)
 def test_policy_observes_each_slot_as_recorded(policy_name):
+    """A learner observes each slot's full row as recorded.  rr and pf do not
+    read the queues, and the engine fills the queue fields only after the
+    episode's decisions: they observe each slot's ``counts`` and ``rates``
+    as recorded, and reading any other field of their row raises."""
     cfg = ScenarioConfig()
     sim = _sim(cfg, policy_name)
     policy, calls = sim.policy, []
     allocate, observe = policy.allocate, policy.observe
+    hidden = set(slot_dtype(cfg).names) - {"counts", "rates"}
 
     def recording_allocate(ctx):
         calls.append("allocate")
@@ -519,6 +528,10 @@ def test_policy_observes_each_slot_as_recorded(policy_name):
     def recording_observe(row):
         # the row's bytes as observe gets them, field by field
         calls.append({name: row[name].tobytes() for name in row.dtype.names})
+        if not policy.reads_queues:
+            for name in hidden:
+                with pytest.raises((KeyError, ValueError)):
+                    row[name]
         observe(row)
 
     policy.allocate, policy.observe = recording_allocate, recording_observe
@@ -527,6 +540,113 @@ def test_policy_observes_each_slot_as_recorded(policy_name):
     for i, row in enumerate(slots):
         assert calls[2 * i] == "allocate"
         seen = calls[2 * i + 1]
-        assert {"rates", "reward", "drift_embb", "drift_hrllc",
-                "y_mean"} <= set(seen)
+        if policy.reads_queues:
+            assert {"rates", "reward", "drift_embb", "drift_hrllc",
+                    "y_mean"} <= set(seen)
+        else:
+            assert set(seen) == {"counts", "rates"}
         assert seen == {name: row[name].tobytes() for name in seen}
+
+
+@pytest.mark.parametrize("policy_name", ["rr", "pf"])
+def test_queue_blind_policies_decide_without_work(policy_name):
+    """rr and pf make the same decisions from contexts with and without
+    ``work``, whatever the work, so the engine may leave it out."""
+    cfg = ScenarioConfig()
+    rng = np.random.default_rng(8)
+    blind, shown = (build_policy(policy_name, cfg, 1) for _ in range(2))
+    assert not blind.reads_queues
+    for t in range(60):
+        ctx = make_context(rng, cfg.num_embb, cfg.num_hrllc, cfg.num_prbs)
+        ctx.work *= (0, 1, 10**6)[t % 3]
+        alloc = shown.allocate(ctx)
+        ctx_blind = dataclasses.replace(ctx, work=None)
+        assert blind.allocate(ctx_blind).assignment.tobytes() == \
+            alloc.assignment.tobytes()
+        row = slot_row(cfg, counts=alloc.counts,
+                       rates=all_user_rates(ctx.rate_matrix, alloc.assignment))
+        shown.observe(row)
+        blind.observe(row)
+
+
+# --- the queue-blind episode pass against the per-slot loop -------------------
+
+class SlotLoopRR(RoundRobinPolicy):
+    reads_queues = True      # so the engine runs it slot by slot
+
+
+class SlotLoopPF(ProportionalFairPolicy):
+    reads_queues = True
+
+
+BATCH_WORLDS = {
+    "defaults": {},
+    # NumPy sums 9 terms pairwise; PF's repair runs in most slots
+    "9+9-users": {"num_embb": 9, "num_hrllc": 9, "num_prbs": 30},
+    "zero-service": {"mean_snr_linear": 1e-15},
+    # overloaded, with a surrogate far above chi_h: the dual climbs; the
+    # arrivals' excess over service spans dozens of packets, some of whose
+    # exponentials np.exp and math.exp round apart
+    "dual-rises": {"total_bandwidth_hz": 3e6, "d_max_s": 2.0,
+                   "lambda_slow": 15.0, "lambda_burst": 30.0,
+                   "dual_step": 1.0},
+    "1-slot": {"slots_per_episode": 1, "episodes": 4},
+}
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["training", "frozen"])
+@pytest.mark.parametrize("policy_name", ["rr", "pf"])
+@pytest.mark.parametrize("world", sorted(BATCH_WORLDS))
+def test_batch_pass_matches_slot_loop(world, policy_name, training):
+    """The queue-blind episode (decisions, then one accounting pass) writes
+    the slot tables, diagnostics and dual that the per-slot loop writes,
+    byte for byte, episode after episode."""
+    cfg = ScenarioConfig().replace(**{"episodes": 3, "slots_per_episode": 50,
+                                      **BATCH_WORLDS[world]})
+    loop = {"rr": SlotLoopRR(),
+            "pf": SlotLoopPF(cfg.num_users, cfg.pf_ewma)}[policy_name]
+    sims = []
+    for policy in (build_policy(policy_name, cfg, 1), loop):
+        policy.set_training(training)
+        sims.append(Simulation(cfg, policy, 77, cfg.episodes))
+    for _ in range(cfg.episodes):
+        batch, slot_by_slot = (sim.run_episode() for sim in sims)
+        assert batch.slots.tobytes() == slot_by_slot.slots.tobytes()
+        assert batch.diagnostics == slot_by_slot.diagnostics
+    assert sims[0].dual.value == sims[1].dual.value
+    slots = batch.slots
+    if world == "zero-service":
+        assert not slots.departures.any()
+    if world == "dual-rises":
+        assert (np.diff(slots.dual) > 0).any() == training
+        assert (slots.y_mean > cfg.chi_h).mean() > 0.5
+
+
+def _lindley_off_by_one(arrivals, served):
+    """``lindley_backlogs`` with the running minimum read one row ahead:
+    backlogs that are never negative, but too large wherever the next slot
+    drains the queue below every earlier slot."""
+    net = np.cumsum(np.subtract(arrivals, served), axis=0)
+    low = np.minimum.accumulate(net, axis=0)
+    low[:-1] = low[1:].copy()
+    return net - np.minimum(low, 0)
+
+
+def test_batch_pass_backlogs_are_audited(monkeypatch):
+    """Departures come from each slot's work and service, not from the
+    backlogs, so backlogs from a wrong Lindley pass fail the conservation
+    audit even where none is negative."""
+    cfg = ScenarioConfig().replace(episodes=1, slots_per_episode=50)
+    wrong = []
+
+    def off_by_one(arrivals, served):
+        backlogs = _lindley_off_by_one(arrivals, served)
+        wrong.append(backlogs.min() >= 0 and not np.array_equal(
+            backlogs, lindley_backlogs(arrivals, served)))
+        return backlogs
+
+    _sim(cfg, "pf").run_episode()
+    monkeypatch.setattr(engine, "lindley_backlogs", off_by_one)
+    with pytest.raises(AssertionError, match="conservation"):
+        _sim(cfg, "pf").run_episode()
+    assert wrong == [True]

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from slicesched.queueing import (LyapunovState, UserQueue, audit_conservation,
-                                 hrllc_age_counts, packet_delays, service_capacity)
+                                 hrllc_age_counts, lindley_backlogs,
+                                 packet_delays, service_capacity,
+                                 slice_energies)
 
 
 def test_service_capacity_reference_points():
@@ -140,6 +142,36 @@ def test_queue_conservation_audit_detects_tampered_middle_backlog():
     table.backlogs[25, 1] += 1
     with pytest.raises(AssertionError, match="row 25"):
         audit_conservation(table)
+
+
+@pytest.mark.parametrize("slots", [1, 2, 200])
+def test_lindley_backlogs_match_the_recursion(slots):
+    """The closed form equals b_t = max(b_{t-1} + a_t - s_t, 0) from empty
+    queues, for light, heavy and zero service, and for one slot."""
+    rng = np.random.default_rng(slots)
+    for high in (0, 1, 4, 9, 30):
+        arrivals = rng.integers(0, 10, (slots, 5))
+        served = rng.integers(0, high + 1, (slots, 5))
+        backlogs, want = np.zeros(5, dtype=np.int64), []
+        for a, s in zip(arrivals, served):
+            backlogs = np.maximum(backlogs + a - s, 0)
+            want.append(backlogs)
+        got = lindley_backlogs(arrivals, served)
+        assert got.dtype == np.int64
+        assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_slice_energies_of_a_block_match_each_slot():
+    rng = np.random.default_rng(4)
+    for num_embb in (0, 3, 9):
+        backlogs = rng.integers(0, 10**6, (40, 18))
+        block = slice_energies(backlogs, num_embb)
+        for t, row in enumerate(backlogs):
+            st = LyapunovState()
+            st.advance(row, num_embb)
+            assert (block[0][t], block[1][t]) == (st.value_embb, st.value_hrllc)
+            assert [type(x) for x in slice_energies(row, num_embb)] == \
+                [np.float64, np.float64]
 
 
 def test_queue_conservation_audit_detects_negative_backlog():
