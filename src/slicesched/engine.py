@@ -157,6 +157,8 @@ class Simulation:
             self._run_slots(slots, dxi, gain_sq, prb_rates)
         else:
             self._decide(slots, dxi, gain_sq, prb_rates)
+            # the world's (S, U, K) blocks go before the pass's temporaries
+            del gain_sq, prb_rates
             self._account(slots)
         self.policy.end_episode()
         audit_conservation(slots)
