@@ -194,17 +194,10 @@ class Simulation:
             lyap.advance(backlogs, n_e)
             cost = step_cost(rates, n_e)
             y_mean = float(mean_surrogate(cfg, arr_h[i], served[n_e:]))
-            # The surrogate equals chi_h at arrival/service balance, so the
-            # penalty and the dual ascend on the excess over that neutral
-            # level: positive only when arrivals genuinely outpace service.
-            violation = y_mean - cfg.chi_h
-            rew = compute_reward(lyap.drift, cost, cfg.lyapunov_v,
-                                 self.dual.value, violation)
-            # (10) dual ascent
-            if self.policy.training:
-                self.dual.update(violation)
+            # (9-10) reward, dual ascent
+            rew, dual = self._reward_and_dual(lyap.drift, cost, y_mean)
             outcome[i] = (counts, rates, departures, backlogs, lyap.drift_embb,
-                          lyap.drift_hrllc, cost, y_mean, self.dual.value, rew)
+                          lyap.drift_hrllc, cost, y_mean, dual, rew)
             # (11) the slot's recorded row for the policy
             self.policy.observe(outcome[i])
 
@@ -246,17 +239,25 @@ class Simulation:
         table["drift_embb"], table["drift_hrllc"] = drifts
         table["cost"] = step_cost(rates, n_e)
         table["y_mean"] = mean_surrogate(cfg, arrivals[:, n_e:], served[:, n_e:])
-        rewards, duals = [], []
-        for drift, cost, y_mean in zip((drifts[0] + drifts[1]).tolist(),
-                                       table["cost"].tolist(),
-                                       table["y_mean"].tolist()):
-            violation = y_mean - cfg.chi_h
-            rewards.append(compute_reward(drift, cost, cfg.lyapunov_v,
-                                          self.dual.value, violation))
-            if self.policy.training:
-                self.dual.update(violation)
-            duals.append(self.dual.value)
-        table["reward"], table["dual"] = rewards, duals
+        rows = zip((drifts[0] + drifts[1]).tolist(), table["cost"].tolist(),
+                   table["y_mean"].tolist())
+        table["reward"], table["dual"] = zip(*[self._reward_and_dual(*row)
+                                               for row in rows])
+
+    def _reward_and_dual(self, drift: float, cost: float, y_mean: float
+                         ) -> tuple[float, float]:
+        """(9-10) of one slot: its reward, then the dual's ascent on its
+        violation while the policy trains; returns the reward and the dual
+        after the step."""
+        # The surrogate equals chi_h at arrival/service balance, so the
+        # penalty and the dual ascend on the excess over that neutral
+        # level: positive only when arrivals genuinely outpace service.
+        violation = y_mean - self.cfg.chi_h
+        rew = compute_reward(drift, cost, self.cfg.lyapunov_v,
+                             self.dual.value, violation)
+        if self.policy.training:
+            self.dual.update(violation)
+        return rew, self.dual.value
 
 
 def mean_surrogate(cfg: ScenarioConfig, arrivals_h: np.ndarray,
