@@ -329,16 +329,17 @@ class DqnAgent(Learner):
         self.replay_rew = np.empty(cap)
         self.replay_done = np.empty(cap)
         self.count = 0
-        self.steps = 0
-        self.updates = 0
 
     def _sync_target(self) -> None:
         self.target.flat[...] = self.net.flat
 
     @property
     def epsilon(self) -> float:
+        """Exploration rate after ``count`` stored transitions.  It is read
+        right after the previous slot's transition is stored, so ``count``
+        is then the number of training slots decided before this one."""
         cfg = self.cfg
-        frac = min(self.steps / cfg.dqn_eps_decay_slots, 1.0)
+        frac = min(self.count / cfg.dqn_eps_decay_slots, 1.0)
         return cfg.dqn_eps_start + frac * (cfg.dqn_eps_end - cfg.dqn_eps_start)
 
     def allocate(self, ctx: SchedulerContext) -> Allocation:
@@ -348,8 +349,6 @@ class DqnAgent(Learner):
         else:
             q, _ = self.net.forward(obs)
             joint = int(np.argmax(q[0]))
-        if self.training:
-            self.steps += 1
         self._pending = [obs, joint]
         return decode_action(*divmod(joint, len(TEMPLATES)), ctx)
 
@@ -386,9 +385,10 @@ class DqnAgent(Learner):
         dout[np.arange(batch), acts] = 2.0 * err / batch
         self.net.backward(trace, dout, self._grad_views)
         self.opt.step(clip_grads(self.grads, cfg.grad_clip, self.net.splits))
-        self.updates += 1
         self._tally({"td_loss": float(np.mean(err * err))})
-        if self.updates % cfg.dqn_target_sync == 0:
+        # one update follows each store from the batch-th on, so this is
+        # update number count - batch + 1
+        if (self.count - batch + 1) % cfg.dqn_target_sync == 0:
             self._sync_target()
 
     def load(self, path) -> None:

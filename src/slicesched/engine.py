@@ -3,26 +3,24 @@ world, then run each slot's action -> service -> queues -> reward -> learning.
 
 No allocation changes the world, so it is drawn before the slot loop: (1)
 the chains' states and DXI, (2) arrivals, (3) the channel's squared gains
-and per-PRB rates.  Each slot reads its row and runs (4-6) build the
-context and let the policy allocate, (7) rates and packet service, (8)
-queue update, (9) Lyapunov drift, cost, violation surrogate and reward,
-(10) dual ascent on this slot's violation while the policy trains, (11)
-the slot's recorded row to the policy's ``observe``.  The context holds
-only the decision's inputs; a learner keeps the row it last observed for
-the previous slot's rates, drifts and violation signal, since this slot's
-do not exist before the action.
+and per-PRB rates.  One loop then runs every slot: (4-6) build the context
+and let the policy allocate, (7) the achieved rates, and (11) the slot's
+recorded row to the policy's ``observe``.  The context holds only the
+decision's inputs; a learner keeps the row it last observed for the
+previous slot's rates, drifts and violation signal, since this slot's do
+not exist before the action.
 
-A policy that reads the queues (``Policy.reads_queues``: the learners)
-runs (4-11) slot by slot.  One that does not (rr, pf) runs an episode as
-two loops.  The first makes each slot's decision from a context without
-``work``, (4-6), records its counts and (7) its achieved rates, and (11)
-hands ``observe`` a row of just those two fields.  The second is one pass
-over the episode's table: (7) service over the (slots, users) rate block,
-(8) backlogs in Lindley's closed form and departures as min(work,
-service), (9) the slices' energies, drifts and cost over the block, with
-the forms the slot loop calls for one slot, then the violation surrogate,
-reward and (10) dual ascent slot by slot.  Both loops write the same
-table, byte for byte.
+The rest of a slot is its accounting: (7) packet service, (8) queue
+update, (9) Lyapunov drift, cost, violation surrogate and reward, (10)
+dual ascent on the slot's violation while the policy trains.  For a policy
+that reads the queues (``Policy.reads_queues``) it runs inside the loop,
+before ``observe``.  For one that does not, the loop records only each
+slot's ``counts`` and ``rates``, and the accounting is one pass over the
+episode's table after it: service over the (slots, users) rate block,
+backlogs in Lindley's closed form and departures as min(work, service),
+the slices' energies, drifts and cost over the block, with the forms the
+loop calls for one slot, then the violation surrogate, reward and dual
+slot by slot.  Both forms write the same table, byte for byte.
 
 A learner's update for slot t needs slot t+1's observation, so it runs
 inside slot t+1's ``allocate``, once that observation is encoded; the last
@@ -148,79 +146,59 @@ class Simulation:
         return states, dxi, arrivals, gain_sq, rate_matrix(cfg, gain_sq)
 
     def run_episode(self) -> EpisodeRecord:
-        cfg = self.cfg
+        cfg, n_e, policy = self.cfg, self.cfg.num_embb, self.policy
         states, dxi, arrivals, gain_sq, prb_rates = self._draw_world()
-        self.policy.begin_episode()
+        policy.begin_episode()
         slots = np.recarray(cfg.slots_per_episode, dtype=slot_dtype(cfg))
         slots.mmpp_states, slots.dxi, slots.arrivals = states, dxi, arrivals
-        if self.policy.reads_queues:
-            self._run_slots(slots, dxi, gain_sq, prb_rates)
-        else:
-            self._decide(slots, dxi, gain_sq, prb_rates)
-            # the world's (S, U, K) blocks go before the pass's temporaries
-            del gain_sq, prb_rates
-            self._account(slots)
-        self.policy.end_episode()
-        audit_conservation(slots)
-        record = EpisodeRecord(self._episode, slots, self.policy.diagnostics())
-        self._episode += 1
-        return record
-
-    def _run_slots(self, slots: np.recarray, dxi: np.ndarray,
-                   gain_sq: np.ndarray, prb_rates: np.ndarray) -> None:
-        """(4-11) slot by slot, for a policy that reads the queues."""
-        cfg, n_e = self.cfg, self.cfg.num_embb
+        queued = policy.reads_queues
+        # the fields written slot by slot: after the world's three, or only
+        # the decision's for a policy that does not read the queues
+        fields = slots.dtype.names[3:] if queued else ("counts", "rates")
+        outcome = slots.view(np.ndarray)[list(fields)]
         lyap = LyapunovState()
         backlogs = np.zeros(cfg.num_users, dtype=int)
-        arr_h = slots.arrivals[:, n_e:]
-        # a view of the fields after the world's three, written slot by slot
-        outcome = slots.view(np.ndarray)[list(slots.dtype.names[3:])]
         for i, arrivals in enumerate(slots.arrivals):
             # (4-6) context, decision
-            work = backlogs + arrivals
+            work = backlogs + arrivals if queued else None
             ctx = SchedulerContext(num_embb=n_e, gain_sq=gain_sq[i],
                                    rate_matrix=prb_rates[i], dxi=dxi[i],
                                    work=work)
-            alloc = self.policy.allocate(ctx)
+            alloc = policy.allocate(ctx)
             counts = alloc.validate(cfg.num_prbs, cfg.num_users)
-            # (7) achieved rates and whole-packet service
+            # (7) achieved rates
             rates = all_user_rates(ctx.rate_matrix, alloc.assignment)
-            served = service_capacity(rates, cfg.slot_duration_s,
-                                      cfg.packet_size_bits)
-            # (8) queue updates
-            departures = np.minimum(work, served)
-            backlogs = work - departures
-            # (9) drift, cost, violation signal, reward
-            lyap.advance(backlogs, n_e)
-            cost = step_cost(rates, n_e)
-            y_mean = float(mean_surrogate(cfg, arr_h[i], served[n_e:]))
-            # (9-10) reward, dual ascent
-            rew, dual = self._reward_and_dual(lyap.drift, cost, y_mean)
-            outcome[i] = (counts, rates, departures, backlogs, lyap.drift_embb,
-                          lyap.drift_hrllc, cost, y_mean, dual, rew)
+            if queued:
+                # (7) whole-packet service, (8) queue updates
+                served = service_capacity(rates, cfg.slot_duration_s,
+                                          cfg.packet_size_bits)
+                departures = np.minimum(work, served)
+                backlogs = work - departures
+                # (9) drift, cost, violation signal; (9-10) reward, dual
+                lyap.advance(backlogs, n_e)
+                cost = step_cost(rates, n_e)
+                y_mean = float(mean_surrogate(cfg, arrivals[n_e:], served[n_e:]))
+                rew, dual = self._reward_and_dual(lyap.drift, cost, y_mean)
+                outcome[i] = (counts, rates, departures, backlogs,
+                              lyap.drift_embb, lyap.drift_hrllc, cost, y_mean,
+                              dual, rew)
+            else:
+                outcome[i] = (counts, rates)
             # (11) the slot's recorded row for the policy
-            self.policy.observe(outcome[i])
-
-    def _decide(self, slots: np.recarray, dxi: np.ndarray,
-                gain_sq: np.ndarray, prb_rates: np.ndarray) -> None:
-        """(4-7) and (11) slot by slot, for a policy that does not read the
-        queues: its decision, then the slot's counts and rates, recorded and
-        observed."""
-        cfg = self.cfg
-        decided = slots.view(np.ndarray)[["counts", "rates"]]
-        for i in range(cfg.slots_per_episode):
-            ctx = SchedulerContext(num_embb=cfg.num_embb, gain_sq=gain_sq[i],
-                                   rate_matrix=prb_rates[i], dxi=dxi[i])
-            alloc = self.policy.allocate(ctx)
-            decided[i] = (alloc.validate(cfg.num_prbs, cfg.num_users),
-                          all_user_rates(ctx.rate_matrix, alloc.assignment))
-            self.policy.observe(decided[i])
+            policy.observe(outcome[i])
+        if not queued:
+            self._account(slots)
+        policy.end_episode()
+        audit_conservation(slots)
+        record = EpisodeRecord(self._episode, slots, policy.diagnostics())
+        self._episode += 1
+        return record
 
     def _account(self, slots: np.recarray) -> None:
         """(7-10) of a whole episode whose counts and rates are recorded, in
-        one pass that writes what the slot loop would: service, queues,
-        drifts and cost over the (S, U) block, then the violation signal,
-        reward and dual slot by slot."""
+        one pass that writes what the loop's per-slot form would: service,
+        queues, drifts and cost over the (S, U) block, then the violation
+        signal, reward and dual slot by slot."""
         cfg, n_e = self.cfg, self.cfg.num_embb
         table = slots.view(np.ndarray)
         arrivals, rates = table["arrivals"], table["rates"]

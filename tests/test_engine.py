@@ -650,3 +650,27 @@ def test_batch_pass_backlogs_are_audited(monkeypatch):
     with pytest.raises(AssertionError, match="conservation"):
         _sim(cfg, "pf").run_episode()
     assert wrong == [True]
+
+
+@pytest.mark.parametrize("policy_name", POLICY_NAMES)
+def test_each_policy_runs_its_accounting_form(monkeypatch, policy_name):
+    """Every policy's slots compute their rates one slot at a time; a policy
+    that does not read the queues gets its service and cost in one pass over
+    the episode, and one that does gets them slot by slot.  Both forms write
+    the same table, so only the calls show which one ran."""
+    cfg = ScenarioConfig().replace(episodes=1, slots_per_episode=20)
+    calls = {"all_user_rates": 0, "service_capacity": 0, "step_cost": 0}
+
+    def count(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(engine, name, count(name, getattr(engine, name)))
+    _sim(cfg, policy_name).run_episode()
+    n_s = cfg.slots_per_episode
+    per_episode = {"a2c": n_s, "dqn": n_s, "rr": 1, "pf": 1}[policy_name]
+    assert calls == {"all_user_rates": n_s, "service_capacity": per_episode,
+                     "step_cost": per_episode}

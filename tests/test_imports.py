@@ -6,7 +6,9 @@ package.
 are exempt from the first check.  Names inside string annotations count as
 uses.  A definition that only the benchmark reads counts as read when
 ``perfbench/worker.py`` names it as a wrapped target; one that only tests
-read belongs in the tests.
+read belongs in the tests.  Likewise every attribute a module stores on
+``self`` is loaded somewhere, as any object's attribute, in the package or
+in ``perfbench/worker.py``: state that is only written is waste.
 """
 
 import ast
@@ -106,3 +108,29 @@ def test_every_module_level_name_is_read(path):
               if name not in READ]
     assert not unread, (f"{path.name} defines names that nothing in the "
                         f"package reads: {unread}")
+
+
+def _self_stores(tree: ast.Module) -> dict[str, int]:
+    """Attributes stored on ``self`` (``self.x = ...``, ``self.x += 1``), to
+    their first lines."""
+    names = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            names.setdefault(node.attr, node.lineno)
+    return names
+
+
+# every attribute the package or the benchmark's worker loads
+LOADED = {n.attr for p in [*PACKAGE, WORKER]
+          for n in ast.walk(ast.parse(p.read_text()))
+          if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.stem)
+def test_every_stored_attribute_is_loaded(path):
+    unloaded = [f"self.{name} (line {line})" for name, line in
+                sorted(_self_stores(ast.parse(path.read_text())).items())
+                if name not in LOADED]
+    assert not unloaded, (f"{path.name} stores attributes that nothing in "
+                          f"the package or the benchmark loads: {unloaded}")
