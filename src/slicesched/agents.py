@@ -186,14 +186,13 @@ class Learner(Policy):
     ``_prev``, for the next observation (a zero row before an episode's
     first slot) and for the transition's reward, ``_reward()``.  The next
     slot's observation, or ``None`` at the end of an episode, completes the
-    transition, and ``_learn(next_obs)`` learns from it.
-    It learns only while ``training`` (the flag ``Policy`` keeps), and
-    ``set_training`` also drops the open transition.  Subclasses own one
-    net, ``self.net``, which is what a checkpoint holds, and a ``name``,
-    the checkpoint's kind.
+    transition, and ``_learn(next_obs)`` learns from it, only while
+    ``training`` (the flag ``Policy`` keeps), in one ``_step`` per update.
+    Subclasses own one net, ``self.net``, which is what a checkpoint holds,
+    and a ``name``, the checkpoint's kind.
     """
 
-    # per-update quantities whose episode means diagnostics() reports
+    # per-update quantities whose episode means end_episode() reports
     diagnostic_names: tuple[str, ...] = ()
 
     def __init__(self, cfg: ScenarioConfig, rng: np.random.Generator):
@@ -202,27 +201,28 @@ class Learner(Policy):
         # HRLLC slice sizes n_h .. K - n_e, one per slice-size index
         self.n_kh = cfg.num_prbs - cfg.num_users + 1
         self.obs_dim = obs_length(cfg)
-        # [obs, action, ...]
-        self._pending: Optional[list] = None
-        self.begin_episode()
+        self._new_episode()
 
-    def set_training(self, training: bool) -> None:
-        super().set_training(training)
-        self._pending = None
-
-    def begin_episode(self) -> None:
+    def _new_episode(self) -> None:
+        """No open transition, a zero previous row, no updates tallied."""
+        self._pending: Optional[list] = None     # [obs, action, ...]
         self._prev = np.zeros((), slot_dtype(self.cfg))[()]
         self._sums = dict.fromkeys(self.diagnostic_names, 0.0)
         self._updates = 0
 
-    def diagnostics(self) -> dict:
-        n = max(self._updates, 1)
-        return {name: total / n for name, total in self._sums.items()}
+    def _optimizer(self, lrs: tuple[float, ...]) -> None:
+        """One gradient row per learning rate, laid out like ``net.flat``, and
+        an ``Adam`` that steps the net by each row with moments of its own."""
+        self.grads = np.zeros((len(lrs), self.net.flat.size))
+        self._grad_views = tuple(self.net.views(row) for row in self.grads)
+        self.opt = Adam(self.net.flat, lrs)
 
-    def _tally(self, values: dict) -> None:
-        """Add one update's diagnostic values to the episode's sums."""
+    def _step(self, diag: dict) -> None:
+        """Clip and apply the gradient rows; tally the update's diagnostics."""
+        self.opt.step(clip_grads(self.grads, self.cfg.grad_clip,
+                                 self.net.splits))
         for name in self._sums:
-            self._sums[name] += values[name]
+            self._sums[name] += diag[name]
         self._updates += 1
 
     def _observation(self, ctx: SchedulerContext) -> np.ndarray:
@@ -240,10 +240,13 @@ class Learner(Policy):
         """The open transition's scaled reward, from the row it observed."""
         return self._prev["reward"] * self.cfg.reward_scale
 
-    def end_episode(self) -> None:
+    def end_episode(self) -> dict:
         if self.training and self._pending is not None:
             self._learn(None)
-        self._pending = None
+        n = max(self._updates, 1)      # the episode's mean per update
+        diag = {name: total / n for name, total in self._sums.items()}
+        self._new_episode()
+        return diag
 
     def _learn(self, next_obs: Optional[np.ndarray]) -> None:
         """Learn from ``_pending``; ``next_obs`` is None at a terminal."""
@@ -272,11 +275,8 @@ class A2CAgent(Learner):
     def __init__(self, cfg: ScenarioConfig, rng: np.random.Generator):
         super().__init__(cfg, rng)
         self.net = a2c_net(cfg, self.obs_dim, self.n_kh, rng)
-        # the actor's gradient row, then the critic's; each steps the whole
-        # net with moments of its own, the actor's first
-        self.grads = np.zeros((2, self.net.flat.size))
-        self._grad_views = tuple(self.net.views(row) for row in self.grads)
-        self.opt = Adam(self.net.flat, (cfg.lr_actor, cfg.lr_critic))
+        # the actor's gradient row, then the critic's, stepped in that order
+        self._optimizer((cfg.lr_actor, cfg.lr_critic))
 
     def allocate(self, ctx: SchedulerContext) -> Allocation:
         obs = self._observation(ctx)
@@ -299,9 +299,7 @@ class A2CAgent(Learner):
         diag = a2c_grads(self.net, decision, actions, self._reward(), next_obs,
                          self.cfg.gamma, self.cfg.entropy_coef,
                          self._grad_views)
-        self.opt.step(clip_grads(self.grads, self.cfg.grad_clip,
-                                 self.net.splits))
-        self._tally(diag)
+        self._step(diag)
 
 
 class DqnAgent(Learner):
@@ -317,9 +315,7 @@ class DqnAgent(Learner):
         self.net = trunk_mlp(cfg, self.obs_dim, self.n_joint, rng)
         self.target = trunk_mlp(cfg, self.obs_dim, self.n_joint, rng)
         self._sync_target()
-        self.grads = np.zeros((1, self.net.flat.size))
-        self._grad_views = self.net.views(self.grads[0])
-        self.opt = Adam(self.net.flat, (cfg.lr_critic,))
+        self._optimizer((cfg.lr_critic,))
         # replay ring: the count-th transition stored goes to row
         # count % capacity, so the ring keeps the last `capacity` of them
         cap = cfg.dqn_replay_capacity
@@ -383,9 +379,8 @@ class DqnAgent(Learner):
         err = chosen - targets
         dout = np.zeros_like(q)
         dout[np.arange(batch), acts] = 2.0 * err / batch
-        self.net.backward(trace, dout, self._grad_views)
-        self.opt.step(clip_grads(self.grads, cfg.grad_clip, self.net.splits))
-        self._tally({"td_loss": float(np.mean(err * err))})
+        self.net.backward(trace, dout, self._grad_views[0])
+        self._step({"td_loss": float(np.mean(err * err))})
         # one update follows each store from the batch-th on, so this is
         # update number count - batch + 1
         if (self.count - batch + 1) % cfg.dqn_target_sync == 0:

@@ -148,7 +148,6 @@ class Simulation:
     def run_episode(self) -> EpisodeRecord:
         cfg, n_e, policy = self.cfg, self.cfg.num_embb, self.policy
         states, dxi, arrivals, gain_sq, prb_rates = self._draw_world()
-        policy.begin_episode()
         slots = np.recarray(cfg.slots_per_episode, dtype=slot_dtype(cfg))
         slots.mmpp_states, slots.dxi, slots.arrivals = states, dxi, arrivals
         queued = policy.reads_queues
@@ -188,9 +187,8 @@ class Simulation:
             policy.observe(outcome[i])
         if not queued:
             self._account(slots)
-        policy.end_episode()
         audit_conservation(slots)
-        record = EpisodeRecord(self._episode, slots, policy.diagnostics())
+        record = EpisodeRecord(self._episode, slots, policy.end_episode())
         self._episode += 1
         return record
 
@@ -273,7 +271,7 @@ def run_evaluation(cfg: ScenarioConfig, policy: Policy, eval_seed: int,
     different policies evaluated with the same eval_seed face identical
     randomness.
     """
-    policy.set_training(False)
+    policy.training = False
     sim = Simulation(cfg, policy, eval_seed, cfg.eval_episodes)
     for _ in range(cfg.eval_episodes):
         on_episode(sim.run_episode())

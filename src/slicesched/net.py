@@ -38,10 +38,10 @@ class Mlp:
     """Fully-connected net: tanh hidden layers, then a linear output layer.
     Weights W[l] have shape (d_l, d_{l+1}).
 
-    All parameters live in one contiguous float64 buffer ``flat`` laid out
-    in ``params`` order (W0, b0, W1, b1, ...); ``weights[l]`` and
-    ``biases[l]`` are views into it, so an optimizer can update the whole
-    net in place through ``flat``.
+    All parameters live in one contiguous float64 buffer ``flat``.
+    ``params`` lists its views in order (W0, b0, W1, b1, ...), and
+    ``weights`` and ``biases`` are that list's slices, so an optimizer can
+    update the whole net in place through ``flat``.
     """
 
     def __init__(self, sizes: list[int], rng: np.random.Generator):
@@ -51,9 +51,9 @@ class Mlp:
         self.splits = [0, *accumulate(n for d_in, d_out in pairs
                                       for n in (d_in * d_out, d_out))]
         self.flat = np.zeros(self.splits[-1])
-        params = self.views(self.flat)
-        self.weights: list[np.ndarray] = params[0::2]
-        self.biases: list[np.ndarray] = params[1::2]
+        self.params: list[np.ndarray] = self.views(self.flat)
+        self.weights = self.params[0::2]
+        self.biases = self.params[1::2]
         for w, (d_in, d_out) in zip(self.weights, pairs):
             w[...] = rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_in, d_out))
 
@@ -66,21 +66,13 @@ class Mlp:
         return [buf[lo:hi].reshape(shape) for lo, hi, shape
                 in zip(self.splits, self.splits[1:], shapes)]
 
-    @property
-    def params(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
-
     def set_params(self, arrays: list[np.ndarray]) -> None:
         """Copy ``arrays`` (in ``params`` order) into the net's buffer."""
-        params = self.params
-        expected = [p.shape for p in params]
+        expected = [p.shape for p in self.params]
         got = [a.shape for a in arrays]
         if expected != got:
             raise ValueError(f"parameter shapes {got} do not match net {expected}")
-        for p, a in zip(params, arrays):
+        for p, a in zip(self.params, arrays):
             p[...] = a
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -87,17 +87,6 @@ class SchedulerContext:
         return np.add.reduce(self.gain_sq, axis=1) / self.num_prbs  # = mean
 
 
-def round_robin(ctx: SchedulerContext, cursor: int) -> tuple[Allocation, int]:
-    """Deal PRBs cyclically from the cursor; counts differ by at most one.
-
-    Channel-agnostic by construction.  Returns the allocation and the
-    advanced cursor for the next slot.
-    """
-    num_users, num_prbs = ctx.num_users, ctx.num_prbs
-    assignment = np.arange(cursor, cursor + num_prbs) % num_users
-    return Allocation(assignment), (cursor + num_prbs) % num_users
-
-
 def proportional_fair(ctx: SchedulerContext, ewma: np.ndarray) -> Allocation:
     """Greedy per-PRB argmax of rate/ewma with a >=1-PRB feasibility repair.
 
@@ -188,7 +177,10 @@ def materialize_assignment(counts: list[int] | np.ndarray,
 
 
 class Policy:
-    """Common hook surface; learning agents override the learning hooks.
+    """What the engine calls of a policy, three hooks per episode:
+    ``allocate(ctx)`` decides each slot, ``observe(row)`` then sees the
+    slot's row of the slot table (``slot_dtype``), and ``end_episode()``
+    closes the episode and returns its diagnostics, name -> value.
 
     A policy that reads the queues (``reads_queues``) decides from a
     context with ``work`` and observes each slot's full row once the slot
@@ -203,20 +195,10 @@ class Policy:
     def allocate(self, ctx: SchedulerContext) -> Allocation:
         raise NotImplementedError
 
-    def begin_episode(self) -> None:
-        pass
-
     def observe(self, row: np.void) -> None:
-        """The slot's row of the slot table (``slot_dtype``), as recorded."""
-
-    def end_episode(self) -> None:
         pass
 
-    def set_training(self, training: bool) -> None:
-        self.training = training
-
-    def diagnostics(self) -> dict:
-        """The current episode's learning diagnostics, name -> value."""
+    def end_episode(self) -> dict:
         return {}
 
 
@@ -229,8 +211,11 @@ class RoundRobinPolicy(Policy):
         self.cursor = 0
 
     def allocate(self, ctx: SchedulerContext) -> Allocation:
-        alloc, self.cursor = round_robin(ctx, self.cursor)
-        return alloc
+        """Deal PRBs cyclically from the cursor, which advances past them;
+        counts differ by at most one."""
+        start, num_users, num_prbs = self.cursor, ctx.num_users, ctx.num_prbs
+        self.cursor = (start + num_prbs) % num_users
+        return Allocation(np.arange(start, start + num_prbs) % num_users)
 
 
 class ProportionalFairPolicy(Policy):

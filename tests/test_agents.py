@@ -27,7 +27,7 @@ def test_action_space_defaults():
 def test_action_space_index_round_trip():
     cfg = ScenarioConfig()
     agent = DqnAgent(cfg, np.random.default_rng(0))
-    agent.set_training(False)    # epsilon path disabled
+    agent.training = False  # epsilon path disabled
     ctx = make_context(np.random.default_rng(1))
     # joint indices run over templates fastest, then PRB splits
     for joint in range(agent.n_joint):
@@ -308,7 +308,7 @@ def test_a2c_grads_terminal_delta():
 def test_a2c_agent_eval_mode_is_deterministic():
     cfg = ScenarioConfig()
     agent = A2CAgent(cfg, np.random.default_rng(7))
-    agent.set_training(False)
+    agent.training = False
     ctx = make_context(np.random.default_rng(8))
     a = agent.allocate(ctx)
     b = agent.allocate(ctx)
@@ -389,7 +389,7 @@ def test_dqn_epsilon_schedule():
 def test_dqn_greedy_action_follows_q_values():
     cfg = ScenarioConfig()
     agent = DqnAgent(cfg, np.random.default_rng(16))
-    agent.set_training(False)    # epsilon path disabled
+    agent.training = False  # epsilon path disabled
     # bias the last layer so one joint action dominates
     params = [np.zeros_like(p) for p in agent.net.params]
     joint = 17
@@ -447,7 +447,6 @@ def test_dqn_replay_ring_samples_the_kept_transitions():
     ctx_rng = np.random.default_rng(19)
     stored = 0
     for episode in range(2):
-        agent.begin_episode()
         for slot in range(7):
             agent.allocate(make_context(ctx_rng))
             rows.append(slot_row(cfg, reward=-float(slot)))

@@ -194,7 +194,7 @@ def test_dual_steps_only_while_the_policy_trains(tiny_cfg):
     duals = {}
     for training in (True, False):
         policy = RoundRobinPolicy()
-        policy.set_training(training)
+        policy.training = training
         sim = Simulation(tiny_cfg, policy, tiny_cfg.master_seed,
                          tiny_cfg.episodes)
         duals[training] = _concat(
@@ -607,7 +607,7 @@ def test_batch_pass_matches_slot_loop(world, policy_name, training):
             "pf": SlotLoopPF(cfg.num_users, cfg.pf_ewma)}[policy_name]
     sims = []
     for policy in (build_policy(policy_name, cfg, 1), loop):
-        policy.set_training(training)
+        policy.training = training
         sims.append(Simulation(cfg, policy, 77, cfg.episodes))
     for _ in range(cfg.episodes):
         batch, slot_by_slot = (sim.run_episode() for sim in sims)

@@ -8,10 +8,15 @@ uses.  A definition that only the benchmark reads counts as read when
 ``perfbench/worker.py`` names it as a wrapped target; one that only tests
 read belongs in the tests.  Likewise every attribute a module stores on
 ``self`` is loaded somewhere, as any object's attribute, in the package or
-in ``perfbench/worker.py``: state that is only written is waste.
+in ``perfbench/worker.py``: state that is only written is waste.  And
+every method a package class defines is loaded as an attribute there, or
+is named in ``perfbench/worker.py``'s wrapped targets, unless Python or a
+base class from outside the package calls it (a dunder, or an override
+such as ``cli._Parser.error``, which argparse calls).
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -134,3 +139,34 @@ def test_every_stored_attribute_is_loaded(path):
                 if name not in LOADED]
     assert not unloaded, (f"{path.name} stores attributes that nothing in "
                           f"the package or the benchmark loads: {unloaded}")
+
+
+def _methods(path: Path):
+    """(class, method name, line) of each method a module-level class
+    defines, except those Python or a base class from outside the package
+    calls: dunders, and overrides of an outside base's methods."""
+    module = importlib.import_module(f"slicesched.{path.stem}")
+    for node in ast.parse(path.read_text()).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        outside = [base for base in getattr(module, node.name).__mro__[1:]
+                   if not base.__module__.startswith("slicesched")]
+        for item in node.body:
+            if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not item.name.startswith("__")
+                    and not any(hasattr(base, item.name) for base in outside)):
+                yield node.name, item.name, item.lineno
+
+
+# every method name the benchmark's worker wraps:
+# "slicesched.engine:Simulation.run_episode" names run_episode
+WRAPPED = set(re.findall(r"slicesched\.\w+:\w+\.(\w+)", WORKER.read_text()))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_method_is_called(path):
+    uncalled = [f"{cls}.{name} (line {line})"
+                for cls, name, line in _methods(path)
+                if name not in LOADED | WRAPPED]
+    assert not uncalled, (f"{path.name} defines methods that nothing in the "
+                          f"package or the benchmark calls: {uncalled}")

@@ -5,8 +5,7 @@ from slicesched.channel import all_user_rates
 from slicesched.config import ScenarioConfig
 from slicesched.schedulers import (Allocation, ProportionalFairPolicy,
                                    RoundRobinPolicy, intra_slice_divide,
-                                   materialize_assignment, proportional_fair,
-                                   round_robin)
+                                   materialize_assignment, proportional_fair)
 from conftest import make_context, slot_row
 
 
@@ -36,6 +35,13 @@ def test_allocation_validate_returns_bincount():
 def test_allocation_validate_rejects(assignment):
     with pytest.raises(AssertionError):
         Allocation(np.array(assignment)).validate(3, 2)
+
+
+def round_robin(ctx, cursor):
+    """A Round-Robin decision from ``cursor``: the allocation, the next cursor."""
+    policy = RoundRobinPolicy()
+    policy.cursor = cursor
+    return policy.allocate(ctx), policy.cursor
 
 
 def test_round_robin_even_split():
