@@ -316,14 +316,11 @@ class DqnAgent(Learner):
         self.target = trunk_mlp(cfg, self.obs_dim, self.n_joint, rng)
         self._sync_target()
         self._optimizer((cfg.lr_critic,))
-        # replay ring: the count-th transition stored goes to row
-        # count % capacity, so the ring keeps the last `capacity` of them
-        cap = cfg.dqn_replay_capacity
-        self.replay_obs = np.empty((cap, self.obs_dim))
-        self.replay_next = np.empty((cap, self.obs_dim))
-        self.replay_act = np.empty(cap, dtype=int)
-        self.replay_rew = np.empty(cap)
-        self.replay_done = np.empty(cap)
+        # replay ring, one record per transition (the count-th in row count %
+        # capacity), read field by field so each batch gathers contiguously
+        self.replay = np.empty(cfg.dqn_replay_capacity, dtype=[
+            ("obs", float, (self.obs_dim,)), ("next", float, (self.obs_dim,)),
+            ("act", int), ("rew", float), ("done", float)])
         self.count = 0
 
     def _sync_target(self) -> None:
@@ -352,29 +349,26 @@ class DqnAgent(Learner):
         """Store the transition in the replay ring, then update once the
         ring holds a batch."""
         obs, joint = self._pending
-        row = self.count % len(self.replay_act)
+        row = self.count % len(self.replay)
         self.count += 1
-        self.replay_obs[row] = obs
-        self.replay_next[row] = obs if next_obs is None else next_obs
-        self.replay_act[row] = joint
-        self.replay_rew[row] = self._reward()
-        self.replay_done[row] = next_obs is None
+        self.replay[row] = (obs, obs if next_obs is None else next_obs, joint,
+                            self._reward(), next_obs is None)
         if self.count >= self.cfg.dqn_batch_size:
             self._update()
 
     def _update(self) -> None:
         cfg = self.cfg
         batch = cfg.dqn_batch_size
-        cap = len(self.replay_act)
+        cap = len(self.replay)
         # of the `stored` kept transitions, age i is in row count - stored + i
         stored = min(self.count, cap)
         idx = self.rng.choice(stored, size=batch, replace=False)
         rows = (self.count - stored + idx) % cap
-        acts = self.replay_act[rows]
-        q, trace = self.net.forward(self.replay_obs[rows])
-        q_next, _ = self.target.forward(self.replay_next[rows])
-        targets = (self.replay_rew[rows] + cfg.gamma
-                   * (1.0 - self.replay_done[rows]) * q_next.max(axis=1))
+        acts = self.replay["act"][rows]
+        q, trace = self.net.forward(self.replay["obs"][rows])
+        q_next, _ = self.target.forward(self.replay["next"][rows])
+        targets = (self.replay["rew"][rows] + cfg.gamma
+                   * (1.0 - self.replay["done"][rows]) * q_next.max(axis=1))
         chosen = q[np.arange(batch), acts]
         err = chosen - targets
         dout = np.zeros_like(q)

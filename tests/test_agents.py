@@ -416,24 +416,43 @@ class _RecordingRng:
         return idx
 
 
-def test_dqn_replay_ring_samples_the_kept_transitions():
+def test_dqn_replay_ring_samples_the_kept_transitions(monkeypatch):
     """Replay index i is the i-th oldest of the last ``capacity`` stored
-    transitions, across two wraps of the ring and an episode boundary."""
-    cap = 5
+    transitions, across two wraps of the ring and an episode boundary, and
+    each record holds its slot's reward, action, next observation and end
+    flag."""
+    cap, slots = 5, 7
     cfg = ScenarioConfig().replace(dqn_replay_capacity=cap, dqn_batch_size=2)
     agent = DqnAgent(cfg, np.random.default_rng(18))
     agent.rng = rng = _RecordingRng(agent.rng)
     kept = deque(maxlen=cap)        # the oracle: the last cap observations
     expected, fed, rows = [], [], []
+    observations, joints = [], []   # every slot's, in decision order
     learn, forward = agent._learn, agent.net.forward
+
+    def recording_encode(*args):
+        observations.append(encode_observation(*args))
+        return observations[-1]
+
+    def recording_decode(kh_idx, template_idx, ctx):
+        joints.append(kh_idx * len(TEMPLATES) + template_idx)
+        return decode_action(kh_idx, template_idx, ctx)
 
     def recording_learn(next_obs):
         kept.append(agent._pending[0].copy())
         picked = len(rng.picks)
+        # this transition's slot, counted from the first one stored
+        slot = agent.count
+        last = slot % slots == slots - 1
         learn(next_obs)
+        newest = agent.replay[(agent.count - 1) % cap]
         # the transition's reward: its slot row's, the last one observed
-        assert agent.replay_rew[(agent.count - 1) % cap] == \
-            rows[-1]["reward"] * cfg.reward_scale
+        assert newest["rew"] == rows[-1]["reward"] * cfg.reward_scale
+        # the next slot's observation, or its own at an episode's end
+        assert newest["next"].tobytes() == \
+            observations[slot if last else slot + 1].tobytes()
+        assert newest["done"] == (1.0 if last else 0.0)
+        assert newest["act"] == joints[slot]
         for idx in rng.picks[picked:]:
             expected.append(np.array([kept[i] for i in idx]))
 
@@ -442,17 +461,19 @@ def test_dqn_replay_ring_samples_the_kept_transitions():
             fed.append(np.array(x))
         return forward(x)
 
+    monkeypatch.setattr(agents, "encode_observation", recording_encode)
+    monkeypatch.setattr(agents, "decode_action", recording_decode)
     agent._learn = recording_learn
     agent.net.forward = recording_forward
     ctx_rng = np.random.default_rng(19)
     stored = 0
     for episode in range(2):
-        for slot in range(7):
+        for slot in range(slots):
             agent.allocate(make_context(ctx_rng))
             rows.append(slot_row(cfg, reward=-float(slot)))
             agent.observe(rows[-1])
         agent.end_episode()
-        stored += 7
+        stored += slots
     assert stored >= 13 > 2 * cap
     # an update follows every store once the ring holds a batch
     assert len(expected) == len(fed) == stored - 1
@@ -595,16 +616,16 @@ def test_dqn_learner_bit_exact_against_list_oracle():
 
     def checked_update():
         nonlocal terminal_batches
-        batch, cap = cfg.dqn_batch_size, len(agent.replay_act)
+        batch, cap = cfg.dqn_batch_size, len(agent.replay)
         stored = min(agent.count, cap)
         # the batch the update is about to draw, from a copy of its stream
         idx = copy.deepcopy(agent.rng).choice(stored, size=batch, replace=False)
         rows = (agent.count - stored + idx) % cap
-        acts = agent.replay_act[rows]
-        q, trace = oracle.forward(agent.replay_obs[rows])
-        q_next, _ = agent.target.forward(agent.replay_next[rows])
-        done = agent.replay_done[rows]
-        targets = agent.replay_rew[rows] + cfg.gamma * (1.0 - done) * q_next.max(axis=1)
+        acts = agent.replay["act"][rows]
+        q, trace = oracle.forward(agent.replay["obs"][rows])
+        q_next, _ = agent.target.forward(agent.replay["next"][rows])
+        done = agent.replay["done"][rows]
+        targets = agent.replay["rew"][rows] + cfg.gamma * (1.0 - done) * q_next.max(axis=1)
         err = q[np.arange(batch), acts] - targets
         dout = np.zeros_like(q)
         dout[np.arange(batch), acts] = 2.0 * err / batch

@@ -169,6 +169,12 @@ def test_readme_scenario_examples_parse():
         parse_config_text(block)
 
 
+def test_readme_field_count_is_current():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    stated = re.findall(r"for\s+all\s+(\d+)\s+fields", text)
+    assert stated == [str(len(dataclasses.fields(ScenarioConfig)))]
+
+
 def test_every_field_is_read_outside_config():
     # a key that no module reads would be a knob that changes nothing
     package = Path(slicesched.__file__).parent
