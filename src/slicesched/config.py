@@ -13,7 +13,6 @@ declared field type; tuples are comma-separated.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -92,9 +91,6 @@ class ScenarioConfig:
     @property
     def num_users(self) -> int:
         return self.num_embb + self.num_hrllc
-
-    def replace(self, **kwargs: Any) -> "ScenarioConfig":
-        return dataclasses.replace(self, **kwargs)
 
 
 def _positive(cfg: ScenarioConfig, *names: str) -> None:

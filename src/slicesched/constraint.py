@@ -52,10 +52,6 @@ class DualVariable:
         return self.value
 
 
-class EmptySampleError(ValueError):
-    """Statistic requested over an empty delay sample set."""
-
-
 # A delay age*slot_s + d_proc_s can round a few ulps above a deadline that it
 # meets exactly (13 * 1e-3 + 5e-3 > 0.018); a relative tolerance far below one
 # slot keeps such packets on time.
@@ -64,21 +60,20 @@ _ON_TIME_RTOL = 1e-9
 
 def reliability(delays_s, counts, d_max_s: float) -> float:
     """Fraction of packets within the deadline, up to float rounding, from
-    distinct delays ``delays_s`` and the number of packets at each."""
+    distinct delays ``delays_s`` and the number of packets at each; nan
+    when there are no packets."""
     counts = np.asarray(counts)
     total = counts.sum()
     if total == 0:
-        raise EmptySampleError("no delay samples")
+        return float("nan")
     on_time = np.asarray(delays_s, dtype=float) <= d_max_s * (1.0 + _ON_TIME_RTOL)
     return float(counts[on_time].sum() / total)
 
 
 def delay_cdf(delays_s, counts) -> list[tuple[float, float]]:
     """Empirical CDF as (delay, cumulative fraction) pairs at the distinct
-    delays ``delays_s``, ascending, with ``counts`` packets at each."""
+    delays ``delays_s``, ascending, with ``counts`` packets at each; empty
+    when there are none."""
     counts = np.asarray(counts)
-    total = counts.sum()
-    if total == 0:
-        raise EmptySampleError("no delay samples")
-    cum = np.cumsum(counts) / total
+    cum = np.cumsum(counts) / counts.sum()
     return list(zip(np.asarray(delays_s, dtype=float).tolist(), cum.tolist()))

@@ -99,8 +99,7 @@ class Summarizer(EpisodeSeries):
         ages = np.flatnonzero(self.age_counts)
         values = packet_delays(ages, cfg.slot_duration_s, cfg.d_proc_s)
         counts = self.age_counts[ages]
-        rel = (reliability(values, counts, cfg.d_max_s) if counts.size
-               else float("nan"))
+        rel = reliability(values, counts, cfg.d_max_s)
         return RunSummary(**self.curves(), delay_values=values,
                           delay_counts=counts, reliability_at_dmax=rel)
 
@@ -122,8 +121,7 @@ def compare_policies(summaries: dict[str, RunSummary]) -> dict:
     out = {"returns": {}, "cdf": {}, "reliability": {}}
     for name, summ in summaries.items():
         out["returns"][name] = summ.returns
-        out["cdf"][name] = (delay_cdf(summ.delay_values, summ.delay_counts)
-                            if summ.delay_counts.size else [])
+        out["cdf"][name] = delay_cdf(summ.delay_values, summ.delay_counts)
         out["reliability"][name] = summ.reliability_at_dmax
     return out
 

@@ -119,5 +119,5 @@ def default_cfg() -> ScenarioConfig:
 @pytest.fixture
 def tiny_cfg() -> ScenarioConfig:
     """Scenario small enough for fast end-to-end runs."""
-    return ScenarioConfig().replace(episodes=3, slots_per_episode=25,
-                                    eval_episodes=2)
+    return ScenarioConfig(episodes=3, slots_per_episode=25,
+                          eval_episodes=2)

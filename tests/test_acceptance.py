@@ -106,8 +106,8 @@ def test_criterion_1_gradient_oracle():
         worst = max(worst, float(rel.max()))
 
     # composite actor-critic loss on the one actor-critic net
-    cfg = ScenarioConfig().replace(num_embb=1, num_hrllc=1, num_prbs=4,
-                                   trunk_hidden=(6,))
+    cfg = ScenarioConfig(num_embb=1, num_hrllc=1, num_prbs=4,
+                         trunk_hidden=(6,))
     n_kh = 3          # k_h in {1, 2, 3}
     for trial in range(4):
         net = a2c_net(cfg, 5, n_kh, rng)
@@ -265,10 +265,10 @@ def test_criterion_6_reliability(default_a2c):
 
 def test_criterion_7_step_response():
     # fast-switching chain so each pre/post window sees both traffic states
-    cfg = ScenarioConfig().replace(dxi_levels=(0.0, 2.5, 2.5),
-                                   dxi_middle=(5.0, 2.5, 2.5),
-                                   mmpp_alpha=200.0, mmpp_beta=200.0,
-                                   beta_dex=0.4, episodes=150)
+    cfg = ScenarioConfig(dxi_levels=(0.0, 2.5, 2.5),
+                         dxi_middle=(5.0, 2.5, 2.5),
+                         mmpp_alpha=200.0, mmpp_beta=200.0,
+                         beta_dex=0.4, episodes=150)
     parts = []
     run_training(cfg, "a2c",
                  lambda record: parts.append(stepped_user_columns(record, cfg)))
@@ -292,9 +292,9 @@ def test_criterion_7_step_response():
 # --- criterion 8: dexterity sensitivity ------------------------------------
 
 def test_criterion_8_dexterity_sensitivity():
-    cfg = ScenarioConfig().replace(num_hrllc=5,
-                                   dxi_levels=(0.0, 2.5, 5.0, 7.5, 10.0),
-                                   lambda_embb=1.0, episodes=240)
+    cfg = ScenarioConfig(num_hrllc=5,
+                         dxi_levels=(0.0, 2.5, 5.0, 7.5, 10.0),
+                         lambda_embb=1.0, episodes=240)
     steady = DexteritySensitivity(cfg, cfg.episodes // 2)  # the final half
     run_training(cfg, "a2c", steady.add)
     table = steady.table()

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 from collections import deque
 
 import numpy as np
@@ -44,7 +45,7 @@ def test_obs_length_formula():
     # 3 per eMBB user + slice drift + 3 per HRLLC user + slice drift
     # + violation signal + one DXI entry per HRLLC user
     assert obs_length(cfg) == 3 * 4 + 1 + 3 * 3 + 1 + 1 + 3 == 27
-    small = cfg.replace(num_embb=2, num_hrllc=2, num_prbs=10)
+    small = dataclasses.replace(cfg, num_embb=2, num_hrllc=2, num_prbs=10)
     assert obs_length(small) == 6 + 1 + 6 + 1 + 1 + 2
 
 
@@ -119,7 +120,7 @@ def test_learner_encodes_the_previous_row(monkeypatch):
     zeros at an episode's first slot, then row i - 1's rates, drifts and
     violation signal.  Each update learns from its own slot's row: its
     ``reward`` times ``reward_scale``, the value the DQN ring stores too."""
-    cfg = ScenarioConfig().replace(slots_per_episode=6)
+    cfg = ScenarioConfig(slots_per_episode=6)
     agent = A2CAgent(cfg, np.random.default_rng(3))
     observations, learned = [], []
 
@@ -236,8 +237,8 @@ def test_reward_translation_consistent():
 def test_a2c_gradients_match_finite_differences():
     """Composite actor+critic gradients against central differences with the
     bootstrapped target and advantage held constant (semi-gradient)."""
-    cfg = ScenarioConfig().replace(num_embb=1, num_hrllc=1, num_prbs=4,
-                                   trunk_hidden=(6,))
+    cfg = ScenarioConfig(num_embb=1, num_hrllc=1, num_prbs=4,
+                         trunk_hidden=(6,))
     n_kh = 3          # k_h in {1, 2, 3}
     obs_dim = 5
     rng = np.random.default_rng(5)
@@ -295,8 +296,8 @@ def test_a2c_gradients_match_finite_differences():
 
 
 def test_a2c_grads_terminal_delta():
-    cfg = ScenarioConfig().replace(num_embb=1, num_hrllc=1, num_prbs=4,
-                                   trunk_hidden=(6,))
+    cfg = ScenarioConfig(num_embb=1, num_hrllc=1, num_prbs=4,
+                         trunk_hidden=(6,))
     n_kh = 3          # k_h in {1, 2, 3}
     net = a2c_net(cfg, 5, n_kh, np.random.default_rng(6))
     net.set_params([np.zeros_like(p) for p in net.params])
@@ -359,7 +360,7 @@ def test_a2c_checkpoint_scenario_mismatch(tmp_path):
     agent = A2CAgent(ScenarioConfig(), np.random.default_rng(11))
     path = tmp_path / "a2c.bin"
     agent.save(path)
-    smaller = ScenarioConfig().replace(num_embb=2)
+    smaller = ScenarioConfig(num_embb=2)
     with pytest.raises(ValueError, match="parameter shapes .* do not match net"):
         A2CAgent(smaller, np.random.default_rng(12)).load(path)
 
@@ -422,7 +423,7 @@ def test_dqn_replay_ring_samples_the_kept_transitions(monkeypatch):
     each record holds its slot's reward, action, next observation and end
     flag."""
     cap, slots = 5, 7
-    cfg = ScenarioConfig().replace(dqn_replay_capacity=cap, dqn_batch_size=2)
+    cfg = ScenarioConfig(dqn_replay_capacity=cap, dqn_batch_size=2)
     agent = DqnAgent(cfg, np.random.default_rng(18))
     agent.rng = rng = _RecordingRng(agent.rng)
     kept = deque(maxlen=cap)        # the oracle: the last cap observations
@@ -568,7 +569,7 @@ def test_a2c_learner_bit_exact_against_list_oracle():
     """Over 450 A2C updates, three of them terminal, with each row clipped
     in some updates and not in others, the net's buffer and both rows of
     moments match the list form byte for byte after every update."""
-    cfg = ScenarioConfig().replace(slots_per_episode=150, grad_clip=3.0)
+    cfg = ScenarioConfig(slots_per_episode=150, grad_clip=3.0)
     agent = A2CAgent(cfg, np.random.default_rng(31))
     oracle = _oracle_net(agent.net)
     opts = _RowAdam(oracle.flat), _RowAdam(oracle.flat)
@@ -606,8 +607,8 @@ def test_dqn_learner_bit_exact_against_list_oracle():
     """Over 435 DQN updates, some of whose batches hold terminal
     transitions, clipped in some updates and not in others, the net's buffer
     and its moments match the list form byte for byte after every update."""
-    cfg = ScenarioConfig().replace(slots_per_episode=150, grad_clip=25.0,
-                                   dqn_batch_size=16)
+    cfg = ScenarioConfig(slots_per_episode=150, grad_clip=25.0,
+                         dqn_batch_size=16)
     agent = DqnAgent(cfg, np.random.default_rng(32))
     oracle = _oracle_net(agent.net)
     opt = _RowAdam(oracle.flat)

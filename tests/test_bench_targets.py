@@ -124,8 +124,8 @@ def test_benchmark_worker_runs_clean(tmp_path, command, episodes_key):
     if command[0] == "compare":
         # the delay statistics the benchmark reads, against the pooled
         # reference on the same world (compare's eval seed is master_seed + 1)
-        cfg = ScenarioConfig().replace(master_seed=5, eval_episodes=2,
-                                       slots_per_episode=20)
+        cfg = ScenarioConfig(master_seed=5, eval_episodes=2,
+                             slots_per_episode=20)
         records = []
         run_evaluation(cfg, build_policy("pf", cfg, 6), 6, records.append)
         pooled = pooled_hrllc_delays(records, cfg)

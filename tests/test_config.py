@@ -40,13 +40,13 @@ def test_config_is_frozen():
 
 def test_replace_returns_new_instance():
     cfg = ScenarioConfig()
-    other = cfg.replace(num_prbs=30)
+    other = dataclasses.replace(cfg, num_prbs=30)
     assert other.num_prbs == 30 and cfg.num_prbs == 25
 
 
 def test_round_trip_serialization():
-    cfg = ScenarioConfig().replace(mean_snr_linear=7.25,
-                                   trunk_hidden=(32, 16))
+    cfg = ScenarioConfig(mean_snr_linear=7.25,
+                         trunk_hidden=(32, 16))
     assert parse_config_text(config_to_text(cfg)) == cfg
 
 
@@ -123,15 +123,15 @@ def test_parse_tuple_fields():
 ])
 def test_invariant_violations_rejected(overrides):
     with pytest.raises(ValidationError):
-        ScenarioConfig().replace(**overrides)
+        ScenarioConfig(**overrides)
 
 
 def test_replay_smaller_than_batch_rejected():
     # a replay that never holds a batch would leave DQN without updates
     with pytest.raises(ValidationError,
                        match="dqn_replay_capacity.*dqn_batch_size"):
-        ScenarioConfig().replace(dqn_replay_capacity=4, dqn_batch_size=8)
-    ScenarioConfig().replace(dqn_replay_capacity=8, dqn_batch_size=8)
+        ScenarioConfig(dqn_replay_capacity=4, dqn_batch_size=8)
+    ScenarioConfig(dqn_replay_capacity=8, dqn_batch_size=8)
 
 
 def test_apply_overrides():

@@ -69,9 +69,9 @@ def test_build_policy_names():
 
 def test_zero_arrival_fixed_point():
     # Clamp all arrival intensities to zero: backlogs stay empty, drift zero.
-    cfg = ScenarioConfig().replace(lambda_embb=0.0, beta_dex=10.0,
-                                   dxi_levels=(100.0,), episodes=1,
-                                   slots_per_episode=40)
+    cfg = ScenarioConfig(lambda_embb=0.0, beta_dex=10.0,
+                         dxi_levels=(100.0,), episodes=1,
+                         slots_per_episode=40)
     rec = _sim(cfg).run_episode()
     for s in rec.slots:
         assert s.backlogs.sum() == 0
@@ -83,8 +83,8 @@ def test_zero_arrival_fixed_point():
 def test_zero_service_accumulates_arrivals_exactly():
     # A vanishing SNR gives zero whole-packet service; backlog must equal the
     # running arrival sum for every user at every slot.
-    cfg = ScenarioConfig().replace(mean_snr_linear=1e-15, episodes=1,
-                                   slots_per_episode=30)
+    cfg = ScenarioConfig(mean_snr_linear=1e-15, episodes=1,
+                         slots_per_episode=30)
     rec = _sim(cfg).run_episode()
     totals = np.zeros(cfg.num_users)
     assert service_capacity(rec.slots.rates, cfg.slot_duration_s,
@@ -141,7 +141,7 @@ def test_training_replay_is_deterministic(tiny_cfg):
 
 
 def test_single_episode_run():
-    cfg = ScenarioConfig().replace(episodes=1, slots_per_episode=10)
+    cfg = ScenarioConfig(episodes=1, slots_per_episode=10)
     records = _train(cfg, "rr")
     assert len(records) == 1
     assert len(records[0].slots) == 10
@@ -151,16 +151,17 @@ def test_run_memory_does_not_grow_with_episodes():
     """A run whose callback drops each record still holds, once it returns,
     no more traced bytes after 200 episodes than after 20: nothing of a
     finished episode outlives its callback."""
-    cfg = ScenarioConfig().replace(slots_per_episode=10)
+    cfg = ScenarioConfig(slots_per_episode=10)
     # a first run allocates what the process keeps after any run
-    run_training(cfg.replace(episodes=1), "rr", lambda record: None)
+    run_training(dataclasses.replace(cfg, episodes=1), "rr",
+                 lambda record: None)
     held = {}
     for episodes in (20, 200):
         gc.collect()
         tracemalloc.start()
         try:
-            policy = run_training(cfg.replace(episodes=episodes), "rr",
-                                  lambda record: None)
+            policy = run_training(dataclasses.replace(cfg, episodes=episodes),
+                                  "rr", lambda record: None)
             gc.collect()
             held[episodes] = tracemalloc.get_traced_memory()[0]
         finally:
@@ -176,8 +177,8 @@ def test_world_randomness_identical_across_policies(tiny_cfg):
     recs = {}
     for name in ("rr", "pf"):
         policy = build_policy(name, tiny_cfg, 999)
-        recs[name] = _evaluate(tiny_cfg.replace(eval_episodes=2), policy,
-                               eval_seed=999)
+        recs[name] = _evaluate(dataclasses.replace(tiny_cfg, eval_episodes=2),
+                               policy, eval_seed=999)
     for ra, rb in zip(recs["rr"], recs["pf"]):
         for sa, sb in zip(ra.slots, rb.slots):
             assert np.array_equal(sa.arrivals, sb.arrivals)
@@ -186,7 +187,8 @@ def test_world_randomness_identical_across_policies(tiny_cfg):
 
 def test_evaluation_freezes_dual(tiny_cfg):
     policy = build_policy("rr", tiny_cfg, 5)
-    recs = _evaluate(tiny_cfg.replace(eval_episodes=2), policy, eval_seed=5)
+    recs = _evaluate(dataclasses.replace(tiny_cfg, eval_episodes=2), policy,
+                     eval_seed=5)
     assert all(s.dual == 0.0 for r in recs for s in r.slots)
 
 
@@ -285,8 +287,8 @@ def test_episode_slot_table(tiny_cfg):
 def test_slot_violation_signal_is_numpy_mean(policy_name, overrides):
     """Each row's ``y_mean`` equals ``np.mean`` of the per-user surrogates,
     also with 9 HRLLC users, where NumPy sums pairwise."""
-    cfg = ScenarioConfig().replace(episodes=1, slots_per_episode=40,
-                                   **overrides)
+    cfg = ScenarioConfig(episodes=1, slots_per_episode=40,
+                         **overrides)
     slots = _sim(cfg, policy_name).run_episode().slots
     n_e = cfg.num_embb
     served = service_capacity(slots.rates, cfg.slot_duration_s,
@@ -356,8 +358,8 @@ def _stepped(records, cfg):
 def test_step_response_null_experiment():
     # Constant dexterity: the windows around the change points must agree to
     # within traffic noise.
-    cfg = ScenarioConfig().replace(episodes=20, slots_per_episode=50,
-                                   mmpp_alpha=50.0, mmpp_beta=50.0)
+    cfg = ScenarioConfig(episodes=20, slots_per_episode=50,
+                         mmpp_alpha=50.0, mmpp_beta=50.0)
     summary = step_response_summary(_stepped(_train(cfg, "rr"), cfg), cfg)
     da = (summary["after_step_a"]["mean_arrivals"]
           - summary["before_step_a"]["mean_arrivals"])
@@ -369,9 +371,9 @@ def test_step_response_null_experiment():
 def test_step_response_on_evaluation_records():
     # The change points are those of the records' own horizon: 3 evaluation
     # episodes of 50 slots step at slots 50 and 100, whatever cfg.episodes.
-    cfg = ScenarioConfig().replace(dxi_levels=(0.0, 2.5, 2.5),
-                                   dxi_middle=(5.0, 2.5, 2.5), episodes=30,
-                                   slots_per_episode=50, eval_episodes=3)
+    cfg = ScenarioConfig(dxi_levels=(0.0, 2.5, 2.5),
+                         dxi_middle=(5.0, 2.5, 2.5), episodes=30,
+                         slots_per_episode=50, eval_episodes=3)
     records = _evaluate(cfg, build_policy("rr", cfg, 1), eval_seed=7)
     summary = step_response_summary(_stepped(records, cfg), cfg)
     assert (summary["step_a_slot"], summary["step_b_slot"]) == (50, 100)
@@ -387,7 +389,7 @@ def test_step_response_on_evaluation_records():
 
 def test_slots_per_episode_must_be_positive():
     with pytest.raises(ValidationError):
-        ScenarioConfig().replace(slots_per_episode=0)
+        ScenarioConfig(slots_per_episode=0)
 
 
 # --- the episode's world against the per-slot draw loop ----------------------
@@ -464,8 +466,8 @@ WORLD_CASES = {
 
 @pytest.mark.parametrize("case", sorted(WORLD_CASES))
 def test_episode_world_matches_per_slot_draws(case):
-    cfg = ScenarioConfig().replace(episodes=4, slots_per_episode=25,
-                                   **WORLD_CASES[case])
+    cfg = ScenarioConfig(episodes=4, slots_per_episode=25,
+                         **WORLD_CASES[case])
     seed = 2024
     expected = per_slot_world(cfg, seed, cfg.episodes)
     policy = SeeingPolicy()
@@ -601,8 +603,8 @@ def test_batch_pass_matches_slot_loop(world, policy_name, training):
     """The queue-blind episode (decisions, then one accounting pass) writes
     the slot tables, diagnostics and dual that the per-slot loop writes,
     byte for byte, episode after episode."""
-    cfg = ScenarioConfig().replace(**{"episodes": 3, "slots_per_episode": 50,
-                                      **BATCH_WORLDS[world]})
+    cfg = ScenarioConfig(**{"episodes": 3, "slots_per_episode": 50,
+                            **BATCH_WORLDS[world]})
     loop = {"rr": SlotLoopRR(),
             "pf": SlotLoopPF(cfg.num_users, cfg.pf_ewma)}[policy_name]
     sims = []
@@ -636,7 +638,7 @@ def test_batch_pass_backlogs_are_audited(monkeypatch):
     """Departures come from each slot's work and service, not from the
     backlogs, so backlogs from a wrong Lindley pass fail the conservation
     audit even where none is negative."""
-    cfg = ScenarioConfig().replace(episodes=1, slots_per_episode=50)
+    cfg = ScenarioConfig(episodes=1, slots_per_episode=50)
     wrong = []
 
     def off_by_one(arrivals, served):
@@ -658,7 +660,7 @@ def test_each_policy_runs_its_accounting_form(monkeypatch, policy_name):
     that does not read the queues gets its service and cost in one pass over
     the episode, and one that does gets them slot by slot.  Both forms write
     the same table, so only the calls show which one ran."""
-    cfg = ScenarioConfig().replace(episodes=1, slots_per_episode=20)
+    cfg = ScenarioConfig(episodes=1, slots_per_episode=20)
     calls = {"all_user_rates": 0, "service_capacity": 0, "step_cost": 0}
 
     def count(name, fn):

@@ -12,6 +12,7 @@ x86-64.  The pooled delays come from the reference in ``conftest``, which
 ``tests/test_metrics.py`` checks the program's delay histogram against.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -86,7 +87,7 @@ def _digests(cfg, agent, out_dir) -> dict:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_digests(case, tiny_cfg, tmp_path):
     agent, overrides = CASES[case]
-    got = _digests(tiny_cfg.replace(**overrides), agent, tmp_path)
+    got = _digests(dataclasses.replace(tiny_cfg, **overrides), agent, tmp_path)
     assert got == GOLDEN[case]
 
 
@@ -123,7 +124,7 @@ EPISODE_GOLDEN = {
 @pytest.mark.parametrize("case", sorted(EPISODE_CASES))
 def test_golden_episode(case):
     agent, overrides = EPISODE_CASES[case]
-    cfg = ScenarioConfig().replace(episodes=1, **overrides)
+    cfg = ScenarioConfig(episodes=1, **overrides)
     records = []
     policy = run_training(cfg, agent, records.append)
     (record,) = records
@@ -148,7 +149,7 @@ LEARNER_GOLDEN = {
 @pytest.mark.parametrize("agent", sorted(LEARNER_GOLDEN))
 def test_golden_default_learner(agent, tmp_path):
     records = []
-    policy = run_training(ScenarioConfig().replace(episodes=2), agent,
+    policy = run_training(ScenarioConfig(episodes=2), agent,
                           records.append)
     assert [len(r.slots) for r in records] == [200, 200]
     slots = hashlib.sha256()

@@ -12,7 +12,10 @@ in ``perfbench/worker.py``: state that is only written is waste.  And
 every method a package class defines is loaded as an attribute there, or
 is named in ``perfbench/worker.py``'s wrapped targets, unless Python or a
 base class from outside the package calls it (a dunder, or an override
-such as ``cli._Parser.error``, which argparse calls).
+such as ``cli._Parser.error``, which argparse calls).  Neither of these two
+checks counts a load along a chain that starts at a name a plain
+``import`` binds, such as ``dataclasses.replace`` or ``np.add.reduce``: it
+names something of a module from outside the package.
 """
 
 import ast
@@ -126,10 +129,33 @@ def _self_stores(tree: ast.Module) -> dict[str, int]:
     return names
 
 
+def _loaded(tree: ast.Module) -> set[str]:
+    """Attributes the module loads, except along a chain that starts at a
+    name a plain ``import`` binds (``np.add.reduce``, ``math.floor``)."""
+    modules = {alias.asname or alias.name.split(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    loaded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if not (isinstance(root, ast.Name) and root.id in modules):
+                loaded.add(node.attr)
+    return loaded
+
+
 # every attribute the package or the benchmark's worker loads
-LOADED = {n.attr for p in [*PACKAGE, WORKER]
-          for n in ast.walk(ast.parse(p.read_text()))
-          if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+LOADED = set().union(*(_loaded(ast.parse(p.read_text()))
+                       for p in [*PACKAGE, WORKER]))
+
+
+def test_loads_rooted_at_an_import_are_not_counted():
+    tree = ast.parse("import dataclasses\nimport numpy as np\n"
+                     "dataclasses.replace(cfg, seed=1)\nnp.add.reduce(x)\n")
+    assert not {"replace", "reduce"} & _loaded(tree)
+    assert _loaded(ast.parse("obj.replace(seed=1)\n")) == {"replace"}
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.stem)

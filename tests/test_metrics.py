@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -68,7 +70,7 @@ def test_windowed_slope():
 
 
 def _tiny_records(name="rr", seed=None):
-    cfg = ScenarioConfig().replace(episodes=3, slots_per_episode=25)
+    cfg = ScenarioConfig(episodes=3, slots_per_episode=25)
     records = []
     run_training(cfg, name, records.append)
     return records, cfg
@@ -161,8 +163,8 @@ def test_spearman_matches_tie_loop_oracle():
 
 
 def test_dexterity_sensitivity_table():
-    cfg = ScenarioConfig().replace(episodes=2, slots_per_episode=30,
-                                   dxi_levels=(9.0, 0.0, 4.0))
+    cfg = ScenarioConfig(episodes=2, slots_per_episode=30,
+                         dxi_levels=(9.0, 0.0, 4.0))
     records, steady = [], DexteritySensitivity(cfg, 0)
     run_training(cfg, "rr", lambda r: (records.append(r), steady.add(r)))
     table = steady.table()
@@ -211,14 +213,14 @@ def test_delay_histogram_matches_pooled_reference(case, tiny_cfg):
     """On the golden configs, and with an episode inserted that has no HRLLC
     departure while its packets stay queued (zero service)."""
     agent, overrides = GOLDEN_CASES[case]
-    cfg = tiny_cfg.replace(**overrides)
+    cfg = dataclasses.replace(tiny_cfg, **overrides)
     records = []
     run_training(cfg, agent, records.append)
     assert any(r.slots.backlogs[-1, cfg.num_embb:].any() for r in records)
     assert _assert_summary_matches_pooled(records, cfg) > 0
     starved = []
-    run_training(cfg.replace(episodes=1, mean_snr_linear=1e-15), agent,
-                 starved.append)
+    run_training(dataclasses.replace(cfg, episodes=1, mean_snr_linear=1e-15),
+                 agent, starved.append)
     (idle,) = starved
     assert idle.slots.departures[:, cfg.num_embb:].sum() == 0
     assert idle.slots.backlogs[-1, cfg.num_embb:].any()
@@ -230,8 +232,8 @@ def test_delay_histogram_matches_pooled_reference(case, tiny_cfg):
 def test_delay_histogram_matches_pooled_reference_at_full_size():
     """Full-size rr and pf evaluation episodes, whose overloaded HRLLC
     queues give delays up to the episode length."""
-    cfg = ScenarioConfig().replace(eval_episodes=3, mmpp_alpha=20.0,
-                                   mmpp_beta=20.0)
+    cfg = ScenarioConfig(eval_episodes=3, mmpp_alpha=20.0,
+                         mmpp_beta=20.0)
     for name in ("rr", "pf"):
         records = []
         run_evaluation(cfg, build_policy(name, cfg, 3), 3, records.append)

@@ -157,22 +157,22 @@ def test_sample_state_path_occupancy():
 
 
 def test_dexterity_profile_constant():
-    cfg = ScenarioConfig().replace(dxi_levels=(4.0,))
+    cfg = ScenarioConfig(dxi_levels=(4.0,))
     prof = DexterityProfile(cfg, 900)
     for slot in (0, 300, 450, 599, 899):      # outer and middle thirds
         assert prof.vector(slot).tolist() == [4.0, 4.0, 4.0]
 
 
 def test_dexterity_profile_per_user():
-    cfg = ScenarioConfig().replace(dxi_levels=(0.0, 2.0, 7.0))
+    cfg = ScenarioConfig(dxi_levels=(0.0, 2.0, 7.0))
     prof = DexterityProfile(cfg, 100)
     for slot in (0, 33, 50, 66, 99):          # outer and middle thirds
         assert prof.vector(slot).tolist() == [0.0, 2.0, 7.0]
 
 
 def test_dexterity_profile_two_step():
-    cfg = ScenarioConfig().replace(dxi_levels=(3.0, 1.0, 3.0),
-                                   dxi_middle=(3.0, 6.0, 3.0))
+    cfg = ScenarioConfig(dxi_levels=(3.0, 1.0, 3.0),
+                         dxi_middle=(3.0, 6.0, 3.0))
     prof = DexterityProfile(cfg, 900)
     assert prof.step_a == 300 and prof.step_b == 600
     assert prof.vector(0)[1] == 1.0         # before the first change point
@@ -188,8 +188,8 @@ def test_dexterity_profile_two_step():
 
 def test_dexterity_profile_array_of_slots():
     # one row per global slot index, equal to the scalar lookups
-    cfg = ScenarioConfig().replace(dxi_levels=(3.0, 1.0, 3.0),
-                                   dxi_middle=(3.0, 6.0, 3.0))
+    cfg = ScenarioConfig(dxi_levels=(3.0, 1.0, 3.0),
+                         dxi_middle=(3.0, 6.0, 3.0))
     prof = DexterityProfile(cfg, 900)
     slots = np.arange(250, 650)
     levels = prof.vector(slots)
@@ -202,9 +202,9 @@ def test_dexterity_profile_array_of_slots():
 
 
 def test_dexterity_profile_one_value_applies_to_every_user():
-    one = DexterityProfile(ScenarioConfig().replace(
+    one = DexterityProfile(ScenarioConfig(
         dxi_levels=(1.5,), dxi_middle=(4.0,)), 900)
-    repeated = DexterityProfile(ScenarioConfig().replace(
+    repeated = DexterityProfile(ScenarioConfig(
         dxi_levels=(1.5, 1.5, 1.5), dxi_middle=(4.0, 4.0, 4.0)), 900)
     slots = np.arange(900)
     assert one.vector(slots).tolist() == repeated.vector(slots).tolist()
@@ -212,8 +212,8 @@ def test_dexterity_profile_one_value_applies_to_every_user():
 
 
 def test_dexterity_profile_steps_every_user_that_differs():
-    cfg = ScenarioConfig().replace(dxi_levels=(2.0, 1.0, 3.0),
-                                   dxi_middle=(2.0, 6.0, 0.5))
+    cfg = ScenarioConfig(dxi_levels=(2.0, 1.0, 3.0),
+                         dxi_middle=(2.0, 6.0, 0.5))
     prof = DexterityProfile(cfg, 900)
     assert prof.vector(0).tolist() == [2.0, 1.0, 3.0]
     assert prof.vector(300).tolist() == [2.0, 6.0, 0.5]
@@ -228,5 +228,5 @@ def test_dexterity_profile_steps_every_user_that_differs():
     ((1.0,), (1.0,), 0),
 ])
 def test_dexterity_profile_stepped_user(levels, middle, user):
-    cfg = ScenarioConfig().replace(dxi_levels=levels, dxi_middle=middle)
+    cfg = ScenarioConfig(dxi_levels=levels, dxi_middle=middle)
     assert DexterityProfile(cfg, 30).stepped_user == user
