@@ -178,6 +178,10 @@ def a2c_grads(net: Mlp, decision: tuple, actions: tuple[int, int], rew: float,
     }
 
 
+REWARD_SCALE = 0.01     # the learners' reward per unit of slot reward
+GRAD_CLIP = 5.0         # global-norm bound on each gradient row
+
+
 class Learner(Policy):
     """A policy that learns from one-step transitions (s, a, r, s').
 
@@ -219,8 +223,7 @@ class Learner(Policy):
 
     def _step(self, diag: dict) -> None:
         """Clip and apply the gradient rows; tally the update's diagnostics."""
-        self.opt.step(clip_grads(self.grads, self.cfg.grad_clip,
-                                 self.net.splits))
+        self.opt.step(clip_grads(self.grads, GRAD_CLIP, self.net.splits))
         for name in self._sums:
             self._sums[name] += diag[name]
         self._updates += 1
@@ -238,7 +241,7 @@ class Learner(Policy):
 
     def _reward(self) -> float:
         """The open transition's scaled reward, from the row it observed."""
-        return self._prev["reward"] * self.cfg.reward_scale
+        return self._prev["reward"] * REWARD_SCALE
 
     def end_episode(self) -> dict:
         if self.training and self._pending is not None:
@@ -264,6 +267,9 @@ class Learner(Policy):
             raise ValueError(f"checkpoint kind {meta.get('kind')!r} "
                              f"is not {self.name!r}")
         self.net.set_params(arrays)
+
+
+ENTROPY_COEF = 0.01     # weight of the actor's entropy bonus
 
 
 class A2CAgent(Learner):
@@ -297,9 +303,14 @@ class A2CAgent(Learner):
     def _learn(self, next_obs: Optional[np.ndarray]) -> None:
         _, actions, decision = self._pending
         diag = a2c_grads(self.net, decision, actions, self._reward(), next_obs,
-                         self.cfg.gamma, self.cfg.entropy_coef,
-                         self._grad_views)
+                         self.cfg.gamma, ENTROPY_COEF, self._grad_views)
         self._step(diag)
+
+
+# epsilon falls linearly from START to END over the first DECAY_SLOTS
+# training slots; the target net syncs every TARGET_SYNC updates
+DQN_EPS_START, DQN_EPS_END, DQN_EPS_DECAY_SLOTS = 1.0, 0.05, 30000
+DQN_TARGET_SYNC = 500
 
 
 class DqnAgent(Learner):
@@ -331,9 +342,8 @@ class DqnAgent(Learner):
         """Exploration rate after ``count`` stored transitions.  It is read
         right after the previous slot's transition is stored, so ``count``
         is then the number of training slots decided before this one."""
-        cfg = self.cfg
-        frac = min(self.count / cfg.dqn_eps_decay_slots, 1.0)
-        return cfg.dqn_eps_start + frac * (cfg.dqn_eps_end - cfg.dqn_eps_start)
+        frac = min(self.count / DQN_EPS_DECAY_SLOTS, 1.0)
+        return DQN_EPS_START + frac * (DQN_EPS_END - DQN_EPS_START)
 
     def allocate(self, ctx: SchedulerContext) -> Allocation:
         obs = self._observation(ctx)
@@ -377,7 +387,7 @@ class DqnAgent(Learner):
         self._step({"td_loss": float(np.mean(err * err))})
         # one update follows each store from the batch-th on, so this is
         # update number count - batch + 1
-        if (self.count - batch + 1) % cfg.dqn_target_sync == 0:
+        if (self.count - batch + 1) % DQN_TARGET_SYNC == 0:
             self._sync_target()
 
     def load(self, path) -> None:

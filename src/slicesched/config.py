@@ -65,21 +65,13 @@ class ScenarioConfig:
     lr_critic: float = 1e-4
     episodes: int = 300
     slots_per_episode: int = 200
-    entropy_coef: float = 0.01
-    grad_clip: float = 5.0
-    reward_scale: float = 0.01
     trunk_hidden: tuple[int, ...] = (64, 64)
 
     # --- DQN baseline ---
     dqn_replay_capacity: int = 10000
     dqn_batch_size: int = 64
-    dqn_target_sync: int = 500
-    dqn_eps_start: float = 1.0
-    dqn_eps_end: float = 0.05
-    dqn_eps_decay_slots: int = 30000
 
-    # --- baselines / metrics ---
-    pf_ewma: float = 0.1
+    # --- evaluation ---
     eval_episodes: int = 20
 
     # --- misc ---
@@ -121,12 +113,11 @@ def validate(cfg: ScenarioConfig) -> None:
         cfg, "total_bandwidth_hz", "num_prbs", "num_embb", "num_hrllc",
         "slot_duration_s", "packet_size_bits", "mean_snr_linear", "d_max_s",
         "d_proc_s", "lyapunov_v", "dual_step", "lr_actor", "lr_critic",
-        "episodes", "slots_per_episode", "grad_clip", "reward_scale",
-        "eval_episodes", "dqn_replay_capacity", "dqn_batch_size",
-        "dqn_target_sync", "dqn_eps_decay_slots",
+        "episodes", "slots_per_episode", "eval_episodes",
+        "dqn_replay_capacity", "dqn_batch_size",
     )
     _nonneg(cfg, "mmpp_alpha", "mmpp_beta", "lambda_slow", "lambda_burst",
-            "beta_dex", "lambda_embb", "entropy_coef", "master_seed")
+            "beta_dex", "lambda_embb", "master_seed")
     if cfg.dqn_replay_capacity < cfg.dqn_batch_size:
         raise ValidationError(
             f"dqn_replay_capacity ({cfg.dqn_replay_capacity}) must be >= "
@@ -156,12 +147,8 @@ def validate(cfg: ScenarioConfig) -> None:
             f"HRLLC user ({cfg.num_hrllc}), got {cfg.dxi_levels}, {cfg.dxi_middle}")
     if any(v < 0 for v in cfg.dxi_levels + cfg.dxi_middle):
         raise ValidationError("dxi_levels and dxi_middle must be non-negative")
-    if not 0.0 < cfg.pf_ewma <= 1.0:
-        raise ValidationError(f"pf_ewma must be in (0,1], got {cfg.pf_ewma}")
     if any(h <= 0 for h in cfg.trunk_hidden):
         raise ValidationError("trunk_hidden sizes must be positive")
-    if not 0.0 <= cfg.dqn_eps_end <= cfg.dqn_eps_start <= 1.0:
-        raise ValidationError("need 0 <= dqn_eps_end <= dqn_eps_start <= 1")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}

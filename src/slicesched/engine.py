@@ -99,7 +99,7 @@ def build_policy(name: str, cfg: ScenarioConfig, master_seed: int) -> Policy:
     if name == "rr":
         return RoundRobinPolicy()
     if name == "pf":
-        return ProportionalFairPolicy(cfg.num_users, cfg.pf_ewma)
+        return ProportionalFairPolicy(cfg.num_users)
     raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
 
 

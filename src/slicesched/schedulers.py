@@ -218,19 +218,20 @@ class RoundRobinPolicy(Policy):
         return Allocation(np.arange(start, start + num_prbs) % num_users)
 
 
+PF_EWMA = 0.1       # weight of the slot's rate in PF's throughput average
+
+
 class ProportionalFairPolicy(Policy):
     """PF priority rule over all users with an EWMA throughput tracker."""
 
     reads_queues = False
 
-    def __init__(self, num_users: int, ewma_factor: float) -> None:
-        self.ewma_factor = ewma_factor
+    def __init__(self, num_users: int) -> None:
         self.ewma = np.full(num_users, 1.0)  # 1 bit/s floor avoids div by zero
 
     def allocate(self, ctx: SchedulerContext) -> Allocation:
         return proportional_fair(ctx, self.ewma)
 
     def observe(self, row: np.void) -> None:
-        self.ewma = ((1.0 - self.ewma_factor) * self.ewma
-                     + self.ewma_factor * row["rates"])
+        self.ewma = (1.0 - PF_EWMA) * self.ewma + PF_EWMA * row["rates"]
         np.maximum(self.ewma, 1.0, out=self.ewma)

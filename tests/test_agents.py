@@ -119,7 +119,7 @@ def test_learner_encodes_the_previous_row(monkeypatch):
     """Each slot's observation encodes the row the learner last observed:
     zeros at an episode's first slot, then row i - 1's rates, drifts and
     violation signal.  Each update learns from its own slot's row: its
-    ``reward`` times ``reward_scale``, the value the DQN ring stores too."""
+    ``reward`` times ``REWARD_SCALE``, the value the DQN ring stores too."""
     cfg = ScenarioConfig(slots_per_episode=6)
     agent = A2CAgent(cfg, np.random.default_rng(3))
     observations, learned = [], []
@@ -137,7 +137,7 @@ def test_learner_encodes_the_previous_row(monkeypatch):
     sim = Simulation(cfg, agent, seed=4, episodes=2)
     slots = np.concatenate([sim.run_episode().slots for _ in range(2)])
     assert np.any(slots["reward"] != 0.0)
-    assert learned == (slots["reward"] * cfg.reward_scale).tolist()
+    assert learned == (slots["reward"] * agents.REWARD_SCALE).tolist()
     assert len(observations) == len(slots)
     n_e, n_h = cfg.num_embb, cfg.num_hrllc
     h = 3 * n_e + 1                       # start of the HRLLC block
@@ -375,16 +375,15 @@ def test_dqn_checkpoint_kind_mismatch(tmp_path):
 
 
 def test_dqn_epsilon_schedule():
-    cfg = ScenarioConfig()
-    agent = DqnAgent(cfg, np.random.default_rng(15))
-    assert agent.epsilon == pytest.approx(cfg.dqn_eps_start)
-    agent.count = cfg.dqn_eps_decay_slots
-    assert agent.epsilon == pytest.approx(cfg.dqn_eps_end)
-    agent.count = cfg.dqn_eps_decay_slots * 10
-    assert agent.epsilon == pytest.approx(cfg.dqn_eps_end)
-    agent.count = cfg.dqn_eps_decay_slots // 2
-    assert agent.epsilon == pytest.approx(
-        (cfg.dqn_eps_start + cfg.dqn_eps_end) / 2)
+    agent = DqnAgent(ScenarioConfig(), np.random.default_rng(15))
+    start, end = agents.DQN_EPS_START, agents.DQN_EPS_END
+    assert agent.epsilon == pytest.approx(start)
+    agent.count = agents.DQN_EPS_DECAY_SLOTS
+    assert agent.epsilon == pytest.approx(end)
+    agent.count = agents.DQN_EPS_DECAY_SLOTS * 10
+    assert agent.epsilon == pytest.approx(end)
+    agent.count = agents.DQN_EPS_DECAY_SLOTS // 2
+    assert agent.epsilon == pytest.approx((start + end) / 2)
 
 
 def test_dqn_greedy_action_follows_q_values():
@@ -448,7 +447,7 @@ def test_dqn_replay_ring_samples_the_kept_transitions(monkeypatch):
         learn(next_obs)
         newest = agent.replay[(agent.count - 1) % cap]
         # the transition's reward: its slot row's, the last one observed
-        assert newest["rew"] == rows[-1]["reward"] * cfg.reward_scale
+        assert newest["rew"] == rows[-1]["reward"] * agents.REWARD_SCALE
         # the next slot's observation, or its own at an episode's end
         assert newest["next"].tobytes() == \
             observations[slot if last else slot + 1].tobytes()
@@ -569,7 +568,7 @@ def test_a2c_learner_bit_exact_against_list_oracle():
     """Over 450 A2C updates, three of them terminal, with each row clipped
     in some updates and not in others, the net's buffer and both rows of
     moments match the list form byte for byte after every update."""
-    cfg = ScenarioConfig(slots_per_episode=150, grad_clip=3.0)
+    cfg = ScenarioConfig(slots_per_episode=150)
     agent = A2CAgent(cfg, np.random.default_rng(31))
     oracle = _oracle_net(agent.net)
     opts = _RowAdam(oracle.flat), _RowAdam(oracle.flat)
@@ -581,10 +580,10 @@ def test_a2c_learner_bit_exact_against_list_oracle():
         obs, actions, _ = agent._pending
         rows = _list_a2c_grads(oracle, agent.n_kh, obs, actions,
                                agent._reward(), next_obs, cfg.gamma,
-                               cfg.entropy_coef)
+                               agents.ENTROPY_COEF)
         was_clipped = []
         for opt, grads, lr in zip(opts, rows, (cfg.lr_actor, cfg.lr_critic)):
-            grads, hit = _list_clip(grads, cfg.grad_clip)
+            grads, hit = _list_clip(grads, agents.GRAD_CLIP)
             opt.step(grads, lr)
             was_clipped.append(hit)
         clipped.append(was_clipped)
@@ -607,8 +606,7 @@ def test_dqn_learner_bit_exact_against_list_oracle():
     """Over 435 DQN updates, some of whose batches hold terminal
     transitions, clipped in some updates and not in others, the net's buffer
     and its moments match the list form byte for byte after every update."""
-    cfg = ScenarioConfig(slots_per_episode=150, grad_clip=25.0,
-                         dqn_batch_size=16)
+    cfg = ScenarioConfig(slots_per_episode=150, dqn_batch_size=16)
     agent = DqnAgent(cfg, np.random.default_rng(32))
     oracle = _oracle_net(agent.net)
     opt = _RowAdam(oracle.flat)
@@ -631,7 +629,7 @@ def test_dqn_learner_bit_exact_against_list_oracle():
         dout = np.zeros_like(q)
         dout[np.arange(batch), acts] = 2.0 * err / batch
         grads, hit = _list_clip(_list_backward(oracle, trace, dout),
-                                cfg.grad_clip)
+                                agents.GRAD_CLIP)
         opt.step(grads, cfg.lr_critic)
         clipped.append(hit)
         terminal_batches += bool(done.any())

@@ -164,9 +164,7 @@ def test_non_finite_config_value_is_config_error(tmp_path, setting):
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("settings", [
-    ["grad_clip=0"], ["grad_clip=-1"], ["reward_scale=0"], ["reward_scale=-1"],
-    ["mmpp_alpha=0", "mmpp_beta=0"]])
+@pytest.mark.parametrize("settings", [["mmpp_alpha=0", "mmpp_beta=0"]])
 def test_invariant_violation_is_config_error(tmp_path, settings):
     # rejected before the run directory is made, not mid-run
     sets = [arg for s in settings for arg in ("--set", s)]
@@ -188,18 +186,23 @@ def test_deleted_observation_scale_is_config_error(tmp_path):
     assert not (tmp_path / "y").exists()
 
 
-@pytest.mark.parametrize("key", ["eps_cost", "surrogate_exp_cap",
-                                 "smooth_window"])
-def test_deleted_constant_is_config_error(tmp_path, key):
-    # constants beside their one reader now, no longer settings
+@pytest.mark.parametrize("key", [
+    "eps_cost", "surrogate_exp_cap", "smooth_window", "reward_scale",
+    "entropy_coef", "grad_clip", "pf_ewma", "dqn_eps_start", "dqn_eps_end",
+    "dqn_eps_decay_slots", "dqn_target_sync"])
+def test_deleted_constant_is_config_error(tmp_path, capsys, key):
+    # constants beside their one reader now, no longer settings: an older
+    # run's config.txt that names one fails until the line is dropped
     assert main(["train", "--out", str(tmp_path / "x"), *TINY,
                  "--set", f"{key}=1"]) == 2
     assert not (tmp_path / "x").exists()
+    assert f"unknown key '{key}'" in capsys.readouterr().err
     path = tmp_path / "scenario.txt"
     path.write_text(f"episodes = 2\n{key} = 1\n")
     assert main(["train", "--config", str(path),
                  "--out", str(tmp_path / "y")]) == 2
     assert not (tmp_path / "y").exists()
+    assert f"line 2: unknown key '{key}'" in capsys.readouterr().err
 
 
 def test_unreadable_config_file_is_config_error(tmp_path):

@@ -12,12 +12,15 @@ from slicesched.config import (ConfigError, ScenarioConfig, ValidationError,
                                parse_overrides)
 from conftest import parse_config_text
 
-# the observation scales, now constants of the encoder, and the three
-# dexterity schedules, now the one dxi_levels / dxi_middle pair
+# the observation scales, now constants of the encoder, the three
+# dexterity schedules, now the one dxi_levels / dxi_middle pair, and the
+# learner and baseline settings, now constants of agents and schedulers
 DELETED_KEYS = ("q_ref", "r_ref_mbps", "l_ref", "y_clip", "obs_clip",
                 "dexterity_profile", "dxi_level", "dxi_low", "dxi_high",
                 "dxi_step_user", "dxi_values", "eps_cost", "surrogate_exp_cap",
-                "smooth_window")
+                "smooth_window", "reward_scale", "entropy_coef", "grad_clip",
+                "pf_ewma", "dqn_eps_start", "dqn_eps_end",
+                "dqn_eps_decay_slots", "dqn_target_sync")
 
 
 def test_defaults_are_valid():
@@ -101,21 +104,21 @@ def test_parse_tuple_fields():
     {"dxi_levels": ()},                   # only dxi_middle may be empty
     {"beta_dex": float("nan")},           # a nan passes ordered comparisons
     {"total_bandwidth_hz": float("inf")},
-    {"pf_ewma": 0.0},
+    {"lr_actor": 0.0},
     {"slots_per_episode": 0},
     {"episodes": 0},
-    {"dqn_eps_end": 0.5, "dqn_eps_start": 0.1},
+    {"gamma": 1.0},
     {"trunk_hidden": (64, 0)},
     {"dxi_levels": (float("nan"),)},
     {"lambda_embb": float("nan")},
     {"lambda_embb": float("inf")},
     {"mmpp_alpha": float("nan")},
-    {"entropy_coef": float("nan")},
+    {"lr_critic": float("nan")},
     {"dxi_levels": (0.0, float("nan"), 1.0)},
-    {"grad_clip": 0.0},                   # zeroes every update
-    {"grad_clip": -1.0},                  # flips every clipped gradient
-    {"reward_scale": 0.0},
-    {"reward_scale": -1.0},               # the learner would maximise cost
+    {"dual_step": 0.0},                   # the dual never moves
+    {"lyapunov_v": -1.0},                 # the learner would maximise cost
+    {"chi_h": 0.0},
+    {"master_seed": -1},                  # no SeedSequence takes it
     {"mmpp_alpha": 0.0, "mmpp_beta": 0.0},   # no stationary distribution
     {"dxi_levels": (-1.0,)},
     {"dxi_middle": (0.0, -1.0, 0.0)},

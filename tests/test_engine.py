@@ -606,7 +606,7 @@ def test_batch_pass_matches_slot_loop(world, policy_name, training):
     cfg = ScenarioConfig(**{"episodes": 3, "slots_per_episode": 50,
                             **BATCH_WORLDS[world]})
     loop = {"rr": SlotLoopRR(),
-            "pf": SlotLoopPF(cfg.num_users, cfg.pf_ewma)}[policy_name]
+            "pf": SlotLoopPF(cfg.num_users)}[policy_name]
     sims = []
     for policy in (build_policy(policy_name, cfg, 1), loop):
         policy.training = training

@@ -17,6 +17,7 @@ import hashlib
 
 import pytest
 
+from slicesched import agents
 from slicesched.cli import main
 from slicesched.config import ScenarioConfig
 from slicesched.engine import (export_diagnostics_csv, export_trace_csv,
@@ -24,17 +25,27 @@ from slicesched.engine import (export_diagnostics_csv, export_trace_csv,
 
 from conftest import pooled_hrllc_delays
 
-# dqn: a small batch, target sync and replay capacity so that updates,
-# target syncs and replay wrap-around all happen within 75 slots, and a
-# short epsilon decay so that greedy decisions happen too
+# Each case: the policy, its config overrides and the constants of agents
+# it patches.  dqn: a small batch, target sync and replay capacity so that
+# updates, target syncs and replay wrap-around all happen within 75 slots,
+# and a short epsilon decay so that greedy decisions happen too
 CASES = {
-    "a2c-shared": ("a2c", {}),
-    "dqn": ("dqn", {"dqn_batch_size": 8, "dqn_target_sync": 10,
-                    "dqn_replay_capacity": 40, "dqn_eps_decay_slots": 30,
-                    "dqn_eps_end": 0.2}),
-    "rr": ("rr", {}),
-    "pf": ("pf", {}),
+    "a2c-shared": ("a2c", {}, {}),
+    "dqn": ("dqn", {"dqn_batch_size": 8, "dqn_replay_capacity": 40},
+            {"DQN_TARGET_SYNC": 10, "DQN_EPS_DECAY_SLOTS": 30,
+             "DQN_EPS_END": 0.2}),
+    "rr": ("rr", {}, {}),
+    "pf": ("pf", {}, {}),
 }
+
+
+def golden_case(case, tiny_cfg, monkeypatch):
+    """The case's policy name and scenario, its constants patched."""
+    agent, overrides, constants = CASES[case]
+    for name, value in constants.items():
+        monkeypatch.setattr(agents, name, value)
+    return agent, dataclasses.replace(tiny_cfg, **overrides)
+
 
 GOLDEN = {
     "a2c-shared": {
@@ -85,9 +96,9 @@ def _digests(cfg, agent, out_dir) -> dict:
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_golden_digests(case, tiny_cfg, tmp_path):
-    agent, overrides = CASES[case]
-    got = _digests(dataclasses.replace(tiny_cfg, **overrides), agent, tmp_path)
+def test_golden_digests(case, tiny_cfg, tmp_path, monkeypatch):
+    agent, cfg = golden_case(case, tiny_cfg, monkeypatch)
+    got = _digests(cfg, agent, tmp_path)
     assert got == GOLDEN[case]
 
 

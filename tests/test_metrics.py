@@ -11,7 +11,7 @@ from slicesched.metrics import (DexteritySensitivity, compare_policies,
                                 summarize)
 from conftest import (pooled_delay_cdf, pooled_hrllc_delays,
                       pooled_reliability, windowed_slope)
-from test_golden import CASES as GOLDEN_CASES
+from test_golden import CASES as GOLDEN_CASES, golden_case
 
 
 def test_moving_average_reference_points():
@@ -209,11 +209,11 @@ def _assert_summary_matches_pooled(records, cfg):
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
-def test_delay_histogram_matches_pooled_reference(case, tiny_cfg):
+def test_delay_histogram_matches_pooled_reference(case, tiny_cfg,
+                                                  monkeypatch):
     """On the golden configs, and with an episode inserted that has no HRLLC
     departure while its packets stay queued (zero service)."""
-    agent, overrides = GOLDEN_CASES[case]
-    cfg = dataclasses.replace(tiny_cfg, **overrides)
+    agent, cfg = golden_case(case, tiny_cfg, monkeypatch)
     records = []
     run_training(cfg, agent, records.append)
     assert any(r.slots.backlogs[-1, cfg.num_embb:].any() for r in records)

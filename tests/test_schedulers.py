@@ -3,7 +3,7 @@ import pytest
 
 from slicesched.channel import all_user_rates
 from slicesched.config import ScenarioConfig
-from slicesched.schedulers import (Allocation, ProportionalFairPolicy,
+from slicesched.schedulers import (PF_EWMA, Allocation, ProportionalFairPolicy,
                                    RoundRobinPolicy, intra_slice_divide,
                                    materialize_assignment, proportional_fair)
 from conftest import make_context, slot_row
@@ -299,7 +299,7 @@ def test_materialize_rejects_negative_counts():
 
 def test_pf_policy_achieved_rates_accumulate_in_prb_order():
     rng = np.random.default_rng(12)
-    policy = ProportionalFairPolicy(num_users=7, ewma_factor=0.1)
+    policy = ProportionalFairPolicy(num_users=7)
     for _ in range(20):
         ctx = make_context(rng)
         before = policy.ewma.copy()
@@ -309,7 +309,8 @@ def test_pf_policy_achieved_rates_accumulate_in_prb_order():
         achieved = np.zeros(ctx.num_users)
         for j, u in enumerate(alloc.assignment):
             achieved[u] += ctx.rate_matrix[u, j]
-        expected = np.maximum((1.0 - 0.1) * before + 0.1 * achieved, 1.0)
+        expected = np.maximum((1.0 - PF_EWMA) * before + PF_EWMA * achieved,
+                              1.0)
         assert np.array_equal(policy.ewma, expected)
 
 
@@ -324,7 +325,7 @@ def test_round_robin_policy_cursor_persists():
 
 def test_pf_policy_updates_ewma():
     rng = np.random.default_rng(10)
-    policy = ProportionalFairPolicy(num_users=7, ewma_factor=0.1)
+    policy = ProportionalFairPolicy(num_users=7)
     before = policy.ewma.copy()
     ctx = make_context(rng)
     alloc = policy.allocate(ctx)
