@@ -164,7 +164,10 @@ def test_non_finite_config_value_is_config_error(tmp_path, setting):
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("settings", [["mmpp_alpha=0", "mmpp_beta=0"]])
+@pytest.mark.parametrize("settings", [
+    ["dqn_replay_capacity=32", "dqn_batch_size=64"], ["num_prbs=6"],
+    ["lambda_slow=8", "lambda_burst=2"], ["d_proc_s=0.02", "d_max_s=0.01"],
+    ["mmpp_alpha=0", "mmpp_beta=0"]])
 def test_invariant_violation_is_config_error(tmp_path, settings):
     # rejected before the run directory is made, not mid-run
     sets = [arg for s in settings for arg in ("--set", s)]
