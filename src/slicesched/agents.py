@@ -328,10 +328,12 @@ class DqnAgent(Learner):
         self._sync_target()
         self._optimizer((cfg.lr_critic,))
         # replay ring, one record per transition (the count-th in row count %
-        # capacity), read field by field so each batch gathers contiguously
-        self.replay = np.empty(cfg.dqn_replay_capacity, dtype=[
-            ("obs", float, (self.obs_dim,)), ("next", float, (self.obs_dim,)),
-            ("act", int), ("rew", float), ("done", float)])
+        # n, n = capacity + 1), read field by field so each batch gathers
+        # contiguously; a transition's next observation is the obs of the row
+        # after it, written ahead when the transition is stored
+        self.replay = np.empty(cfg.dqn_replay_capacity + 1, dtype=[
+            ("obs", float, (self.obs_dim,)), ("act", int), ("rew", float),
+            ("done", float)])
         self.count = 0
 
     def _sync_target(self) -> None:
@@ -361,22 +363,26 @@ class DqnAgent(Learner):
         obs, joint = self._pending
         row = self.count % len(self.replay)
         self.count += 1
-        self.replay[row] = (obs, obs if next_obs is None else next_obs, joint,
-                            self._reward(), next_obs is None)
+        self.replay[row] = (obs, joint, self._reward(), next_obs is None)
+        # at a terminal the bootstrap weight 1 - done is 0, so any finite
+        # observation serves; the transition's own is at hand
+        self.replay["obs"][(row + 1) % len(self.replay)] = (
+            obs if next_obs is None else next_obs)
         if self.count >= self.cfg.dqn_batch_size:
             self._update()
 
     def _update(self) -> None:
         cfg = self.cfg
         batch = cfg.dqn_batch_size
-        cap = len(self.replay)
-        # of the `stored` kept transitions, age i is in row count - stored + i
-        stored = min(self.count, cap)
+        n = len(self.replay)
+        # of the `stored` kept transitions, age i is in row count - stored + i;
+        # row count % n, the newest next observation, is never among them
+        stored = min(self.count, n - 1)
         idx = self.rng.choice(stored, size=batch, replace=False)
-        rows = (self.count - stored + idx) % cap
+        rows = (self.count - stored + idx) % n
         acts = self.replay["act"][rows]
         q, trace = self.net.forward(self.replay["obs"][rows])
-        q_next, _ = self.target.forward(self.replay["next"][rows])
+        q_next, _ = self.target.forward(self.replay["obs"][(rows + 1) % n])
         targets = (self.replay["rew"][rows] + cfg.gamma
                    * (1.0 - self.replay["done"][rows]) * q_next.max(axis=1))
         chosen = q[np.arange(batch), acts]

@@ -401,26 +401,28 @@ def test_dqn_greedy_action_follows_q_values():
 
 
 class _RecordingRng:
-    """A generator that keeps the indices each ``choice`` call returns."""
+    """A generator that keeps the population size each ``choice`` call is
+    given and the indices it returns."""
 
     def __init__(self, rng):
         self._rng = rng
-        self.picks = []
+        self.populations, self.picks = [], []
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
 
-    def choice(self, *args, **kwargs):
-        idx = self._rng.choice(*args, **kwargs)
+    def choice(self, population, *args, **kwargs):
+        idx = self._rng.choice(population, *args, **kwargs)
+        self.populations.append(population)
         self.picks.append(idx)
         return idx
 
 
 def test_dqn_replay_ring_samples_the_kept_transitions(monkeypatch):
     """Replay index i is the i-th oldest of the last ``capacity`` stored
-    transitions, across two wraps of the ring and an episode boundary, and
-    each record holds its slot's reward, action, next observation and end
-    flag."""
+    transitions, across two wraps of the ring and an episode boundary, each
+    record holds its slot's reward, action and end flag, and the row after
+    it holds its next observation."""
     cap, slots = 5, 7
     cfg = ScenarioConfig(dqn_replay_capacity=cap, dqn_batch_size=2)
     agent = DqnAgent(cfg, np.random.default_rng(18))
@@ -445,11 +447,13 @@ def test_dqn_replay_ring_samples_the_kept_transitions(monkeypatch):
         slot = agent.count
         last = slot % slots == slots - 1
         learn(next_obs)
-        newest = agent.replay[(agent.count - 1) % cap]
+        n = len(agent.replay)
+        newest = agent.replay[(agent.count - 1) % n]
         # the transition's reward: its slot row's, the last one observed
         assert newest["rew"] == rows[-1]["reward"] * agents.REWARD_SCALE
-        # the next slot's observation, or its own at an episode's end
-        assert newest["next"].tobytes() == \
+        # the next slot's observation, or its own at an episode's end, in
+        # the obs of the row after it
+        assert agent.replay["obs"][agent.count % n].tobytes() == \
             observations[slot if last else slot + 1].tobytes()
         assert newest["done"] == (1.0 if last else 0.0)
         assert newest["act"] == joints[slot]
@@ -479,6 +483,67 @@ def test_dqn_replay_ring_samples_the_kept_transitions(monkeypatch):
     assert len(expected) == len(fed) == stored - 1
     for want, got in zip(expected, fed):
         assert got.tobytes() == want.tobytes()
+
+
+def test_dqn_terminal_target_is_its_reward_and_the_row_ahead_is_unsampled():
+    """A terminal transition's TD target equals its reward bit for bit,
+    both while the row after it holds the transition's own observation and
+    after the next episode's first store overwrites that row; and the row
+    written ahead, count % n, is never sampled, across wraps of the ring."""
+    cfg = ScenarioConfig(dqn_replay_capacity=6, dqn_batch_size=3,
+                         slots_per_episode=5)
+    agent = DqnAgent(cfg, np.random.default_rng(41))
+    agent.rng = rng = _RecordingRng(agent.rng)
+    n = len(agent.replay)
+    learn, update = agent._learn, agent._update
+    terminals, checked = [], []
+
+    def td_target(row):
+        q_next, _ = agent.target.forward(agent.replay["obs"][(row + 1) % n])
+        return (agent.replay["rew"][[row]] + cfg.gamma
+                * (1.0 - agent.replay["done"][[row]]) * q_next.max(axis=1))
+
+    def assert_target_is_reward(row):
+        rew = agent.replay["rew"][row]
+        assert agent.replay["done"][row] == 1.0 and rew != 0.0
+        assert td_target(row).tobytes() == np.array([rew]).tobytes()
+
+    def checked_learn(next_obs):
+        obs = agent._pending[0].copy()
+        learn(next_obs)
+        if terminals and terminals[-1] == (agent.count - 2) % n:
+            # the next episode's first store, into the row after the terminal
+            assert agent.replay["obs"][(terminals[-1] + 1) % n].tobytes() == \
+                obs.tobytes()
+            assert_target_is_reward(terminals[-1])
+            checked.append(terminals[-1])
+        if next_obs is None:
+            terminals.append((agent.count - 1) % n)
+            # the row after it holds the transition's own observation
+            assert agent.replay["obs"][agent.count % n].tobytes() == \
+                obs.tobytes()
+            assert_target_is_reward(terminals[-1])
+
+    def checked_update():
+        update()
+        # the rows the update sampled, from the window it drew them in
+        stored, idx = rng.populations[-1], rng.picks[-1]
+        assert agent.count % n not in (agent.count - stored + idx) % n
+
+    agent._learn, agent._update = checked_learn, checked_update
+    _run(cfg, agent, 4)
+    assert agent.count == 4 * cfg.slots_per_episode > 2 * n
+    assert len(terminals) == 4 and len(checked) == 3
+
+
+def test_dqn_replay_stays_below_the_huge_page_threshold():
+    """NumPy advises huge pages for allocations of 4 MiB or more, and a short
+    run that touched part of such a ring could then hold a whole 2 MiB page
+    of it; at the defaults the ring is 10 001 records of 240 B."""
+    agent = DqnAgent(ScenarioConfig(), np.random.default_rng(0))
+    assert agent.replay.dtype.names == ("obs", "act", "rew", "done")
+    assert len(agent.replay) == ScenarioConfig().dqn_replay_capacity + 1
+    assert agent.replay.nbytes == 2400240 < 1 << 22
 
 
 # --- the learners against their list-based form -----------------------------
@@ -615,14 +680,14 @@ def test_dqn_learner_bit_exact_against_list_oracle():
 
     def checked_update():
         nonlocal terminal_batches
-        batch, cap = cfg.dqn_batch_size, len(agent.replay)
-        stored = min(agent.count, cap)
+        batch, n = cfg.dqn_batch_size, len(agent.replay)
+        stored = min(agent.count, n - 1)
         # the batch the update is about to draw, from a copy of its stream
         idx = copy.deepcopy(agent.rng).choice(stored, size=batch, replace=False)
-        rows = (agent.count - stored + idx) % cap
+        rows = (agent.count - stored + idx) % n
         acts = agent.replay["act"][rows]
         q, trace = oracle.forward(agent.replay["obs"][rows])
-        q_next, _ = agent.target.forward(agent.replay["next"][rows])
+        q_next, _ = agent.target.forward(agent.replay["obs"][(rows + 1) % n])
         done = agent.replay["done"][rows]
         targets = agent.replay["rew"][rows] + cfg.gamma * (1.0 - done) * q_next.max(axis=1)
         err = q[np.arange(batch), acts] - targets
