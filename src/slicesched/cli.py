@@ -150,12 +150,11 @@ def cmd_compare(args: argparse.Namespace, argv: list[str]) -> int:
     for name in learned:
         built[name].load(args.checkpoint)
     run = RunDir(args.out, f"compare-{cfg.master_seed}", cfg, argv)
-    summaries = {}
-    for name, policy in built.items():
-        summarizer = Summarizer(cfg)
-        run_evaluation(cfg, policy, eval_seed, summarizer.add)
-        summaries[name] = summarizer.summary()
-    table = compare_policies(summaries)
+    summarizers = {name: Summarizer(cfg) for name in policies}
+    run_evaluation(cfg, eval_seed,
+                   [(built[name], summarizers[name].add) for name in policies])
+    table = compare_policies({name: summarizer.summary()
+                              for name, summarizer in summarizers.items()})
     write_csv(run.file("reliability.csv"), ["policy", "reliability_at_dmax"],
               [policies, [table["reliability"][p] for p in policies]])
     write_csv(run.file("returns.csv"), ["episode", *policies],

@@ -1,7 +1,7 @@
 """Per-episode closed loop with full trace recording: draw the episode's
 world, then run each slot's action -> service -> queues -> reward -> learning.
 
-No allocation changes the world, so it is drawn before the slot loop: (1)
+No allocation changes the world, so ``draw_worlds`` draws it beforehand: (1)
 the chains' states and DXI, (2) arrivals, (3) the channel's squared gains
 and per-PRB rates.  One loop then runs every slot: (4-6) build the context
 and let the policy allocate, (7) the achieved rates, and (11) the slot's
@@ -39,7 +39,7 @@ reducer of ``metrics``), so memory does not grow with the episode count.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,8 +70,8 @@ def stream(master_seed: int, *key: int) -> np.random.Generator:
 
     A stream is identified by a purpose tag plus optional sub-indices (user
     id, ...).  Streams with distinct keys are statistically independent, and
-    the traffic and channel tags are separate from the policy tag, so
-    different policies can replay identical world randomness.
+    the traffic and channel tags are separate from the policy tag, so a
+    world drawn from them does not depend on the policy run on it.
     """
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=tuple(key)))
 
@@ -104,50 +104,20 @@ def build_policy(name: str, cfg: ScenarioConfig, master_seed: int) -> Policy:
 
 
 class Simulation:
-    """One world of ``episodes`` episodes seeded by ``seed``: owns the rng
-    streams, the dual and the episode count.  The dexterity profile spans
-    all ``episodes`` episodes, and the dual steps only while
-    ``policy.training`` holds, so a frozen policy leaves it where it is."""
+    """One policy's run: the policy, its dual and its episode count.  The
+    dual steps only while ``policy.training`` holds, so a frozen policy
+    leaves it where it is."""
 
-    def __init__(self, cfg: ScenarioConfig, policy: Policy, seed: int,
-                 episodes: int):
+    def __init__(self, cfg: ScenarioConfig, policy: Policy):
         self.cfg = cfg
         self.policy = policy
-        self.rng_hrllc = [stream(seed, TRAFFIC_HRLLC, u)
-                          for u in range(cfg.num_hrllc)]
-        self.rng_embb = [stream(seed, TRAFFIC_EMBB, u)
-                         for u in range(cfg.num_embb)]
-        self.rng_channel = stream(seed, CHANNEL)
-        self.rng_chain_init = stream(seed, CHAIN_INIT)
-        self.dex_profile = DexterityProfile(
-            cfg, episodes * cfg.slots_per_episode)
         self.dual = DualVariable(value=0.0, step=cfg.dual_step)
         self._episode = 0
 
-    def _draw_world(self) -> tuple[np.ndarray, ...]:
-        """The next episode's exogenous columns, one row per slot: chain states,
-        DXI, arrivals (eMBB users first), squared gains, per-PRB rates."""
-        cfg, n_s = self.cfg, self.cfg.slots_per_episode
-        alpha, beta = cfg.mmpp_alpha, cfg.mmpp_beta
-        dxi = self.dex_profile.vector(self._episode * n_s + np.arange(n_s))
-        hrllc = []              # per user, per slot: chain state, arrivals
-        for u, rng in enumerate(self.rng_hrllc):
-            # the chain step and the Poisson draw share the user's stream
-            state = init_state_stationary(alpha, beta, self.rng_chain_init)
-            chain = MmppChain(alpha, beta, (cfg.lambda_slow, cfg.lambda_burst),
-                              cfg.slot_duration_s, state)
-            for level in dxi[:, u].tolist():
-                hrllc += (chain.step(rng),
-                          sample_hrllc_arrivals(chain, cfg.beta_dex, level, rng))
-        states, arr_h = np.array(hrllc, dtype=np.int64).reshape(-1, n_s, 2).T
-        arrivals = np.column_stack([*(sample_embb_arrivals(cfg.lambda_embb, rng, n_s)
-                                      for rng in self.rng_embb), arr_h])
-        gain_sq = draw_channel(cfg, self.rng_channel, n_s)
-        return states, dxi, arrivals, gain_sq, rate_matrix(cfg, gain_sq)
-
-    def run_episode(self) -> EpisodeRecord:
+    def run_episode(self, world: tuple[np.ndarray, ...]) -> EpisodeRecord:
+        """The next episode, on ``world`` (``draw_worlds``' columns, read only)."""
         cfg, n_e, policy = self.cfg, self.cfg.num_embb, self.policy
-        states, dxi, arrivals, gain_sq, prb_rates = self._draw_world()
+        states, dxi, arrivals, gain_sq, prb_rates = world
         slots = np.recarray(cfg.slots_per_episode, dtype=slot_dtype(cfg))
         slots.mmpp_states, slots.dxi, slots.arrivals = states, dxi, arrivals
         queued = policy.reads_queues
@@ -236,6 +206,35 @@ class Simulation:
         return rew, self.dual.value
 
 
+def draw_worlds(cfg: ScenarioConfig, seed: int, episodes: int
+                ) -> Iterator[tuple[np.ndarray, ...]]:
+    """Each of ``episodes`` episodes' exogenous columns in turn, one row per
+    slot: chain states, DXI, arrivals (eMBB users first), squared gains,
+    per-PRB rates.  The streams are seeded by ``seed``, and the dexterity
+    profile spans all ``episodes`` episodes."""
+    n_s, alpha, beta = cfg.slots_per_episode, cfg.mmpp_alpha, cfg.mmpp_beta
+    rng_hrllc = [stream(seed, TRAFFIC_HRLLC, u) for u in range(cfg.num_hrllc)]
+    rng_embb = [stream(seed, TRAFFIC_EMBB, u) for u in range(cfg.num_embb)]
+    rng_channel, rng_chain_init = stream(seed, CHANNEL), stream(seed, CHAIN_INIT)
+    profile = DexterityProfile(cfg, episodes * n_s)
+    for episode in range(episodes):
+        dxi = profile.vector(episode * n_s + np.arange(n_s))
+        hrllc = []              # per user, per slot: chain state, arrivals
+        for u, rng in enumerate(rng_hrllc):
+            # the chain step and the Poisson draw share the user's stream
+            state = init_state_stationary(alpha, beta, rng_chain_init)
+            chain = MmppChain(alpha, beta, (cfg.lambda_slow, cfg.lambda_burst),
+                              cfg.slot_duration_s, state)
+            for level in dxi[:, u].tolist():
+                hrllc += (chain.step(rng),
+                          sample_hrllc_arrivals(chain, cfg.beta_dex, level, rng))
+        states, arr_h = np.array(hrllc, dtype=np.int64).reshape(-1, n_s, 2).T
+        arrivals = np.column_stack([*(sample_embb_arrivals(cfg.lambda_embb, rng, n_s)
+                                      for rng in rng_embb), arr_h])
+        gain_sq = draw_channel(cfg, rng_channel, n_s)
+        yield states, dxi, arrivals, gain_sq, rate_matrix(cfg, gain_sq)
+
+
 def mean_surrogate(cfg: ScenarioConfig, arrivals_h: np.ndarray,
                    served_h: np.ndarray):
     """``np.mean`` over the last axis (HRLLC users) of the users'
@@ -255,26 +254,27 @@ def run_training(cfg: ScenarioConfig, agent_kind: str,
     """Train (or just run, for rr/pf) a policy for cfg.episodes episodes,
     handing each finished episode's record to ``on_episode``."""
     policy = build_policy(agent_kind, cfg, cfg.master_seed)
-    sim = Simulation(cfg, policy, cfg.master_seed, cfg.episodes)
-    for _ in range(cfg.episodes):
-        on_episode(sim.run_episode())
+    sim = Simulation(cfg, policy)
+    for world in draw_worlds(cfg, cfg.master_seed, cfg.episodes):
+        on_episode(sim.run_episode(world))
+        del world               # freed before the next world is drawn
     return policy
 
 
-def run_evaluation(cfg: ScenarioConfig, policy: Policy, eval_seed: int,
-                   on_episode: Callable[[EpisodeRecord], None]) -> None:
-    """Frozen-policy rollout of cfg.eval_episodes episodes on a fresh world
-    seeded by eval_seed, handing each finished episode's record to
-    ``on_episode``.
-
-    Traffic and channel streams depend only on (eval_seed, user), so
-    different policies evaluated with the same eval_seed face identical
-    randomness.
-    """
-    policy.training = False
-    sim = Simulation(cfg, policy, eval_seed, cfg.eval_episodes)
-    for _ in range(cfg.eval_episodes):
-        on_episode(sim.run_episode())
+def run_evaluation(cfg: ScenarioConfig, eval_seed: int,
+                   runs: Sequence[tuple[Policy, Callable[[EpisodeRecord], None]]]
+                   ) -> None:
+    """Frozen-policy rollouts of cfg.eval_episodes episodes on a fresh world
+    seeded by eval_seed, one per ``(policy, on_episode)`` pair of ``runs``:
+    each episode's world is drawn once and every policy runs on it in turn,
+    handing its record to its ``on_episode`` as if it ran alone."""
+    for policy, _ in runs:
+        policy.training = False
+    sims = [(Simulation(cfg, policy), on_episode) for policy, on_episode in runs]
+    for world in draw_worlds(cfg, eval_seed, cfg.eval_episodes):
+        for sim, on_episode in sims:
+            on_episode(sim.run_episode(world))
+        del world               # freed before the next world is drawn
 
 
 def stepped_user_columns(record: EpisodeRecord, cfg: ScenarioConfig

@@ -191,7 +191,8 @@ def test_criterion_3_feasibility(default_a2c, default_dqn):
     _check_feasibility(records, cfg)
     _check_feasibility(default_dqn[1], cfg)
     ev = []
-    run_evaluation(cfg, build_policy("rr", cfg, cfg.master_seed), 7, ev.append)
+    run_evaluation(cfg, 7, [(build_policy("rr", cfg, cfg.master_seed),
+                             ev.append)])
     _check_feasibility(ev, cfg)
     n_slots = sum(len(r.slots) for r in records) \
         + sum(len(r.slots) for r in default_dqn[1]) \
@@ -244,13 +245,13 @@ def test_criterion_6_reliability(default_a2c):
     cfg, _, policy, _ = default_a2c
     wins, details = 0, []
     for seed in (101, 102, 103, 104, 105):
-        rels = {}
-        for name in ("a2c", "rr", "pf"):
-            pol = policy if name == "a2c" else \
-                build_policy(name, cfg, cfg.master_seed)
-            summarizer = Summarizer(cfg)
-            run_evaluation(cfg, pol, seed, summarizer.add)
-            rels[name] = summarizer.summary().reliability_at_dmax
+        pols = {"a2c": policy, "rr": build_policy("rr", cfg, cfg.master_seed),
+                "pf": build_policy("pf", cfg, cfg.master_seed)}
+        summarizers = {name: Summarizer(cfg) for name in pols}
+        run_evaluation(cfg, seed, [(pol, summarizers[name].add)
+                                   for name, pol in pols.items()])
+        rels = {name: s.summary().reliability_at_dmax
+                for name, s in summarizers.items()}
         good = (rels["a2c"] >= rels["rr"] and rels["a2c"] >= rels["pf"]
                 and rels["a2c"] >= 0.95)
         wins += good

@@ -12,7 +12,7 @@ from slicesched.agents import (EPS_COST, L_REF, OBS_CLIP, Q_REF, R_REF_BPS,
                                encode_observation, obs_length, reward,
                                step_cost)
 from slicesched.config import ScenarioConfig
-from slicesched.engine import Simulation
+from slicesched.engine import Simulation, draw_worlds
 from slicesched.net import Mlp, save_arrays, softmax
 from conftest import (a2c_grad_rows, make_context, save_split_a2c_checkpoint,
                       slot_row)
@@ -134,8 +134,9 @@ def test_learner_encodes_the_previous_row(monkeypatch):
 
     monkeypatch.setattr(agents, "encode_observation", recording_encode)
     monkeypatch.setattr(agents, "a2c_grads", recording_grads)
-    sim = Simulation(cfg, agent, seed=4, episodes=2)
-    slots = np.concatenate([sim.run_episode().slots for _ in range(2)])
+    sim = Simulation(cfg, agent)
+    slots = np.concatenate([sim.run_episode(world).slots
+                            for world in draw_worlds(cfg, 4, 2)])
     assert np.any(slots["reward"] != 0.0)
     assert learned == (slots["reward"] * agents.REWARD_SCALE).tolist()
     assert len(observations) == len(slots)
@@ -624,9 +625,9 @@ def _oracle_net(net):
 
 
 def _run(cfg, agent, episodes):
-    sim = Simulation(cfg, agent, seed=29, episodes=episodes)
-    for _ in range(episodes):
-        sim.run_episode()
+    sim = Simulation(cfg, agent)
+    for world in draw_worlds(cfg, 29, episodes):
+        sim.run_episode(world)
 
 
 def test_a2c_learner_bit_exact_against_list_oracle():

@@ -127,7 +127,7 @@ def test_benchmark_worker_runs_clean(tmp_path, command, episodes_key):
         cfg = ScenarioConfig(master_seed=5, eval_episodes=2,
                              slots_per_episode=20)
         records = []
-        run_evaluation(cfg, build_policy("pf", cfg, 6), 6, records.append)
+        run_evaluation(cfg, 6, [(build_policy("pf", cfg, 6), records.append)])
         pooled = pooled_hrllc_delays(records, cfg)
         values, counts = np.unique(pooled, return_counts=True)
         for result in results.values():

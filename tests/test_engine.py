@@ -1,17 +1,20 @@
 import dataclasses
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from slicesched import engine
-from slicesched.channel import all_user_rates, derive_prb_bandwidth
+from slicesched.channel import (all_user_rates, derive_prb_bandwidth,
+                                rate_matrix)
 from slicesched.config import ScenarioConfig, ValidationError
 from slicesched.constraint import surrogate_y
 from slicesched.engine import (CHAIN_INIT, CHANNEL, TRAFFIC_EMBB,
                                TRAFFIC_HRLLC, Simulation, build_policy,
-                               export_diagnostics_csv, export_trace_csv,
+                               draw_worlds, export_diagnostics_csv,
+                               export_trace_csv,
                                run_evaluation, run_training,
                                step_response_summary, stepped_user_columns,
                                stream, trace_csv, training_row, write_csv,
@@ -27,8 +30,17 @@ from conftest import make_context, slot_row
 
 
 def _sim(cfg, policy_name="rr"):
-    policy = build_policy(policy_name, cfg, cfg.master_seed)
-    return Simulation(cfg, policy, cfg.master_seed, cfg.episodes)
+    return Simulation(cfg, build_policy(policy_name, cfg, cfg.master_seed))
+
+
+def _worlds(cfg):
+    """The episodes' worlds of a training run on ``cfg``."""
+    return draw_worlds(cfg, cfg.master_seed, cfg.episodes)
+
+
+def _first_episode(cfg, policy_name="rr"):
+    """The first episode's record of a training run on ``cfg``."""
+    return _sim(cfg, policy_name).run_episode(next(_worlds(cfg)))
 
 
 def _train(cfg, policy_name):
@@ -40,7 +52,7 @@ def _train(cfg, policy_name):
 
 def _evaluate(cfg, policy, eval_seed):
     records = []
-    run_evaluation(cfg, policy, eval_seed, records.append)
+    run_evaluation(cfg, eval_seed, [(policy, records.append)])
     return records
 
 
@@ -72,7 +84,7 @@ def test_zero_arrival_fixed_point():
     cfg = ScenarioConfig(lambda_embb=0.0, beta_dex=10.0,
                          dxi_levels=(100.0,), episodes=1,
                          slots_per_episode=40)
-    rec = _sim(cfg).run_episode()
+    rec = _first_episode(cfg)
     for s in rec.slots:
         assert s.backlogs.sum() == 0
         assert s.drift_embb + s.drift_hrllc == 0.0
@@ -85,7 +97,7 @@ def test_zero_service_accumulates_arrivals_exactly():
     # running arrival sum for every user at every slot.
     cfg = ScenarioConfig(mean_snr_linear=1e-15, episodes=1,
                          slots_per_episode=30)
-    rec = _sim(cfg).run_episode()
+    rec = _first_episode(cfg)
     totals = np.zeros(cfg.num_users)
     assert service_capacity(rec.slots.rates, cfg.slot_duration_s,
                             cfg.packet_size_bits).sum() == 0
@@ -95,15 +107,15 @@ def test_zero_service_accumulates_arrivals_exactly():
 
 
 def test_return_is_sum_of_slot_rewards(tiny_cfg):
-    rec = _sim(tiny_cfg, "pf").run_episode()
+    rec = _first_episode(tiny_cfg, "pf")
     assert rec.episodic_return == pytest.approx(
         sum(s.reward for s in rec.slots))
 
 
 def test_episode_reset_clears_queues(tiny_cfg):
-    sim = _sim(tiny_cfg, "rr")
-    sim.run_episode()
-    rec2 = sim.run_episode()
+    sim, worlds = _sim(tiny_cfg, "rr"), _worlds(tiny_cfg)
+    sim.run_episode(next(worlds))
+    rec2 = sim.run_episode(next(worlds))
     first = rec2.slots[0]
     # First-slot backlogs can only contain that slot's unserved arrivals.
     assert np.all(first.backlogs <= first.arrivals)
@@ -171,18 +183,24 @@ def test_run_memory_does_not_grow_with_episodes():
     assert held[200] - held[20] < 18 * 10 * slot_dtype(cfg).itemsize, held
 
 
-def test_world_randomness_identical_across_policies(tiny_cfg):
-    """Shared-seed evaluations expose the same arrivals and channel to every
-    policy, so observed traffic must match element-wise."""
-    recs = {}
-    for name in ("rr", "pf"):
-        policy = build_policy(name, tiny_cfg, 999)
-        recs[name] = _evaluate(dataclasses.replace(tiny_cfg, eval_episodes=2),
-                               policy, eval_seed=999)
-    for ra, rb in zip(recs["rr"], recs["pf"]):
-        for sa, sb in zip(ra.slots, rb.slots):
-            assert np.array_equal(sa.arrivals, sb.arrivals)
-            assert np.array_equal(sa.mmpp_states, sb.mmpp_states)
+def test_shared_evaluation_matches_each_policy_alone(tiny_cfg):
+    """One evaluation of rr, pf and frozen a2c and dqn runs them all on each
+    episode's one world, and gives each policy the slot tables and
+    diagnostics of its own one-policy evaluation, byte for byte."""
+    names = ("rr", "pf", "a2c", "dqn")
+    shared = {name: [] for name in names}
+    run_evaluation(tiny_cfg, 999, [(build_policy(name, tiny_cfg, 999),
+                                    shared[name].append) for name in names])
+    for name in names:
+        alone = _evaluate(tiny_cfg, build_policy(name, tiny_cfg, 999), 999)
+        assert len(alone) == len(shared[name]) == tiny_cfg.eval_episodes
+        for ra, rb in zip(alone, shared[name]):
+            assert ra.episode == rb.episode
+            assert ra.slots.tobytes() == rb.slots.tobytes(), name
+            assert ra.diagnostics == rb.diagnostics, name
+        for ra, rb in zip(shared["rr"], shared[name]):
+            for field in ("mmpp_states", "dxi", "arrivals"):
+                assert ra.slots[field].tobytes() == rb.slots[field].tobytes()
 
 
 def test_evaluation_freezes_dual(tiny_cfg):
@@ -197,10 +215,9 @@ def test_dual_steps_only_while_the_policy_trains(tiny_cfg):
     for training in (True, False):
         policy = RoundRobinPolicy()
         policy.training = training
-        sim = Simulation(tiny_cfg, policy, tiny_cfg.master_seed,
-                         tiny_cfg.episodes)
+        sim = Simulation(tiny_cfg, policy)
         duals[training] = _concat(
-            [sim.run_episode() for _ in range(tiny_cfg.episodes)]).dual
+            [sim.run_episode(world) for world in _worlds(tiny_cfg)]).dual
     assert np.any(duals[True] > 0.0)
     assert np.all(duals[False] == 0.0)
 
@@ -289,7 +306,7 @@ def test_slot_violation_signal_is_numpy_mean(policy_name, overrides):
     also with 9 HRLLC users, where NumPy sums pairwise."""
     cfg = ScenarioConfig(episodes=1, slots_per_episode=40,
                          **overrides)
-    slots = _sim(cfg, policy_name).run_episode().slots
+    slots = _first_episode(cfg, policy_name).slots
     n_e = cfg.num_embb
     served = service_capacity(slots.rates, cfg.slot_duration_s,
                               cfg.packet_size_bits)
@@ -438,20 +455,6 @@ def per_slot_world(cfg, seed, episodes):
             "rates": np.array(cols["rates"])}
 
 
-class SeeingPolicy(RoundRobinPolicy):
-    """Round-robin that keeps a copy of the channel and DXI it is shown."""
-
-    def __init__(self):
-        super().__init__()
-        self.seen = {"gain_sq": [], "rates": [], "dxi": []}
-
-    def allocate(self, ctx):
-        self.seen["gain_sq"].append(ctx.gain_sq.copy())
-        self.seen["rates"].append(ctx.rate_matrix.copy())
-        self.seen["dxi"].append(ctx.dxi.copy())
-        return super().allocate(ctx)
-
-
 WORLD_CASES = {
     "defaults": {},
     # horizon 100: the DXI steps at slots 33 and 66, inside episodes 1 and 2
@@ -470,24 +473,22 @@ def test_episode_world_matches_per_slot_draws(case):
                          **WORLD_CASES[case])
     seed = 2024
     expected = per_slot_world(cfg, seed, cfg.episodes)
-    policy = SeeingPolicy()
-    sim = Simulation(cfg, policy, seed, cfg.episodes)
-    slots = _concat([sim.run_episode() for _ in range(cfg.episodes)])
-    seen = {k: np.array(v) for k, v in policy.seen.items()}
-    got = {"states": slots.mmpp_states, "dxi": slots.dxi,
-           "arrivals": slots.arrivals, "gain_sq": seen["gain_sq"],
-           "rates": seen["rates"]}
+    # the episodes' columns, each concatenated in slot order
+    got = dict(zip(expected, map(np.concatenate,
+                                 zip(*draw_worlds(cfg, seed, cfg.episodes)))))
     for name, column in expected.items():
         assert column.dtype == got[name].dtype, name
         assert column.tobytes() == got[name].tobytes(), name
-    assert seen["dxi"].tobytes() == expected["dxi"].tobytes()
     if case == "clamped":
-        hrllc = slots.arrivals[:, cfg.num_embb:]
-        assert np.all(hrllc[slots.mmpp_states == 1] == 0)
-        assert hrllc[slots.mmpp_states == 2].sum() > 0
+        states, hrllc = got["states"], got["arrivals"][:, cfg.num_embb:]
+        assert np.all(hrllc[states == 1] == 0)
+        assert hrllc[states == 2].sum() > 0
 
 
 def test_world_is_drawn_once_per_episode(monkeypatch, tiny_cfg):
+    """A training run draws each episode's world once, and so does an
+    evaluation of every policy, which all run on the one draw; a run keeps
+    its policy, dual and episode count, and nothing of the world."""
     calls = {}
 
     def count(name, fn):
@@ -499,16 +500,58 @@ def test_world_is_drawn_once_per_episode(monkeypatch, tiny_cfg):
     for name in ("draw_channel", "rate_matrix", "sample_embb_arrivals",
                  "sample_hrllc_arrivals"):
         monkeypatch.setattr(engine, name, count(name, getattr(engine, name)))
-    sim = _sim(tiny_cfg)
-    monkeypatch.setattr(sim.dex_profile, "vector",
-                        count("vector", sim.dex_profile.vector))
-    for _ in range(tiny_cfg.episodes):
-        sim.run_episode()
-    n_ep, n_s = tiny_cfg.episodes, tiny_cfg.slots_per_episode
-    assert calls == {"draw_channel": n_ep, "rate_matrix": n_ep, "vector": n_ep,
-                     "sample_embb_arrivals": n_ep * tiny_cfg.num_embb,
-                     "sample_hrllc_arrivals": n_ep * n_s * tiny_cfg.num_hrllc}
-    assert not hasattr(sim, "chains")
+    monkeypatch.setattr(DexterityProfile, "vector",
+                        count("vector", DexterityProfile.vector))
+    n_s = tiny_cfg.slots_per_episode
+
+    def per_episode(n_ep):
+        return {"draw_channel": n_ep, "rate_matrix": n_ep, "vector": n_ep,
+                "sample_embb_arrivals": n_ep * tiny_cfg.num_embb,
+                "sample_hrllc_arrivals": n_ep * n_s * tiny_cfg.num_hrllc}
+
+    _train(tiny_cfg, "rr")
+    assert calls == per_episode(tiny_cfg.episodes)
+    calls.clear()
+    run_evaluation(tiny_cfg, 5, [(build_policy(name, tiny_cfg, 5),
+                                  lambda record: None) for name in POLICY_NAMES])
+    assert calls == per_episode(tiny_cfg.eval_episodes)
+    assert set(vars(_sim(tiny_cfg))) == {"cfg", "policy", "dual", "_episode"}
+
+
+def test_each_world_is_freed_before_the_next_is_drawn(monkeypatch, tiny_cfg):
+    """Training and evaluation drop an episode's world before the next
+    episode's rates are drawn, so a run holds one world at a time."""
+    earlier, alive = [], []
+
+    def tracked(cfg, gain_sq):
+        alive.append([ref() is not None for ref in earlier])
+        rates = rate_matrix(cfg, gain_sq)
+        earlier.extend((weakref.ref(gain_sq), weakref.ref(rates)))
+        return rates
+
+    monkeypatch.setattr(engine, "rate_matrix", tracked)
+    for name in POLICY_NAMES:
+        _train(tiny_cfg, name)
+    run_evaluation(tiny_cfg, 5, [(build_policy(name, tiny_cfg, 5),
+                                  lambda record: None) for name in POLICY_NAMES])
+    assert len(alive) == 4 * tiny_cfg.episodes + tiny_cfg.eval_episodes
+    assert not any(any(refs) for refs in alive)
+
+
+@pytest.mark.parametrize("policy_name", POLICY_NAMES)
+def test_no_policy_writes_the_world(tiny_cfg, policy_name):
+    """Every policy, training or frozen, runs an episode on world columns
+    that raise on a write, as an evaluation that shares them needs; the
+    record holds the world's chain states, DXI and arrivals."""
+    world = next(_worlds(tiny_cfg))
+    for column in world:
+        column.flags.writeable = False
+    for training in (True, False):
+        policy = build_policy(policy_name, tiny_cfg, 3)
+        policy.training = training
+        slots = Simulation(tiny_cfg, policy).run_episode(world).slots
+        for field, column in zip(("mmpp_states", "dxi", "arrivals"), world):
+            assert np.array_equal(slots[field], column), field
 
 
 @pytest.mark.parametrize("policy_name", POLICY_NAMES)
@@ -537,7 +580,7 @@ def test_policy_observes_each_slot_as_recorded(policy_name):
         observe(row)
 
     policy.allocate, policy.observe = recording_allocate, recording_observe
-    slots = sim.run_episode().slots
+    slots = sim.run_episode(next(_worlds(cfg))).slots
     assert len(calls) == 2 * cfg.slots_per_episode
     for i, row in enumerate(slots):
         assert calls[2 * i] == "allocate"
@@ -610,9 +653,9 @@ def test_batch_pass_matches_slot_loop(world, policy_name, training):
     sims = []
     for policy in (build_policy(policy_name, cfg, 1), loop):
         policy.training = training
-        sims.append(Simulation(cfg, policy, 77, cfg.episodes))
-    for _ in range(cfg.episodes):
-        batch, slot_by_slot = (sim.run_episode() for sim in sims)
+        sims.append(Simulation(cfg, policy))
+    for world in draw_worlds(cfg, 77, cfg.episodes):
+        batch, slot_by_slot = (sim.run_episode(world) for sim in sims)
         assert batch.slots.tobytes() == slot_by_slot.slots.tobytes()
         assert batch.diagnostics == slot_by_slot.diagnostics
     assert sims[0].dual.value == sims[1].dual.value
@@ -647,10 +690,10 @@ def test_batch_pass_backlogs_are_audited(monkeypatch):
             backlogs, lindley_backlogs(arrivals, served)))
         return backlogs
 
-    _sim(cfg, "pf").run_episode()
+    _first_episode(cfg, "pf")
     monkeypatch.setattr(engine, "lindley_backlogs", off_by_one)
     with pytest.raises(AssertionError, match="conservation"):
-        _sim(cfg, "pf").run_episode()
+        _first_episode(cfg, "pf")
     assert wrong == [True]
 
 
@@ -671,7 +714,7 @@ def test_each_policy_runs_its_accounting_form(monkeypatch, policy_name):
 
     for name in calls:
         monkeypatch.setattr(engine, name, count(name, getattr(engine, name)))
-    _sim(cfg, policy_name).run_episode()
+    _first_episode(cfg, policy_name)
     n_s = cfg.slots_per_episode
     per_episode = {"a2c": n_s, "dqn": n_s, "rr": 1, "pf": 1}[policy_name]
     assert calls == {"all_user_rates": n_s, "service_capacity": per_episode,

@@ -236,5 +236,5 @@ def test_delay_histogram_matches_pooled_reference_at_full_size():
                          mmpp_beta=20.0)
     for name in ("rr", "pf"):
         records = []
-        run_evaluation(cfg, build_policy(name, cfg, 3), 3, records.append)
+        run_evaluation(cfg, 3, [(build_policy(name, cfg, 3), records.append)])
         assert _assert_summary_matches_pooled(records, cfg) > 1000
