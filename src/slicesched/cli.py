@@ -22,7 +22,7 @@ from .engine import (AGENT_NAMES, POLICY_NAMES, build_policy,
                      export_diagnostics_csv, export_trace_csv, run_evaluation,
                      run_training, step_response_summary, stepped_user_columns,
                      trace_csv, training_row, write_csv)
-from .metrics import (DexteritySensitivity, EpisodeSeries, Summarizer,
+from .metrics import (DexteritySensitivity, RunSummary, Summarizer,
                       compare_policies)
 from .svgplot import ChartSpec, Series, render_svg
 
@@ -87,37 +87,37 @@ def _series(ys, label: str) -> Series:
                                             for i, y in enumerate(ys)))
 
 
-def _write_training_figures(run: RunDir, curves: dict) -> None:
+def _write_training_figures(run: RunDir, summ: RunSummary) -> None:
     run.write_text("return_curve.svg", render_svg(ChartSpec(
         kind="line", title="Episodic return",
-        series=(_series(curves["returns"], "raw"),
-                _series(curves["returns_smoothed"], "smoothed")),
+        series=(_series(summ.returns, "raw"),
+                _series(summ.returns_smoothed, "smoothed")),
         x_label="episode", y_label="return")))
     run.write_text("queues.svg", render_svg(ChartSpec(
         kind="line", title="Mean queue backlog per episode",
-        series=(_series(curves["mean_queue_embb"], "eMBB"),
-                _series(curves["mean_queue_hrllc"], "HRLLC")),
+        series=(_series(summ.mean_queue_embb, "eMBB"),
+                _series(summ.mean_queue_hrllc, "HRLLC")),
         x_label="episode", y_label="packets")))
     run.write_text("drift.svg", render_svg(ChartSpec(
         kind="line", title="Mean per-slice drift per episode",
-        series=(_series(curves["mean_drift_embb"], "eMBB"),
-                _series(curves["mean_drift_hrllc"], "HRLLC")),
+        series=(_series(summ.mean_drift_embb, "eMBB"),
+                _series(summ.mean_drift_hrllc, "HRLLC")),
         x_label="episode", y_label="drift")))
 
 
 def cmd_train(args: argparse.Namespace, argv: list[str]) -> int:
     cfg = _load_cfg(args, {})
     run = RunDir(args.out, f"train-{args.agent}-{cfg.master_seed}", cfg, argv)
-    series, rows = EpisodeSeries(cfg), []
+    summarizer, rows = Summarizer(cfg), []
     with trace_csv(run.file("trace.csv"), cfg) as trace:
         def on_episode(record):
             export_trace_csv(record, cfg, trace)
             rows.append(training_row(record))
-            series.add(record)
+            summarizer.add(record)
         policy = run_training(cfg, args.agent, on_episode)
     policy.save(run.file("checkpoint.bin"))
     export_diagnostics_csv(rows, run.file("training.csv"))
-    _write_training_figures(run, series.curves())
+    _write_training_figures(run, summarizer.summary())
     run.finalize()
     return 0
 
@@ -179,18 +179,18 @@ def _experiment_two_step(args, argv, cfg: ScenarioConfig) -> int:
             "two-step-dex needs episodes * slots_per_episode >= 3, so that "
             "a window precedes the first change point")
     run = RunDir(args.out, f"two-step-dex-{cfg.master_seed}", cfg, argv)
-    series, parts = EpisodeSeries(cfg), []
+    summarizer, parts = Summarizer(cfg), []
     with trace_csv(run.file("trace.csv"), cfg) as trace:
         def on_episode(record):
             export_trace_csv(record, cfg, trace)
-            series.add(record)
+            summarizer.add(record)
             parts.append(stepped_user_columns(record, cfg))
         run_training(cfg, "a2c", on_episode)
     stepped = np.concatenate(parts)
     summary = step_response_summary(stepped, cfg)
     run.write_text("step_response.json", json.dumps(summary, indent=2,
                                                     sort_keys=True) + "\n")
-    _write_training_figures(run, series.curves())
+    _write_training_figures(run, summarizer.summary())
     step = max(len(stepped) // 2000, 1)        # decimate for plotting
     times = [float(t) for t in range(0, len(stepped), step)]  # from slot 0
     stepped = stepped[::step]
@@ -232,12 +232,12 @@ def _experiment_drl_compare(args, argv, cfg: ScenarioConfig) -> int:
     run = RunDir(args.out, f"drl-compare-{cfg.master_seed}", cfg, argv)
     curves = {}
     for kind in AGENT_NAMES:
-        series, rows = EpisodeSeries(cfg), []
+        summarizer, rows = Summarizer(cfg), []
         def on_episode(record):
             rows.append(training_row(record))
-            series.add(record)
+            summarizer.add(record)
         run_training(cfg, kind, on_episode)
-        curves[kind] = series.curves()["returns_smoothed"]
+        curves[kind] = summarizer.summary().returns_smoothed
         export_diagnostics_csv(rows, run.file(f"{kind}_training.csv"))
     run.write_text("drl_returns.svg", render_svg(ChartSpec(
         kind="line", title="Smoothed episodic return",

@@ -2,9 +2,10 @@
 smoothed return curves, queue/drift traces, delay CDFs with reliability at
 the deadline, policy overlays, and dexterity sensitivity tables.
 
-Each reducer folds one finished ``EpisodeRecord`` at a time (``add``) and
-keeps only what its outputs read, never a slot table: per-episode scalars,
-the HRLLC delays as counts per integer age, or per-user integer sums.
+Each of the two reducers, ``Summarizer`` and ``DexteritySensitivity``,
+folds one finished ``EpisodeRecord`` at a time (``add``) and keeps only
+what its outputs read, never a slot table: per-episode scalars and the
+HRLLC delays as counts per integer age, or per-user sums.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .config import ScenarioConfig
 from .constraint import delay_cdf, reliability
 from .engine import EpisodeRecord
 from .queueing import hrllc_age_counts, packet_delays
-from .traffic import DexterityProfile
 
 SMOOTH_WINDOW = 10      # episodes in a smoothed return curve's trailing mean
 
@@ -55,53 +55,33 @@ class RunSummary:
         return np.repeat(self.delay_values, self.delay_counts)
 
 
-class EpisodeSeries:
-    """A run's per-episode curves, folded one finished episode at a time."""
+class Summarizer:
+    """A run's per-episode curves and its HRLLC packet delays, the latter
+    kept as counts per integer age: a delay is ``age * slot_s + d_proc_s``,
+    so the ages with packets give the distinct delays and their counts."""
 
     def __init__(self, cfg: ScenarioConfig):
-        self.num_embb = cfg.num_embb
-        self.columns = {name: [] for name in (
-            "returns", "mean_queue_embb", "mean_queue_hrllc",
-            "mean_drift_embb", "mean_drift_hrllc")}
-
-    def add(self, record: EpisodeRecord) -> None:
-        s, n_e = record.slots, self.num_embb
-        values = (record.episodic_return,
-                  s.backlogs[:, :n_e].sum(axis=1).mean(),
-                  s.backlogs[:, n_e:].sum(axis=1).mean(),
-                  s.drift_embb.mean(), s.drift_hrllc.mean())
-        for column, value in zip(self.columns.values(), values):
-            column.append(value)
-
-    def curves(self) -> dict[str, np.ndarray]:
-        """The curves of a summary, by field name."""
-        out = {name: np.array(column) for name, column in self.columns.items()}
-        out["returns_smoothed"] = moving_average(out["returns"], SMOOTH_WINDOW)
-        return out
-
-
-class Summarizer(EpisodeSeries):
-    """The episode curves plus the run's HRLLC packet delays, kept as counts
-    per integer age: a delay is ``age * slot_s + d_proc_s``, so the ages
-    with packets give the distinct delays and their counts."""
-
-    def __init__(self, cfg: ScenarioConfig):
-        super().__init__(cfg)
         self.cfg = cfg
+        self.rows = []   # per episode: its curves' values, in RunSummary's order
         self.age_counts = np.zeros(cfg.slots_per_episode, dtype=np.int64)
 
     def add(self, record: EpisodeRecord) -> None:
-        super().add(record)
-        self.age_counts += hrllc_age_counts(record.slots, self.num_embb)
+        s, n_e = record.slots, self.cfg.num_embb
+        self.rows.append((record.episodic_return,
+                          s.backlogs[:, :n_e].sum(axis=1).mean(),
+                          s.backlogs[:, n_e:].sum(axis=1).mean(),
+                          s.drift_embb.mean(), s.drift_hrllc.mean()))
+        self.age_counts += hrllc_age_counts(s, n_e)
 
     def summary(self) -> RunSummary:
         cfg = self.cfg
+        returns, *curves = (np.array(column) for column in zip(*self.rows))
         ages = np.flatnonzero(self.age_counts)
         values = packet_delays(ages, cfg.slot_duration_s, cfg.d_proc_s)
         counts = self.age_counts[ages]
         rel = reliability(values, counts, cfg.d_max_s)
-        return RunSummary(**self.curves(), delay_values=values,
-                          delay_counts=counts, reliability_at_dmax=rel)
+        return RunSummary(returns, moving_average(returns, SMOOTH_WINDOW),
+                          *curves, values, counts, rel)
 
 
 def summarize(records: list[EpisodeRecord], cfg: ScenarioConfig) -> RunSummary:
@@ -144,35 +124,33 @@ def spearman_rank_correlation(x, y) -> float:
 
 
 class DexteritySensitivity:
-    """Per-HRLLC-user steady state of a training run, folded from episode
-    ``first`` on: the users' summed arrivals, departures and PRB counts,
-    exact in any order.  The DXI means come from the run's dexterity
-    profile, the schedule its slot tables' DXI columns were drawn from,
-    averaged as one (slots, users) block as NumPy averages those columns."""
+    """Per-HRLLC-user steady state of a run, folded from episode ``first``
+    on: the users' summed arrivals, departures and PRB counts, exact in any
+    order, and their recorded DXI summed row by row in slot order, the
+    order in which NumPy's ``mean(axis=0)`` sums a (slots, users) block of
+    two or more users."""
 
     def __init__(self, cfg: ScenarioConfig, first: int):
-        self.cfg, self.first, self.episodes = cfg, first, 0
+        self.num_embb, self.first, self.slots = cfg.num_embb, first, 0
         self.sums = np.zeros((3, cfg.num_hrllc), dtype=np.int64)
+        self.dxi = np.full(cfg.num_hrllc, -0.0)    # -0.0 + x is x, bit for bit
 
     def add(self, record: EpisodeRecord) -> None:
         if record.episode >= self.first:
-            s, n_e = record.slots, self.cfg.num_embb
+            s, n_e = record.slots, self.num_embb
             self.sums += [column[:, n_e:].sum(axis=0)
                           for column in (s.arrivals, s.departures, s.counts)]
-            self.episodes += 1
+            self.dxi = np.add.reduce(np.vstack((self.dxi, s.dxi)), axis=0)
+            self.slots += len(s)
 
     def table(self) -> dict:
         """Rows sorted by DXI, with the rank correlation between DXI and
         mean allocated PRBs; every mean is over the folded slots."""
-        cfg, n_s = self.cfg, self.cfg.slots_per_episode
-        lo = self.first * n_s
-        hi = lo + self.episodes * n_s
-        profile = DexterityProfile(cfg, cfg.episodes * n_s)
-        dxi = profile.vector(np.arange(lo, hi)).mean(axis=0).tolist()
-        arrivals, departures, prbs = (self.sums / (hi - lo)).tolist()
+        dxi = (self.dxi / self.slots).tolist()
+        arrivals, departures, prbs = (self.sums / self.slots).tolist()
         rows = [{"user": u, "dxi": dxi[u], "mean_arrivals": arrivals[u],
                  "mean_departures": departures[u], "mean_prbs": prbs[u]}
-                for u in range(cfg.num_hrllc)]
+                for u in range(len(dxi))]
         rows.sort(key=lambda r: r["dxi"])
         corr = spearman_rank_correlation([r["dxi"] for r in rows],
                                          [r["mean_prbs"] for r in rows])

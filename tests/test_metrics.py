@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from slicesched.engine import build_policy, run_evaluation, run_training
 from slicesched.metrics import (DexteritySensitivity, compare_policies,
                                 moving_average, spearman_rank_correlation,
                                 summarize)
+from slicesched.traffic import DexterityProfile
 from conftest import (pooled_delay_cdf, pooled_hrllc_delays,
                       pooled_reliability, windowed_slope)
 from test_golden import CASES as GOLDEN_CASES, golden_case
@@ -185,6 +187,68 @@ def test_dexterity_sensitivity_table():
         assert row["mean_arrivals"] == slots.arrivals[:, col].mean()
         assert row["mean_departures"] == slots.departures[:, col].mean()
         assert row["mean_prbs"] == slots.counts[:, col].mean()
+
+
+def test_dexterity_sensitivity_reads_the_recorded_dxi_of_an_evaluation():
+    """An evaluation's DXI schedule spans its own ``eval_episodes``, not the
+    training horizon: user 0 steps 0 -> 5 -> 0 at 30 and 60 of 90 slots."""
+    cfg = ScenarioConfig(episodes=9, eval_episodes=3, slots_per_episode=30,
+                         dxi_levels=(0.0, 2.5, 5.0), dxi_middle=(5.0, 2.5, 0.0))
+    records, steady = [], DexteritySensitivity(cfg, 0)
+    run_evaluation(cfg, 5, [(build_policy("rr", cfg, 5),
+                             lambda r: (records.append(r), steady.add(r)))])
+    recorded = np.concatenate([r.slots for r in records]).view(np.recarray)
+    want = recorded.dxi.mean(axis=0)
+    assert want.tolist() == [5.0 / 3.0, 2.5, 10.0 / 3.0]
+    for row in steady.table()["rows"]:
+        assert row["dxi"] == want[row["user"]]
+
+
+def _profile_rebuild_table(cfg, first, sums):
+    """The reference table of a training run: the DXI schedule rebuilt from
+    ``cfg`` over the training horizon, and the folded slots taken to be
+    every episode from ``first`` on."""
+    n_s = cfg.slots_per_episode
+    lo = first * n_s
+    hi = lo + max(cfg.episodes - first, 0) * n_s
+    profile = DexterityProfile(cfg, cfg.episodes * n_s)
+    dxi = profile.vector(np.arange(lo, hi)).mean(axis=0).tolist()
+    arrivals, departures, prbs = (sums / (hi - lo)).tolist()
+    rows = [{"user": u, "dxi": dxi[u], "mean_arrivals": arrivals[u],
+             "mean_departures": departures[u], "mean_prbs": prbs[u]}
+            for u in range(cfg.num_hrllc)]
+    rows.sort(key=lambda r: r["dxi"])
+    corr = spearman_rank_correlation([r["dxi"] for r in rows],
+                                     [r["mean_prbs"] for r in rows])
+    return {"rows": rows, "rank_correlation_dxi_prbs": corr}
+
+
+@pytest.mark.parametrize("episodes,slots,first,values", [
+    (7, 30, 3, {"dxi_levels": (0.1, 0.3, 0.7), "dxi_middle": (1.1, 0.2, 0.3)}),
+    (5, 13, 2, {"dxi_levels": (1 / 3, 2 / 7, 0.9), "dxi_middle": (0.9,)}),
+    (4, 13, 1, {"dxi_levels": (-0.0,)}),
+    (4, 13, 0, {"dxi_levels": (0.1, -0.0, 0.3), "dxi_middle": (-0.0,)}),
+    (2, 200, 1, {"num_hrllc": 5, "dxi_levels": (0.0, 2.5, 5.0, 7.5, 10.0),
+                 "lambda_embb": 1.0}),      # the dex-sensitivity preset
+    (1, 1, 0, {"dxi_levels": (0.1, 0.3, 0.7)}),
+    (7, 1, 2, {"dxi_levels": (0.1, 0.3, 0.7), "dxi_middle": (1 / 3,)}),
+    (3, 13, 3, {"dxi_levels": (0.1, 0.3, 0.7)}),     # nothing folded
+])
+def test_dexterity_sensitivity_matches_profile_rebuild_on_training(
+        episodes, slots, first, values):
+    """On a training run the recorded DXI is the rebuilt schedule, and the
+    table is the same to the last bit, ``repr`` for ``repr``."""
+    cfg = ScenarioConfig(episodes=episodes, slots_per_episode=slots, **values)
+    steady = DexteritySensitivity(cfg, first)
+    run_training(cfg, "rr", steady.add)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # an empty fold's 0/0
+        want = _profile_rebuild_table(cfg, first, steady.sums)
+        got = steady.table()
+    assert repr(got) == repr(want)
+    if first >= episodes:
+        assert all(np.isnan(v) for row in got["rows"] for k, v in row.items()
+                   if k != "user")
 
 
 def _assert_summary_matches_pooled(records, cfg):
