@@ -109,18 +109,19 @@ def reward(drift: float, cost: float, v: float, dual: float, y: float) -> float:
     return -(drift + v * cost + dual * max(y, 0.0))
 
 
-def trunk_mlp(cfg: ScenarioConfig, obs_dim: int, out_dim: int,
-              rng: np.random.Generator) -> Mlp:
-    """The learners' net: tanh layers of ``cfg.trunk_hidden`` widths, then a
+TRUNK_HIDDEN = (64, 64)     # the learners' hidden-layer widths
+
+
+def trunk_mlp(obs_dim: int, out_dim: int, rng: np.random.Generator) -> Mlp:
+    """The learners' net: tanh layers of ``TRUNK_HIDDEN`` widths, then a
     linear output layer of ``out_dim`` columns."""
-    return Mlp([obs_dim, *cfg.trunk_hidden, out_dim], rng)
+    return Mlp([obs_dim, *TRUNK_HIDDEN, out_dim], rng)
 
 
-def a2c_net(cfg: ScenarioConfig, obs_dim: int, n_kh: int,
-            rng: np.random.Generator) -> Mlp:
+def a2c_net(obs_dim: int, n_kh: int, rng: np.random.Generator) -> Mlp:
     """Actor-critic net on one trunk.  Output columns: the ``n_kh`` slice-size
     logits, then the template logits, then the state value."""
-    return trunk_mlp(cfg, obs_dim, n_kh + len(TEMPLATES) + 1, rng)
+    return trunk_mlp(obs_dim, n_kh + len(TEMPLATES) + 1, rng)
 
 
 def a2c_heads(net: Mlp, n_kh: int, obs: np.ndarray
@@ -179,6 +180,8 @@ def a2c_grads(net: Mlp, decision: tuple, actions: tuple[int, int], rew: float,
 
 
 REWARD_SCALE = 0.01     # the learners' reward per unit of slot reward
+GAMMA = 0.99            # the learners' discount
+LR_ACTOR = LR_CRITIC = 1e-4     # Adam steps; DQN steps at LR_CRITIC
 GRAD_CLIP = 5.0         # global-norm bound on each gradient row
 
 
@@ -280,9 +283,9 @@ class A2CAgent(Learner):
 
     def __init__(self, cfg: ScenarioConfig, rng: np.random.Generator):
         super().__init__(cfg, rng)
-        self.net = a2c_net(cfg, self.obs_dim, self.n_kh, rng)
+        self.net = a2c_net(self.obs_dim, self.n_kh, rng)
         # the actor's gradient row, then the critic's, stepped in that order
-        self._optimizer((cfg.lr_actor, cfg.lr_critic))
+        self._optimizer((LR_ACTOR, LR_CRITIC))
 
     def allocate(self, ctx: SchedulerContext) -> Allocation:
         obs = self._observation(ctx)
@@ -303,7 +306,7 @@ class A2CAgent(Learner):
     def _learn(self, next_obs: Optional[np.ndarray]) -> None:
         _, actions, decision = self._pending
         diag = a2c_grads(self.net, decision, actions, self._reward(), next_obs,
-                         self.cfg.gamma, ENTROPY_COEF, self._grad_views)
+                         GAMMA, ENTROPY_COEF, self._grad_views)
         self._step(diag)
 
 
@@ -323,10 +326,10 @@ class DqnAgent(Learner):
         super().__init__(cfg, rng)
         # joint index = kh_idx * len(TEMPLATES) + template_idx
         self.n_joint = self.n_kh * len(TEMPLATES)
-        self.net = trunk_mlp(cfg, self.obs_dim, self.n_joint, rng)
-        self.target = trunk_mlp(cfg, self.obs_dim, self.n_joint, rng)
+        self.net = trunk_mlp(self.obs_dim, self.n_joint, rng)
+        self.target = trunk_mlp(self.obs_dim, self.n_joint, rng)
         self._sync_target()
-        self._optimizer((cfg.lr_critic,))
+        self._optimizer((LR_CRITIC,))
         # replay ring, one record per transition (the count-th in row count %
         # n, n = capacity + 1), read field by field so each batch gathers
         # contiguously; a transition's next observation is the obs of the row
@@ -372,8 +375,7 @@ class DqnAgent(Learner):
             self._update()
 
     def _update(self) -> None:
-        cfg = self.cfg
-        batch = cfg.dqn_batch_size
+        batch = self.cfg.dqn_batch_size
         n = len(self.replay)
         # of the `stored` kept transitions, age i is in row count - stored + i;
         # row count % n, the newest next observation, is never among them
@@ -383,7 +385,7 @@ class DqnAgent(Learner):
         acts = self.replay["act"][rows]
         q, trace = self.net.forward(self.replay["obs"][rows])
         q_next, _ = self.target.forward(self.replay["obs"][(rows + 1) % n])
-        targets = (self.replay["rew"][rows] + cfg.gamma
+        targets = (self.replay["rew"][rows] + GAMMA
                    * (1.0 - self.replay["done"][rows]) * q_next.max(axis=1))
         chosen = q[np.arange(batch), acts]
         err = chosen - targets

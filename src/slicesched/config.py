@@ -60,12 +60,8 @@ class ScenarioConfig:
     dual_step: float = 0.01
 
     # --- learning ---
-    gamma: float = 0.99
-    lr_actor: float = 1e-4
-    lr_critic: float = 1e-4
     episodes: int = 300
     slots_per_episode: int = 200
-    trunk_hidden: tuple[int, ...] = (64, 64)
 
     # --- DQN baseline ---
     dqn_replay_capacity: int = 10000
@@ -112,8 +108,8 @@ def validate(cfg: ScenarioConfig) -> None:
     _positive(
         cfg, "total_bandwidth_hz", "num_prbs", "num_embb", "num_hrllc",
         "slot_duration_s", "packet_size_bits", "mean_snr_linear", "d_max_s",
-        "d_proc_s", "lyapunov_v", "dual_step", "lr_actor", "lr_critic",
-        "episodes", "slots_per_episode", "eval_episodes",
+        "d_proc_s", "lyapunov_v", "dual_step", "episodes",
+        "slots_per_episode", "eval_episodes",
         "dqn_replay_capacity", "dqn_batch_size",
     )
     _nonneg(cfg, "mmpp_alpha", "mmpp_beta", "lambda_slow", "lambda_burst",
@@ -135,8 +131,6 @@ def validate(cfg: ScenarioConfig) -> None:
             f"lambda_burst ({cfg.lambda_burst}) must exceed lambda_slow ({cfg.lambda_slow})")
     if not 0.0 < cfg.chi_h < 1.0:
         raise ValidationError(f"chi_h must be in (0,1), got {cfg.chi_h}")
-    if not 0.0 < cfg.gamma < 1.0:
-        raise ValidationError(f"gamma must be in (0,1), got {cfg.gamma}")
     if not cfg.d_proc_s < cfg.d_max_s:
         raise ValidationError(
             f"d_proc_s ({cfg.d_proc_s}) must be below d_max_s ({cfg.d_max_s})")
@@ -147,8 +141,6 @@ def validate(cfg: ScenarioConfig) -> None:
             f"HRLLC user ({cfg.num_hrllc}), got {cfg.dxi_levels}, {cfg.dxi_middle}")
     if any(v < 0 for v in cfg.dxi_levels + cfg.dxi_middle):
         raise ValidationError("dxi_levels and dxi_middle must be non-negative")
-    if any(h <= 0 for h in cfg.trunk_hidden):
-        raise ValidationError("trunk_hidden sizes must be positive")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
@@ -166,8 +158,7 @@ def _setting(key: str, raw: str) -> tuple[str, Any]:
             return name, int(raw)
         if ftype == "float":
             return name, float(raw)
-        item = float if ftype.startswith("tuple[float") else int
-        return name, tuple(item(p) for p in raw.split(",") if p.strip())
+        return name, tuple(float(p) for p in raw.split(",") if p.strip())
     except ValueError as exc:
         raise ConfigError(f"bad value for {name!r}: {exc}") from exc
 

@@ -126,21 +126,23 @@ def spearman_rank_correlation(x, y) -> float:
 class DexteritySensitivity:
     """Per-HRLLC-user steady state of a run, folded from episode ``first``
     on: the users' summed arrivals, departures and PRB counts, exact in any
-    order, and their recorded DXI summed row by row in slot order, the
-    order in which NumPy's ``mean(axis=0)`` sums a (slots, users) block of
-    two or more users."""
+    order, and their recorded DXI summed row by row in slot order, for any
+    number of users (for two or more, the order of NumPy's ``mean(axis=0)``
+    over a (slots, users) block)."""
 
     def __init__(self, cfg: ScenarioConfig, first: int):
         self.num_embb, self.first, self.slots = cfg.num_embb, first, 0
         self.sums = np.zeros((3, cfg.num_hrllc), dtype=np.int64)
-        self.dxi = np.full(cfg.num_hrllc, -0.0)    # -0.0 + x is x, bit for bit
+        self.dxi = np.zeros(cfg.num_hrllc)    # +0.0, where NumPy's sums start
 
     def add(self, record: EpisodeRecord) -> None:
         if record.episode >= self.first:
             s, n_e = record.slots, self.num_embb
             self.sums += [column[:, n_e:].sum(axis=0)
                           for column in (s.arrivals, s.departures, s.counts)]
-            self.dxi = np.add.reduce(np.vstack((self.dxi, s.dxi)), axis=0)
+            # accumulate, not reduce: reduce sums a one-user column pairwise
+            self.dxi = np.add.accumulate(np.vstack((self.dxi, s.dxi)),
+                                         axis=0)[-1]
             self.slots += len(s)
 
     def table(self) -> dict:

@@ -34,8 +34,8 @@ def save_split_a2c_checkpoint(path, agent) -> None:
     net with the logit heads and a critic net with the value, each on its
     own trunk."""
     rng = np.random.default_rng(21)
-    actor = trunk_mlp(agent.cfg, agent.obs_dim, agent.n_kh + len(TEMPLATES), rng)
-    critic = trunk_mlp(agent.cfg, agent.obs_dim, 1, rng)
+    actor = trunk_mlp(agent.obs_dim, agent.n_kh + len(TEMPLATES), rng)
+    critic = trunk_mlp(agent.obs_dim, 1, rng)
     save_arrays(path, actor.params + critic.params,
                 {"kind": "a2c", "shared": False, "obs_dim": agent.obs_dim,
                  "n_kh": agent.n_kh})

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from slicesched import agents
 from slicesched.agents import a2c_heads, a2c_net
 from slicesched.cli import main as cli_main
 from slicesched.config import ScenarioConfig
@@ -62,7 +63,7 @@ def _plateau_ratio(sm):
 
 # --- criterion 1: gradient oracle ------------------------------------------
 
-def test_criterion_1_gradient_oracle():
+def test_criterion_1_gradient_oracle(monkeypatch):
     t0 = time.time()
     step = 1e-5
     worst = 0.0
@@ -106,11 +107,10 @@ def test_criterion_1_gradient_oracle():
         worst = max(worst, float(rel.max()))
 
     # composite actor-critic loss on the one actor-critic net
-    cfg = ScenarioConfig(num_embb=1, num_hrllc=1, num_prbs=4,
-                         trunk_hidden=(6,))
-    n_kh = 3          # k_h in {1, 2, 3}
+    monkeypatch.setattr(agents, "TRUNK_HIDDEN", (6,))
+    n_kh = 3          # one user per slice on 4 PRBs: k_h in {1, 2, 3}
     for trial in range(4):
-        net = a2c_net(cfg, 5, n_kh, rng)
+        net = a2c_net(5, n_kh, rng)
         obs, nxt = rng.normal(size=5), rng.normal(size=5)
         actions, rew, gamma, beta = (1, 2), 0.7, 0.99, 0.01
 

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 from collections import deque
 
 import numpy as np
@@ -23,6 +24,14 @@ def test_action_space_defaults():
     assert A2CAgent(cfg, np.random.default_rng(0)).n_kh == 19
     assert DqnAgent(cfg, np.random.default_rng(0)).n_joint == 57
     assert len(TEMPLATES) == 3
+
+
+def test_learner_constants_meet_the_former_config_checks():
+    assert 0.0 < agents.GAMMA < 1.0
+    for lr in (agents.LR_ACTOR, agents.LR_CRITIC):
+        assert math.isfinite(lr) and lr > 0.0
+    assert agents.TRUNK_HIDDEN and all(
+        isinstance(h, int) and h > 0 for h in agents.TRUNK_HIDDEN)
 
 
 def test_action_space_index_round_trip():
@@ -235,15 +244,14 @@ def test_reward_translation_consistent():
     assert reward(1.0 + 7.0, 2.0, 3.0, 0.5, 0.1) == pytest.approx(base - 7.0)
 
 
-def test_a2c_gradients_match_finite_differences():
+def test_a2c_gradients_match_finite_differences(monkeypatch):
     """Composite actor+critic gradients against central differences with the
     bootstrapped target and advantage held constant (semi-gradient)."""
-    cfg = ScenarioConfig(num_embb=1, num_hrllc=1, num_prbs=4,
-                         trunk_hidden=(6,))
-    n_kh = 3          # k_h in {1, 2, 3}
+    monkeypatch.setattr(agents, "TRUNK_HIDDEN", (6,))
+    n_kh = 3          # one user per slice on 4 PRBs: k_h in {1, 2, 3}
     obs_dim = 5
     rng = np.random.default_rng(5)
-    net = a2c_net(cfg, obs_dim, n_kh, rng)
+    net = a2c_net(obs_dim, n_kh, rng)
     obs = rng.normal(size=obs_dim)
     next_obs = rng.normal(size=obs_dim)
     actions = (1, 2)
@@ -296,11 +304,10 @@ def test_a2c_gradients_match_finite_differences():
         assert np.max(np.abs(flat_analytic - flat_numeric) / denom) < 1e-3
 
 
-def test_a2c_grads_terminal_delta():
-    cfg = ScenarioConfig(num_embb=1, num_hrllc=1, num_prbs=4,
-                         trunk_hidden=(6,))
-    n_kh = 3          # k_h in {1, 2, 3}
-    net = a2c_net(cfg, 5, n_kh, np.random.default_rng(6))
+def test_a2c_grads_terminal_delta(monkeypatch):
+    monkeypatch.setattr(agents, "TRUNK_HIDDEN", (6,))
+    n_kh = 3          # one user per slice on 4 PRBs: k_h in {1, 2, 3}
+    net = a2c_net(5, n_kh, np.random.default_rng(6))
     net.set_params([np.zeros_like(p) for p in net.params])
     _, diag = a2c_grad_rows(net, n_kh, np.zeros(5), (0, 0), 1.0, None, 0.99,
                             0.0)
@@ -501,7 +508,7 @@ def test_dqn_terminal_target_is_its_reward_and_the_row_ahead_is_unsampled():
 
     def td_target(row):
         q_next, _ = agent.target.forward(agent.replay["obs"][(row + 1) % n])
-        return (agent.replay["rew"][[row]] + cfg.gamma
+        return (agent.replay["rew"][[row]] + agents.GAMMA
                 * (1.0 - agent.replay["done"][[row]]) * q_next.max(axis=1))
 
     def assert_target_is_reward(row):
@@ -645,10 +652,11 @@ def test_a2c_learner_bit_exact_against_list_oracle():
         nonlocal terminals
         obs, actions, _ = agent._pending
         rows = _list_a2c_grads(oracle, agent.n_kh, obs, actions,
-                               agent._reward(), next_obs, cfg.gamma,
+                               agent._reward(), next_obs, agents.GAMMA,
                                agents.ENTROPY_COEF)
         was_clipped = []
-        for opt, grads, lr in zip(opts, rows, (cfg.lr_actor, cfg.lr_critic)):
+        for opt, grads, lr in zip(opts, rows,
+                                  (agents.LR_ACTOR, agents.LR_CRITIC)):
             grads, hit = _list_clip(grads, agents.GRAD_CLIP)
             opt.step(grads, lr)
             was_clipped.append(hit)
@@ -690,13 +698,14 @@ def test_dqn_learner_bit_exact_against_list_oracle():
         q, trace = oracle.forward(agent.replay["obs"][rows])
         q_next, _ = agent.target.forward(agent.replay["obs"][(rows + 1) % n])
         done = agent.replay["done"][rows]
-        targets = agent.replay["rew"][rows] + cfg.gamma * (1.0 - done) * q_next.max(axis=1)
+        targets = (agent.replay["rew"][rows]
+                   + agents.GAMMA * (1.0 - done) * q_next.max(axis=1))
         err = q[np.arange(batch), acts] - targets
         dout = np.zeros_like(q)
         dout[np.arange(batch), acts] = 2.0 * err / batch
         grads, hit = _list_clip(_list_backward(oracle, trace, dout),
                                 agents.GRAD_CLIP)
-        opt.step(grads, cfg.lr_critic)
+        opt.step(grads, agents.LR_CRITIC)
         clipped.append(hit)
         terminal_batches += bool(done.any())
         update()

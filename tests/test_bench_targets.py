@@ -144,7 +144,7 @@ def test_benchmark_worker_runs_clean(tmp_path, command, episodes_key):
         # both of A2C's optimizers step every parameter of its one net
         # each slot: 2 x 7 447 floats at the default sizes
         cfg = ScenarioConfig()
-        net = a2c_net(cfg, obs_length(cfg), cfg.num_prbs - cfg.num_users + 1,
+        net = a2c_net(obs_length(cfg), cfg.num_prbs - cfg.num_users + 1,
                       np.random.default_rng(0))
         assert layers["net.Adam.step.floats_per_slot"] == 2 * net.flat.size \
             == 14_894

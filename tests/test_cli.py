@@ -151,9 +151,11 @@ def test_bad_set_key_is_config_error(tmp_path):
                  "--set", "snr=10"]) == 2
 
 
-def test_invalid_config_value_is_config_error(tmp_path):
+def test_invalid_config_value_is_config_error(tmp_path, capsys):
     assert main(["train", "--out", str(tmp_path / "x"),
-                 "--set", "gamma=2.0"]) == 2
+                 "--set", "chi_h=2.0"]) == 2
+    assert not (tmp_path / "x").exists()
+    assert "chi_h must be in (0,1), got 2.0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("setting", ["beta_dex=nan", "total_bandwidth_hz=inf",
@@ -192,7 +194,8 @@ def test_deleted_observation_scale_is_config_error(tmp_path):
 @pytest.mark.parametrize("key", [
     "eps_cost", "surrogate_exp_cap", "smooth_window", "reward_scale",
     "entropy_coef", "grad_clip", "pf_ewma", "dqn_eps_start", "dqn_eps_end",
-    "dqn_eps_decay_slots", "dqn_target_sync"])
+    "dqn_eps_decay_slots", "dqn_target_sync", "gamma", "lr_actor",
+    "lr_critic", "trunk_hidden"])
 def test_deleted_constant_is_config_error(tmp_path, capsys, key):
     # constants beside their one reader now, no longer settings: an older
     # run's config.txt that names one fails until the line is dropped

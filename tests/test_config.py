@@ -20,7 +20,8 @@ DELETED_KEYS = ("q_ref", "r_ref_mbps", "l_ref", "y_clip", "obs_clip",
                 "dxi_step_user", "dxi_values", "eps_cost", "surrogate_exp_cap",
                 "smooth_window", "reward_scale", "entropy_coef", "grad_clip",
                 "pf_ewma", "dqn_eps_start", "dqn_eps_end",
-                "dqn_eps_decay_slots", "dqn_target_sync")
+                "dqn_eps_decay_slots", "dqn_target_sync", "gamma", "lr_actor",
+                "lr_critic", "trunk_hidden")
 
 
 def test_defaults_are_valid():
@@ -49,7 +50,7 @@ def test_replace_returns_new_instance():
 
 def test_round_trip_serialization():
     cfg = ScenarioConfig(mean_snr_linear=7.25,
-                         trunk_hidden=(32, 16))
+                         dxi_levels=(0.1, 1 / 3, 2.5))
     assert parse_config_text(config_to_text(cfg)) == cfg
 
 
@@ -88,32 +89,32 @@ def test_parse_missing_equals_rejected():
 
 
 def test_parse_tuple_fields():
-    cfg = parse_config_text("trunk_hidden = 32, 16\ndxi_levels = 1,2,3\n")
-    assert cfg.trunk_hidden == (32, 16)
+    cfg = parse_config_text("dxi_middle = 0.5, 2 ,4\ndxi_levels = 1,2,3,\n")
     assert cfg.dxi_levels == (1.0, 2.0, 3.0)
+    assert cfg.dxi_middle == (0.5, 2.0, 4.0)
 
 
 @pytest.mark.parametrize("overrides", [
     {"num_prbs": 5},                      # fewer PRBs than users
     {"lambda_burst": 1.0},                # burst below slow intensity
     {"chi_h": 1.5},
-    {"gamma": 0.0},
+    {"num_embb": 0},
     {"d_proc_s": 0.05},                   # processing above the deadline
     {"dxi_levels": (1.0, 2.0)},           # neither one level nor one per user
     {"dxi_middle": (1.0, 2.0)},
     {"dxi_levels": ()},                   # only dxi_middle may be empty
     {"beta_dex": float("nan")},           # a nan passes ordered comparisons
     {"total_bandwidth_hz": float("inf")},
-    {"lr_actor": 0.0},
+    {"eval_episodes": 0},
     {"slots_per_episode": 0},
     {"episodes": 0},
-    {"gamma": 1.0},
-    {"trunk_hidden": (64, 0)},
+    {"dqn_batch_size": 0},
+    {"lambda_slow": -1.0},
     {"dxi_levels": (float("nan"),)},
     {"lambda_embb": float("nan")},
     {"lambda_embb": float("inf")},
     {"mmpp_alpha": float("nan")},
-    {"lr_critic": float("nan")},
+    {"mean_snr_linear": float("-inf")},
     {"dxi_levels": (0.0, float("nan"), 1.0)},
     {"dual_step": 0.0},                   # the dual never moves
     {"lyapunov_v": -1.0},                 # the learner would maximise cost

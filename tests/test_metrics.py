@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import operator
 import warnings
 
 import numpy as np
@@ -202,6 +204,18 @@ def test_dexterity_sensitivity_reads_the_recorded_dxi_of_an_evaluation():
     assert want.tolist() == [5.0 / 3.0, 2.5, 10.0 / 3.0]
     for row in steady.table()["rows"]:
         assert row["dxi"] == want[row["user"]]
+
+
+def test_dexterity_sensitivity_one_user_dxi_is_the_slot_order_mean():
+    """A one-user column is summed slot by slot, as for two or more users;
+    a pairwise sum, or NumPy's ``mean``, differs in the last bits here."""
+    cfg = ScenarioConfig(episodes=6, slots_per_episode=50, num_hrllc=1,
+                         dxi_levels=(0.1,), dxi_middle=(0.3,))
+    records, steady = [], DexteritySensitivity(cfg, 1)
+    run_training(cfg, "rr", lambda r: (records.append(r), steady.add(r)))
+    column = np.concatenate([r.slots.dxi[:, 0] for r in records[1:]]).tolist()
+    want = functools.reduce(operator.add, column, 0.0) / len(column)
+    assert steady.table()["rows"][0]["dxi"] == want == 0.18000000000000066
 
 
 def _profile_rebuild_table(cfg, first, sums):
